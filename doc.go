@@ -10,6 +10,14 @@
 // dataset generates the synthetic stand-ins for the paper's eight
 // datasets; bench regenerates every evaluation figure.
 //
+// The hamming kernel is laid out for the memory system: NewDB copies
+// the vectors into one flat word arena (the input slice is not
+// retained), each part's table is direct-addressed whenever that is no
+// larger than the hash table it replaces, the first box of every chain
+// is taken from the ball value the candidate was found under instead
+// of being recomputed, and full, distance-reporting and range-restricted
+// search share one loop. README.md "Hamming kernel notes" has the rules.
+//
 // Above the four problem packages sits engine, the unified serving
 // layer: one Index interface with typed queries over every backend —
 // Search(ctx, q, opt) plus the streaming SearchSeq, both

@@ -66,10 +66,14 @@ func FromString(s string) (Vector, error) {
 	return FromBits(bitvals), nil
 }
 
-// maskTail zeroes the unused bits of the last word.
+// maskTail zeroes the unused bits of the last word. It writes only when
+// there is something to clear, so FromWords over already-clean shared
+// storage (a hamming.DB's arena) is a pure read.
 func (v *Vector) maskTail() {
 	if r := v.d % 64; r != 0 && len(v.w) > 0 {
-		v.w[len(v.w)-1] &= (1 << uint(r)) - 1
+		if last := &v.w[len(v.w)-1]; *last>>uint(r) != 0 {
+			*last &= (1 << uint(r)) - 1
+		}
 	}
 }
 

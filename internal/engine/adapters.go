@@ -211,15 +211,19 @@ func (ix *hammingIndex) Search(ctx context.Context, q Query, opt Options) ([]int
 	filterOnly := func() error {
 		skip := hopt
 		skip.SkipVerify = true
-		_, _, err := ix.db.Search(q.vec, tau, skip)
+		var st hamming.Stats
+		_, err := ix.db.SearchRangeAppend(q.vec, tau, skip, 0, ix.db.Len(), nil, &st)
 		return err
 	}
 	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
-		ids, st, err := ix.db.Search(q.vec, tau, hopt)
+		// The append form over the whole corpus fills the engine's id
+		// type directly: no []int result to widen, no threshold clone.
+		var st hamming.Stats
+		ids, err := ix.db.SearchRangeAppend(q.vec, tau, hopt, 0, ix.db.Len(), nil, &st)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		return toIDs(ids), Stats{
+		return ids, Stats{
 			Candidates: st.Candidates,
 			Results:    st.Results,
 			Probes:     st.Probes,

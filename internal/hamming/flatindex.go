@@ -1,19 +1,25 @@
 package hamming
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
-// partIndex is the inverted index of one part: an immutable
-// open-addressing hash table mapping a part value to the span of vector
-// ids holding that value. The whole table is three flat arrays — slot
-// keys, slot posting locations, and the concatenated posting ids — so a
-// snapshot stores the regions verbatim and reloading is a single
-// validation pass instead of a per-key map rebuild (which profiling
-// showed dominating snapshot opens).
-//
-// Collisions resolve by linear probing. Build keeps at least one slot
-// in four empty (newPartIndex sizes the table to ~0.75 load), so probe
-// runs stay short and a miss always terminates at an empty slot.
+// partIndex is the inverted index of one part: an immutable table
+// mapping a part value to the span of vector ids holding that value,
+// in one of two flat layouts chosen by size at build time (useDirect).
+// Direct-addressed: one offset per possible w-bit value plus one, value
+// v's postings are ids[offs[v]:offs[v+1]] — no hashing, both offsets on
+// one cache line. Hashed (offs == nil): open addressing with linear
+// probing over slot keys and packed posting locations, at least one
+// slot in four empty, so probe runs stay short and a miss terminates.
+// Either way a snapshot stores the arrays verbatim and reloading is a
+// validation pass, not a rebuild.
 type partIndex struct {
+	// offs is the direct table, len (1<<w)+1, nil for a hashed part.
+	// int32 like the ids it indexes: a posting offset is at most n.
+	offs []int32
 	// keys[s] is the part value stored in slot s, meaningful only when
 	// loc[s] != 0.
 	keys []uint64
@@ -21,17 +27,34 @@ type partIndex struct {
 	// 0 marks an empty slot — unambiguous because a real span has
 	// end > start ≥ 0, hence end ≥ 1.
 	loc []uint64
-	// ids holds the posting lists back to back, in ascending-key
-	// insertion order.
+	// ids holds the posting lists back to back in ascending key order,
+	// each list in ascending id order.
 	ids []int32
+}
+
+// maxDirectWidth bounds the width a direct table is considered for:
+// beyond it no int32-addressable corpus has keys enough to justify one.
+const maxDirectWidth = 32
+
+// hashedCap is the slot count of the open-addressing table for nKeys
+// distinct values: it bounds the load factor by 3/4 and is never full,
+// so lookups terminate. Non-power-of-two capacities keep the table
+// within ~4/3 of the key count (the table is persisted byte-for-byte,
+// so its size is snapshot size).
+func hashedCap(nKeys int) int { return nKeys + nKeys/3 + 1 }
+
+// useDirect is the layout rule: a part of width w holding nKeys
+// distinct values is direct-addressed exactly when that table
+// ((1<<w)+1 four-byte offsets) is no larger than the hashed one
+// (hashedCap sixteen-byte slots). A pure function of (w, nKeys), so
+// builds and snapshot bytes are deterministic and there is no knob.
+func useDirect(w, nKeys int) bool {
+	return w <= maxDirectWidth && (1<<w)+1 <= 4*hashedCap(nKeys)
 }
 
 // slotOf maps a part value to its home slot in a c-slot table: a
 // splitmix64-style finalizer to spread the low-entropy part values over
-// 64 bits, then a multiply-shift range reduction onto [0, c). Non-power
-// -of-two capacities keep the table within ~4/3 of the key count
-// instead of rounding up to the next power of two (the table is
-// persisted byte-for-byte, so its size is snapshot size).
+// 64 bits, then a multiply-shift range reduction onto [0, c).
 func slotOf(v, c uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
@@ -42,16 +65,11 @@ func slotOf(v, c uint64) uint64 {
 	return hi
 }
 
-// newPartIndex allocates a table for nKeys distinct values and nIDs
-// posting entries. The capacity nKeys + nKeys/3 + 1 bounds the load
-// factor by 3/4 and is never full, so lookups terminate.
-func newPartIndex(nKeys, nIDs int) partIndex {
-	c := nKeys + nKeys/3 + 1
-	return partIndex{
-		keys: make([]uint64, c),
-		loc:  make([]uint64, c),
-		ids:  make([]int32, nIDs),
-	}
+// newPartIndex allocates a hashed table for nKeys distinct values over
+// the given posting ids.
+func newPartIndex(nKeys int, ids []int32) partIndex {
+	c := hashedCap(nKeys)
+	return partIndex{keys: make([]uint64, c), loc: make([]uint64, c), ids: ids}
 }
 
 // insert places key k with the posting span ids[start:end]. The caller
@@ -70,30 +88,123 @@ func (p *partIndex) insert(k uint64, start, end int) {
 	p.loc[s] = uint64(start)<<32 | uint64(end)
 }
 
-// lookup returns the ids whose part holds value v, or nil.
-func (p *partIndex) lookup(v uint64) []int32 {
+// buildPartIndex indexes one part of width w, vals[id] being the part's
+// value in vector id. The ids are ordered by (value, id) — by a
+// counting sort whose count array doubles as the direct table when the
+// part is narrow enough for one to pay off (useDirect with every value
+// distinct), by a comparison sort otherwise — and the layout rule then
+// decides on the distinct count. Both orders are total, so the layout
+// is a pure function of the data.
+func buildPartIndex(w int, vals []uint64) partIndex {
+	n := len(vals)
+	ids := make([]int32, n)
+	if !useDirect(w, n) {
+		for id := range ids {
+			ids[id] = int32(id)
+		}
+		slices.SortFunc(ids, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(vals[a], vals[b]), cmp.Compare(a, b))
+		})
+		return hashedFromSorted(vals, ids)
+	}
+	// Count value v at offs[v+2]; after the prefix sum offs[v+1] is the
+	// start of v's postings and serves as its fill cursor, which leaves
+	// offs[v+1] = end of v = start of v+1: the finished table in place.
+	size := 1 << w
+	offs := make([]int32, size+2)
+	for _, v := range vals {
+		offs[v+2]++
+	}
+	nKeys := 0
+	for v := 0; v < size; v++ {
+		if offs[v+2] != 0 {
+			nKeys++
+		}
+		offs[v+2] += offs[v+1]
+	}
+	for id, v := range vals {
+		ids[offs[v+1]] = int32(id)
+		offs[v+1]++
+	}
+	if useDirect(w, nKeys) {
+		return partIndex{offs: offs[: size+1 : size+1], ids: ids}
+	}
+	return hashedFromSorted(vals, ids)
+}
+
+// hashedFromSorted builds the hashed table over ids already ordered by
+// (vals[id], id), inserting each run of equal values in ascending key
+// order.
+func hashedFromSorted(vals []uint64, ids []int32) partIndex {
+	nKeys := 0
+	for i, id := range ids {
+		if i == 0 || vals[id] != vals[ids[i-1]] {
+			nKeys++
+		}
+	}
+	p := newPartIndex(nKeys, ids)
+	for start := 0; start < len(ids); {
+		end := start + 1
+		for end < len(ids) && vals[ids[end]] == vals[ids[start]] {
+			end++
+		}
+		p.insert(vals[ids[start]], start, end)
+		start = end
+	}
+	return p
+}
+
+// spans resolves every value of vals to its packed posting span
+// start<<32|end (0 when absent, start == end when empty), into the
+// parallel out. The lookups are independent of each other and of any
+// posting scan, so the memory system overlaps their misses.
+func (p *partIndex) spans(vals, out []uint64) {
+	if p.offs != nil {
+		for j, v := range vals {
+			out[j] = uint64(p.offs[v])<<32 | uint64(p.offs[v+1])
+		}
+		return
+	}
 	c := uint64(len(p.loc))
-	s := slotOf(v, c)
-	for {
-		l := p.loc[s]
-		if l == 0 {
-			return nil
+	for j, v := range vals {
+		s := slotOf(v, c)
+		for p.loc[s] != 0 && p.keys[s] != v {
+			if s++; s == c {
+				s = 0
+			}
 		}
-		if p.keys[s] == v {
-			return p.ids[l>>32 : l&0xffffffff]
-		}
-		if s++; s == c {
-			s = 0
-		}
+		out[j] = p.loc[s]
 	}
 }
 
 // validate checks the structural invariants a snapshot-loaded table
-// must satisfy before serving lookups: parallel key/loc arrays, at
-// least one empty slot (probe termination), and every posting span in
-// bounds. Content-level damage is the checksum layer's job; this pass
-// only rules out crashes and hangs.
-func (p *partIndex) validate() bool {
+// over n vectors of part width w must satisfy before serving lookups.
+// Direct: exactly (1<<w)+1 offsets running monotonically from 0 to n.
+// Hashed: parallel key/loc arrays, at least one empty slot (probe
+// termination), and every posting span in bounds. Every part holds each
+// vector once, so ids must number n and lie in [0, n). Content-level
+// damage is the checksum layer's job; this pass only rules out crashes
+// and hangs.
+func (p *partIndex) validate(w, n int) bool {
+	if len(p.ids) != n {
+		return false
+	}
+	for _, id := range p.ids {
+		if uint32(id) >= uint32(n) {
+			return false
+		}
+	}
+	if p.offs != nil {
+		if w > maxDirectWidth || len(p.offs) != (1<<w)+1 || p.offs[0] != 0 || int(p.offs[1<<w]) != n {
+			return false
+		}
+		for v := 1; v < len(p.offs); v++ {
+			if p.offs[v] < p.offs[v-1] {
+				return false
+			}
+		}
+		return true
+	}
 	if len(p.keys) != len(p.loc) || len(p.loc) == 0 {
 		return false
 	}

@@ -20,6 +20,14 @@
 // candidate generation enumerates the radius-t_i ball around each query
 // part (exactly GPH's probing scheme), so the Ring modification is
 // confined to the second step, as §7 of the paper prescribes.
+//
+// Storage is laid out for what a probe touches: the vectors live in one
+// flat word arena (NewDB copies its input), a part's table is
+// direct-addressed whenever that is no larger than the hash table it
+// replaces (useDirect), and the chain check skips the first box of
+// every chain — a candidate found under ball value u has
+// b_i = popcount(u ⊕ q_i) ≤ t_i by construction. Search, SearchDist and
+// SearchRangeAppend are wrappers over one [lo, hi)-restricted loop.
 package hamming
 
 import (
@@ -30,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitvec"
-	"repro/internal/pairs"
 )
 
 // Allocation selects how the per-part thresholds are chosen.
@@ -81,8 +88,10 @@ type Stats struct {
 	Probes int
 	// Enumerated is the number of ball values probed against the index.
 	Enumerated int
-	// BoxChecks is the number of box evaluations performed by the
-	// chain-filter step (zero when ChainLength = 1).
+	// BoxChecks is the number of boxes the chain-filter step evaluated
+	// (zero when ChainLength = 1). The first box of a chain is known
+	// from the ball value the candidate was found under and is not
+	// counted.
 	BoxChecks int
 	// Thresholds is the allocation the cost model chose.
 	Thresholds []int
@@ -93,17 +102,22 @@ type Stats struct {
 // concurrent use with distinct accepted-buffers, so the DB hands out
 // per-call scratch internally.
 type DB struct {
-	vecs []bitvec.Vector
-	part bitvec.Partitioning
-	// index[i] maps the value of part i to the ids holding that value —
-	// a flat open-addressing table so snapshots persist it verbatim.
+	// arena holds the n vectors back to back, wpv words each — the
+	// layout the snapshot's "vecs" section stores — so a candidate's
+	// words are one multiply away from its id.
+	arena  []uint64
+	n, wpv int
+	part   bitvec.Partitioning
+	// box[i] locates part i inside a vector's words.
+	box []boxDesc
+	// index[i] maps the value of part i to the ids holding that value.
 	index []partIndex
 	// sample ids used by the cost model.
 	sample []int32
 	// sampleVals[i]/sampleCnts[i] hold the deduplicated part-i values
 	// of the sample with their multiplicities, extracted at build time,
 	// so the cost model histograms cost one xor+popcount per distinct
-	// value instead of a PartDistance scan over every sample vector.
+	// value instead of a part-distance scan over every sample vector.
 	sampleVals [][]uint64
 	sampleCnts [][]int32
 	// histCache[i] memoizes the part-i sample distance histogram keyed
@@ -121,32 +135,76 @@ type DB struct {
 	scratch sync.Pool
 }
 
+// boxDesc locates one part inside a vector's packed words, worked out
+// once per DB so the chain check does no bound arithmetic per box.
+type boxDesc struct {
+	mask  uint64
+	word  int
+	shift uint
+	// straddles marks a part whose high bits spill into word+1; shift
+	// is then in [1, 63].
+	straddles bool
+}
+
+func newBoxes(part bitvec.Partitioning) []boxDesc {
+	box := make([]boxDesc, part.M())
+	for i := range box {
+		lo, w := part.Bounds[i], part.Width(i)
+		box[i] = boxDesc{
+			mask:      ^uint64(0) >> uint(64-w),
+			word:      lo / 64,
+			shift:     uint(lo % 64),
+			straddles: lo%64+w > 64,
+		}
+	}
+	return box
+}
+
+// extract returns the part's value in the vector held by words.
+func (b *boxDesc) extract(words []uint64) uint64 {
+	x := words[b.word] >> b.shift
+	if b.straddles {
+		x |= words[b.word+1] << (64 - b.shift)
+	}
+	return x & b.mask
+}
+
 // histCacheCap bounds the total number of cached per-part histograms.
 // At the cap the cache holds histCacheCap·(maxWidth+1) int32s — a few
 // megabytes for realistic partitionings.
 const histCacheCap = 1 << 14
 
+// probeChunk is how many ball values the filter enumerates, resolves
+// and scans at a time: enough independent lookups in flight to overlap
+// their misses, and a bound on scratch however large the ball.
+const probeChunk = 256
+
 // searchScratch is the per-search working memory a DB hands out from
 // its pool: the accepted-id bitmap (cleared via the marked list on
 // release, so clearing costs O(candidates), not O(n)), the threshold
-// allocator's arrays, and the reusable result buffer (Search copies it
-// into an exact-size slice before returning).
+// allocator's arrays, the probe loop's chunk buffers, and the reusable
+// result buffers (the Search wrappers copy them out before returning).
 type searchScratch struct {
 	accepted []bool
 	marked   []int32
 	qParts   []uint64
 	t        []int
 	// tpre holds the doubled-ring prefix sums of the thresholds for the
-	// inlined integer chain check; len 2m+1.
-	tpre []int
+	// integer chain check; len 2m+1. quota[lp] is the bound on the box
+	// sum of the length-lp chain prefix from the part being probed.
+	tpre  []int
+	quota []int
 	// hists holds the per-part histogram views the allocator reads;
 	// histBuf is the fallback storage used when the cache is full.
 	hists   [][]int32
 	histBuf [][]int32
-	results []int
-	// dists holds the verified Hamming distance of each entry of
-	// results, populated only on the SearchDist path.
-	dists []int
+	ball    ballEnum
+	vals    [probeChunk]uint64
+	spans   [probeChunk]uint64
+	// results holds the verified ids in probe order and dists the
+	// Hamming distance of each.
+	results []int32
+	dists   []int
 }
 
 func (db *DB) getScratch() *searchScratch {
@@ -164,7 +222,8 @@ func (db *DB) putScratch(s *searchScratch) {
 }
 
 // NewDB indexes vecs (all of dimension d) under an m-part equal-width
-// partitioning.
+// partitioning. The vectors are copied into the DB's arena; the slice
+// and its vectors are not retained.
 func NewDB(vecs []bitvec.Vector, m int) (*DB, error) {
 	if len(vecs) == 0 {
 		return nil, fmt.Errorf("hamming: empty database")
@@ -179,55 +238,40 @@ func NewDB(vecs []bitvec.Vector, m int) (*DB, error) {
 		return nil, fmt.Errorf("hamming: invalid part count m=%d for d=%d", m, d)
 	}
 	part := bitvec.NewEqualPartitioning(d, m)
-	// Group ids by part value in maps first, then freeze each part into
-	// its flat table, inserting in ascending key order so the layout
-	// (and therefore the snapshot bytes) is deterministic.
-	grouped := make([]map[uint64][]int32, m)
-	for i := 0; i < m; i++ {
-		grouped[i] = make(map[uint64][]int32)
+	n, wpv := len(vecs), (d+63)/64
+	arena := make([]uint64, 0, n*wpv)
+	for _, v := range vecs {
+		arena = append(arena, v.Words()...)
 	}
-	for id, v := range vecs {
-		for i := 0; i < m; i++ {
-			val := part.Extract(v, i)
-			grouped[i][val] = append(grouped[i][val], int32(id))
+	db := &DB{arena: arena, n: n, wpv: wpv, part: part, box: newBoxes(part)}
+
+	db.index = make([]partIndex, m)
+	vals := make([]uint64, n)
+	for i := range db.index {
+		for id := range vals {
+			vals[id] = db.box[i].extract(db.words(id))
 		}
+		db.index[i] = buildPartIndex(part.Width(i), vals)
 	}
-	index := make([]partIndex, m)
-	for i := 0; i < m; i++ {
-		ks := make([]uint64, 0, len(grouped[i]))
-		for k := range grouped[i] {
-			ks = append(ks, k)
-		}
-		slices.Sort(ks)
-		index[i] = newPartIndex(len(ks), len(vecs))
-		pos := 0
-		for _, k := range ks {
-			post := grouped[i][k]
-			copy(index[i].ids[pos:], post)
-			index[i].insert(k, pos, pos+len(post))
-			pos += len(post)
-		}
-	}
+
 	const sampleSize = 256
-	step := len(vecs)/sampleSize + 1
-	var sample []int32
-	for id := 0; id < len(vecs); id += step {
-		sample = append(sample, int32(id))
+	step := n/sampleSize + 1
+	for id := 0; id < n; id += step {
+		db.sample = append(db.sample, int32(id))
 	}
-	db := &DB{vecs: vecs, part: part, index: index, sample: sample}
 	// Deduplicate the sample's part values once: the cost model only
 	// needs distances to these values, never the vectors themselves.
 	db.sampleVals = make([][]uint64, m)
 	db.sampleCnts = make([][]int32, m)
 	for i := 0; i < m; i++ {
-		counts := make(map[uint64]int32, len(sample))
-		for _, id := range sample {
-			counts[part.Extract(vecs[id], i)]++
+		counts := make(map[uint64]int32, len(db.sample))
+		for _, id := range db.sample {
+			counts[db.box[i].extract(db.words(int(id)))]++
 		}
 		vals := make([]uint64, 0, len(counts))
 		cnts := make([]int32, 0, len(counts))
-		for _, id := range sample {
-			v := part.Extract(vecs[id], i)
+		for _, id := range db.sample {
+			v := db.box[i].extract(db.words(int(id)))
 			if c, ok := counts[v]; ok {
 				vals = append(vals, v)
 				cnts = append(cnts, c)
@@ -248,22 +292,25 @@ func (db *DB) initRuntime() {
 	db.histCache = make([]sync.Map, m)
 	db.scratch.New = func() any {
 		s := &searchScratch{
-			accepted: make([]bool, len(db.vecs)),
+			accepted: make([]bool, db.n),
 			qParts:   make([]uint64, m),
 			t:        make([]int, m),
 			tpre:     make([]int, 2*m+1),
+			quota:    make([]int, m+1),
 			hists:    make([][]int32, m),
 			histBuf:  make([][]int32, m),
 		}
+		slab := make([]int32, db.part.D+m)
 		for i := range s.histBuf {
-			s.histBuf[i] = make([]int32, db.part.Width(i)+1)
+			w := db.part.Width(i) + 1
+			s.histBuf[i], slab = slab[:w:w], slab[w:]
 		}
 		return s
 	}
 }
 
 // Len returns the number of indexed vectors.
-func (db *DB) Len() int { return len(db.vecs) }
+func (db *DB) Len() int { return db.n }
 
 // Dim returns the vector dimension.
 func (db *DB) Dim() int { return db.part.D }
@@ -271,8 +318,14 @@ func (db *DB) Dim() int { return db.part.D }
 // M returns the number of parts.
 func (db *DB) M() int { return db.part.M() }
 
-// Vector returns the indexed vector with the given id.
-func (db *DB) Vector(id int) bitvec.Vector { return db.vecs[id] }
+// words returns vector id's packed words inside the arena.
+func (db *DB) words(id int) []uint64 {
+	return db.arena[id*db.wpv : (id+1)*db.wpv : (id+1)*db.wpv]
+}
+
+// Vector returns the indexed vector with the given id as a read-only
+// view of the DB's storage.
+func (db *DB) Vector(id int) bitvec.Vector { return bitvec.FromWords(db.part.D, db.words(id)) }
 
 // partHist returns the part-i sample distance histogram for a query
 // whose part-i value is qv: hist[k] = number of sample vectors whose
@@ -344,7 +397,7 @@ func (db *DB) allocate(qParts []uint64, total int, mode Allocation, s *searchScr
 	for i := 0; i < m; i++ {
 		hists[i] = db.partHist(i, qParts[i], s.histBuf[i])
 	}
-	scale := float64(len(db.vecs)) / float64(len(db.sample))
+	scale := float64(db.n) / float64(len(db.sample))
 	const enumWeight = 0.5 // relative cost of probing one ball value
 	marginal := func(i int) float64 {
 		next := t[i] + 1
@@ -353,7 +406,7 @@ func (db *DB) allocate(qParts []uint64, total int, mode Allocation, s *searchScr
 			return float64(1 << 62) // cannot widen further
 		}
 		cands := float64(hists[i][next]) * scale
-		balls := float64(binom(w, next)) * enumWeight
+		balls := binom(w, next) * enumWeight
 		return cands + balls
 	}
 	for step := 0; step < increments; step++ {
@@ -369,21 +422,74 @@ func (db *DB) allocate(qParts []uint64, total int, mode Allocation, s *searchScr
 	return t
 }
 
-func binom(n, k int) int {
+// binom returns C(n, k), the number of values a radius-k ball shell
+// adds, as the float64 the cost model consumes: in int the running
+// product overflows from C(64, 24) on.
+func binom(n, k int) float64 {
 	if k < 0 || k > n {
 		return 0
 	}
-	c := 1
+	c := 1.0
 	for i := 0; i < k; i++ {
-		c = c * (n - i) / (i + 1)
+		c = c * float64(n-i) / float64(i+1)
 	}
 	return c
+}
+
+// ballEnum enumerates the w-bit values within Hamming distance t of a
+// center in chunks: by increasing distance k, the k-bit flip masks in
+// increasing numeric order (Gosper's hack), so the current mask is the
+// whole state. These are bitvec.EnumerateBall's values in another order
+// within each distance; nothing observable depends on that order, since
+// a vector sits under exactly one value of a part.
+type ballEnum struct {
+	center, mask uint64
+	// last is the final mask of distance k: its top k bits.
+	last    uint64
+	w, t, k int
+}
+
+func (e *ballEnum) reset(center uint64, w, t int) {
+	*e = ballEnum{center: center, w: w, t: min(t, w)}
+}
+
+// fill writes the next values of the ball into buf and returns how
+// many; 0 means the ball is exhausted.
+func (e *ballEnum) fill(buf []uint64) int {
+	n := 0
+	for ; n < len(buf) && e.k <= e.t; n++ {
+		buf[n] = e.center ^ e.mask
+		if e.mask != e.last {
+			// Same popcount, next larger: carry the lowest run's top bit
+			// up one place and drop the rest of the run to the bottom.
+			c := e.mask & -e.mask
+			r := e.mask + c
+			e.mask = r | (r^e.mask)>>(2+bits.TrailingZeros64(c))
+		} else if e.k++; e.k <= e.t {
+			e.mask = 1<<e.k - 1
+			e.last = e.mask << (e.w - e.k)
+		}
+	}
+	return n
+}
+
+// distanceWithin returns the Hamming distance between two vectors'
+// words if it is at most tau, or -1 once it is known to exceed tau.
+func distanceWithin(x, y []uint64, tau int) int {
+	d := 0
+	for j, w := range y {
+		d += bits.OnesCount64(x[j] ^ w)
+		if d > tau {
+			return -1
+		}
+	}
+	return d
 }
 
 // Search returns the ids of all vectors within Hamming distance tau of
 // q, in ascending id order, along with search statistics.
 func (db *DB) Search(q bitvec.Vector, tau int, opt Options) ([]int, Stats, error) {
-	ids, _, st, err := db.search(q, tau, opt, false)
+	ids, _, st, err := db.searchAll(q, tau, opt, false)
 	return ids, st, err
 }
 
@@ -393,249 +499,178 @@ func (db *DB) Search(q bitvec.Vector, tau int, opt Options) ([]int, Stats, error
 // planner reorders by distance anyway, so the id sort is skipped.
 // With SkipVerify set no results (and so no distances) are produced.
 func (db *DB) SearchDist(q bitvec.Vector, tau int, opt Options) ([]int, []int, Stats, error) {
-	return db.search(q, tau, opt, true)
+	return db.searchAll(q, tau, opt, true)
 }
 
-func (db *DB) search(q bitvec.Vector, tau int, opt Options, wantDist bool) ([]int, []int, Stats, error) {
+func (db *DB) searchAll(q bitvec.Vector, tau int, opt Options, wantDist bool) ([]int, []int, Stats, error) {
 	var st Stats
-	if q.Dim() != db.Dim() {
-		return nil, nil, st, fmt.Errorf("hamming: query dimension %d, want %d", q.Dim(), db.Dim())
-	}
-	if tau < 0 {
-		return nil, nil, st, fmt.Errorf("hamming: negative threshold %d", tau)
-	}
-	m := db.part.M()
-	l := opt.ChainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
-
-	total := tau - m + 1
-	if opt.NoIntegerReduction {
-		total = tau
-	}
 	s := db.getScratch()
 	defer db.putScratch(s)
+	if err := db.filter(s, q, tau, opt, 0, db.n, &st); err != nil {
+		return nil, nil, st, err
+	}
+	// s.t aliases pooled scratch; Stats must not retain it past the call.
+	st.Thresholds = slices.Clone(s.t)
+	if len(s.results) == 0 {
+		return nil, nil, st, nil
+	}
+	var dists []int
+	if wantDist {
+		dists = slices.Clone(s.dists)
+	} else {
+		slices.Sort(s.results)
+	}
+	ids := make([]int, len(s.results))
+	for i, id := range s.results {
+		ids[i] = int(id)
+	}
+	return ids, dists, st, nil
+}
+
+// SearchRangeAppend runs the tau search restricted to ids in [lo, hi),
+// appending the verified ids in ascending order to dst and accumulating
+// statistics into st. It is the join engine's per-tile probe and, over
+// [0, Len()), the engine's plain search: the per-call threshold clone
+// of Search is skipped, so rows sharing dst and st run with zero
+// steady-state allocations.
+func (db *DB) SearchRangeAppend(q bitvec.Vector, tau int, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
+	s := db.getScratch()
+	defer db.putScratch(s)
+	if err := db.filter(s, q, tau, opt, lo, hi, st); err != nil {
+		return dst, err
+	}
+	slices.Sort(s.results)
+	dst = slices.Grow(dst, len(s.results))
+	for _, id := range s.results {
+		dst = append(dst, int64(id))
+	}
+	return dst, nil
+}
+
+// filter is the one search loop: it probes the index for q at
+// threshold tau, restricted to ids in [lo, hi) (clamped to the corpus),
+// leaves the verified ids and their distances in s.results/s.dists in
+// probe order, and adds the work done to st. Posting lists are
+// ascending-id by construction, so the restriction costs two binary
+// searches per non-empty list, skipped when the window is the corpus.
+func (db *DB) filter(s *searchScratch, q bitvec.Vector, tau int, opt Options, lo, hi int, st *Stats) error {
+	if q.Dim() != db.Dim() {
+		return fmt.Errorf("hamming: query dimension %d, want %d", q.Dim(), db.Dim())
+	}
+	if tau < 0 {
+		return fmt.Errorf("hamming: negative threshold %d", tau)
+	}
+	lo, hi = max(lo, 0), min(hi, db.n)
+	if lo >= hi {
+		return nil
+	}
+	windowed := lo > 0 || hi < db.n
+	rlo, rhi := int32(lo), int32(hi)
+	m := db.part.M()
+	l := min(max(opt.ChainLength, 1), m)
+
+	total, slack := tau-m+1, 1
+	if opt.NoIntegerReduction {
+		total, slack = tau, 0
+	}
+	qw, box := q.Words(), db.box
 	qParts := s.qParts
-	for i := 0; i < m; i++ {
-		qParts[i] = db.part.Extract(q, i)
+	for i := range qParts {
+		qParts[i] = box[i].extract(qw)
 	}
 	t := db.allocate(qParts, total, opt.Alloc, s)
-	// t aliases pooled scratch; Stats must not retain it past the call.
-	st.Thresholds = append(make([]int, 0, m), t...)
 
 	// Prefix sums of the thresholds over the doubled ring: the quota of
 	// the length-lp prefix of the chain starting at part i is
 	// tpre[i+lp]−tpre[i], plus lp−1 slack under Theorem 7 integer
 	// reduction. Box values and thresholds are both integers, so the
-	// chain check below compares ints directly — this replaces the
-	// former core.Filter/BoxFunc indirection, whose float quotas were
-	// exact on integer inputs but paid two interface dispatches plus a
-	// Filter allocation per search.
-	tpre := s.tpre
+	// chain check compares ints directly.
+	tpre, quota := s.tpre, s.quota
 	for i := 0; i < 2*m; i++ {
 		tpre[i+1] = tpre[i] + t[i%m]
 	}
-	slack := 1
-	if opt.NoIntegerReduction {
-		slack = 0
-	}
 
-	accepted := s.accepted
-	results := s.results
-	dists := s.dists
-
+	accepted, arena, wpv := s.accepted, db.arena, db.wpv
+	var enumerated, probes, boxChecks, candidates int
 	for i := 0; i < m; i++ {
 		if t[i] < 0 {
 			continue
 		}
-		w := db.part.Width(i)
-		ti := t[i]
-		if ti > w {
-			ti = w
+		for lp := 2; lp <= l; lp++ {
+			quota[lp] = tpre[i+lp] - tpre[i] + (lp-1)*slack
 		}
 		pidx := &db.index[i]
-		bitvec.EnumerateBall(qParts[i], w, ti, func(u uint64) {
-			st.Enumerated++
-			postings := pidx.lookup(u)
-			st.Probes += len(postings)
-			for _, id := range postings {
-				if accepted[id] {
+		s.ball.reset(qParts[i], db.part.Width(i), t[i])
+		for {
+			// Enumerate a chunk of ball values, resolve all their posting
+			// spans, and only then scan the postings.
+			c := s.ball.fill(s.vals[:])
+			if c == 0 {
+				break
+			}
+			enumerated += c
+			vals, spans := s.vals[:c], s.spans[:c]
+			pidx.spans(vals, spans)
+			for j, sp := range spans {
+				postings := pidx.ids[sp>>32 : sp&0xffffffff]
+				if len(postings) == 0 {
 					continue
 				}
-				if l > 1 {
-					cur := db.vecs[id]
-					sum, slk := 0, 0
-					viable := true
-					for lp := 1; lp <= l; lp++ {
+				if windowed {
+					a, _ := slices.BinarySearch(postings, rlo)
+					b, _ := slices.BinarySearch(postings, rhi)
+					postings = postings[a:b]
+				}
+				probes += len(postings)
+				// Every posting under ball value u has part value u, so the
+				// chain's first box is popcount(u ⊕ q_i) ≤ t_i — known and
+				// within quota by construction; the check starts at box two.
+				first := bits.OnesCount64(vals[j] ^ qParts[i])
+			scan:
+				for _, id := range postings {
+					if accepted[id] {
+						continue
+					}
+					cand := arena[int(id)*wpv : int(id)*wpv+wpv]
+					sum := first
+					for lp := 2; lp <= l; lp++ {
 						k := i + lp - 1
 						if k >= m {
 							k -= m
 						}
-						st.BoxChecks++
-						sum += db.part.PartDistance(cur, q, k)
-						if sum > tpre[i+lp]-tpre[i]+slk {
-							viable = false
-							break
+						boxChecks++
+						sum += bits.OnesCount64(box[k].extract(cand) ^ qParts[k])
+						if sum > quota[lp] {
+							continue scan
 						}
-						slk += slack
 					}
-					if !viable {
-						continue
-					}
-				}
-				accepted[id] = true
-				s.marked = append(s.marked, id)
-				st.Candidates++
-				if !opt.SkipVerify {
-					if d := bitvec.HammingAbandon(db.vecs[id], q, tau); d >= 0 {
-						results = append(results, int(id))
-						if wantDist {
-							dists = append(dists, d)
+					accepted[id] = true
+					s.marked = append(s.marked, id)
+					candidates++
+					if !opt.SkipVerify {
+						if d := distanceWithin(cand, qw, tau); d >= 0 {
+							s.results = append(s.results, id)
+							s.dists = append(s.dists, d)
 						}
 					}
 				}
 			}
-		})
-	}
-	s.results = results
-	s.dists = dists
-	if wantDist {
-		st.Results = len(results)
-		return slices.Clone(results), slices.Clone(dists), st, nil
-	}
-	out := pairs.SortedIDs(results)
-	st.Results = len(out)
-	return out, nil, st, nil
-}
-
-// SearchRangeAppend runs the tau search restricted to ids in [lo, hi),
-// appending the verified ids in ascending order to dst and accumulating
-// statistics into st. It is the join engine's per-tile probe: posting
-// lists are ascending-id by construction, so the restriction costs two
-// binary searches per probed list, and the per-call threshold clone of
-// Search is skipped so a tile's rows share one stats buffer with zero
-// steady-state allocations.
-func (db *DB) SearchRangeAppend(q bitvec.Vector, tau int, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-	if q.Dim() != db.Dim() {
-		return dst, fmt.Errorf("hamming: query dimension %d, want %d", q.Dim(), db.Dim())
-	}
-	if tau < 0 {
-		return dst, fmt.Errorf("hamming: negative threshold %d", tau)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(db.vecs) {
-		hi = len(db.vecs)
-	}
-	if lo >= hi {
-		return dst, nil
-	}
-	m := db.part.M()
-	l := opt.ChainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
-
-	total := tau - m + 1
-	if opt.NoIntegerReduction {
-		total = tau
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qParts := s.qParts
-	for i := 0; i < m; i++ {
-		qParts[i] = db.part.Extract(q, i)
-	}
-	t := db.allocate(qParts, total, opt.Alloc, s)
-	tpre := s.tpre
-	for i := 0; i < 2*m; i++ {
-		tpre[i+1] = tpre[i] + t[i%m]
-	}
-	slack := 1
-	if opt.NoIntegerReduction {
-		slack = 0
-	}
-
-	accepted := s.accepted
-	results := s.results
-	rlo, rhi := int32(lo), int32(hi)
-
-	for i := 0; i < m; i++ {
-		if t[i] < 0 {
-			continue
 		}
-		w := db.part.Width(i)
-		ti := t[i]
-		if ti > w {
-			ti = w
-		}
-		pidx := &db.index[i]
-		bitvec.EnumerateBall(qParts[i], w, ti, func(u uint64) {
-			st.Enumerated++
-			postings := pidx.lookup(u)
-			a, _ := slices.BinarySearch(postings, rlo)
-			b, _ := slices.BinarySearch(postings, rhi)
-			postings = postings[a:b]
-			st.Probes += len(postings)
-			for _, id := range postings {
-				if accepted[id] {
-					continue
-				}
-				if l > 1 {
-					cur := db.vecs[id]
-					sum, slk := 0, 0
-					viable := true
-					for lp := 1; lp <= l; lp++ {
-						k := i + lp - 1
-						if k >= m {
-							k -= m
-						}
-						st.BoxChecks++
-						sum += db.part.PartDistance(cur, q, k)
-						if sum > tpre[i+lp]-tpre[i]+slk {
-							viable = false
-							break
-						}
-						slk += slack
-					}
-					if !viable {
-						continue
-					}
-				}
-				accepted[id] = true
-				s.marked = append(s.marked, id)
-				st.Candidates++
-				if !opt.SkipVerify {
-					if bitvec.HammingAbandon(db.vecs[id], q, tau) >= 0 {
-						results = append(results, int(id))
-					}
-				}
-			}
-		})
 	}
-	s.results = results
-	slices.Sort(results)
-	st.Results += len(results)
-	for _, id := range results {
-		dst = append(dst, int64(id))
-	}
-	return dst, nil
+	st.Enumerated += enumerated
+	st.Probes += probes
+	st.BoxChecks += boxChecks
+	st.Candidates += candidates
+	st.Results += len(s.results)
+	return nil
 }
 
 // SearchLinear scans the whole database; it is the ground truth used by
 // tests and the naïve baseline cost reference.
 func (db *DB) SearchLinear(q bitvec.Vector, tau int) []int {
 	var results []int
-	for id, v := range db.vecs {
-		if bitvec.HammingAbandon(v, q, tau) >= 0 {
+	for id := 0; id < db.n; id++ {
+		if bitvec.HammingAbandon(db.Vector(id), q, tau) >= 0 {
 			results = append(results, id)
 		}
 	}

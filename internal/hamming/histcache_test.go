@@ -39,10 +39,10 @@ func refAllocate(db *DB, q bitvec.Vector, total int, mode Allocation) []int {
 	for i := 0; i < m; i++ {
 		distHist[i] = make([]int, db.part.Width(i)+1)
 		for _, id := range db.sample {
-			distHist[i][db.part.PartDistance(db.vecs[id], q, i)]++
+			distHist[i][db.part.PartDistance(db.Vector(int(id)), q, i)]++
 		}
 	}
-	scale := float64(len(db.vecs)) / float64(len(db.sample))
+	scale := float64(db.Len()) / float64(len(db.sample))
 	const enumWeight = 0.5
 	marginal := func(i int) float64 {
 		next := t[i] + 1
@@ -137,7 +137,7 @@ func TestPartHistCapFallback(t *testing.T) {
 		got := db.partHist(0, qv, buf)
 		want := make([]int32, db.part.Width(0)+1)
 		for _, id := range db.sample {
-			want[db.part.PartDistance(db.vecs[id], q, 0)]++
+			want[db.part.PartDistance(db.Vector(int(id)), q, 0)]++
 		}
 		for k := range want {
 			if got[k] != want[k] {

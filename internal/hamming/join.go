@@ -18,7 +18,7 @@ func (db *DB) Join(tau int, opt Options) ([]Pair, Stats, error) {
 	var out []Pair
 	var agg Stats
 	for i := 0; i < db.Len(); i++ {
-		res, st, err := db.Search(db.vecs[i], tau, opt)
+		res, st, err := db.Search(db.Vector(i), tau, opt)
 		if err != nil {
 			return nil, agg, err
 		}
@@ -41,7 +41,7 @@ func (db *DB) Join(tau int, opt Options) ([]Pair, Stats, error) {
 func (db *DB) JoinLinear(tau int) []Pair {
 	var out []Pair
 	for i := 0; i < db.Len(); i++ {
-		for _, j := range db.SearchLinear(db.vecs[i], tau) {
+		for _, j := range db.SearchLinear(db.Vector(i), tau) {
 			if j < i {
 				out = append(out, Pair{I: j, J: i})
 			}

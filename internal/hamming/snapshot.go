@@ -3,6 +3,7 @@ package hamming
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/bitvec"
 	"repro/internal/parallel"
@@ -14,7 +15,8 @@ const SnapshotBackend = "hamming"
 
 // WriteSnapshot writes the fully built index to w as a one-backend
 // snapshot container, returning the bytes written. The snapshot
-// round-trips everything NewDB computed — vectors, part index, and the
+// round-trips everything NewDB computed — the vector arena, each part's
+// table in whichever layout it was built (direct or hashed), and the
 // cost-model sample values — so OpenSnapshot skips construction
 // entirely.
 func (db *DB) WriteSnapshot(w io.Writer) (int64, error) {
@@ -42,36 +44,32 @@ func OpenSnapshot(r io.ReaderAt) (*DB, error) {
 // per shard into a single container.
 func (db *DB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 	m := db.part.M()
-	n := len(db.vecs)
-	d := db.part.D
-	b.AddU64s(prefix+"meta", []uint64{uint64(d), uint64(m), uint64(n)})
+	b.AddU64s(prefix+"meta", []uint64{uint64(db.part.D), uint64(m), uint64(db.n)})
+	b.AddU64s(prefix+"vecs", db.arena)
 
-	wpv := (d + 63) / 64
-	words := make([]uint64, 0, n*wpv)
-	for _, v := range db.vecs {
-		words = append(words, v.Words()...)
-	}
-	b.AddU64s(prefix+"vecs", words)
-
-	// The per-part flat tables are persisted verbatim: capacities, the
-	// concatenated slot keys and locations, cumulative posting-region
-	// offsets, and the concatenated posting ids. NewDB builds the tables
+	// The per-part flat tables are persisted verbatim: hashed-table
+	// capacities (0 marks a direct part), the concatenated slot keys and
+	// locations of the hashed parts, the concatenated offset tables of
+	// the direct parts, cumulative posting-region offsets, and the
+	// concatenated posting ids. NewDB builds the tables
 	// deterministically, so the bytes are too.
 	caps := make([]uint64, m)
 	idLens := make([]int, m)
 	var keys, loc []uint64
-	var ids []int32
+	var offs, ids []int32
 	for i := range db.index {
 		p := &db.index[i]
 		caps[i] = uint64(len(p.loc))
 		idLens[i] = len(p.ids)
 		keys = append(keys, p.keys...)
 		loc = append(loc, p.loc...)
+		offs = append(offs, p.offs...)
 		ids = append(ids, p.ids...)
 	}
 	b.AddU64s(prefix+"idx.cap", caps)
 	b.AddU64s(prefix+"idx.keys", keys)
 	b.AddU64s(prefix+"idx.loc", loc)
+	b.AddI32s(prefix+"idx.offs", offs)
 	b.AddU64s(prefix+"idx.idoff", snapshot.Offsets(idLens))
 	b.AddI32s(prefix+"idx.ids", ids)
 
@@ -91,13 +89,17 @@ func (db *DB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 }
 
 // OpenSnapshotAt reconstructs a DB from the section group under the
-// given prefix of an already-opened container.
+// given prefix of an already-opened container. Every stored length is
+// checked against the data actually present before it sizes anything,
+// and a group that is structurally wrong — including one in the layout
+// that predates direct-addressed parts — fails with an error wrapping
+// snapshot.ErrFormat.
 func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	fail := func(err error) (*DB, error) {
 		return nil, fmt.Errorf("hamming: snapshot %q: %w", prefix, err)
 	}
 	bad := func(format string, args ...any) (*DB, error) {
-		return nil, fmt.Errorf("hamming: snapshot %q: "+format, append([]any{prefix}, args...)...)
+		return fail(fmt.Errorf("%w: "+format, append([]any{snapshot.ErrFormat}, args...)...))
 	}
 
 	meta, err := rd.U64s(prefix + "meta")
@@ -107,9 +109,17 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	if len(meta) != 3 {
 		return bad("meta has %d fields, want 3", len(meta))
 	}
+	// Ids are int32, and a vector has at least one word per 64
+	// dimensions, so neither count can legitimately exceed this.
+	if meta[0] > math.MaxInt32 || meta[1] > meta[0] || meta[2] > math.MaxInt32 {
+		return bad("implausible geometry d=%d m=%d n=%d", meta[0], meta[1], meta[2])
+	}
 	d, m, n := int(meta[0]), int(meta[1]), int(meta[2])
-	if d < 1 || m < 1 || m > d || (d+m-1)/m > 64 || n < 1 {
+	if m < 1 || (d+m-1)/m > 64 || n < 1 {
 		return bad("implausible geometry d=%d m=%d n=%d", d, m, n)
+	}
+	if !rd.Has(prefix + "idx.offs") {
+		return bad("no idx.offs section: written before direct-addressed parts, rebuild the snapshot")
 	}
 
 	// The remaining sections are independent, and checksumming them is
@@ -117,13 +127,14 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	// concurrent section reads).
 	var (
 		words, caps, keys, loc, idoff, svCnt, svVals []uint64
-		ids, sample, svCnts                          []int32
+		offs, ids, sample, svCnts                    []int32
 	)
 	loads := []func() error{
 		func() (err error) { words, err = rd.U64s(prefix + "vecs"); return },
 		func() (err error) { caps, err = rd.U64s(prefix + "idx.cap"); return },
 		func() (err error) { keys, err = rd.U64s(prefix + "idx.keys"); return },
 		func() (err error) { loc, err = rd.U64s(prefix + "idx.loc"); return },
+		func() (err error) { offs, err = rd.I32s(prefix + "idx.offs"); return },
 		func() (err error) { idoff, err = rd.U64s(prefix + "idx.idoff"); return },
 		func() (err error) { ids, err = rd.I32s(prefix + "idx.ids"); return },
 		func() (err error) { sample, err = rd.I32s(prefix + "sample"); return },
@@ -136,71 +147,91 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	}
 
 	wpv := (d + 63) / 64
-	if len(words) != n*wpv {
-		return bad("vecs has %d words, want %d", len(words), n*wpv)
+	if len(words)%wpv != 0 || len(words)/wpv != n {
+		return bad("vecs has %d words, want %d vectors of %d", len(words), n, wpv)
 	}
-	vecs := make([]bitvec.Vector, n)
-	for i := range vecs {
-		vecs[i] = bitvec.FromWords(d, words[i*wpv:(i+1)*wpv:(i+1)*wpv])
+	if r := uint(d % 64); r != 0 {
+		// Whole-word kernels rely on zero bits beyond the dimension.
+		for i := wpv - 1; i < len(words); i += wpv {
+			words[i] &= 1<<r - 1
+		}
 	}
+	if len(caps) != m || len(idoff) != m+1 || len(svCnt) != m {
+		return bad("index has %d capacities, %d id offsets and %d sample counts, want %d parts",
+			len(caps), len(idoff), len(svCnt), m)
+	}
+	if len(keys) != len(loc) {
+		return bad("index regions have %d keys and %d locations", len(keys), len(loc))
+	}
+	part := bitvec.NewEqualPartitioning(d, m)
 
-	if len(caps) != m || len(idoff) != m+1 {
-		return bad("index has %d capacities and %d id offsets, want %d parts", len(caps), len(idoff), m)
-	}
-	totalCap := 0
-	for _, c := range caps {
-		totalCap += int(c)
-	}
-	if len(keys) != totalCap || len(loc) != totalCap {
-		return bad("index regions have %d keys and %d locations, capacities sum %d",
-			len(keys), len(loc), totalCap)
-	}
-	if int(idoff[m]) != len(ids) {
-		return bad("posting regions end at %d, have %d ids", idoff[m], len(ids))
-	}
+	// A part with capacity 0 is direct-addressed and owns the next
+	// (1<<w)+1 entries of offs; any other owns the next cap slots of
+	// keys and loc. Regions are sliced, never sized, from these counts.
 	index := make([]partIndex, m)
-	pos := 0
+	kpos, opos := uint64(0), 0
 	for i := 0; i < m; i++ {
-		c := int(caps[i])
 		lo, hi := idoff[i], idoff[i+1]
 		if lo > hi || hi > uint64(len(ids)) {
 			return bad("posting offsets not monotone at part %d", i)
 		}
-		index[i] = partIndex{
-			keys: keys[pos : pos+c : pos+c],
-			loc:  loc[pos : pos+c : pos+c],
-			ids:  ids[lo:hi:hi],
+		p := partIndex{ids: ids[lo:hi:hi]}
+		w := part.Width(i)
+		if c := caps[i]; c != 0 {
+			if c > uint64(len(keys))-kpos {
+				return bad("part %d hashed table overruns its region", i)
+			}
+			p.keys, p.loc = keys[kpos:kpos+c:kpos+c], loc[kpos:kpos+c:kpos+c]
+			kpos += c
+		} else {
+			if w > maxDirectWidth || (1<<w)+1 > len(offs)-opos {
+				return bad("part %d direct table overruns its region", i)
+			}
+			end := opos + (1 << w) + 1
+			p.offs = offs[opos:end:end]
+			opos = end
 		}
-		if !index[i].validate() {
+		if !p.validate(w, n) {
 			return bad("part %d index table is malformed", i)
 		}
-		pos += c
+		index[i] = p
+	}
+	if kpos != uint64(len(keys)) || opos != len(offs) || idoff[m] != uint64(len(ids)) {
+		return bad("index regions have trailing data")
 	}
 
-	if len(svCnt) != m || len(svVals) != len(svCnts) {
-		return bad("sample-value sizes disagree: %d parts, %d vals, %d cnts",
-			len(svCnt), len(svVals), len(svCnts))
+	if len(svVals) != len(svCnts) {
+		return bad("sample-value sizes disagree: %d vals, %d cnts", len(svVals), len(svCnts))
 	}
 	db := &DB{
-		vecs:       vecs,
-		part:       bitvec.NewEqualPartitioning(d, m),
+		arena:      words,
+		n:          n,
+		wpv:        wpv,
+		part:       part,
+		box:        newBoxes(part),
 		index:      index,
 		sample:     sample,
 		sampleVals: make([][]uint64, m),
 		sampleCnts: make([][]int32, m),
 	}
-	pos = 0
+	pos := uint64(0)
 	for i := 0; i < m; i++ {
-		c := int(svCnt[i])
-		if pos+c > len(svVals) {
+		c := svCnt[i]
+		if c > uint64(len(svVals))-pos {
 			return bad("sample-value counts overflow their region")
 		}
 		db.sampleVals[i] = svVals[pos : pos+c : pos+c]
 		db.sampleCnts[i] = svCnts[pos : pos+c : pos+c]
 		pos += c
+		// A value wider than its part would index past the histogram.
+		for _, v := range db.sampleVals[i] {
+			if v&^db.box[i].mask != 0 {
+				return bad("part %d sample value exceeds the part width", i)
+			}
+		}
 	}
-	if pos != len(svVals) {
-		return bad("sample-value region has %d trailing values", len(svVals)-pos)
+	if pos != uint64(len(svVals)) {
+		return bad("sample-value region has %d trailing values", uint64(len(svVals))-pos)
 	}
 	db.initRuntime()
 	return db, nil

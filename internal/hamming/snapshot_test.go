@@ -2,11 +2,14 @@ package hamming
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/snapshot"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -90,4 +93,196 @@ func TestSnapshotRejectsForeign(t *testing.T) {
 	if !bytes.Contains(data[:128], []byte(SnapshotBackend)) {
 		t.Fatal("backend tag missing from header region")
 	}
+}
+
+// snapshotFixture builds a DB over n clustered d-bit vectors in m parts,
+// requiring every part to come out direct-addressed (or every part
+// hashed), and returns it with its snapshot bytes.
+func snapshotFixture(t testing.TB, d, m, n int, wantDirect bool) (*DB, []byte) {
+	t.Helper()
+	db, err := NewDB(clusteredVectors(rand.New(rand.NewSource(int64(d))), n, d), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range db.index {
+		if (db.index[i].offs != nil) != wantDirect {
+			t.Fatalf("d=%d m=%d n=%d part %d: direct = %v, fixture wants %v", d, m, n, i, !wantDirect, wantDirect)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := db.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return db, buf.Bytes()
+}
+
+// snapshotFixtures is one all-direct and one all-hashed fixture.
+func snapshotFixtures(t testing.TB) (direct, hashed *DB, directSnap, hashedSnap []byte) {
+	direct, directSnap = snapshotFixture(t, 100, 12, 300, true)
+	hashed, hashedSnap = snapshotFixture(t, 128, 2, 300, false)
+	return
+}
+
+// TestSnapshotLayoutsRoundTrip: both table layouts persist verbatim —
+// the reopened DB holds the same arena and tables and searches
+// identically — and two builds of the same corpus write the same bytes.
+func TestSnapshotLayoutsRoundTrip(t *testing.T) {
+	direct, hashed, directSnap, hashedSnap := snapshotFixtures(t)
+	_, _, directSnap2, hashedSnap2 := snapshotFixtures(t)
+	if !bytes.Equal(directSnap, directSnap2) || !bytes.Equal(hashedSnap, hashedSnap2) {
+		t.Fatal("two builds of the same corpus wrote different snapshot bytes")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		db   *DB
+		snap []byte
+	}{{direct, directSnap}, {hashed, hashedSnap}} {
+		got, err := OpenSnapshot(bytes.NewReader(c.snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.arena, c.db.arena) || !reflect.DeepEqual(got.index, c.db.index) ||
+			!reflect.DeepEqual(got.box, c.db.box) || !slices.Equal(got.sample, c.db.sample) {
+			t.Fatalf("d=%d: reopened DB differs structurally", c.db.Dim())
+		}
+		for trial := 0; trial < 10; trial++ {
+			q := c.db.Vector(rng.Intn(c.db.Len())).Clone()
+			q.Flip(rng.Intn(c.db.Dim()))
+			for _, tau := range []int{0, 2, 8} {
+				want, wst, _ := c.db.Search(q, tau, RingOptions(6))
+				have, hst, err := got.Search(q, tau, RingOptions(6))
+				if err != nil || !slices.Equal(have, want) || !statsEqual(hst, wst) {
+					t.Fatalf("d=%d τ=%d: reopened search %v %+v (%v), want %v %+v", c.db.Dim(), tau, have, hst, err, want, wst)
+				}
+			}
+		}
+	}
+}
+
+// resnap rewrites a snapshot section by section with fresh checksums:
+// edit returns a section's new payload, or false to drop it. It forges
+// what the checksum layer cannot catch — a well-formed container whose
+// contents are wrong.
+func resnap(t testing.TB, snap []byte, edit func(name string, data []byte) ([]byte, bool)) []byte {
+	t.Helper()
+	rd, err := snapshot.Open(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := snapshot.NewBuilder()
+	for _, name := range rd.Sections() {
+		data, err := rd.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, ok := edit(name, data); ok {
+			b.Add(name, data)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf, SnapshotBackend); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// editI32s applies f to the decoded int32 payload of one section.
+func editI32s(t testing.TB, snap []byte, section string, f func(v []int32) []int32) []byte {
+	return resnap(t, snap, func(name string, data []byte) ([]byte, bool) {
+		if name != section {
+			return data, true
+		}
+		v, err := snapshot.BytesI32(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshot.I32Bytes(f(v)), true
+	})
+}
+
+// TestSnapshotRejectsForgedTables: a container with valid checksums but
+// a structurally wrong hamming section group — the pre-direct layout,
+// or a direct table that is short, long, non-monotone or does not span
+// [0, n] — fails with snapshot.ErrFormat instead of panicking now or
+// misreading postings later.
+func TestSnapshotRejectsForgedTables(t *testing.T) {
+	_, _, directSnap, hashedSnap := snapshotFixtures(t)
+	if got := resnap(t, directSnap, func(_ string, d []byte) ([]byte, bool) { return d, true }); !bytes.Equal(got, directSnap) {
+		t.Fatal("resnap without edits must reproduce the file")
+	}
+	forged := map[string][]byte{
+		"old layout (no idx.offs)": resnap(t, hashedSnap, func(name string, d []byte) ([]byte, bool) {
+			return d, name != "idx.offs"
+		}),
+		"short offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 { return v[:len(v)-1] }),
+		"long offs":  editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 { return append(v, 300) }),
+		"empty offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 { return nil }),
+		"offs[0] != 0": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+			v[0] = 1
+			return v
+		}),
+		"non-monotone offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+			i := slices.IndexFunc(v, func(x int32) bool { return x > 0 })
+			v[i], v[i-1] = v[i-1], v[i]+1
+			return v
+		}),
+		"negative offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+			v[1] = -1
+			return v
+		}),
+		"last offs != n": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+			v[1<<9] = 299 // part 0 is 9 bits wide: its table ends here
+			return v
+		}),
+		"posting id out of range": editI32s(t, directSnap, "idx.ids", func(v []int32) []int32 {
+			v[17] = 300
+			return v
+		}),
+		"hashed part marked direct": resnap(t, hashedSnap, func(name string, d []byte) ([]byte, bool) {
+			if name == "idx.cap" {
+				return snapshot.U64Bytes([]uint64{0, 0}), true
+			}
+			return d, true
+		}),
+		"sample value wider than its part": resnap(t, directSnap, func(name string, d []byte) ([]byte, bool) {
+			if name == "sv.vals" {
+				v, _ := snapshot.BytesU64(d)
+				v[0] |= 1 << 40
+				return snapshot.U64Bytes(v), true
+			}
+			return d, true
+		}),
+		"absurd geometry": resnap(t, directSnap, func(name string, d []byte) ([]byte, bool) {
+			if name == "meta" {
+				return snapshot.U64Bytes([]uint64{1 << 62, 1 << 61, 300}), true
+			}
+			return d, true
+		}),
+	}
+	for name, data := range forged {
+		db, err := OpenSnapshot(bytes.NewReader(data))
+		if !errors.Is(err, snapshot.ErrFormat) {
+			t.Errorf("%s: OpenSnapshot = (%v, %v), want snapshot.ErrFormat", name, db != nil, err)
+		}
+	}
+}
+
+// FuzzOpenSnapshot: arbitrary bytes either fail to open with an error
+// or yield a DB that can be searched; never a panic. The seeds are one
+// direct-part and one hashed-part snapshot, kept to a few kilobytes so
+// the engine's input minimisation stays cheap.
+func FuzzOpenSnapshot(f *testing.F) {
+	_, directSnap := snapshotFixture(f, 16, 2, 200, true)
+	_, hashedSnap := snapshotFixture(f, 64, 1, 12, false)
+	f.Add(directSnap)
+	f.Add(hashedSnap)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := OpenSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, _, err := db.Search(db.Vector(0), 2, RingOptions(6)); err != nil {
+			t.Fatalf("opened snapshot cannot be searched: %v", err)
+		}
+	})
 }

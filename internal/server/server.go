@@ -107,8 +107,9 @@ type Server struct {
 }
 
 // entry binds a loaded index to the dataset it was built from (kept
-// for queryId resolution), its per-problem metric handles and the
-// engine hooks that feed them.
+// for queryId resolution, except hamming, whose index holds its own
+// copy of the vectors), its per-problem metric handles and the engine
+// hooks that feed them.
 type entry struct {
 	index   engine.Index
 	dataset string
@@ -122,7 +123,6 @@ type entry struct {
 	// /v1/healthz "corpora". Empty when the index is not persistable.
 	hash string
 
-	vecs   []bitvec.Vector
 	sets   []tokenset.Set
 	strs   []string
 	graphs []*graph.Graph
@@ -505,12 +505,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "unknown hamming dataset %q (want gist or sift)", req.Dataset)
 			return
 		}
-		e.vecs = gen(req.N, req.Seed)
+		// Not kept on the entry: the index copies the vectors into its
+		// own arena, and queryId replays them from there.
+		vecs := gen(req.N, req.Seed)
 		m := req.M
 		if m <= 0 {
-			m = e.vecs[0].Dim() / 16
+			m = vecs[0].Dim() / 16
 		}
-		e.index, err = engine.BuildHamming(e.vecs, m, int(tauV), req.Shards, s.workers)
+		e.index, err = engine.BuildHamming(vecs, m, int(tauV), req.Shards, s.workers)
 	case engine.Set:
 		tauV := tau(0.8)
 		gen := dataset.DBLP
@@ -940,10 +942,6 @@ func (e *entry) query(p engine.Problem, req *SearchRequest) (engine.Query, error
 			return engine.Query{}, fmt.Errorf("queryId %d out of range [0, %d)", id, e.index.Len())
 		}
 		switch p {
-		case engine.Hamming:
-			if e.vecs != nil {
-				return engine.VectorQuery(e.vecs[id]), nil
-			}
 		case engine.Set:
 			if e.sets != nil {
 				return engine.SetQuery(e.sets[id]), nil
@@ -957,8 +955,8 @@ func (e *entry) query(p engine.Problem, req *SearchRequest) (engine.Query, error
 				return engine.GraphQuery(e.graphs[id]), nil
 			}
 		}
-		// Snapshot-loaded entries carry no raw dataset; the index
-		// itself replays the object, same as a join row does.
+		// Hamming and snapshot-loaded entries carry no raw dataset; the
+		// index itself replays the object, same as a join row does.
 		return engine.Object(e.index, id)
 	}
 	switch p {

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
@@ -290,5 +291,44 @@ func TestLoadCancelledNotInstalled(t *testing.T) {
 	}
 	if ready, n := s2.readiness(); ready || n != 0 {
 		t.Fatalf("cancelled snapshot load left readiness %v with %d indexes", ready, n)
+	}
+}
+
+// TestHammingQueryIDReplaysFromIndex: a hamming entry keeps no copy of
+// the generated vectors, so queryId is answered from the index's own
+// storage on a built entry exactly as on a snapshot-loaded one. Ids on
+// both sides of every shard boundary must resolve to the dataset's
+// vector (same answer as sending that vector inline) and must answer
+// identically after a snapshot reload.
+func TestHammingQueryIDReplaysFromIndex(t *testing.T) {
+	dir := t.TempDir()
+	h := newSnapshotHarness(t, dir)
+	const n, seed = 300, 5
+	h.load(LoadRequest{Problem: "hamming", N: n, Seed: seed, Shards: 3})
+	vecs := dataset.GIST(n, seed)
+
+	qids := []int{0, 7, 99, 100, 101, 199, 200, 299}
+	before := make([]SearchResponse, len(qids))
+	for i, qi := range qids {
+		before[i] = h.search(SearchRequest{Problem: "hamming", QueryID: &qi})
+		inline := h.search(SearchRequest{Problem: "hamming", Vector: vecs[qi].String()})
+		if !sameIDs(before[i].IDs, inline.IDs) {
+			t.Fatalf("queryId %d: ids %v, inline vector gives %v", qi, before[i].IDs, inline.IDs)
+		}
+	}
+
+	if code, body := h.post("/v1/snapshot", SnapshotRequest{Problem: "hamming"}, nil); code != http.StatusOK {
+		t.Fatalf("snapshot: status %d body %s", code, body)
+	}
+	h2 := newSnapshotHarness(t, dir)
+	if code, body := h2.post("/v1/load", LoadRequest{Snapshot: "hamming.snap"}, nil); code != http.StatusOK {
+		t.Fatalf("snapshot load: status %d body %s", code, body)
+	}
+	for i, qi := range qids {
+		after := h2.search(SearchRequest{Problem: "hamming", QueryID: &qi})
+		if !sameIDs(before[i].IDs, after.IDs) || after.Stats.Candidates != before[i].Stats.Candidates {
+			t.Fatalf("queryId %d after reload: ids %v (%d candidates), want %v (%d)",
+				qi, after.IDs, after.Stats.Candidates, before[i].IDs, before[i].Stats.Candidates)
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // with errors.Is.
 var (
 	// ErrFormat means the file is not a snapshot container at all (bad
-	// magic or a malformed table).
+	// magic or a malformed table), or a backend found its section
+	// group structurally invalid despite matching checksums.
 	ErrFormat = errors.New("snapshot: not a snapshot file")
 	// ErrVersion means the container format version is not supported by
 	// this reader.
