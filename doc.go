@@ -18,6 +18,16 @@
 // of being recomputed, and full, distance-reporting and range-restricted
 // search share one loop. README.md "Hamming kernel notes" has the rules.
 //
+// The setsim kernel follows suit: NewPKWiseDB retains its input sets
+// (it does not copy them), postings are one ascending-id CSR arena
+// addressed directly by token whenever that table is no larger than the
+// arena, each set is an 8-byte {prefix length, last prefix token}
+// record, the pooled count rows carry the set's size beside the class
+// overlaps it gates, the chain check is integer, verification first
+// tries the box-sum bound the filter already holds, and every entry
+// point shares one loop. Its snapshot stores the sets and rebuilds the
+// index on open. README.md "Set kernel notes" has the rules.
+//
 // Above the four problem packages sits engine, the unified serving
 // layer: one Index interface with typed queries over every backend —
 // Search(ctx, q, opt) plus the streaming SearchSeq, both

@@ -305,31 +305,26 @@ func (ix *setIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, 
 	}
 	// The paper finds l = 2 best for set similarity search (§8.3).
 	l := chain(opt.ChainLength, 2)
-	conv := func(st setsim.Stats) Stats {
-		return Stats{
+	n := ix.db.Len()
+	filterOnly := func() error {
+		var st setsim.Stats
+		_, err := ix.db.SearchRangeAppend(q.set, l, true, 0, n, nil, &st)
+		return err
+	}
+	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
+		// The append form over the whole corpus fills the engine's id
+		// type directly: no []int result to widen.
+		var st setsim.Stats
+		ids, err := ix.db.SearchRangeAppend(q.set, l, opt.SkipVerify, 0, n, nil, &st)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		return ids, Stats{
 			Candidates: st.Candidates,
 			Results:    st.Results,
 			Probes:     st.Probes,
 			BoxChecks:  st.BoxChecks,
-		}
-	}
-	filterOnly := func() error {
-		_, err := ix.db.CountCandidates(q.set, l)
-		return err
-	}
-	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
-		if opt.SkipVerify {
-			st, err := ix.db.CountCandidates(q.set, l)
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			return nil, conv(st), nil
-		}
-		ids, st, err := ix.db.Search(q.set, l)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return toIDs(ids), conv(st), nil
+		}, nil
 	})
 }
 

@@ -100,9 +100,9 @@ func countMergeClassViable(db *PKWiseDB, q tokenset.Set) map[int32]bool {
 	m := cfg.M
 	counts := make([]uint16, db.Len()*(m-1))
 	touched := map[int32]bool{}
-	for _, tok := range plan.q[:plan.pq] {
+	for _, tok := range q[:plan.pq] {
 		k := cfg.classOf(tok)
-		for _, id := range db.postings[tok] {
+		for _, id := range db.posting(tok) {
 			if sz := len(db.sets[id]); sz < lo || sz > hi {
 				continue
 			}

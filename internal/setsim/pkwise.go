@@ -2,10 +2,10 @@ package setsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/pairs"
 	"repro/internal/tokenset"
 )
@@ -16,35 +16,45 @@ import (
 type PKWiseDB struct {
 	cfg  Config
 	sets []tokenset.Set
-	// px[i] is the class-coverage prefix length of set i.
-	px []int32
-	// postings maps a token to the ids whose prefix contains it.
-	postings map[int32][]int32
+	meta []setMeta
+	// The postings are one CSR arena: ids[offs[s]:offs[s+1]] holds,
+	// ascending, the ids whose prefix contains the token of slot s. The
+	// slot of tok is tok−minTok when toks is nil (direct addressing),
+	// else its rank in toks, the sorted distinct prefix tokens.
+	offs   []int32
+	ids    []int32
+	minTok int32
+	toks   []int32
 	// scratch pools per-search working memory (pkScratch) so the hot
 	// path stays allocation-free across calls.
 	scratch sync.Pool
 }
 
+// setMeta is a set's class-coverage prefix length and the last token of
+// that prefix — all the §6.2 orientation rule needs of the set besides
+// its size, in one 8-byte read instead of slice header → tokens.
+type setMeta struct {
+	px, last int32
+}
+
+// sizeClamp is the largest set size a count row can carry; a row that
+// holds it defers to the set itself for the exact size.
+const sizeClamp = math.MaxUint16
+
 // pkScratch is the per-search working memory a PKWiseDB hands out from
-// its pool. counts is the n×(m−1) class-overlap table; it is cleared
-// row-by-row via the touched list on release, so clearing costs
-// O(touched·(m−1)), not O(n·(m−1)).
+// its pool. counts is the n×m table of count rows: slot 0 of row i —
+// the suffix box has no count — holds |set i| clamped to sizeClamp, so
+// the size window is decided on the cache line an in-window posting
+// increments anyway; slots 1..m−1 are the class overlaps. The overlaps
+// are cleared row-by-row via the touched list on release, so clearing
+// costs O(touched·(m−1)), not O(n·m).
 type pkScratch struct {
 	counts  []uint16
 	touched []int32
-	boxes   core.Boxes
-	// bv is boxes pre-converted to the filter's interface type: the
-	// conversion materializes an interface value, so doing it per probe
-	// costs one heap allocation per row of a join tile. Converting once
-	// at pool construction makes it free on the hot path — both views
-	// share the same backing array.
-	bv  core.BoxValues
-	cnt []int
-	t   []float64
-	// filter is the pooled chain filter, reconfigured in place per
-	// search so the hot path allocates neither the Filter nor its
-	// prefix-sum array.
-	filter  core.Filter
+	cnt     []int
+	t       []int
+	// tpre holds the doubled-ring prefix sums of t for the chain check.
+	tpre    []int
 	results []int
 	// sims holds the exact similarity of each entry of results,
 	// populated only on the SearchSim path.
@@ -56,21 +66,28 @@ func (db *PKWiseDB) getScratch() *pkScratch {
 }
 
 func (db *PKWiseDB) putScratch(s *pkScratch) {
-	m := db.cfg.M
+	s.reset(db.cfg.M)
+	db.scratch.Put(s)
+}
+
+// reset readies s for the next search by zeroing the class overlaps of
+// every touched row. Slot 0 stays: a cleared size would silently drop
+// every later posting of that id from the size window.
+func (s *pkScratch) reset(m int) {
 	for _, id := range s.touched {
-		base := int(id) * (m - 1)
-		clear(s.counts[base : base+m-1])
+		base := int(id) * m
+		clear(s.counts[base+1 : base+m])
 	}
 	s.touched = s.touched[:0]
 	s.results = s.results[:0]
 	s.sims = s.sims[:0]
-	db.scratch.Put(s)
 }
 
 // NewPKWiseDB builds the pkwise index: each set's prefix length is the
 // smallest p whose class coverage Σ_k max(0, cnt_k − k + 1) reaches
 // |x| − t + 1 (t being the loosest overlap threshold any compatible
-// partner can impose), and every prefix token is posted.
+// partner can impose), and every prefix token is posted. The index
+// retains sets, not a copy: the caller must not modify them afterwards.
 func NewPKWiseDB(sets []tokenset.Set, cfg Config) (*PKWiseDB, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -78,39 +95,101 @@ func NewPKWiseDB(sets []tokenset.Set, cfg Config) (*PKWiseDB, error) {
 	if err := tokenset.Validate(sets); err != nil {
 		return nil, err
 	}
-	db := &PKWiseDB{
-		cfg:      cfg,
-		sets:     sets,
-		px:       make([]int32, len(sets)),
-		postings: make(map[int32][]int32),
-	}
+	return build(sets, cfg)
+}
+
+// build derives the whole index from validated sets — the one
+// construction path of NewPKWiseDB and OpenSnapshotAt. The arena is
+// filled by a counting sort: one pass over the prefixes counts each
+// slot, a second places the ids.
+func build(sets []tokenset.Set, cfg Config) (*PKWiseDB, error) {
+	db := &PKWiseDB{cfg: cfg, sets: sets, meta: make([]setMeta, len(sets))}
 	cnt := make([]int, cfg.M)
+	total := 0
+	minTok, maxTok := int32(math.MaxInt32), int32(math.MinInt32)
 	for id, x := range sets {
-		t := cfg.minThreshold(len(x))
-		p, _ := cfg.prefixInfo(x, t, cnt)
-		db.px[id] = int32(p)
-		for _, tok := range x[:p] {
-			db.postings[tok] = append(db.postings[tok], int32(id))
+		p, _ := cfg.prefixInfo(x, cfg.minThreshold(len(x)), cnt)
+		if p == 0 {
+			continue
+		}
+		db.meta[id] = setMeta{px: int32(p), last: x[p-1]}
+		total += p
+		minTok, maxTok = min(minTok, x[0]), max(maxTok, x[p-1])
+	}
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("setsim: %d prefix postings exceed the index's 32-bit offsets", total)
+	}
+	// Direct exactly when the offset table is no larger than the arena;
+	// sparse universes (and an empty arena) get the sorted token list.
+	db.minTok = minTok
+	slots := max(0, int(maxTok)-int(minTok)+1)
+	if slots+1 > total {
+		toks := make([]int32, 0, total)
+		for id, x := range sets {
+			toks = append(toks, x[:db.meta[id].px]...)
+		}
+		slices.Sort(toks)
+		db.toks = slices.Clone(slices.Compact(toks))
+		slots = len(db.toks)
+	}
+	offs := make([]int32, slots+1)
+	db.offs = offs
+	for id, x := range sets {
+		for _, tok := range x[:db.meta[id].px] {
+			offs[db.slot(tok)]++
 		}
 	}
-	db.initRuntime()
+	for s := 1; s <= slots; s++ {
+		offs[s] += offs[s-1]
+	}
+	// offs[s] is now the end of slot s; placing ids from the last set
+	// down walks it back to the start and leaves every list ascending.
+	db.ids = make([]int32, total)
+	for id := len(sets) - 1; id >= 0; id-- {
+		for _, tok := range sets[id][:db.meta[id].px] {
+			s := db.slot(tok)
+			offs[s]--
+			db.ids[offs[s]] = int32(id)
+		}
+	}
+
+	m := cfg.M
+	db.scratch.New = func() any {
+		s := &pkScratch{
+			counts: make([]uint16, len(sets)*m),
+			cnt:    make([]int, m),
+			t:      make([]int, m),
+			tpre:   make([]int, 2*m+1),
+		}
+		for id, x := range sets {
+			s.counts[id*m] = uint16(min(len(x), sizeClamp))
+		}
+		return s
+	}
 	return db, nil
 }
 
-// initRuntime sets up the scratch pool, shared by NewPKWiseDB and
-// OpenSnapshot.
-func (db *PKWiseDB) initRuntime() {
-	m := db.cfg.M
-	db.scratch.New = func() any {
-		s := &pkScratch{
-			counts: make([]uint16, len(db.sets)*(m-1)),
-			boxes:  make(core.Boxes, m),
-			cnt:    make([]int, m),
-			t:      make([]float64, m),
+// slot returns the arena slot of tok, or −1 when no prefix contains it.
+func (db *PKWiseDB) slot(tok int32) int {
+	if db.toks != nil {
+		if s, ok := slices.BinarySearch(db.toks, tok); ok {
+			return s
 		}
-		s.bv = s.boxes
+		return -1
+	}
+	if s := int(tok) - int(db.minTok); s >= 0 && s < len(db.offs)-1 {
 		return s
 	}
+	return -1
+}
+
+// posting returns the ids whose prefix contains tok, ascending.
+func (db *PKWiseDB) posting(tok int32) []int32 {
+	s := db.slot(tok)
+	if s < 0 {
+		return nil
+	}
+	return db.ids[db.offs[s]:db.offs[s+1]]
 }
 
 // Len returns the number of indexed sets.
@@ -124,7 +203,7 @@ func (db *PKWiseDB) Config() Config { return db.cfg }
 func (db *PKWiseDB) Set(id int) tokenset.Set { return db.sets[id] }
 
 // PrefixLen returns the indexed class-coverage prefix length of set id.
-func (db *PKWiseDB) PrefixLen(id int) int { return int(db.px[id]) }
+func (db *PKWiseDB) PrefixLen(id int) int { return int(db.meta[id].px) }
 
 // prefixInfo computes the class-coverage prefix of s for overlap
 // threshold t, filling cnt (len M, caller-provided scratch) with the
@@ -158,13 +237,10 @@ func (c Config) prefixInfo(s tokenset.Set, t int, cnt []int) (p int, shortfall i
 // queryPlan carries the per-query derived quantities of the §6.2
 // filtering instance.
 type queryPlan struct {
-	q         tokenset.Set
-	pq        int
-	cnt       []int     // class counts in the query prefix
-	t         []float64 // box thresholds t_0..t_{m-1}
-	tLast     int32     // last token of the query prefix (orientation)
-	minT      int       // the query-side minimum overlap threshold
-	shortfall int
+	sq, pq int   // query size and prefix length
+	cnt    []int // class counts in the query prefix
+	t      []int // box thresholds t_0..t_{m-1}
+	tLast  int32 // last token of the query prefix (orientation)
 }
 
 // plan computes the query prefix and the paper's threshold allocation:
@@ -174,25 +250,28 @@ type queryPlan struct {
 // scratch s and stay valid only for the current search.
 func (db *PKWiseDB) plan(q tokenset.Set, s *pkScratch) (queryPlan, bool) {
 	cfg := db.cfg
-	minT := cfg.minThreshold(len(q))
-	cnt := s.cnt
-	p, shortfall := cfg.prefixInfo(q, minT, cnt)
+	cnt, t := s.cnt, s.t
+	p, shortfall := cfg.prefixInfo(q, cfg.minThreshold(len(q)), cnt)
 	if p == 0 {
 		return queryPlan{}, false
 	}
-	t := s.t
-	t[0] = float64(len(q)-p+1) - float64(shortfall)
+	t[0] = len(q) - p + 1 - shortfall
 	for k := 1; k < cfg.M; k++ {
-		if cnt[k] >= k {
-			t[k] = float64(k)
-		} else {
-			t[k] = float64(cnt[k] + 1)
-		}
+		t[k] = min(k, cnt[k]+1)
 	}
-	return queryPlan{
-		q: q, pq: p, cnt: cnt, t: t,
-		tLast: q[p-1], minT: minT, shortfall: shortfall,
-	}, true
+	return queryPlan{sq: len(q), pq: p, cnt: cnt, t: t, tLast: q[p-1]}, true
+}
+
+// suffixBound is the cheap upper bound on the suffix box of a set of
+// size sx under the §6.2 orientation rule: the side whose prefix ends
+// first contributes its suffix against the whole other set. Every
+// common token on that side's prefix then lies in the other prefix too,
+// so |x ∩ q| ≤ Σ_k counts_k + suffixBound.
+func (p *queryPlan) suffixBound(me setMeta, sx int) int {
+	if me.last <= p.tLast {
+		return min(sx-int(me.px), p.sq)
+	}
+	return min(p.sq-p.pq, sx)
 }
 
 // Search returns the ids of all sets meeting the similarity threshold,
@@ -201,8 +280,11 @@ func (db *PKWiseDB) plan(q tokenset.Set, s *pkScratch) (queryPlan, bool) {
 // class-overlap boxes, with the suffix box replaced by its cheap upper
 // bound as described in the package comment.
 func (db *PKWiseDB) Search(q tokenset.Set, chainLength int) ([]int, Stats, error) {
-	ids, _, st, err := db.search(q, chainLength, true, false)
-	return ids, st, err
+	var st Stats
+	s := db.getScratch()
+	defer db.putScratch(s)
+	err := db.filter(s, q, chainLength, true, false, 0, len(db.sets), &st)
+	return pairs.SortedIDs(s.results), st, err
 }
 
 // SearchSim is Search additionally reporting each result's exact
@@ -211,221 +293,181 @@ func (db *PKWiseDB) Search(q tokenset.Set, chainLength int) ([]int, Stats, error
 // The pairs come back in unspecified order — the engine's top-k
 // planner reorders by similarity anyway, so the id sort is skipped.
 func (db *PKWiseDB) SearchSim(q tokenset.Set, chainLength int) ([]int, []float64, Stats, error) {
-	return db.search(q, chainLength, true, true)
+	var st Stats
+	s := db.getScratch()
+	defer db.putScratch(s)
+	if err := db.filter(s, q, chainLength, true, true, 0, len(db.sets), &st); err != nil {
+		return nil, nil, st, err
+	}
+	return slices.Clone(s.results), slices.Clone(s.sims), st, nil
 }
 
 // CountCandidates runs candidate generation only — identical filtering
 // to Search but without verification (the "Cand." series of the
 // paper's time plots).
 func (db *PKWiseDB) CountCandidates(q tokenset.Set, chainLength int) (Stats, error) {
-	_, _, st, err := db.search(q, chainLength, false, false)
-	return st, err
-}
-
-func (db *PKWiseDB) search(q tokenset.Set, chainLength int, verify, wantSim bool) ([]int, []float64, Stats, error) {
 	var st Stats
-	if !q.Valid() {
-		return nil, nil, st, fmt.Errorf("setsim: query set is not sorted/deduplicated")
-	}
-	cfg := db.cfg
-	m := cfg.M
-	l := chainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
-	plan, ok := db.plan(q, s)
-	if !ok {
-		return nil, nil, st, nil
-	}
-	// The pooled Filter copies the thresholds out of plan.t on reset.
-	s.filter.ResetIntegerReduction(plan.t, l, core.GE)
-	filter := &s.filter
-	lo, hi := cfg.sizeBounds(len(q))
-
-	// Count class overlaps between prefixes via the inverted index.
-	counts := s.counts
-	touched := s.touched
-	for _, tok := range plan.q[:plan.pq] {
-		k := cfg.classOf(tok)
-		post := db.postings[tok]
-		st.Probes += len(post)
-		for _, id := range post {
-			sz := len(db.sets[id])
-			if sz < lo || sz > hi {
-				continue
-			}
-			base := int(id) * (m - 1)
-			if countsRowEmpty(counts[base : base+m-1]) {
-				touched = append(touched, id)
-			}
-			counts[base+k-1]++
-		}
-	}
-	s.touched = touched
-	st.Touched = len(touched)
-
-	// decide writes through the concrete boxes slice, the filter reads
-	// through the pooled s.bv interface view of the same backing array.
-	boxes := s.boxes
-	results := s.results
-	for _, id := range touched {
-		base := int(id) * (m - 1)
-		if db.decide(plan, id, counts[base:base+m-1], boxes, s.bv, filter, l, &st) && verify {
-			x := db.sets[id]
-			if wantSim {
-				// The exact overlap replaces the early-exit threshold
-				// test: the similarity value is needed for ranking.
-				if o := tokenset.Overlap(x, q); o >= cfg.pairThreshold(len(x), len(q)) {
-					results = append(results, int(id))
-					if cfg.Measure == Jaccard {
-						s.sims = append(s.sims, float64(o)/float64(len(x)+len(q)-o))
-					} else {
-						s.sims = append(s.sims, float64(o))
-					}
-				}
-			} else if tokenset.OverlapAtLeast(x, q, cfg.pairThreshold(len(x), len(q))) {
-				results = append(results, int(id))
-			}
-		}
-	}
-	s.results = results
-	if wantSim {
-		st.Results = len(results)
-		return slices.Clone(results), slices.Clone(s.sims), st, nil
-	}
-	out := pairs.SortedIDs(results)
-	st.Results = len(out)
-	return out, nil, st, nil
+	_, err := db.SearchRangeAppend(q, chainLength, true, 0, len(db.sets), nil, &st)
+	return st, err
 }
 
 // SearchRangeAppend runs the similarity search restricted to ids in
 // [rlo, rhi), appending the qualifying ids in ascending order to dst
 // and accumulating statistics into st. It is the join engine's per-tile
 // probe: posting lists are ascending-id by construction, so the
-// restriction costs two binary searches per probed list. skipVerify
-// stops after candidate generation, mirroring CountCandidates.
+// restriction costs two binary searches per probed list, and none when
+// the window is the whole corpus. skipVerify stops after candidate
+// generation, mirroring CountCandidates.
 func (db *PKWiseDB) SearchRangeAppend(q tokenset.Set, chainLength int, skipVerify bool, rlo, rhi int, dst []int64, st *Stats) ([]int64, error) {
+	s := db.getScratch()
+	defer db.putScratch(s)
+	err := db.filter(s, q, chainLength, !skipVerify, false, rlo, rhi, st)
+	slices.Sort(s.results)
+	for _, id := range s.results {
+		dst = append(dst, int64(id))
+	}
+	return dst, err
+}
+
+// filter is the one probe → decide → verify body behind every search
+// entry point. It leaves the results (and, when wantSim, their exact
+// similarities) unordered in s and adds its work to st. Only ids in
+// [wlo, whi) are considered. An invalid query is the only error, and
+// it is reported before any result exists.
+//
+// Per touched object it applies the pkwise condition (some class box at
+// threshold, or a potentially viable suffix box) and, for l ≥ 2, the
+// pigeonring chain check over the class boxes with the optimistic
+// suffix bound. Thresholds and boxes are integers, so the strong form
+// compares ints over the doubled-ring prefix sums: the length-l′ prefix
+// of the chain starting at box i needs sum ≥ tpre[i+l′]−tpre[i]−(l′−1),
+// and a failure at l′ skips the next l′−1 starts (Corollary 2).
+func (db *PKWiseDB) filter(s *pkScratch, q tokenset.Set, l int, verify, wantSim bool, wlo, whi int, st *Stats) error {
 	if !q.Valid() {
-		return dst, fmt.Errorf("setsim: query set is not sorted/deduplicated")
+		return fmt.Errorf("setsim: query set is not sorted/deduplicated")
 	}
-	if rlo < 0 {
-		rlo = 0
-	}
-	if rhi > len(db.sets) {
-		rhi = len(db.sets)
-	}
-	if rlo >= rhi {
-		return dst, nil
+	wlo, whi = max(wlo, 0), min(whi, len(db.sets))
+	if wlo >= whi {
+		return nil
 	}
 	cfg := db.cfg
 	m := cfg.M
-	l := chainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
-	s := db.getScratch()
-	defer db.putScratch(s)
+	l = min(max(l, 1), m)
 	plan, ok := db.plan(q, s)
 	if !ok {
-		return dst, nil
+		return nil
 	}
-	s.filter.ResetIntegerReduction(plan.t, l, core.GE)
-	filter := &s.filter
+	t, tpre := plan.t, s.tpre
+	for i := 0; i < 2*m; i++ {
+		tpre[i+1] = tpre[i] + t[i%m]
+	}
 	lo, hi := cfg.sizeBounds(len(q))
-	wlo, whi := int32(rlo), int32(rhi)
+	windowed := wlo > 0 || whi < len(db.sets)
 
-	counts := s.counts
-	touched := s.touched
-	for _, tok := range plan.q[:plan.pq] {
+	// Count class overlaps between prefixes via the inverted index.
+	counts, touched := s.counts, s.touched
+	for _, tok := range q[:plan.pq] {
 		k := cfg.classOf(tok)
-		post := db.postings[tok]
-		a, _ := slices.BinarySearch(post, wlo)
-		b, _ := slices.BinarySearch(post, whi)
-		post = post[a:b]
+		post := db.posting(tok)
+		if windowed {
+			a, _ := slices.BinarySearch(post, int32(wlo))
+			b, _ := slices.BinarySearch(post, int32(whi))
+			post = post[a:b]
+		}
 		st.Probes += len(post)
 		for _, id := range post {
-			sz := len(db.sets[id])
+			row := counts[int(id)*m:][:m]
+			sz := int(row[0])
+			if sz == sizeClamp {
+				sz = len(db.sets[id])
+			}
 			if sz < lo || sz > hi {
 				continue
 			}
-			base := int(id) * (m - 1)
-			if countsRowEmpty(counts[base : base+m-1]) {
+			if countsRowEmpty(row[1:]) {
 				touched = append(touched, id)
 			}
-			counts[base+k-1]++
+			row[k]++
 		}
 	}
 	s.touched = touched
 	st.Touched += len(touched)
 
-	boxes := s.boxes
 	results := s.results
 	for _, id := range touched {
-		base := int(id) * (m - 1)
-		if db.decide(plan, id, counts[base:base+m-1], boxes, s.bv, filter, l, st) && !skipVerify {
-			x := db.sets[id]
-			if tokenset.OverlapAtLeast(x, q, cfg.pairThreshold(len(x), len(q))) {
-				results = append(results, int(id))
+		row := counts[int(id)*m:][:m]
+		classViable, classSum := false, 0
+		for k := 1; k < m; k++ {
+			c := int(row[k])
+			classSum += c
+			if c >= t[k] {
+				classViable = true
 			}
+		}
+		sx := int(row[0])
+		if sx == sizeClamp {
+			sx = len(db.sets[id])
+		}
+		ub0 := plan.suffixBound(db.meta[id], sx)
+		if !classViable && ub0 < t[0] {
+			continue
+		}
+		if l > 1 {
+			st.BoxChecks += m
+			viable := false
+			for i := 0; i < m && !viable; {
+				sum, lp := 0, 1
+				for ; lp <= l; lp++ {
+					k := i + lp - 1
+					if k >= m {
+						k -= m
+					}
+					box := ub0
+					if k != 0 {
+						box = int(row[k])
+					}
+					sum += box
+					if sum < tpre[i+lp]-tpre[i]-(lp-1) {
+						break
+					}
+				}
+				viable = lp > l
+				i += lp
+			}
+			if !viable {
+				continue
+			}
+		}
+		st.Candidates++
+		if !verify {
+			continue
+		}
+		// The boxes already in hand bound the overlap from above; most
+		// candidates fall short of the pair threshold on that bound alone
+		// and are rejected without reading a token of the set.
+		need := cfg.pairThreshold(sx, len(q))
+		if classSum+ub0 < need {
+			continue
+		}
+		x := db.sets[id]
+		if wantSim {
+			// The exact overlap replaces the early-exit threshold test:
+			// the similarity value is needed for ranking.
+			if o := tokenset.Overlap(x, q); o >= need {
+				results = append(results, int(id))
+				if cfg.Measure == Jaccard {
+					s.sims = append(s.sims, float64(o)/float64(len(x)+len(q)-o))
+				} else {
+					s.sims = append(s.sims, float64(o))
+				}
+			}
+		} else if tokenset.OverlapAtLeast(x, q, need) {
+			results = append(results, int(id))
 		}
 	}
 	s.results = results
-	slices.Sort(results)
 	st.Results += len(results)
-	for _, id := range results {
-		dst = append(dst, int64(id))
-	}
-	return dst, nil
-}
-
-// decide applies the per-object filtering decision shared by the
-// count-merge and k-wise-signature candidate generators: the pkwise
-// condition (some class box at threshold, or a potentially viable
-// suffix box) and, for l ≥ 2, the pigeonring chain check over the
-// class boxes with the optimistic suffix bound. counts holds the m−1
-// class overlaps of the object; boxes is caller-provided scratch and
-// bv its pre-converted core.BoxValues view (converting per candidate
-// would allocate on every chain check).
-func (db *PKWiseDB) decide(plan queryPlan, id int32, counts []uint16, boxes core.Boxes, bv core.BoxValues, filter *core.Filter, l int, st *Stats) bool {
-	x := db.sets[id]
-	m := db.cfg.M
-	classViable := false
-	for k := 1; k < m; k++ {
-		boxes[k] = float64(counts[k-1])
-		if boxes[k] >= plan.t[k] {
-			classViable = true
-		}
-	}
-	// Upper bound on the suffix box under the §6.2 orientation rule:
-	// the side whose prefix ends first contributes its suffix against
-	// the whole other set.
-	px := int(db.px[id])
-	var ub0 int
-	if px > 0 && x[px-1] <= plan.tLast {
-		ub0 = min(len(x)-px, len(plan.q))
-	} else {
-		ub0 = min(len(plan.q)-plan.pq, len(x))
-	}
-	boxes[0] = float64(ub0)
-	if !classViable && boxes[0] < plan.t[0] {
-		return false
-	}
-	if l > 1 {
-		st.BoxChecks += m
-		if !filter.HasPrefixViableChain(bv) {
-			return false
-		}
-	}
-	st.Candidates++
-	return true
+	return nil
 }
 
 func countsRowEmpty(row []uint16) bool {

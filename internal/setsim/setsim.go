@@ -58,21 +58,25 @@ type Config struct {
 	Class func(tok int32) int
 }
 
+// maxM bounds the box count (the paper uses 5) so that a configuration
+// read from a file cannot size the n×M count table arbitrarily.
+const maxM = 1 << 12
+
 func (c Config) validate() error {
 	switch c.Measure {
 	case Jaccard:
-		if c.Tau <= 0 || c.Tau > 1 {
+		if !(c.Tau > 0 && c.Tau <= 1) {
 			return fmt.Errorf("setsim: jaccard τ=%v out of (0,1]", c.Tau)
 		}
 	case Overlap:
-		if c.Tau < 1 || c.Tau != math.Trunc(c.Tau) {
+		if c.Tau < 1 || c.Tau > math.MaxInt32 || c.Tau != math.Trunc(c.Tau) {
 			return fmt.Errorf("setsim: overlap τ=%v must be a positive integer", c.Tau)
 		}
 	default:
 		return fmt.Errorf("setsim: unknown measure %d", c.Measure)
 	}
-	if c.M < 2 {
-		return fmt.Errorf("setsim: need M ≥ 2 boxes, got %d", c.M)
+	if c.M < 2 || c.M > maxM {
+		return fmt.Errorf("setsim: need 2 ≤ M ≤ %d boxes, got %d", maxM, c.M)
 	}
 	return nil
 }

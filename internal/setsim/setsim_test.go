@@ -72,14 +72,14 @@ func TestPaperExample10Prefixes(t *testing.T) {
 	if !ok {
 		t.Fatal("no plan")
 	}
-	want := []float64{4, 1, 2, 2, 4}
+	want := []int{4, 1, 2, 2, 4}
 	for i, w := range want {
 		if plan.t[i] != w {
 			t.Errorf("t[%d] = %v, want %v (T=%v)", i, plan.t[i], w, plan.t)
 		}
 	}
 	// Σt = τ + m − 1 = 13.
-	sum := 0.0
+	sum := 0
 	for _, v := range plan.t {
 		sum += v
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/snapshot"
 	"repro/internal/tokenset"
@@ -40,7 +39,10 @@ func OpenSnapshot(r io.ReaderAt) (*PKWiseDB, error) {
 }
 
 // AppendSnapshot adds the DB's sections to b under the given name
-// prefix.
+// prefix: the configuration and the sets themselves. Everything else —
+// prefix lengths, postings — is derived data that OpenSnapshotAt
+// rebuilds, so a file cannot carry an index that disagrees with its
+// sets.
 func (db *PKWiseDB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 	if db.cfg.Class != nil {
 		return fmt.Errorf("setsim: cannot snapshot an index with a custom Class function")
@@ -52,7 +54,6 @@ func (db *PKWiseDB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 		uint64(n),
 		math.Float64bits(db.cfg.Tau),
 	})
-
 	lens := make([]int, n)
 	total := 0
 	for i, s := range db.sets {
@@ -65,33 +66,21 @@ func (db *PKWiseDB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 	}
 	b.AddU64s(prefix+"sets.off", snapshot.Offsets(lens))
 	b.AddI32s(prefix+"sets.toks", toks)
-	b.AddI32s(prefix+"px", db.px)
-
-	keys := make([]int32, 0, len(db.postings))
-	for k := range db.postings {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	postLens := make([]int, len(keys))
-	var ids []int32
-	for i, k := range keys {
-		postLens[i] = len(db.postings[k])
-		ids = append(ids, db.postings[k]...)
-	}
-	b.AddI32s(prefix+"post.keys", keys)
-	b.AddU64s(prefix+"post.off", snapshot.Offsets(postLens))
-	b.AddI32s(prefix+"post.ids", ids)
 	return nil
 }
 
 // OpenSnapshotAt reconstructs a PKWiseDB from the section group under
-// the given prefix of an already-opened container.
+// the given prefix of an already-opened container: it validates the
+// stored sets and builds the index from them exactly as NewPKWiseDB
+// does. Files written before the index stopped being stored still open;
+// their px and post.* sections are ignored. A group that is
+// structurally wrong fails with an error wrapping snapshot.ErrFormat.
 func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*PKWiseDB, error) {
 	fail := func(err error) (*PKWiseDB, error) {
 		return nil, fmt.Errorf("setsim: snapshot %q: %w", prefix, err)
 	}
 	bad := func(format string, args ...any) (*PKWiseDB, error) {
-		return nil, fmt.Errorf("setsim: snapshot %q: "+format, append([]any{prefix}, args...)...)
+		return fail(fmt.Errorf("%w: "+format, append([]any{snapshot.ErrFormat}, args...)...))
 	}
 
 	meta, err := rd.U64s(prefix + "meta")
@@ -106,9 +95,8 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*PKWiseDB, error) {
 		M:       int(meta[1]),
 		Tau:     math.Float64frombits(meta[3]),
 	}
-	n := int(meta[2])
 	if err := cfg.validate(); err != nil {
-		return fail(err)
+		return bad("%v", err)
 	}
 
 	off, err := rd.U64s(prefix + "sets.off")
@@ -119,11 +107,13 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*PKWiseDB, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if len(off) != n+1 || int(off[n]) != len(toks) {
+	// The set count sizes nothing until the offsets actually present
+	// agree with it.
+	if len(off) == 0 || meta[2] != uint64(len(off)-1) || off[len(off)-1] != uint64(len(toks)) {
 		return bad("set offsets disagree: %d offsets for %d sets over %d tokens",
-			len(off), n, len(toks))
+			len(off), meta[2], len(toks))
 	}
-	sets := make([]tokenset.Set, n)
+	sets := make([]tokenset.Set, len(off)-1)
 	for i := range sets {
 		lo, hi := off[i], off[i+1]
 		if lo > hi || hi > uint64(len(toks)) {
@@ -132,48 +122,11 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*PKWiseDB, error) {
 		sets[i] = tokenset.Set(toks[lo:hi:hi])
 	}
 	if err := tokenset.Validate(sets); err != nil {
-		return fail(err)
+		return bad("%v", err)
 	}
-
-	px, err := rd.I32s(prefix + "px")
+	db, err := build(sets, cfg)
 	if err != nil {
 		return fail(err)
 	}
-	if len(px) != n {
-		return bad("px has %d entries, want %d", len(px), n)
-	}
-	for i, p := range px {
-		if p < 0 || int(p) > len(sets[i]) {
-			return bad("prefix length %d of set %d out of [0,%d]", p, i, len(sets[i]))
-		}
-	}
-
-	keys, err := rd.I32s(prefix + "post.keys")
-	if err != nil {
-		return fail(err)
-	}
-	poff, err := rd.U64s(prefix + "post.off")
-	if err != nil {
-		return fail(err)
-	}
-	ids, err := rd.I32s(prefix + "post.ids")
-	if err != nil {
-		return fail(err)
-	}
-	if len(poff) != len(keys)+1 || int(poff[len(keys)]) != len(ids) {
-		return bad("posting offsets disagree: %d offsets for %d keys over %d ids",
-			len(poff), len(keys), len(ids))
-	}
-	postings := make(map[int32][]int32, len(keys))
-	for i, k := range keys {
-		lo, hi := poff[i], poff[i+1]
-		if lo > hi || hi > uint64(len(ids)) {
-			return bad("posting offsets not monotone at key %d", i)
-		}
-		postings[k] = ids[lo:hi:hi]
-	}
-
-	db := &PKWiseDB{cfg: cfg, sets: sets, px: px, postings: postings}
-	db.initRuntime()
 	return db, nil
 }
