@@ -160,6 +160,14 @@ func (ix *hammingIndex) resolveTau(requested *float64, def int) (int, error) {
 	return int(*requested), nil
 }
 
+// backendOptions resolves the hamming options of one search. The paper
+// finds l = 6 best for Hamming search (§8.2).
+func (ix *hammingIndex) backendOptions(opt Options) hamming.Options {
+	hopt := hamming.RingOptions(chain(opt.ChainLength, 6))
+	hopt.SkipVerify = opt.SkipVerify
+	return hopt
+}
+
 // SearchTopK returns the Options.TopK nearest vectors by Hamming
 // distance. Every rung is a full GPH/Ring search at the rung's τ —
 // the index is threshold-independent — up to a ceiling of the vector
@@ -178,7 +186,7 @@ func (ix *hammingIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	hopt := hamming.RingOptions(chain(opt.ChainLength, 6))
+	hopt := ix.backendOptions(opt)
 	return runLadder(ctx, opt, topkLadder{
 		bounds: intLadder(ceil),
 		run: func(bound float64, h *resultHeap, st *Stats) error {
@@ -205,9 +213,7 @@ func (ix *hammingIndex) Search(ctx context.Context, q Query, opt Options) ([]int
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	// The paper finds l = 6 best for Hamming search (§8.2).
-	hopt := hamming.RingOptions(chain(opt.ChainLength, 6))
-	hopt.SkipVerify = opt.SkipVerify
+	hopt := ix.backendOptions(opt)
 	filterOnly := func() error {
 		skip := hopt
 		skip.SkipVerify = true
@@ -256,6 +262,13 @@ func (ix *setIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Se
 	return collectSeq(ctx, ix, q, opt)
 }
 
+// chainLength resolves the chain length of one search. The paper finds
+// l = 2 best for set similarity search (§8.3); l = 1 is pkwise, and
+// SkipVerify is a plain argument of the setsim entry points.
+func (ix *setIndex) chainLength(opt Options) int {
+	return chain(opt.ChainLength, 2)
+}
+
 // SearchTopK returns the Options.TopK most similar sets as distances:
 // 1−J(x,q) under the Jaccard measure, −|x∩q| under Overlap, so
 // "nearest" is always "smallest". The ladder is a single rung at the
@@ -272,7 +285,7 @@ func (ix *setIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]Res
 	if err := fixedTau(Set, opt.Tau, ix.Tau()); err != nil {
 		return nil, Stats{}, err
 	}
-	l := chain(opt.ChainLength, 2)
+	l := ix.chainLength(opt)
 	jaccard := ix.db.Config().Measure == setsim.Jaccard
 	return runLadder(ctx, opt, topkLadder{
 		bounds: []float64{ix.Tau()},
@@ -303,8 +316,7 @@ func (ix *setIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, 
 	if err := fixedTau(Set, opt.Tau, ix.Tau()); err != nil {
 		return nil, Stats{}, err
 	}
-	// The paper finds l = 2 best for set similarity search (§8.3).
-	l := chain(opt.ChainLength, 2)
+	l := ix.chainLength(opt)
 	n := ix.db.Len()
 	filterOnly := func() error {
 		var st setsim.Stats
@@ -352,6 +364,19 @@ func (ix *stringIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter
 	return collectSeq(ctx, ix, q, opt)
 }
 
+// backendOptions resolves the strdist options of one search. The paper
+// finds l = min(3, τ+1) best for edit distance (§8.4); l = 1 is the
+// Pivotal baseline.
+func (ix *stringIndex) backendOptions(opt Options) strdist.Options {
+	l := chain(opt.ChainLength, min(3, ix.db.Tau()+1))
+	sopt := strdist.RingOptions(l)
+	if l == 1 {
+		sopt = strdist.PivotalOptions()
+	}
+	sopt.SkipVerify = opt.SkipVerify
+	return sopt
+}
+
 // SearchTopK returns the Options.TopK nearest strings by edit
 // distance within the index's built τ (a Pivotal index cannot see
 // further). Every rung filters at the built τ and tightens only the
@@ -367,11 +392,7 @@ func (ix *stringIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]
 	if err := fixedTau(String, opt.Tau, ix.Tau()); err != nil {
 		return nil, Stats{}, err
 	}
-	l := chain(opt.ChainLength, min(3, ix.db.Tau()+1))
-	sopt := strdist.RingOptions(l)
-	if l == 1 {
-		sopt = strdist.PivotalOptions()
-	}
+	sopt := ix.backendOptions(opt)
 	return runLadder(ctx, opt, topkLadder{
 		bounds: intLadder(ix.db.Tau()),
 		run: func(bound float64, h *resultHeap, st *Stats) error {
@@ -399,13 +420,7 @@ func (ix *stringIndex) Search(ctx context.Context, q Query, opt Options) ([]int6
 	if err := fixedTau(String, opt.Tau, ix.Tau()); err != nil {
 		return nil, Stats{}, err
 	}
-	// The paper finds l = min(3, τ+1) best for edit distance (§8.4).
-	l := chain(opt.ChainLength, min(3, ix.db.Tau()+1))
-	sopt := strdist.RingOptions(l)
-	if l == 1 {
-		sopt = strdist.PivotalOptions()
-	}
-	sopt.SkipVerify = opt.SkipVerify
+	sopt := ix.backendOptions(opt)
 	filterOnly := func() error {
 		skip := sopt
 		skip.SkipVerify = true
@@ -449,6 +464,18 @@ func (ix *graphIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.
 	return collectSeq(ctx, ix, q, opt)
 }
 
+// backendOptions resolves the graph options of one search. The paper
+// finds l in [τ−2, τ] best for GED (§8.5); l = 1 is the Pars baseline.
+func (ix *graphIndex) backendOptions(opt Options) graph.Options {
+	l := chain(opt.ChainLength, max(1, ix.db.Tau()-1))
+	gopt := graph.RingOptions(l)
+	if l == 1 {
+		gopt = graph.ParsOptions()
+	}
+	gopt.SkipVerify = opt.SkipVerify
+	return gopt
+}
+
 // SearchTopK returns the Options.TopK nearest graphs by GED within the
 // index's built τ (a Pars index cannot see further). Every rung
 // filters at the built τ and tightens only the verification budget
@@ -466,11 +493,7 @@ func (ix *graphIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]R
 	if err := fixedTau(Graph, opt.Tau, ix.Tau()); err != nil {
 		return nil, Stats{}, err
 	}
-	l := chain(opt.ChainLength, max(1, ix.db.Tau()-1))
-	gopt := graph.RingOptions(l)
-	if l == 1 {
-		gopt = graph.ParsOptions()
-	}
+	gopt := ix.backendOptions(opt)
 	return runLadder(ctx, opt, topkLadder{
 		bounds: intLadder(ix.db.Tau()),
 		run: func(bound float64, h *resultHeap, st *Stats) error {
@@ -497,13 +520,7 @@ func (ix *graphIndex) Search(ctx context.Context, q Query, opt Options) ([]int64
 	if err := fixedTau(Graph, opt.Tau, ix.Tau()); err != nil {
 		return nil, Stats{}, err
 	}
-	// The paper finds l in [τ−2, τ] best for GED (§8.5).
-	l := chain(opt.ChainLength, max(1, ix.db.Tau()-1))
-	gopt := graph.RingOptions(l)
-	if l == 1 {
-		gopt = graph.ParsOptions()
-	}
-	gopt.SkipVerify = opt.SkipVerify
+	gopt := ix.backendOptions(opt)
 	filterOnly := func() error {
 		skip := gopt
 		skip.SkipVerify = true

@@ -25,8 +25,8 @@ import (
 // range-restricted searches (ascending-id posting lists make the
 // restriction two binary searches per probed list). Because every
 // backend search is exact, the parallel result is pair-for-pair
-// identical to the backends' sequential Join loops — and, on a
-// sharded index, to the unsharded join.
+// identical to the backends' quadratic JoinLinear references — and,
+// on a sharded index, to the unsharded join.
 //
 // Cancellation is checked between row probes inside each tile and
 // between tile dispatches, so a join over n rows aborts within one
@@ -182,10 +182,8 @@ func (ix *hammingIndex) searchRange(ctx context.Context, q Query, opt Options, l
 	if err != nil {
 		return dst, err
 	}
-	hopt := hamming.RingOptions(chain(opt.ChainLength, 6))
-	hopt.SkipVerify = opt.SkipVerify
 	var bst hamming.Stats
-	out, err := ix.db.SearchRangeAppend(q.vec, tau, hopt, lo, hi, dst, &bst)
+	out, err := ix.db.SearchRangeAppend(q.vec, tau, ix.backendOptions(opt), lo, hi, dst, &bst)
 	if err != nil {
 		return dst, err
 	}
@@ -206,9 +204,8 @@ func (ix *setIndex) searchRange(ctx context.Context, q Query, opt Options, lo, h
 	if err := fixedTau(Set, opt.Tau, ix.Tau()); err != nil {
 		return dst, err
 	}
-	l := chain(opt.ChainLength, 2)
 	var bst setsim.Stats
-	out, err := ix.db.SearchRangeAppend(q.set, l, opt.SkipVerify, lo, hi, dst, &bst)
+	out, err := ix.db.SearchRangeAppend(q.set, ix.chainLength(opt), opt.SkipVerify, lo, hi, dst, &bst)
 	if err != nil {
 		return dst, err
 	}
@@ -229,14 +226,8 @@ func (ix *stringIndex) searchRange(ctx context.Context, q Query, opt Options, lo
 	if err := fixedTau(String, opt.Tau, ix.Tau()); err != nil {
 		return dst, err
 	}
-	l := chain(opt.ChainLength, min(3, ix.db.Tau()+1))
-	sopt := strdist.RingOptions(l)
-	if l == 1 {
-		sopt = strdist.PivotalOptions()
-	}
-	sopt.SkipVerify = opt.SkipVerify
 	var bst strdist.Stats
-	out, err := ix.db.SearchRangeAppend(q.str, sopt, lo, hi, dst, &bst)
+	out, err := ix.db.SearchRangeAppend(q.str, ix.backendOptions(opt), lo, hi, dst, &bst)
 	if err != nil {
 		return dst, err
 	}
@@ -257,14 +248,8 @@ func (ix *graphIndex) searchRange(ctx context.Context, q Query, opt Options, lo,
 	if err := fixedTau(Graph, opt.Tau, ix.Tau()); err != nil {
 		return dst, err
 	}
-	l := chain(opt.ChainLength, max(1, ix.db.Tau()-1))
-	gopt := graph.RingOptions(l)
-	if l == 1 {
-		gopt = graph.ParsOptions()
-	}
-	gopt.SkipVerify = opt.SkipVerify
 	var bst graph.Stats
-	out, err := ix.db.SearchRangeAppend(q.g, gopt, lo, hi, dst, &bst)
+	out, err := ix.db.SearchRangeAppend(q.g, ix.backendOptions(opt), lo, hi, dst, &bst)
 	if err != nil {
 		return dst, err
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/hamming"
@@ -16,14 +18,15 @@ import (
 	"repro/internal/strdist"
 )
 
-// Tests for the v3 join API: engine Join parity against the backends'
+// Tests for the join API: engine Join parity against the backends'
 // quadratic JoinLinear references, sharded-versus-unsharded pair
 // identity, JoinSeq streaming, Limit prefixes and cancellation. The
 // -race acceptance criteria of the join redesign live here.
 
 // joinCase binds the engine indexes of one problem (unsharded and
 // 4-way sharded over identical data) to the reference pair list of the
-// backend's quadratic JoinLinear.
+// backend's quadratic JoinLinear (or, for the duplicates case, a
+// literal list).
 type joinCase struct {
 	name      string
 	unsharded Index
@@ -71,6 +74,25 @@ func buildJoinCases(t *testing.T) []joinCase {
 		t.Fatal(err)
 	}
 	cases = append(cases, joinCase{"hamming", h1, h4, toEnginePairs(hdb.JoinLinear(24))})
+
+	// Three byte-identical vectors at τ = 0, two of them in another
+	// shard than the first: each unordered pair exactly once, I < J, no
+	// self pair. The want list is spelled out, not taken from an oracle.
+	rng := rand.New(rand.NewSource(78))
+	dups := make([]bitvec.Vector, 120)
+	for i := range dups {
+		dups[i] = bitvec.Random(rng, 64)
+	}
+	dups[50], dups[51] = dups[10].Clone(), dups[10].Clone()
+	d1, err := BuildHamming(dups, 8, 0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d4, err := BuildHamming(dups, 8, 0, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, joinCase{"hamming-duplicates", d1, d4, []Pair{{10, 50}, {10, 51}, {50, 51}}})
 
 	sets := dataset.DBLP(300, 12)
 	cfg := setsim.Config{Measure: setsim.Jaccard, Tau: 0.8, M: 5}

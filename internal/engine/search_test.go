@@ -14,9 +14,10 @@ import (
 	"repro/internal/setsim"
 )
 
-// Tests for the v2 Search API: context cancellation, Options.Limit
-// early termination, and the SearchSeq streaming variant. The -race
-// acceptance criteria of the redesign live here.
+// Tests for the Search contract every Index shares: context
+// cancellation, Options.Limit early termination, and the SearchSeq
+// streaming variant, on plain and sharded indexes. They run under
+// -race in CI.
 
 // collect drains a SearchSeq iterator into a slice, returning the
 // yielded error if any.
@@ -31,9 +32,9 @@ func collect(seq iter.Seq2[int64, error]) ([]int64, error) {
 	return ids, nil
 }
 
-// TestLimitReturnsPrefix is acceptance criterion (b): Options.Limit=k
-// returns exactly the first k ascending ids of the unlimited search,
-// on the plain adapters and on the sharded composite.
+// TestLimitReturnsPrefix: Options.Limit=k returns exactly the first k
+// ascending ids of the unlimited search, on the plain adapters and on
+// the sharded composite.
 func TestLimitReturnsPrefix(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range buildCases(t, 4) {
@@ -74,9 +75,9 @@ func TestLimitReturnsPrefix(t *testing.T) {
 	}
 }
 
-// TestSearchSeqMatchesSearch is acceptance criterion (c): SearchSeq
-// yields id-for-id the same results as the slice Search on all four
-// backends, unsharded and sharded.
+// TestSearchSeqMatchesSearch: SearchSeq yields id-for-id the same
+// results as the slice Search on all four backends, unsharded and
+// sharded.
 func TestSearchSeqMatchesSearch(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range buildCases(t, 3) {
@@ -165,11 +166,10 @@ func (b *blockingIndex) SearchSeq(ctx context.Context, q Query, opt Options) ite
 	return collectSeq(ctx, b, q, opt)
 }
 
-// TestShardedCancelPrompt is acceptance criterion (a): cancelling a
-// context mid-search over a Sharded index returns context.Canceled
-// promptly without leaking goroutines. The shards block until their
-// context fails, so the only way the search can return at all is by
-// honoring the cancellation.
+// TestShardedCancelPrompt: cancelling a context mid-search over a
+// Sharded index returns context.Canceled promptly without leaking
+// goroutines. The shards block until their context fails, so the only
+// way the search can return at all is by honoring the cancellation.
 func TestShardedCancelPrompt(t *testing.T) {
 	shards := make([]Index, 8)
 	for i := range shards {
@@ -292,8 +292,7 @@ func TestSearchBatchCancellation(t *testing.T) {
 }
 
 // TestFixedTauRejection covers the fixed-τ rejection path of all three
-// fixed-threshold adapters (the set case also lives in TestTauOverride;
-// string and graph were untested before the v2 redesign).
+// fixed-threshold adapters (the set case also lives in TestTauOverride).
 func TestFixedTauRejection(t *testing.T) {
 	ctx := context.Background()
 
@@ -356,6 +355,49 @@ func TestParseProblemNormalizes(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list valid name %q", err, name)
 		}
+	}
+}
+
+// stubIndex is a test Index that answers every search with a fixed id
+// list, honouring Options.Limit the way the adapters do.
+type stubIndex struct {
+	ids []int64
+	n   int
+}
+
+func (s *stubIndex) Problem() Problem { return Hamming }
+func (s *stubIndex) Len() int         { return s.n }
+func (s *stubIndex) Tau() float64     { return 1 }
+func (s *stubIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
+	ids := append([]int64(nil), s.ids...)
+	st := Stats{Results: len(ids)}
+	if opt.Limit > 0 && len(ids) > opt.Limit {
+		ids = ids[:opt.Limit]
+		st.Limited = true
+		st.Results = len(ids)
+	}
+	return ids, st, nil
+}
+func (s *stubIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
+	return collectSeq(ctx, s, q, opt)
+}
+
+// TestShardedLimitedFlag: shard 0 holds ten matches and shard 1 none,
+// so Limit 5 cuts the true result set and Stats.Limited must say so
+// even though the last shard searched was not itself cut.
+func TestShardedLimitedFlag(t *testing.T) {
+	sh0 := &stubIndex{ids: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, n: 20}
+	sh1 := &stubIndex{n: 20}
+	s, err := NewSharded([]Index{sh0, sh1}, 1) // 1 worker: both shards run, in order
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, st, err := s.Search(context.Background(), Query{kind: Hamming}, Options{Limit: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameIDs(ids, []int64{0, 1, 2, 3, 4}) || !st.Limited {
+		t.Errorf("ids=%v Limited=%v, want the first five ids and Limited (10 matches cut to 5)", ids, st.Limited)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitvec"
-	"repro/internal/dataset"
 	"repro/internal/snapshot"
 )
 
@@ -186,67 +184,6 @@ func TestSnapshotRejectsWrongContainer(t *testing.T) {
 	if _, err := OpenSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), 0, nil); err == nil {
 		t.Fatal("truncated snapshot opened")
 	}
-}
-
-// The open-vs-build pair below evidences the acceptance criterion for
-// persistence: opening a snapshot of the pigeonbench hamming corpus
-// (GIST-shaped 2,000×256-bit vectors, m = 16, τ = 32 — see
-// perfbench.DefaultSizes) must beat rebuilding the index from the raw
-// vectors by ≥ 10×. Run both with
-//
-//	go test ./internal/engine/ -run=NONE -bench='Hamming(Build|SnapshotOpen)'
-//
-// and compare ns/op.
-
-func benchVectors(b *testing.B) []bitvec.Vector {
-	b.Helper()
-	return dataset.GIST(2000, 42)
-}
-
-func BenchmarkHammingBuild(b *testing.B) {
-	vecs := benchVectors(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildHamming(vecs, 16, 32, 1, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHammingSnapshotOpen(b *testing.B) {
-	vecs := benchVectors(b)
-	ix, err := BuildHamming(vecs, 16, 32, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := WriteSnapshot(ix, &buf, nil); err != nil {
-		b.Fatal(err)
-	}
-	rd := bytes.NewReader(buf.Bytes())
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OpenSnapshot(rd, 0, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHammingSnapshotWrite(b *testing.B) {
-	ix, err := BuildHamming(benchVectors(b), 16, 32, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if _, err := WriteSnapshot(ix, &buf, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
 }
 
 // TestSnapshotHooks verifies the tracing spans fire once per pass.

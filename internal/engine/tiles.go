@@ -130,8 +130,8 @@ type tileScratch struct {
 // estimated work, and pulled by a parallel.ForEachCtx worker pool
 // (channel dispatch is the work-stealing: whichever worker frees up
 // takes the next tile). The merged pairs are sorted ascending by
-// (I, J) and trimmed to opt.Limit — output identical to the former
-// row-block decomposition, and to the sequential backend joins.
+// (I, J) and trimmed to opt.Limit — output identical to the backends'
+// quadratic JoinLinear references.
 // orderedTiles enumerates the upper-triangle tiles over ranges in the
 // schedule order joinTiles dispatches them: descending estimated work,
 // ties broken by (rj, ri) so the order is deterministic. The same

@@ -7,31 +7,6 @@ type Pair struct {
 	I, J int
 }
 
-// Join returns every pair of distinct indexed graphs with
-// ged(x, y) ≤ τ, ordered by (I, J) — the graph similarity join
-// setting, answered with the Pars or Ring filter depending on opt.
-func (db *DB) Join(opt Options) ([]Pair, Stats, error) {
-	var out []Pair
-	var agg Stats
-	for i := 0; i < db.Len(); i++ {
-		res, st, err := db.Search(db.graphs[i], opt)
-		if err != nil {
-			return nil, agg, err
-		}
-		agg.Candidates += st.Candidates
-		agg.Prefiltered += st.Prefiltered
-		agg.BoxChecks += st.BoxChecks
-		for _, j := range res {
-			if j < i {
-				out = append(out, Pair{I: j, J: i})
-			}
-		}
-	}
-	agg.Results = len(out)
-	pairs.Sort(out)
-	return out, agg, nil
-}
-
 // JoinLinear is the quadratic reference join used by tests.
 func (db *DB) JoinLinear() []Pair {
 	var out []Pair

@@ -9,33 +9,6 @@ type Pair struct {
 	I, J int
 }
 
-// Join returns every pair of distinct indexed sets meeting the
-// similarity threshold, ordered by (I, J) — the set similarity join
-// setting of AllPairs/PPJoin/PartAlloc, answered with the pkwise or
-// pigeonring filter depending on chainLength.
-func (db *PKWiseDB) Join(chainLength int) ([]Pair, Stats, error) {
-	var out []Pair
-	var agg Stats
-	for i := 0; i < db.Len(); i++ {
-		res, st, err := db.Search(db.sets[i], chainLength)
-		if err != nil {
-			return nil, agg, err
-		}
-		agg.Candidates += st.Candidates
-		agg.Probes += st.Probes
-		agg.Touched += st.Touched
-		agg.BoxChecks += st.BoxChecks
-		for _, j := range res {
-			if j < i {
-				out = append(out, Pair{I: j, J: i})
-			}
-		}
-	}
-	agg.Results = len(out)
-	pairs.Sort(out)
-	return out, agg, nil
-}
-
 // JoinLinear is the quadratic reference join used by tests, scanning
 // under the DB's own Config like the other backends' method forms.
 func (db *PKWiseDB) JoinLinear() []Pair {

@@ -7,34 +7,6 @@ type Pair struct {
 	I, J int
 }
 
-// Join returns every pair of distinct indexed strings with
-// ed(x, y) ≤ τ, ordered by (I, J) — the string similarity join setting
-// of Ed-Join/PassJoin/Pivotal, answered with the Pivotal or Ring
-// filter depending on opt.
-func (db *DB) Join(opt Options) ([]Pair, Stats, error) {
-	var out []Pair
-	var agg Stats
-	for i := 0; i < db.Len(); i++ {
-		res, st, err := db.Search(db.strs[i], opt)
-		if err != nil {
-			return nil, agg, err
-		}
-		agg.Cand1 += st.Cand1
-		agg.Cand2 += st.Cand2
-		agg.Probes += st.Probes
-		agg.BoxChecks += st.BoxChecks
-		agg.Fallback += st.Fallback
-		for _, j := range res {
-			if j < i {
-				out = append(out, Pair{I: j, J: i})
-			}
-		}
-	}
-	agg.Results = len(out)
-	pairs.Sort(out)
-	return out, agg, nil
-}
-
 // JoinLinear is the quadratic reference join used by tests.
 func (db *DB) JoinLinear() []Pair {
 	var out []Pair

@@ -26,6 +26,5 @@
 //     tests and diff across scrapes.
 //
 // The pigeonringd daemon mounts Registry.Handler on GET /metrics; the
-// server layer (internal/server) owns the metric families, and
-// cmd/pigeonbench reuses Histogram for per-series latency percentiles.
+// server layer (internal/server) owns the metric families.
 package telemetry
