@@ -10,20 +10,136 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hamming"
 	"repro/internal/setsim"
+	"repro/internal/snapshot"
 	"repro/internal/strdist"
 )
 
-// The four adapters wrap one backend DB each behind the Index
-// interface. Chain-length 0 resolves to the paper's per-problem
-// recommendation (§8), 1 to the pigeonhole baseline, ≥ 2 to the ring
-// filter; every adapter clamps l into [1, m] exactly as the backends
-// do.
+// One adapter serves every problem. Each problem package contributes a
+// thin backend wrapper — its boxes live in the package, the wrapper
+// only maps engine options onto them — and adapter implements Index,
+// Joiner, TopKSearcher and snapshot writing once above it: Search is
+// the range probe over [0, n), SearchRange and every join row are the
+// same probe over a window, and top-k climbs the backend's ladder.
 //
-// The backends run each search as one uninterruptible pass, so an
-// adapter's cancellation points are the pass boundaries: on entry and
-// between the Timings pre-pass and the main pass. Finer-grained
-// cancellation comes from sharding, which turns one big pass into many
-// small ones with a context check between dispatches.
+// A fifth problem implements backend:
+//
+//   - checkTau: reject a per-query τ the index cannot answer (fixedTau
+//     for an index built for one τ).
+//   - searchRange: the exact range probe. It resolves chain length 0
+//     to the paper's per-problem recommendation (§8), 1 to the
+//     pigeonhole baseline and ≥ 2 to the ring filter, honors
+//     SkipVerify, and clamps l into [1, m] as the backends do.
+//   - topkBounds and topkRung: the top-k ladder (topk.go).
+//   - object and AppendSnapshot: replay an indexed object as a query,
+//     persist the index.
+//
+// A backend pass is uninterruptible, so an adapter's cancellation
+// points are the pass boundaries: on entry and between the Timings
+// pre-pass and the main pass. Finer-grained cancellation comes from
+// sharding, which turns one big pass into many small ones with a
+// context check between dispatches.
+
+// backend is one problem's index as the adapter sees it. Every method
+// but checkTau may assume the query's kind and opt.Tau have already
+// passed validation.
+type backend interface {
+	// checkTau rejects a per-query threshold override (nil: the
+	// index default) that the index cannot answer.
+	checkTau(requested *float64) error
+	// searchRange appends the ids in [lo, hi) within threshold of q to
+	// dst in ascending order and reports the pass's Candidates,
+	// Results, Probes and BoxChecks. The counters come back by value:
+	// a pointer through the interface would move every caller's Stats
+	// to the heap.
+	searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error)
+	// topkBounds returns the ascending rung bounds of the top-k
+	// ladder, ending at the backend's ceiling.
+	topkBounds(opt Options) []float64
+	// topkRung answers {x : d(x, q) ≤ bound}, pushing every verified
+	// hit into h and adding the work counters to st.
+	topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error
+	// object returns indexed object i as a query.
+	object(i int) Query
+	// AppendSnapshot adds the index's sections to b under prefix.
+	AppendSnapshot(b *snapshot.Builder, prefix string) error
+}
+
+// adapter is the one plain Index: a backend plus the immutable facts
+// every search needs.
+type adapter struct {
+	problem Problem
+	n       int
+	tau     float64
+	b       backend
+}
+
+func (a *adapter) Problem() Problem { return a.problem }
+func (a *adapter) Len() int         { return a.n }
+func (a *adapter) Tau() float64     { return a.tau }
+
+// check validates a query's kind, then its threshold override.
+func (a *adapter) check(q Query, opt Options) error {
+	if err := checkKind(q, a.problem); err != nil {
+		return err
+	}
+	return a.b.checkTau(opt.Tau)
+}
+
+func (a *adapter) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
+	if err := a.check(q, opt); err != nil {
+		return nil, Stats{}, err
+	}
+	filterOnly := func() error {
+		skip := opt
+		skip.SkipVerify = true
+		_, _, err := a.b.searchRange(q, skip, 0, a.n, nil)
+		return err
+	}
+	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
+		return a.b.searchRange(q, opt, 0, a.n, nil)
+	})
+}
+
+func (a *adapter) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
+	return collectSeq(ctx, a, q, opt)
+}
+
+// SearchTopK returns the Options.TopK nearest objects by climbing the
+// backend's τ ladder (see topk.go for each backend's shape).
+func (a *adapter) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
+	if err := checkKind(q, a.problem); err != nil {
+		return nil, Stats{}, err
+	}
+	if err := validateTopK(opt); err != nil {
+		return nil, Stats{}, err
+	}
+	if err := a.b.checkTau(opt.Tau); err != nil {
+		return nil, Stats{}, err
+	}
+	return runLadder(ctx, opt, topkLadder{
+		bounds: a.b.topkBounds(opt),
+		run: func(bound float64, h *resultHeap, st *Stats) error {
+			return a.b.topkRung(q, opt, bound, h, st)
+		},
+	})
+}
+
+// searchRange is the checked range probe behind SearchRange and every
+// join row: ids in [lo, hi) appended to dst, counters added to st.
+func (a *adapter) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
+	if err := a.check(q, opt); err != nil {
+		return dst, err
+	}
+	out, bst, err := a.b.searchRange(q, opt, lo, hi, dst)
+	if err != nil {
+		return dst, err
+	}
+	st.merge(bst)
+	return out, nil
+}
 
 // chain resolves the requested chain length against a default.
 func chain(requested, def int) int {
@@ -42,13 +158,11 @@ func fixedTau(p Problem, requested *float64, built float64) error {
 	return nil
 }
 
-// toIDs widens backend result ids to the engine's global id type.
-func toIDs(ids []int) []int64 {
-	out := make([]int64, len(ids))
+// pushDists offers one rung's verified hits with integer distances.
+func pushDists(h *resultHeap, ids, dists []int) {
 	for i, id := range ids {
-		out[i] = int64(id)
+		h.push(int64(id), float64(dists[i]))
 	}
-	return out
 }
 
 // timed runs the full search via fn with wall-clock measurement and
@@ -111,7 +225,7 @@ func timed(ctx context.Context, opt Options, filterOnly func() error, fn func() 
 
 // --- Hamming -----------------------------------------------------------------
 
-type hammingIndex struct {
+type hammingBackend struct {
 	db  *hamming.DB
 	tau int
 }
@@ -131,118 +245,76 @@ func NewHamming(db *hamming.DB, defaultTau int) (Index, error) {
 	if defaultTau > db.Dim() {
 		return nil, fmt.Errorf("engine: default threshold τ=%d exceeds the vector dimension %d", defaultTau, db.Dim())
 	}
-	return &hammingIndex{db: db, tau: defaultTau}, nil
+	return &adapter{Hamming, db.Len(), float64(defaultTau), &hammingBackend{db, defaultTau}}, nil
 }
 
-func (ix *hammingIndex) Problem() Problem   { return Hamming }
-func (ix *hammingIndex) Len() int           { return ix.db.Len() }
-func (ix *hammingIndex) Tau() float64       { return float64(ix.tau) }
-func (ix *hammingIndex) object(i int) Query { return VectorQuery(ix.db.Vector(i)) }
-
-func (ix *hammingIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, ix, q, opt)
-}
-
-// resolveTau validates a per-query threshold override against the
-// usual bounds (non-negative integer, at most the dimension — the
-// threshold allocation is O(τ·m), so an absurd τ would pin a worker),
-// falling back to def when unset.
-func (ix *hammingIndex) resolveTau(requested *float64, def int) (int, error) {
+// checkTau accepts a non-negative integer τ of at most the dimension —
+// the threshold allocation is O(τ·m), so an absurd τ would pin a
+// worker.
+func (b *hammingBackend) checkTau(requested *float64) error {
 	if requested == nil {
-		return def, nil
+		return nil
 	}
 	if *requested != math.Trunc(*requested) || *requested < 0 {
-		return 0, fmt.Errorf("engine: hamming threshold must be a non-negative integer, got τ=%v", *requested)
+		return fmt.Errorf("engine: hamming threshold must be a non-negative integer, got τ=%v", *requested)
 	}
-	if *requested > float64(ix.db.Dim()) {
-		return 0, fmt.Errorf("engine: hamming threshold τ=%v exceeds the vector dimension %d", *requested, ix.db.Dim())
+	if *requested > float64(b.db.Dim()) {
+		return fmt.Errorf("engine: hamming threshold τ=%v exceeds the vector dimension %d", *requested, b.db.Dim())
 	}
-	return int(*requested), nil
+	return nil
 }
 
-// backendOptions resolves the hamming options of one search. The paper
-// finds l = 6 best for Hamming search (§8.2).
-func (ix *hammingIndex) backendOptions(opt Options) hamming.Options {
+// options resolves the hamming options of one search. The paper finds
+// l = 6 best for Hamming search (§8.2).
+func (b *hammingBackend) options(opt Options) hamming.Options {
 	hopt := hamming.RingOptions(chain(opt.ChainLength, 6))
 	hopt.SkipVerify = opt.SkipVerify
 	return hopt
 }
 
-// SearchTopK returns the Options.TopK nearest vectors by Hamming
-// distance. Every rung is a full GPH/Ring search at the rung's τ —
-// the index is threshold-independent — up to a ceiling of the vector
-// dimension, or Options.Tau when set (results then stay within that
-// radius). The index's default τ deliberately does not cap the
-// ladder: a top-k query asks for the k nearest, not the k nearest
-// within the threshold-search default.
-func (ix *hammingIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
-	if err := checkKind(q, Hamming); err != nil {
-		return nil, Stats{}, err
+func (b *hammingBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error) {
+	tau := b.tau
+	if opt.Tau != nil {
+		tau = int(*opt.Tau)
 	}
-	if err := validateTopK(opt); err != nil {
-		return nil, Stats{}, err
-	}
-	ceil, err := ix.resolveTau(opt.Tau, ix.db.Dim())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	hopt := ix.backendOptions(opt)
-	return runLadder(ctx, opt, topkLadder{
-		bounds: intLadder(ceil),
-		run: func(bound float64, h *resultHeap, st *Stats) error {
-			ids, dists, bst, err := ix.db.SearchDist(q.vec, int(bound), hopt)
-			if err != nil {
-				return err
-			}
-			st.Candidates += bst.Candidates
-			st.Probes += bst.Probes
-			st.BoxChecks += bst.BoxChecks
-			for i, id := range ids {
-				h.push(int64(id), float64(dists[i]))
-			}
-			return nil
-		},
-	})
+	var st hamming.Stats
+	dst, err := b.db.SearchRangeAppend(q.vec, tau, b.options(opt), lo, hi, dst, &st)
+	return dst, Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-func (ix *hammingIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
-	if err := checkKind(q, Hamming); err != nil {
-		return nil, Stats{}, err
+// topkBounds climbs a real τ ladder — the index is threshold-
+// independent — up to the vector dimension, or Options.Tau when set
+// (results then stay within that radius). The index's default τ
+// deliberately does not cap the ladder: a top-k query asks for the k
+// nearest, not the k nearest within the threshold-search default.
+func (b *hammingBackend) topkBounds(opt Options) []float64 {
+	if opt.Tau != nil {
+		return intLadder(int(*opt.Tau))
 	}
-	tau, err := ix.resolveTau(opt.Tau, ix.tau)
+	return intLadder(b.db.Dim())
+}
+
+func (b *hammingBackend) topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error {
+	ids, dists, bst, err := b.db.SearchDist(q.vec, int(bound), b.options(opt))
 	if err != nil {
-		return nil, Stats{}, err
-	}
-	hopt := ix.backendOptions(opt)
-	filterOnly := func() error {
-		skip := hopt
-		skip.SkipVerify = true
-		var st hamming.Stats
-		_, err := ix.db.SearchRangeAppend(q.vec, tau, skip, 0, ix.db.Len(), nil, &st)
 		return err
 	}
-	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
-		// The append form over the whole corpus fills the engine's id
-		// type directly: no []int result to widen, no threshold clone.
-		var st hamming.Stats
-		ids, err := ix.db.SearchRangeAppend(q.vec, tau, hopt, 0, ix.db.Len(), nil, &st)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return ids, Stats{
-			Candidates: st.Candidates,
-			Results:    st.Results,
-			Probes:     st.Probes,
-			BoxChecks:  st.BoxChecks,
-		}, nil
-	})
+	st.Candidates += bst.Candidates
+	st.Probes += bst.Probes
+	st.BoxChecks += bst.BoxChecks
+	pushDists(h, ids, dists)
+	return nil
+}
+
+func (b *hammingBackend) object(i int) Query { return VectorQuery(b.db.Vector(i)) }
+
+func (b *hammingBackend) AppendSnapshot(sb *snapshot.Builder, prefix string) error {
+	return b.db.AppendSnapshot(sb, prefix)
 }
 
 // --- Set similarity ----------------------------------------------------------
 
-type setIndex struct {
-	db *setsim.PKWiseDB
-}
+type setBackend struct{ db *setsim.PKWiseDB }
 
 // NewSet wraps a pkwise/Ring set similarity DB. The threshold and
 // measure are fixed by the DB's Config.
@@ -250,101 +322,59 @@ func NewSet(db *setsim.PKWiseDB) (Index, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil setsim DB")
 	}
-	return &setIndex{db: db}, nil
+	return &adapter{Set, db.Len(), db.Config().Tau, &setBackend{db}}, nil
 }
 
-func (ix *setIndex) Problem() Problem   { return Set }
-func (ix *setIndex) Len() int           { return ix.db.Len() }
-func (ix *setIndex) Tau() float64       { return ix.db.Config().Tau }
-func (ix *setIndex) object(i int) Query { return SetQuery(ix.db.Set(i)) }
-
-func (ix *setIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, ix, q, opt)
+func (b *setBackend) checkTau(requested *float64) error {
+	return fixedTau(Set, requested, b.db.Config().Tau)
 }
 
 // chainLength resolves the chain length of one search. The paper finds
 // l = 2 best for set similarity search (§8.3); l = 1 is pkwise, and
 // SkipVerify is a plain argument of the setsim entry points.
-func (ix *setIndex) chainLength(opt Options) int {
-	return chain(opt.ChainLength, 2)
+func (b *setBackend) chainLength(opt Options) int { return chain(opt.ChainLength, 2) }
+
+func (b *setBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error) {
+	var st setsim.Stats
+	dst, err := b.db.SearchRangeAppend(q.set, b.chainLength(opt), opt.SkipVerify, lo, hi, dst, &st)
+	return dst, Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-// SearchTopK returns the Options.TopK most similar sets as distances:
-// 1−J(x,q) under the Jaccard measure, −|x∩q| under Overlap, so
-// "nearest" is always "smallest". The ladder is a single rung at the
-// built τ — the pkwise index cannot see below its similarity
-// threshold, and verification (one exact overlap count) costs the
-// same at any threshold, so there is nothing for lower rungs to save.
-func (ix *setIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
-	if err := checkKind(q, Set); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := validateTopK(opt); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := fixedTau(Set, opt.Tau, ix.Tau()); err != nil {
-		return nil, Stats{}, err
-	}
-	l := ix.chainLength(opt)
-	jaccard := ix.db.Config().Measure == setsim.Jaccard
-	return runLadder(ctx, opt, topkLadder{
-		bounds: []float64{ix.Tau()},
-		run: func(_ float64, h *resultHeap, st *Stats) error {
-			ids, sims, bst, err := ix.db.SearchSim(q.set, l)
-			if err != nil {
-				return err
-			}
-			st.Candidates += bst.Candidates
-			st.Probes += bst.Probes
-			st.BoxChecks += bst.BoxChecks
-			for i, id := range ids {
-				d := -sims[i]
-				if jaccard {
-					d = 1 - sims[i]
-				}
-				h.push(int64(id), d)
-			}
-			return nil
-		},
-	})
-}
+// topkBounds is a single rung at the built τ: the pkwise index cannot
+// see below its similarity threshold, and verification (one exact
+// overlap count) costs the same at any threshold.
+func (b *setBackend) topkBounds(Options) []float64 { return []float64{b.db.Config().Tau} }
 
-func (ix *setIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
-	if err := checkKind(q, Set); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := fixedTau(Set, opt.Tau, ix.Tau()); err != nil {
-		return nil, Stats{}, err
-	}
-	l := ix.chainLength(opt)
-	n := ix.db.Len()
-	filterOnly := func() error {
-		var st setsim.Stats
-		_, err := ix.db.SearchRangeAppend(q.set, l, true, 0, n, nil, &st)
+// topkRung maps similarity onto a distance so "nearest" is always
+// "smallest": 1−J(x,q) under the Jaccard measure, −|x∩q| under Overlap.
+func (b *setBackend) topkRung(q Query, opt Options, _ float64, h *resultHeap, st *Stats) error {
+	ids, sims, bst, err := b.db.SearchSim(q.set, b.chainLength(opt))
+	if err != nil {
 		return err
 	}
-	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
-		// The append form over the whole corpus fills the engine's id
-		// type directly: no []int result to widen.
-		var st setsim.Stats
-		ids, err := ix.db.SearchRangeAppend(q.set, l, opt.SkipVerify, 0, n, nil, &st)
-		if err != nil {
-			return nil, Stats{}, err
+	st.Candidates += bst.Candidates
+	st.Probes += bst.Probes
+	st.BoxChecks += bst.BoxChecks
+	jaccard := b.db.Config().Measure == setsim.Jaccard
+	for i, id := range ids {
+		d := -sims[i]
+		if jaccard {
+			d = 1 - sims[i]
 		}
-		return ids, Stats{
-			Candidates: st.Candidates,
-			Results:    st.Results,
-			Probes:     st.Probes,
-			BoxChecks:  st.BoxChecks,
-		}, nil
-	})
+		h.push(int64(id), d)
+	}
+	return nil
+}
+
+func (b *setBackend) object(i int) Query { return SetQuery(b.db.Set(i)) }
+
+func (b *setBackend) AppendSnapshot(sb *snapshot.Builder, prefix string) error {
+	return b.db.AppendSnapshot(sb, prefix)
 }
 
 // --- Edit distance -----------------------------------------------------------
 
-type stringIndex struct {
-	db *strdist.DB
-}
+type stringBackend struct{ db *strdist.DB }
 
 // NewString wraps a Pivotal/Ring edit distance DB. The threshold is
 // fixed by the DB.
@@ -352,23 +382,18 @@ func NewString(db *strdist.DB) (Index, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil strdist DB")
 	}
-	return &stringIndex{db: db}, nil
+	return &adapter{String, db.Len(), float64(db.Tau()), &stringBackend{db}}, nil
 }
 
-func (ix *stringIndex) Problem() Problem   { return String }
-func (ix *stringIndex) Len() int           { return ix.db.Len() }
-func (ix *stringIndex) Tau() float64       { return float64(ix.db.Tau()) }
-func (ix *stringIndex) object(i int) Query { return StringQuery(ix.db.String(i)) }
-
-func (ix *stringIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, ix, q, opt)
+func (b *stringBackend) checkTau(requested *float64) error {
+	return fixedTau(String, requested, float64(b.db.Tau()))
 }
 
-// backendOptions resolves the strdist options of one search. The paper
-// finds l = min(3, τ+1) best for edit distance (§8.4); l = 1 is the
-// Pivotal baseline.
-func (ix *stringIndex) backendOptions(opt Options) strdist.Options {
-	l := chain(opt.ChainLength, min(3, ix.db.Tau()+1))
+// options resolves the strdist options of one search. The paper finds
+// l = min(3, τ+1) best for edit distance (§8.4); l = 1 is the Pivotal
+// baseline.
+func (b *stringBackend) options(opt Options) strdist.Options {
+	l := chain(opt.ChainLength, min(3, b.db.Tau()+1))
 	sopt := strdist.RingOptions(l)
 	if l == 1 {
 		sopt = strdist.PivotalOptions()
@@ -377,97 +402,58 @@ func (ix *stringIndex) backendOptions(opt Options) strdist.Options {
 	return sopt
 }
 
-// SearchTopK returns the Options.TopK nearest strings by edit
-// distance within the index's built τ (a Pivotal index cannot see
-// further). Every rung filters at the built τ and tightens only the
-// verification threshold (strdist.Options.VerifyTau), so early rungs
-// pay the full filter but a much cheaper banded verification.
-func (ix *stringIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
-	if err := checkKind(q, String); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := validateTopK(opt); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := fixedTau(String, opt.Tau, ix.Tau()); err != nil {
-		return nil, Stats{}, err
-	}
-	sopt := ix.backendOptions(opt)
-	return runLadder(ctx, opt, topkLadder{
-		bounds: intLadder(ix.db.Tau()),
-		run: func(bound float64, h *resultHeap, st *Stats) error {
-			ropt := sopt
-			ropt.VerifyTau = int(bound)
-			ids, dists, bst, err := ix.db.SearchDist(q.str, ropt)
-			if err != nil {
-				return err
-			}
-			st.Candidates += bst.Cand2 + bst.Fallback
-			st.Probes += bst.Probes
-			st.BoxChecks += bst.BoxChecks
-			for i, id := range ids {
-				h.push(int64(id), float64(dists[i]))
-			}
-			return nil
-		},
-	})
+func (b *stringBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error) {
+	var st strdist.Stats
+	dst, err := b.db.SearchRangeAppend(q.str, b.options(opt), lo, hi, dst, &st)
+	return dst, Stats{Candidates: st.Cand2 + st.Fallback, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-func (ix *stringIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
-	if err := checkKind(q, String); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := fixedTau(String, opt.Tau, ix.Tau()); err != nil {
-		return nil, Stats{}, err
-	}
-	sopt := ix.backendOptions(opt)
-	filterOnly := func() error {
-		skip := sopt
-		skip.SkipVerify = true
-		_, _, err := ix.db.Search(q.str, skip)
+// topkBounds caps the ladder at the built τ (a Pivotal index cannot
+// see further). Every rung filters at the built τ and tightens only
+// the verification threshold (strdist.Options.VerifyTau), so early
+// rungs pay the full filter but a much cheaper banded verification.
+func (b *stringBackend) topkBounds(Options) []float64 { return intLadder(b.db.Tau()) }
+
+func (b *stringBackend) topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error {
+	sopt := b.options(opt)
+	sopt.VerifyTau = int(bound)
+	ids, dists, bst, err := b.db.SearchDist(q.str, sopt)
+	if err != nil {
 		return err
 	}
-	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
-		ids, st, err := ix.db.Search(q.str, sopt)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return toIDs(ids), Stats{
-			Candidates: st.Cand2 + st.Fallback,
-			Results:    st.Results,
-			Probes:     st.Probes,
-			BoxChecks:  st.BoxChecks,
-		}, nil
-	})
+	st.Candidates += bst.Cand2 + bst.Fallback
+	st.Probes += bst.Probes
+	st.BoxChecks += bst.BoxChecks
+	pushDists(h, ids, dists)
+	return nil
+}
+
+func (b *stringBackend) object(i int) Query { return StringQuery(b.db.String(i)) }
+
+func (b *stringBackend) AppendSnapshot(sb *snapshot.Builder, prefix string) error {
+	return b.db.AppendSnapshot(sb, prefix)
 }
 
 // --- Graph edit distance -----------------------------------------------------
 
-type graphIndex struct {
-	db *graph.DB
-}
+type graphBackend struct{ db *graph.DB }
 
 // NewGraph wraps a Pars/Ring GED DB. The threshold is fixed by the DB.
 func NewGraph(db *graph.DB) (Index, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil graph DB")
 	}
-	return &graphIndex{db: db}, nil
+	return &adapter{Graph, db.Len(), float64(db.Tau()), &graphBackend{db}}, nil
 }
 
-func (ix *graphIndex) Problem() Problem   { return Graph }
-func (ix *graphIndex) Len() int           { return ix.db.Len() }
-func (ix *graphIndex) Tau() float64       { return float64(ix.db.Tau()) }
-func (ix *graphIndex) object(i int) Query { return GraphQuery(ix.db.Graph(i)) }
-
-func (ix *graphIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, ix, q, opt)
+func (b *graphBackend) checkTau(requested *float64) error {
+	return fixedTau(Graph, requested, float64(b.db.Tau()))
 }
 
-// backendOptions resolves the graph options of one search. The paper
-// finds l in [τ−2, τ] best for GED (§8.5); l = 1 is the Pars baseline.
-func (ix *graphIndex) backendOptions(opt Options) graph.Options {
-	l := chain(opt.ChainLength, max(1, ix.db.Tau()-1))
+// options resolves the graph options of one search. The paper finds l
+// in [τ−2, τ] best for GED (§8.5); l = 1 is the Pars baseline.
+func (b *graphBackend) options(opt Options) graph.Options {
+	l := chain(opt.ChainLength, max(1, b.db.Tau()-1))
 	gopt := graph.RingOptions(l)
 	if l == 1 {
 		gopt = graph.ParsOptions()
@@ -476,69 +462,35 @@ func (ix *graphIndex) backendOptions(opt Options) graph.Options {
 	return gopt
 }
 
-// SearchTopK returns the Options.TopK nearest graphs by GED within the
-// index's built τ (a Pars index cannot see further). Every rung
-// filters at the built τ and tightens only the verification budget
-// (graph.Options.VerifyTau) — GED verification dominates graph search
-// cost and early-abandons far sooner at a small budget, so the cheap
-// low rungs usually answer the query without ever paying a full-τ
-// verification pass.
-func (ix *graphIndex) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
-	if err := checkKind(q, Graph); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := validateTopK(opt); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := fixedTau(Graph, opt.Tau, ix.Tau()); err != nil {
-		return nil, Stats{}, err
-	}
-	gopt := ix.backendOptions(opt)
-	return runLadder(ctx, opt, topkLadder{
-		bounds: intLadder(ix.db.Tau()),
-		run: func(bound float64, h *resultHeap, st *Stats) error {
-			ropt := gopt
-			ropt.VerifyTau = int(bound)
-			ids, dists, bst, err := ix.db.SearchDist(q.g, ropt)
-			if err != nil {
-				return err
-			}
-			st.Candidates += bst.Candidates
-			st.BoxChecks += bst.BoxChecks
-			for i, id := range ids {
-				h.push(int64(id), float64(dists[i]))
-			}
-			return nil
-		},
-	})
+func (b *graphBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error) {
+	var st graph.Stats
+	dst, err := b.db.SearchRangeAppend(q.g, b.options(opt), lo, hi, dst, &st)
+	return dst, Stats{Candidates: st.Candidates, Results: st.Results, BoxChecks: st.BoxChecks}, err
 }
 
-func (ix *graphIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
-	if err := checkKind(q, Graph); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := fixedTau(Graph, opt.Tau, ix.Tau()); err != nil {
-		return nil, Stats{}, err
-	}
-	gopt := ix.backendOptions(opt)
-	filterOnly := func() error {
-		skip := gopt
-		skip.SkipVerify = true
-		_, _, err := ix.db.Search(q.g, skip)
+// topkBounds caps the ladder at the built τ (a Pars index cannot see
+// further). Every rung filters at the built τ and tightens only the
+// verification budget (graph.Options.VerifyTau) — GED verification
+// dominates graph search cost and early-abandons far sooner at a small
+// budget, so the cheap low rungs usually answer the query without ever
+// paying a full-τ verification pass.
+func (b *graphBackend) topkBounds(Options) []float64 { return intLadder(b.db.Tau()) }
+
+func (b *graphBackend) topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error {
+	gopt := b.options(opt)
+	gopt.VerifyTau = int(bound)
+	ids, dists, bst, err := b.db.SearchDist(q.g, gopt)
+	if err != nil {
 		return err
 	}
-	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
-		// SearchIDs64 widens inside the backend's one detach copy; the
-		// former Search-then-toIDs epilogue was the second of the two
-		// allocations a graph search paid.
-		ids, st, err := ix.db.SearchIDs64(q.g, gopt)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		return ids, Stats{
-			Candidates: st.Candidates,
-			Results:    st.Results,
-			BoxChecks:  st.BoxChecks,
-		}, nil
-	})
+	st.Candidates += bst.Candidates
+	st.BoxChecks += bst.BoxChecks
+	pushDists(h, ids, dists)
+	return nil
+}
+
+func (b *graphBackend) object(i int) Query { return GraphQuery(b.db.Graph(i)) }
+
+func (b *graphBackend) AppendSnapshot(sb *snapshot.Builder, prefix string) error {
+	return b.db.AppendSnapshot(sb, prefix)
 }

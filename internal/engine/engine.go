@@ -6,6 +6,14 @@
 // query server above all — can load, shard and query any backend
 // uniformly.
 //
+// One unexported adapter implements Index, Joiner, TopKSearcher and
+// snapshot writing for all four problems. What differs per problem
+// sits behind a small unexported backend interface (adapters.go): τ
+// validation, one exact range probe that resolves the paper's §8
+// chain length, the top-k ladder, object replay and persistence.
+// Search, SearchRange and every join row run that same range probe,
+// so a fifth problem implements the backend methods and nothing else.
+//
 // The layer adds what the single-problem packages deliberately leave
 // out:
 //
@@ -181,8 +189,8 @@ type Options struct {
 	topkSlot int
 }
 
-// Index is the uniform search interface every adapter and the sharded
-// composite implement. Implementations are immutable and safe for
+// Index is the uniform search interface the plain adapter and the
+// sharded composite implement. Implementations are immutable and safe for
 // concurrent use.
 type Index interface {
 	// Problem returns the query kind the index answers.
@@ -222,7 +230,7 @@ func checkKind(q Query, p Problem) error {
 }
 
 // collectSeq adapts a blocking Search into the SearchSeq contract for
-// the plain adapters: the backend runs to completion (one backend pass
+// the plain adapter: the backend runs to completion (one backend pass
 // is not interruptible), then the ids are yielded one at a time with
 // the context checked between yields.
 func collectSeq(ctx context.Context, ix Index, q Query, opt Options) iter.Seq2[int64, error] {

@@ -2,14 +2,19 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/hamming"
 	"repro/internal/setsim"
 	"repro/internal/strdist"
+	"repro/internal/tokenset"
 )
 
 // testIndexes builds one unsharded and one sharded index per problem
@@ -150,98 +155,348 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestAdapterMatchesBackend pins the adapters to the raw backend
-// searches they wrap, defaults included.
-func TestAdapterMatchesBackend(t *testing.T) {
+// parityBackend pairs one plain adapter with the raw backend entry
+// points it must reproduce, each called at the chain length the
+// adapter should resolve (l = 0 becomes the §8 default def).
+type parityBackend struct {
+	name    string
+	ix      Index
+	n       int
+	m       int // box count: the largest meaningful chain length
+	def     int // the paper's §8 default chain length
+	queries []Query
+	// search is the backend's full-corpus threshold search.
+	search func(q Query, l int, skip bool) ([]int64, Stats)
+	// window is the backend's range probe over [lo, hi).
+	window func(q Query, l, lo, hi int) ([]int64, Stats)
+	// bounds and rung are the top-k ladder: one rung's verified hits
+	// as (id, distance) results, unordered.
+	bounds []float64
+	rung   func(q Query, l int, bound float64) ([]Result, Stats)
+}
+
+// toIDs widens backend result ids to the engine's global id type.
+func toIDs(ids []int) []int64 {
+	out := make([]int64, len(ids))
+	for i, id := range ids {
+		out[i] = int64(id)
+	}
+	return out
+}
+
+// counters is the machine-independent part of a Stats.
+func counters(st Stats) [4]int {
+	return [4]int{st.Candidates, st.Results, st.Probes, st.BoxChecks}
+}
+
+func parityBackends(t *testing.T) []parityBackend {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []parityBackend
+
 	vecs := dataset.GIST(400, 7)
 	hdb, err := hamming.NewDB(vecs, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(err)
 	hix, err := NewHamming(hdb, 24)
-	if err != nil {
-		t.Fatal(err)
+	must(err)
+	hq := []Query{VectorQuery(bitvec.Random(rand.New(rand.NewSource(12345)), hdb.Dim()))}
+	for _, i := range dataset.SampleQueries(len(vecs), 7, 7) {
+		hq = append(hq, VectorQuery(vecs[i]))
 	}
-	q := vecs[11]
-	want, wantStats, err := hdb.Search(q, 24, hamming.RingOptions(6))
-	if err != nil {
-		t.Fatal(err)
+	hopt := func(l int, skip bool) hamming.Options {
+		o := hamming.RingOptions(l)
+		o.SkipVerify = skip
+		return o
 	}
-	got, gotStats, err := hix.Search(context.Background(), VectorQuery(q), Options{})
-	if err != nil {
-		t.Fatal(err)
+	hstats := func(st hamming.Stats) Stats {
+		return Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}
 	}
-	if len(got) != len(want) || gotStats.Candidates != wantStats.Candidates {
-		t.Fatalf("hamming adapter diverged: %d ids / %d candidates, want %d / %d",
-			len(got), gotStats.Candidates, len(want), wantStats.Candidates)
-	}
+	out = append(out, parityBackend{
+		name: "hamming", ix: hix, n: len(vecs), m: 16, def: 6, queries: hq,
+		search: func(q Query, l int, skip bool) ([]int64, Stats) {
+			ids, st, err := hdb.Search(q.Vector(), 24, hopt(l, skip))
+			must(err)
+			return toIDs(ids), hstats(st)
+		},
+		window: func(q Query, l, lo, hi int) ([]int64, Stats) {
+			var st hamming.Stats
+			ids, err := hdb.SearchRangeAppend(q.Vector(), 24, hopt(l, false), lo, hi, nil, &st)
+			must(err)
+			return ids, hstats(st)
+		},
+		bounds: intLadder(hdb.Dim()),
+		rung: func(q Query, l int, b float64) ([]Result, Stats) {
+			ids, dists, st, err := hdb.SearchDist(q.Vector(), int(b), hopt(l, false))
+			must(err)
+			rs := make([]Result, len(ids))
+			for i, id := range ids {
+				rs[i] = Result{ID: int64(id), Distance: float64(dists[i])}
+			}
+			return rs, hstats(st)
+		},
+	})
 
 	sets := dataset.DBLP(400, 8)
 	cfg := setsim.Config{Measure: setsim.Jaccard, Tau: 0.8, M: 5}
 	sdb, err := setsim.NewPKWiseDB(sets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(err)
 	six, err := NewSet(sdb)
-	if err != nil {
-		t.Fatal(err)
+	must(err)
+	sq := []Query{SetQuery(tokenset.Set{0})}
+	for _, i := range dataset.SampleQueries(len(sets), 7, 8) {
+		sq = append(sq, SetQuery(sets[i]))
 	}
-	wantS, _, err := sdb.Search(sets[3], 2)
-	if err != nil {
-		t.Fatal(err)
+	sstats := func(st setsim.Stats) Stats {
+		return Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}
 	}
-	gotS, _, err := six.Search(context.Background(), SetQuery(sets[3]), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotS) != len(wantS) {
-		t.Fatalf("set adapter returned %d ids, want %d", len(gotS), len(wantS))
-	}
+	out = append(out, parityBackend{
+		name: "set", ix: six, n: len(sets), m: cfg.M, def: 2, queries: sq,
+		search: func(q Query, l int, skip bool) ([]int64, Stats) {
+			if skip {
+				st, err := sdb.CountCandidates(q.Set(), l)
+				must(err)
+				return nil, sstats(st)
+			}
+			ids, st, err := sdb.Search(q.Set(), l)
+			must(err)
+			return toIDs(ids), sstats(st)
+		},
+		window: func(q Query, l, lo, hi int) ([]int64, Stats) {
+			var st setsim.Stats
+			ids, err := sdb.SearchRangeAppend(q.Set(), l, false, lo, hi, nil, &st)
+			must(err)
+			return ids, sstats(st)
+		},
+		bounds: []float64{cfg.Tau},
+		rung: func(q Query, l int, _ float64) ([]Result, Stats) {
+			ids, sims, st, err := sdb.SearchSim(q.Set(), l)
+			must(err)
+			rs := make([]Result, len(ids))
+			for i, id := range ids {
+				rs[i] = Result{ID: int64(id), Distance: 1 - sims[i]}
+			}
+			return rs, sstats(st)
+		},
+	})
 
-	strs := dataset.IMDB(400, 9)
+	const strTau = 2
+	// Two indexed strings too short for the signature scheme, so the
+	// short query below reaches verification around the filters
+	// (strdist Stats.Fallback).
+	strs := append(dataset.IMDB(398, 9), "abc", "abcd")
 	dict, err := strdist.BuildGramDict(strs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tdb, err := strdist.NewDB(strs, dict, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(err)
+	tdb, err := strdist.NewDB(strs, dict, strTau)
+	must(err)
 	tix, err := NewString(tdb)
-	if err != nil {
-		t.Fatal(err)
+	must(err)
+	// A far string (no results) and a degenerate short one.
+	tq := []Query{StringQuery("qxqxqxqxqxqxqxqxqxqxqxqx"), StringQuery("ab")}
+	for _, i := range dataset.SampleQueries(len(strs), 6, 9) {
+		tq = append(tq, StringQuery(strs[i]))
 	}
-	wantT, _, err := tdb.Search(strs[5], strdist.RingOptions(3))
-	if err != nil {
-		t.Fatal(err)
+	topt := func(l int, skip bool) strdist.Options {
+		o := strdist.RingOptions(l)
+		if l == 1 {
+			o = strdist.PivotalOptions()
+		}
+		o.SkipVerify = skip
+		return o
 	}
-	gotT, _, err := tix.Search(context.Background(), StringQuery(strs[5]), Options{})
-	if err != nil {
-		t.Fatal(err)
+	tstats := func(st strdist.Stats) Stats {
+		return Stats{Candidates: st.Cand2 + st.Fallback, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}
 	}
-	if len(gotT) != len(wantT) {
-		t.Fatalf("string adapter returned %d ids, want %d", len(gotT), len(wantT))
-	}
+	out = append(out, parityBackend{
+		name: "string", ix: tix, n: len(strs), m: strTau + 1, def: min(3, strTau+1), queries: tq,
+		search: func(q Query, l int, skip bool) ([]int64, Stats) {
+			ids, st, err := tdb.Search(q.Text(), topt(l, skip))
+			must(err)
+			return toIDs(ids), tstats(st)
+		},
+		window: func(q Query, l, lo, hi int) ([]int64, Stats) {
+			var st strdist.Stats
+			ids, err := tdb.SearchRangeAppend(q.Text(), topt(l, false), lo, hi, nil, &st)
+			must(err)
+			return ids, tstats(st)
+		},
+		bounds: intLadder(strTau),
+		rung: func(q Query, l int, b float64) ([]Result, Stats) {
+			o := topt(l, false)
+			o.VerifyTau = int(b)
+			ids, dists, st, err := tdb.SearchDist(q.Text(), o)
+			must(err)
+			rs := make([]Result, len(ids))
+			for i, id := range ids {
+				rs[i] = Result{ID: int64(id), Distance: float64(dists[i])}
+			}
+			return rs, tstats(st)
+		},
+	})
 
+	const graphTau = 3
 	graphs := dataset.AIDS(60, 10)
-	gdb, err := graph.NewDB(graphs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gdb, err := graph.NewDB(graphs, graphTau)
+	must(err)
 	gix, err := NewGraph(gdb)
-	if err != nil {
-		t.Fatal(err)
+	must(err)
+	far := graph.New(30)
+	for v := 1; v < far.N(); v++ {
+		far.SetVertexLabel(v, 61)
+		far.AddEdge(v-1, v, 2)
 	}
-	wantG, _, err := gdb.Search(graphs[2], graph.RingOptions(2))
-	if err != nil {
-		t.Fatal(err)
+	gq := []Query{GraphQuery(far)}
+	for _, i := range dataset.SampleQueries(len(graphs), 7, 10) {
+		gq = append(gq, GraphQuery(graphs[i]))
 	}
-	gotG, _, err := gix.Search(context.Background(), GraphQuery(graphs[2]), Options{})
-	if err != nil {
-		t.Fatal(err)
+	gopt := func(l int, skip bool) graph.Options {
+		o := graph.RingOptions(l)
+		if l == 1 {
+			o = graph.ParsOptions()
+		}
+		o.SkipVerify = skip
+		return o
 	}
-	if len(gotG) != len(wantG) {
-		t.Fatalf("graph adapter returned %d ids, want %d", len(gotG), len(wantG))
+	gstats := func(st graph.Stats) Stats {
+		return Stats{Candidates: st.Candidates, Results: st.Results, BoxChecks: st.BoxChecks}
+	}
+	out = append(out, parityBackend{
+		name: "graph", ix: gix, n: len(graphs), m: graphTau + 1, def: max(1, graphTau-1), queries: gq,
+		search: func(q Query, l int, skip bool) ([]int64, Stats) {
+			ids, st, err := gdb.Search(q.Graph(), gopt(l, skip))
+			must(err)
+			return toIDs(ids), gstats(st)
+		},
+		window: func(q Query, l, lo, hi int) ([]int64, Stats) {
+			var st graph.Stats
+			ids, err := gdb.SearchRangeAppend(q.Graph(), gopt(l, false), lo, hi, nil, &st)
+			must(err)
+			return ids, gstats(st)
+		},
+		bounds: intLadder(graphTau),
+		rung: func(q Query, l int, b float64) ([]Result, Stats) {
+			o := gopt(l, false)
+			o.VerifyTau = int(b)
+			ids, dists, st, err := gdb.SearchDist(q.Graph(), o)
+			must(err)
+			rs := make([]Result, len(ids))
+			for i, id := range ids {
+				rs[i] = Result{ID: int64(id), Distance: float64(dists[i])}
+			}
+			return rs, gstats(st)
+		},
+	})
+	return out
+}
+
+// TestAdapterMatchesBackend pins every plain adapter entry point —
+// Search (plain, SkipVerify, Timings), SearchSeq, SearchRange over
+// full, empty, inverted and random windows, and SearchTopK — to the
+// raw backend entry points at the chain length the adapter resolves:
+// exact ids or results and exact work counters, at l ∈ {0, 1, 2, m}.
+func TestAdapterMatchesBackend(t *testing.T) {
+	ctx := context.Background()
+	for _, pb := range parityBackends(t) {
+		t.Run(pb.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			empty := 0
+			for _, l := range []int{0, 1, 2, pb.m} {
+				lr := chain(l, pb.def)
+				for qi, q := range pb.queries {
+					where := func(what string) string {
+						return fmt.Sprintf("l=%d query %d %s", l, qi, what)
+					}
+					check := func(what string, got []int64, gst Stats, want []int64, wst Stats) {
+						t.Helper()
+						if !sameIDs(got, want) {
+							t.Fatalf("%s: ids %v, want %v", where(what), got, want)
+						}
+						if counters(gst) != counters(wst) {
+							t.Fatalf("%s: counters %v, want %v", where(what), counters(gst), counters(wst))
+						}
+					}
+					want, wst := pb.search(q, lr, false)
+					if l == 0 && len(want) == 0 {
+						empty++
+					}
+					for _, opt := range []Options{{ChainLength: l}, {ChainLength: l, Timings: true}} {
+						got, gst, err := pb.ix.Search(ctx, q, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(fmt.Sprintf("Search timings=%v", opt.Timings), got, gst, want, wst)
+					}
+					skipWant, skipSt := pb.search(q, lr, true)
+					got, gst, err := pb.ix.Search(ctx, q, Options{ChainLength: l, SkipVerify: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("Search SkipVerify", got, gst, skipWant, skipSt)
+
+					var seq []int64
+					for id, err := range pb.ix.SearchSeq(ctx, q, Options{ChainLength: l}) {
+						if err != nil {
+							t.Fatal(err)
+						}
+						seq = append(seq, id)
+					}
+					if !sameIDs(seq, want) {
+						t.Fatalf("%s: ids %v, want %v", where("SearchSeq"), seq, want)
+					}
+
+					a, b := rng.Intn(pb.n+1), rng.Intn(pb.n+1)
+					for _, w := range [][2]int{{0, pb.n}, {a / 2, a / 2}, {pb.n, 0}, {min(a, b), max(a, b)}} {
+						got, gst, err := SearchRange(ctx, pb.ix, q, Options{ChainLength: l}, w[0], w[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						var wids []int64
+						var wwst Stats
+						if w[0] < w[1] {
+							wids, wwst = pb.window(q, lr, w[0], w[1])
+						}
+						check(fmt.Sprintf("SearchRange [%d,%d)", w[0], w[1]), got, gst, wids, wwst)
+						if w == [2]int{0, pb.n} {
+							check("SearchRange full vs Search", got, gst, want, wst)
+						}
+					}
+
+					for _, k := range []int{1, 5} {
+						var wantK []Result
+						var kst Stats
+						for i, bound := range pb.bounds {
+							hits, st := pb.rung(q, lr, bound)
+							kst.merge(st)
+							kst.Rungs++
+							if len(hits) >= k || i == len(pb.bounds)-1 {
+								slices.SortFunc(hits, compareResult)
+								wantK = hits[:min(k, len(hits))]
+								break
+							}
+						}
+						kst.Results = len(wantK)
+						got, gst, err := pb.ix.(TopKSearcher).SearchTopK(ctx, q, Options{ChainLength: l, TopK: k})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, wantK) {
+							t.Fatalf("%s: results %v, want %v", where(fmt.Sprintf("SearchTopK k=%d", k)), got, wantK)
+						}
+						if counters(gst) != counters(kst) || gst.Rungs != kst.Rungs {
+							t.Fatalf("%s: counters %v rungs %d, want %v rungs %d", where(fmt.Sprintf("SearchTopK k=%d", k)),
+								counters(gst), gst.Rungs, counters(kst), kst.Rungs)
+						}
+					}
+				}
+			}
+			if empty == 0 {
+				t.Fatal("no query with an empty result; the table must cover one")
+			}
+		})
 	}
 }
 

@@ -5,11 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"sort"
-
-	"repro/internal/graph"
-	"repro/internal/hamming"
-	"repro/internal/setsim"
-	"repro/internal/strdist"
 )
 
 // The join API makes the paper's second headline workload — the
@@ -84,8 +79,8 @@ type JoinOptions struct {
 // Joiner is the self-join capability of an Index: every pair of
 // distinct indexed objects within the index's default threshold,
 // reported ascending by (I, J). Every index this package builds —
-// the four adapters and the Sharded composite over them — implements
-// it; callers holding a plain Index type-assert:
+// the plain adapter and the Sharded composite over adapters —
+// implements it; callers holding a plain Index type-assert:
 //
 //	if j, ok := ix.(engine.Joiner); ok { pairs, st, err := j.Join(ctx, opt) }
 type Joiner interface {
@@ -103,23 +98,6 @@ type Joiner interface {
 	// the loop stops the remaining yields. No Stats are produced; use
 	// Join when counters matter.
 	JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error]
-}
-
-// objectSource is the capability the join machinery needs from an
-// index: replaying indexed objects as queries. The four adapters
-// implement it; Sharded requires it of its shards to join.
-type objectSource interface {
-	object(i int) Query
-}
-
-// rangeSearcher is the tile join's probing capability: a search
-// restricted to the id range [lo, hi), appending its ascending
-// results to dst and its counters to st, with no per-call result or
-// stats allocation. The four adapters implement it; a Sharded shard
-// that doesn't (a foreign Index exposing objects) is probed through
-// its full Search with post-filtering.
-type rangeSearcher interface {
-	searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error)
 }
 
 // searchOptions maps join options onto the per-row search options.
@@ -156,141 +134,20 @@ func collectJoinSeq(ctx context.Context, j Joiner, opt JoinOptions) iter.Seq2[Pa
 	}
 }
 
-// adapterJoin runs the tiled self-join of one plain adapter: the
-// adapter's own range search answers each row, and the pool width
-// defaults to GOMAXPROCS (a plain adapter has no worker knob; shard
-// the index to bound join parallelism).
-func adapterJoin(ctx context.Context, ix Index, rs rangeSearcher, src objectSource, opt JoinOptions) ([]Pair, Stats, error) {
-	n := ix.Len()
-	ranges := tileRanges(n, resolveTileSize(n, opt.TileSize, 0), nil)
+// Join runs the tiled self-join of one plain adapter: its range probe
+// answers each row, and the pool width defaults to GOMAXPROCS (a plain
+// adapter has no worker knob; shard the index to bound join
+// parallelism).
+func (a *adapter) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
+	ranges := tileRanges(a.n, resolveTileSize(a.n, opt.TileSize, 0), nil)
 	return joinTiles(ctx, 0, opt, ranges,
 		func(jobCtx context.Context, row, lo, hi int, sopt Options, dst []int64, st *Stats) ([]int64, error) {
-			return rs.searchRange(jobCtx, src.object(row), sopt, lo, hi, dst, st)
+			return a.searchRange(jobCtx, a.b.object(row), sopt, lo, hi, dst, st)
 		})
 }
 
-// --- Adapter range probes ----------------------------------------------------
-
-func (ix *hammingIndex) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	if err := checkKind(q, Hamming); err != nil {
-		return dst, err
-	}
-	tau, err := ix.resolveTau(opt.Tau, ix.tau)
-	if err != nil {
-		return dst, err
-	}
-	var bst hamming.Stats
-	out, err := ix.db.SearchRangeAppend(q.vec, tau, ix.backendOptions(opt), lo, hi, dst, &bst)
-	if err != nil {
-		return dst, err
-	}
-	st.Candidates += bst.Candidates
-	st.Results += bst.Results
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	return out, nil
-}
-
-func (ix *setIndex) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	if err := checkKind(q, Set); err != nil {
-		return dst, err
-	}
-	if err := fixedTau(Set, opt.Tau, ix.Tau()); err != nil {
-		return dst, err
-	}
-	var bst setsim.Stats
-	out, err := ix.db.SearchRangeAppend(q.set, ix.chainLength(opt), opt.SkipVerify, lo, hi, dst, &bst)
-	if err != nil {
-		return dst, err
-	}
-	st.Candidates += bst.Candidates
-	st.Results += bst.Results
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	return out, nil
-}
-
-func (ix *stringIndex) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	if err := checkKind(q, String); err != nil {
-		return dst, err
-	}
-	if err := fixedTau(String, opt.Tau, ix.Tau()); err != nil {
-		return dst, err
-	}
-	var bst strdist.Stats
-	out, err := ix.db.SearchRangeAppend(q.str, ix.backendOptions(opt), lo, hi, dst, &bst)
-	if err != nil {
-		return dst, err
-	}
-	st.Candidates += bst.Cand2 + bst.Fallback
-	st.Results += bst.Results
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	return out, nil
-}
-
-func (ix *graphIndex) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	if err := checkKind(q, Graph); err != nil {
-		return dst, err
-	}
-	if err := fixedTau(Graph, opt.Tau, ix.Tau()); err != nil {
-		return dst, err
-	}
-	var bst graph.Stats
-	out, err := ix.db.SearchRangeAppend(q.g, ix.backendOptions(opt), lo, hi, dst, &bst)
-	if err != nil {
-		return dst, err
-	}
-	st.Candidates += bst.Candidates
-	st.Results += bst.Results
-	st.BoxChecks += bst.BoxChecks
-	return out, nil
-}
-
-// --- Adapter joins -----------------------------------------------------------
-
-func (ix *hammingIndex) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
-	return adapterJoin(ctx, ix, ix, ix, opt)
-}
-
-func (ix *hammingIndex) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectJoinSeq(ctx, ix, opt)
-}
-
-func (ix *setIndex) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
-	return adapterJoin(ctx, ix, ix, ix, opt)
-}
-
-func (ix *setIndex) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectJoinSeq(ctx, ix, opt)
-}
-
-func (ix *stringIndex) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
-	return adapterJoin(ctx, ix, ix, ix, opt)
-}
-
-func (ix *stringIndex) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectJoinSeq(ctx, ix, opt)
-}
-
-func (ix *graphIndex) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
-	return adapterJoin(ctx, ix, ix, ix, opt)
-}
-
-func (ix *graphIndex) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectJoinSeq(ctx, ix, opt)
+func (a *adapter) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
+	return collectJoinSeq(ctx, a, opt)
 }
 
 // --- Sharded join ------------------------------------------------------------
@@ -303,24 +160,16 @@ func (ix *graphIndex) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pa
 // whole database, for the same reason sharded search is id-identical:
 // every shard returns exact, ascending results.
 //
-// Joining requires shards built by this package (or any Index exposing
-// its objects to the engine); a foreign shard type fails with an
-// error. Shards built by this package are probed through their
-// allocation-free range searches; a foreign shard that does expose
-// objects falls back to its full Search with the ids post-filtered to
-// the tile's column range.
+// Joining requires shards built by this package; any other shard type
+// fails with an error.
 func (s *Sharded) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
-	srcs := make([]objectSource, len(s.shards))
+	shards := make([]*adapter, len(s.shards))
 	for i, sh := range s.shards {
-		src, ok := sh.(objectSource)
+		a, ok := sh.(*adapter)
 		if !ok {
 			return nil, Stats{}, fmt.Errorf("engine: shard %d (%T) does not expose its objects; joins need shards built by this package", i, sh)
 		}
-		srcs[i] = src
-	}
-	obj := func(i int) Query {
-		k := s.shardOf(int64(i))
-		return srcs[k].object(i - int(s.offsets[k]))
+		shards[i] = a
 	}
 	ranges := tileRanges(s.total, resolveTileSize(s.total, opt.TileSize, s.workers), s.offsets[1:])
 	probe := func(jobCtx context.Context, row, lo, hi int, sopt Options, dst []int64, st *Stats) ([]int64, error) {
@@ -328,33 +177,17 @@ func (s *Sharded) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, err
 		// fully inside shard k and one local range search answers it.
 		k := s.shardOf(int64(lo))
 		off := s.offsets[k]
-		q := obj(row)
-		if rs, ok := s.shards[k].(rangeSearcher); ok {
-			base := len(dst)
-			out, err := rs.searchRange(jobCtx, q, sopt, lo-int(off), hi-int(off), dst, st)
-			if err != nil {
-				return dst, fmt.Errorf("shard %d: %w", k, err)
-			}
-			for i := base; i < len(out); i++ {
-				out[i] += off
-			}
-			return out, nil
-		}
-		// Foreign shard: full search, then keep only the tile's column
-		// range. Counters cover the work actually performed, which for
-		// this path is the whole shard.
-		ids, bst, err := s.shards[k].Search(jobCtx, q, sopt)
+		r := s.shardOf(int64(row))
+		q := shards[r].b.object(row - int(s.offsets[r]))
+		base := len(dst)
+		out, err := shards[k].searchRange(jobCtx, q, sopt, lo-int(off), hi-int(off), dst, st)
 		if err != nil {
 			return dst, fmt.Errorf("shard %d: %w", k, err)
 		}
-		st.merge(bst)
-		for _, id := range ids {
-			gid := id + off
-			if gid >= int64(lo) && gid < int64(hi) {
-				dst = append(dst, gid)
-			}
+		for i := base; i < len(out); i++ {
+			out[i] += off
 		}
-		return dst, nil
+		return out, nil
 	}
 	return joinTiles(ctx, s.workers, opt, ranges, probe)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hamming"
 	"repro/internal/setsim"
+	"repro/internal/snapshot"
 	"repro/internal/strdist"
 )
 
@@ -295,22 +296,37 @@ func TestJoinSkipVerify(t *testing.T) {
 	}
 }
 
-// object lets blockingIndex act as a shard of a joinable Sharded: the
-// join machinery only needs some query of the right kind.
-func (b *blockingIndex) object(int) Query {
-	return VectorQuery(dataset.GIST(1, 1)[0])
+// blockingBackend is a backend whose range probes block until release
+// is closed. A join over it finishes with a nil error unless it checks
+// its context between row probes.
+type blockingBackend struct{ release chan struct{} }
+
+func (blockingBackend) checkTau(*float64) error { return nil }
+func (b blockingBackend) searchRange(_ Query, _ Options, _, _ int, dst []int64) ([]int64, Stats, error) {
+	<-b.release
+	return dst, Stats{}, nil
+}
+func (blockingBackend) topkBounds(Options) []float64                                { return nil }
+func (blockingBackend) topkRung(Query, Options, float64, *resultHeap, *Stats) error { return nil }
+func (blockingBackend) object(int) Query                                            { return VectorQuery(dataset.GIST(1, 1)[0]) }
+func (blockingBackend) AppendSnapshot(*snapshot.Builder, string) error              { return nil }
+
+// blockingShards returns n ten-object adapters over one blockingBackend.
+func blockingShards(n int, release chan struct{}) []Index {
+	shards := make([]Index, n)
+	for i := range shards {
+		shards[i] = &adapter{Hamming, 10, 1, blockingBackend{release}}
+	}
+	return shards
 }
 
 // TestJoinCancelPrompt is the cancellation acceptance criterion:
 // cancelling mid-join returns ctx.Err() promptly without leaking
-// goroutines. Shards block until their context fails, so the join can
-// only return by honoring the cancellation.
+// goroutines. Row probes block until after the cancellation, so the
+// join can only return ctx.Err() by honoring it between probes.
 func TestJoinCancelPrompt(t *testing.T) {
-	shards := make([]Index, 8)
-	for i := range shards {
-		shards[i] = &blockingIndex{n: 10}
-	}
-	sh, err := NewSharded(shards, 4)
+	release := make(chan struct{})
+	sh, err := NewSharded(blockingShards(8, release), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +340,7 @@ func TestJoinCancelPrompt(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the fan-out start
 	cancel()
+	close(release)
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -364,11 +381,8 @@ func TestJoinCancelPrompt(t *testing.T) {
 // TestJoinSeqCancelled: the streaming join surfaces a mid-run
 // cancellation as its final yielded error.
 func TestJoinSeqCancelled(t *testing.T) {
-	shards := make([]Index, 4)
-	for i := range shards {
-		shards[i] = &blockingIndex{n: 10}
-	}
-	sh, err := NewSharded(shards, 2)
+	release := make(chan struct{})
+	sh, err := NewSharded(blockingShards(4, release), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,6 +390,7 @@ func TestJoinSeqCancelled(t *testing.T) {
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
+		close(release)
 	}()
 	_, err = collectPairs(sh.JoinSeq(ctx, JoinOptions{}))
 	if !errors.Is(err, context.Canceled) {

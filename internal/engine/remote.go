@@ -95,13 +95,11 @@ func globalRangeProbe(ix Index) (func(ctx context.Context, q Query, opt Options,
 			return dst, nil
 		}, nil
 	}
-	rs, ok := ix.(rangeSearcher)
+	a, ok := ix.(*adapter)
 	if !ok {
 		return nil, fmt.Errorf("engine: %T does not support range-restricted search; use an index built by this package", ix)
 	}
-	return func(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-		return rs.searchRange(ctx, q, opt, lo, hi, dst, st)
-	}, nil
+	return a.searchRange, nil
 }
 
 // SearchRange runs a search restricted to the contiguous global-id

@@ -359,7 +359,7 @@ func TestParseProblemNormalizes(t *testing.T) {
 }
 
 // stubIndex is a test Index that answers every search with a fixed id
-// list, honouring Options.Limit the way the adapters do.
+// list, honouring Options.Limit the way the adapter does.
 type stubIndex struct {
 	ids []int64
 	n   int

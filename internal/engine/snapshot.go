@@ -20,32 +20,6 @@ import (
 // holding the sections of every shard plus the engine's own metadata.
 const SnapshotBackend = "pigeonring-engine"
 
-// Persister is the capability an Index needs to be persisted: adding
-// its sections to a snapshot container under a name prefix. The four
-// adapters implement it by delegating to their backend DB; Sharded is
-// persisted by prefixing each shard's sections with "s<i>/" in one
-// container, which WriteSnapshot does for any Index built by this
-// package.
-type Persister interface {
-	AppendSnapshot(b *snapshot.Builder, prefix string) error
-}
-
-func (ix *hammingIndex) AppendSnapshot(b *snapshot.Builder, prefix string) error {
-	return ix.db.AppendSnapshot(b, prefix)
-}
-
-func (ix *setIndex) AppendSnapshot(b *snapshot.Builder, prefix string) error {
-	return ix.db.AppendSnapshot(b, prefix)
-}
-
-func (ix *stringIndex) AppendSnapshot(b *snapshot.Builder, prefix string) error {
-	return ix.db.AppendSnapshot(b, prefix)
-}
-
-func (ix *graphIndex) AppendSnapshot(b *snapshot.Builder, prefix string) error {
-	return ix.db.AppendSnapshot(b, prefix)
-}
-
 // WriteSnapshot serializes ix — a plain adapter or a Sharded composite
 // built by this package — into one snapshot container on w, returning
 // the bytes written. hooks (optional) receives one StageSnapshotWrite
@@ -63,11 +37,11 @@ func WriteSnapshot(ix Index, w io.Writer, hooks *Hooks) (int64, error) {
 		math.Float64bits(ix.Tau()),
 	})
 	for i, sh := range shards {
-		p, ok := sh.(Persister)
+		a, ok := sh.(*adapter)
 		if !ok {
 			return 0, fmt.Errorf("engine: %T cannot be snapshotted; use an index built by this package", sh)
 		}
-		if err := p.AppendSnapshot(b, fmt.Sprintf("s%d/", i)); err != nil {
+		if err := a.b.AppendSnapshot(b, fmt.Sprintf("s%d/", i)); err != nil {
 			return 0, fmt.Errorf("engine: snapshotting shard %d: %w", i, err)
 		}
 	}
@@ -225,15 +199,15 @@ func Object(ix Index, id int) (Query, error) {
 	}
 	if s, ok := ix.(*Sharded); ok {
 		k := s.shardOf(int64(id))
-		src, ok := s.shards[k].(objectSource)
+		a, ok := s.shards[k].(*adapter)
 		if !ok {
 			return Query{}, fmt.Errorf("engine: shard %d (%T) does not expose its objects", k, s.shards[k])
 		}
-		return src.object(id - int(s.offsets[k])), nil
+		return a.b.object(id - int(s.offsets[k])), nil
 	}
-	src, ok := ix.(objectSource)
+	a, ok := ix.(*adapter)
 	if !ok {
 		return Query{}, fmt.Errorf("engine: %T does not expose its objects", ix)
 	}
-	return src.object(id), nil
+	return a.b.object(id), nil
 }

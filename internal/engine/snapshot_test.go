@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
+	"repro/internal/setsim"
 	"repro/internal/snapshot"
 )
 
@@ -203,4 +207,86 @@ func TestSnapshotHooks(t *testing.T) {
 	if got[StageSnapshotWrite] != 1 || got[StageSnapshotOpen] != 1 {
 		t.Fatalf("spans = %v, want one write and one open", got)
 	}
+}
+
+// engineContainer writes ix's shards under hand-chosen engine/problem
+// and engine/meta sections, the two sections OpenSnapshot trusts
+// before any backend validation runs.
+func engineContainer(tb testing.TB, ix Index, problem string, meta []uint64) []byte {
+	tb.Helper()
+	shards := []Index{ix}
+	if s, ok := ix.(*Sharded); ok {
+		shards = s.shards
+	}
+	b := snapshot.NewBuilder()
+	b.Add("engine/problem", []byte(problem))
+	b.AddU64s("engine/meta", meta)
+	for i, sh := range shards {
+		if err := sh.(*adapter).b.AppendSnapshot(b, fmt.Sprintf("s%d/", i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf, SnapshotBackend); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzOpenSnapshot: any byte string either fails to open or opens as
+// an Index whose Search and Join on object 0 run without panicking.
+func FuzzOpenSnapshot(f *testing.F) {
+	vecs := dataset.GIST(24, 21)
+	sets := dataset.DBLP(24, 22)
+	var seeds []Index
+	for _, shards := range []int{1, 2} {
+		h, err := BuildHamming(vecs, 16, 24, shards, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := BuildSet(sets, setsim.Config{Measure: setsim.Jaccard, Tau: 0.8, M: 5}, shards, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, h, s)
+	}
+	for _, ix := range seeds {
+		var buf bytes.Buffer
+		if _, err := WriteSnapshot(ix, &buf, nil); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	h, s := seeds[2], seeds[3] // the 2-shard pair
+	for _, meta := range [][]uint64{
+		{0, math.Float64bits(24)},
+		{1<<20 + 1, math.Float64bits(24)},
+		{2, math.Float64bits(math.NaN())},
+		{2, math.Float64bits(23)},
+	} {
+		f.Add(engineContainer(f, h, "hamming", meta))
+	}
+	f.Add(engineContainer(f, s, "set", []uint64{2, math.Float64bits(0.5)}))
+	f.Add(engineContainer(f, s, "set", []uint64{2, math.Float64bits(math.NaN())}))
+	f.Add(engineContainer(f, h, "vector", []uint64{2, math.Float64bits(24)}))
+	f.Add(engineContainer(f, h, "set", []uint64{2, math.Float64bits(0.8)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := OpenSnapshot(bytes.NewReader(data), 1, nil)
+		if err != nil {
+			return
+		}
+		ctx := context.Background()
+		if ix.Len() > 0 {
+			q, err := Object(ix, 0)
+			if err != nil {
+				t.Fatalf("opened index cannot replay object 0: %v", err)
+			}
+			if _, _, err := ix.Search(ctx, q, Options{}); err != nil {
+				t.Fatalf("opened index cannot search object 0: %v", err)
+			}
+		}
+		if _, _, err := ix.(Joiner).Join(ctx, JoinOptions{}); err != nil {
+			t.Fatalf("opened index cannot join: %v", err)
+		}
+	})
 }

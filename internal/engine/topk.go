@@ -60,7 +60,7 @@ func compareResult(a, b Result) int {
 func resultLess(a, b Result) bool { return compareResult(a, b) < 0 }
 
 // TopKSearcher is implemented by every index this package builds —
-// the four adapters and Sharded. SearchTopK returns the Options.TopK
+// the plain adapter and Sharded. SearchTopK returns the Options.TopK
 // nearest objects ordered by (Distance, ID) ascending; fewer when the
 // backend's ceiling contains fewer. Options.TopK must be > 0 and
 // Limit, SkipVerify and Timings must be unset (validateTopK).

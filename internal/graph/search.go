@@ -251,17 +251,6 @@ func (db *DB) Search(q *Graph, opt Options) ([]int, Stats, error) {
 	return out, st, nil
 }
 
-// SearchIDs64 is Search with the result ids widened to the engine's
-// int64 id space inside the single detach copy; the engine adapter's
-// former sort-then-widen epilogue paid a second allocation per search.
-func (db *DB) SearchIDs64(q *Graph, opt Options) ([]int64, Stats, error) {
-	s, st := db.search(q, opt, 0, len(db.graphs), false)
-	out := pairs.SortedIDs64(s.results)
-	db.putScratch(s)
-	st.Results = len(out)
-	return out, st, nil
-}
-
 // SearchDist is Search additionally reporting each result's exact GED,
 // aligned index-for-index with the returned ids. The pairs come back
 // in unspecified order — the engine's top-k planner reorders by
@@ -294,6 +283,7 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 	s, rst := db.search(q, opt, lo, hi, false)
 	// The ascending scan produces ascending results; widen before the
 	// scratch (and its result buffer) goes back to the pool.
+	dst = slices.Grow(dst, len(s.results))
 	for _, id := range s.results {
 		dst = append(dst, int64(id))
 	}

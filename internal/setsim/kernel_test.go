@@ -1,7 +1,9 @@
 package setsim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -174,7 +176,7 @@ func TestKernelParity(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2207))
 	for _, u := range universes {
-		sets := kernelCorpus(rng, u.remap)
+		sets := kernelCorpus(rand.New(rand.NewSource(2207)), u.remap)
 		if u.giants {
 			sets = append(sets, giantSets()...)
 		}
@@ -187,6 +189,14 @@ func TestKernelParity(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/measure%d/tau%v/M%d", u.name, cfg.Measure, cfg.Tau, m)
 				db, err := NewPKWiseDB(sets, cfg)
+				if u.giants && cfg.Measure == Overlap && m == 2 {
+					// A giant's one-class prefix overflows the 16-bit class counts: the build rejects it.
+					var cce *classCountError
+					if !errors.As(err, &cce) {
+						t.Fatalf("%s: err = %v, want a classCountError", name, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,12 +208,9 @@ func TestKernelParity(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					queries = append(queries, sets[rng.Intn(len(sets))])
 				}
-				if u.giants && cfg.Measure == Jaccard {
-					// Not under Overlap: there a giant's prefix is nearly the
-					// whole set, and the 16-bit class counts wrap once a pair
-					// shares 65 536 prefix tokens of one class.
-					// The second query's size window at τ = 0.8 ends at 65 625:
-					// it admits sizeClamp and excludes both giants.
+				if u.giants {
+					// Under Jaccard τ = 0.8 the second query's size window ends
+					// at 65 625: it admits sizeClamp and excludes both giants.
 					queries = append(queries, sets[len(sets)-1], sets[len(sets)-1][:52500])
 				}
 				for _, q := range queries {
@@ -378,5 +385,25 @@ func TestBoxSumBound(t *testing.T) {
 	}
 	if attained == 0 {
 		t.Fatal("the bound is never tight: the test cannot catch a weakened suffix bound")
+	}
+}
+
+// TestClassCountOverflowRejected: a set whose prefix holds more than
+// 65 535 tokens of one class would wrap the 16-bit class overlaps, so
+// the build rejects it with a classCountError.
+func TestClassCountOverflowRejected(t *testing.T) {
+	big := make(tokenset.Set, math.MaxUint16+10)
+	for i := range big {
+		big[i] = int32(i)
+	}
+	cfg := Config{Measure: Overlap, Tau: 1, M: 4, Class: func(int32) int { return 3 }}
+	_, err := NewPKWiseDB([]tokenset.Set{{1, 2, 3}, big}, cfg)
+	var cce *classCountError
+	if !errors.As(err, &cce) || cce.set != 1 || cce.class != 3 {
+		t.Fatalf("err = %v, want a classCountError for set 1, class 3", err)
+	}
+	cfg.Class = nil // the hash spreads the same set over three classes
+	if _, err := NewPKWiseDB([]tokenset.Set{{1, 2, 3}, big}, cfg); err != nil {
+		t.Fatalf("balanced classes rejected: %v", err)
 	}
 }

@@ -112,6 +112,13 @@ func build(sets []tokenset.Set, cfg Config) (*PKWiseDB, error) {
 		if p == 0 {
 			continue
 		}
+		// A pair's class-k overlap never exceeds either set's class-k
+		// prefix count, so bounding these keeps the 16-bit counts exact.
+		for k, c := range cnt[1:] {
+			if c > math.MaxUint16 {
+				return nil, &classCountError{set: id, class: k + 1, count: c}
+			}
+		}
 		db.meta[id] = setMeta{px: int32(p), last: x[p-1]}
 		total += p
 		minTok, maxTok = min(minTok, x[0]), max(maxTok, x[p-1])
@@ -167,6 +174,17 @@ func build(sets []tokenset.Set, cfg Config) (*PKWiseDB, error) {
 		return s
 	}
 	return db, nil
+}
+
+// classCountError rejects a set whose prefix holds more tokens of one
+// class than the 16-bit class-overlap counts of a search can carry.
+type classCountError struct {
+	set, class, count int
+}
+
+func (e *classCountError) Error() string {
+	return fmt.Sprintf("setsim: set %d has %d prefix tokens of class %d; class overlaps are counted in 16 bits (at most %d)",
+		e.set, e.count, e.class, math.MaxUint16)
 }
 
 // slot returns the arena slot of tok, or −1 when no prefix contains it.

@@ -631,6 +631,7 @@ func windowPre(post []prePosting, lo, hi int32) []prePosting {
 func finishRange(s *strScratch, dst []int64, st *Stats) []int64 {
 	slices.Sort(s.results)
 	st.Results += len(s.results)
+	dst = slices.Grow(dst, len(s.results))
 	for _, id := range s.results {
 		dst = append(dst, int64(id))
 	}
