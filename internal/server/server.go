@@ -106,10 +106,9 @@ type Server struct {
 	entries map[engine.Problem]*entry
 }
 
-// entry binds a loaded index to the dataset it was built from (kept
-// for queryId resolution, except hamming, whose index holds its own
-// copy of the vectors), its per-problem metric handles and the engine
-// hooks that feed them.
+// entry binds a loaded index to the name of the dataset it was built
+// from, its per-problem metric handles and the engine hooks that feed
+// them. queryId resolution replays objects from the index itself.
 type entry struct {
 	index   engine.Index
 	dataset string
@@ -122,10 +121,6 @@ type entry struct {
 	// compares these hashes before scattering work; see
 	// /v1/healthz "corpora". Empty when the index is not persistable.
 	hash string
-
-	sets   []tokenset.Set
-	strs   []string
-	graphs []*graph.Graph
 
 	// met is the per-problem slice of the server's registry; hooks is
 	// the shared (concurrency-safe) tracer wired into every search so
@@ -525,13 +520,13 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "unknown set dataset %q (want dblp or enron)", req.Dataset)
 			return
 		}
-		e.sets = gen(req.N, req.Seed)
+		sets := gen(req.N, req.Seed)
 		m := req.M
 		if m <= 0 {
 			m = 5
 		}
 		cfg := setsim.Config{Measure: setsim.Jaccard, Tau: tauV, M: m}
-		e.index, err = engine.BuildSet(e.sets, cfg, req.Shards, s.workers)
+		e.index, err = engine.BuildSet(sets, cfg, req.Shards, s.workers)
 	case engine.String:
 		tauV := tau(2)
 		gen := dataset.IMDB
@@ -544,7 +539,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "unknown string dataset %q (want imdb or pubmed)", req.Dataset)
 			return
 		}
-		e.strs = gen(req.N, req.Seed)
+		strs := gen(req.N, req.Seed)
 		kappa := req.Kappa
 		if kappa <= 0 {
 			kappa = 2
@@ -552,7 +547,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 				kappa = 3
 			}
 		}
-		e.index, err = engine.BuildString(e.strs, kappa, int(tauV), req.Shards, s.workers)
+		e.index, err = engine.BuildString(strs, kappa, int(tauV), req.Shards, s.workers)
 	case engine.Graph:
 		tauV := tau(3)
 		gen := dataset.AIDS
@@ -565,8 +560,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "unknown graph dataset %q (want aids or protein)", req.Dataset)
 			return
 		}
-		e.graphs = gen(req.N, req.Seed)
-		e.index, err = engine.BuildGraph(e.graphs, int(tauV), req.Shards, s.workers)
+		e.index, err = engine.BuildGraph(gen(req.N, req.Seed), int(tauV), req.Shards, s.workers)
 	}
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "building %s index: %v", p, err)
@@ -941,22 +935,7 @@ func (e *entry) query(p engine.Problem, req *SearchRequest) (engine.Query, error
 		if id < 0 || id >= e.index.Len() {
 			return engine.Query{}, fmt.Errorf("queryId %d out of range [0, %d)", id, e.index.Len())
 		}
-		switch p {
-		case engine.Set:
-			if e.sets != nil {
-				return engine.SetQuery(e.sets[id]), nil
-			}
-		case engine.String:
-			if e.strs != nil {
-				return engine.StringQuery(e.strs[id]), nil
-			}
-		case engine.Graph:
-			if e.graphs != nil {
-				return engine.GraphQuery(e.graphs[id]), nil
-			}
-		}
-		// Hamming and snapshot-loaded entries carry no raw dataset; the
-		// index itself replays the object, same as a join row does.
+		// The index replays the object, same as a join row does.
 		return engine.Object(e.index, id)
 	}
 	switch p {

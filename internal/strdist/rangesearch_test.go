@@ -1,53 +1,123 @@
 package strdist
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// TestSearchRangeAppendParity: the range search returns exactly the
-// full search's results restricted to [lo, hi), appended to dst in
-// ascending order, for the Pivotal baseline and the Ring filter alike
-// — the contract the engine's tiled join builds on.
+// TestSearchRangeAppendParity pins the three entry points to one
+// another and to the linear scan: Search answers exactly SearchLinear
+// (at VerifyTau when set), SearchDist the same ids with their exact
+// edit distances, SearchRangeAppend over [0, n) the same ids and Stats,
+// and any partition of [0, n) into windows the same ids in order with
+// every Stats counter summing to the full-range figure — the contract
+// the engine's plain search and tiled join build on.
 func TestSearchRangeAppendParity(t *testing.T) {
-	strs := dataset.IMDB(200, 33)
+	const tau = 2
+	strs := append(dataset.IMDB(200, 33), "", "ab", "abcd", "xyz", "a")
+	n := len(strs)
 	dict, err := BuildGramDict(strs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := NewDB(strs, dict, 2)
+	db, err := NewDB(strs, dict, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := [][2]int{{0, 200}, {0, 0}, {57, 140}, {140, 57}, {-5, 90}, {150, 999}}
-	for _, opt := range []Options{PivotalOptions(), RingOptions(3)} {
-		for qi := 0; qi < 20; qi++ {
-			q := strs[qi*9]
-			full, _, err := db.Search(q, opt)
+	if len(db.short) == 0 {
+		t.Fatal("fixture holds no short strings")
+	}
+	rng := rand.New(rand.NewSource(5))
+	queries := []string{"", "abc"} // empty, and degenerate: fewer than κτ+1 grams
+	for qi := 0; qi < 12; qi++ {
+		q := strs[rng.Intn(200)]
+		queries = append(queries, q) // in-corpus
+		if len(q) > 3 {
+			b := []byte(q)
+			b[rng.Intn(len(b))] = 'Q'
+			queries = append(queries, string(b[1:])) // out-of-corpus
+		}
+	}
+	opts := map[string]Options{
+		"pivotal":     PivotalOptions(),
+		"ring l=1":    RingOptions(1),
+		"ring l=2":    RingOptions(2),
+		"ring l=3":    RingOptions(3),
+		"ring skip":   {Ring: true, ChainLength: 3, SkipVerify: true},
+		"ring vtau=1": {Ring: true, ChainLength: 3, VerifyTau: 1},
+	}
+	for name, opt := range opts {
+		vtau := tau
+		if opt.VerifyTau > 0 {
+			vtau = opt.VerifyTau
+		}
+		for qi, q := range queries {
+			ids, st, err := db.Search(q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range windows {
-				var st Stats
-				got, err := db.SearchRangeAppend(q, opt, w[0], w[1], []int64{-7}, &st)
-				if err != nil {
+			var linear []int
+			for id, x := range strs {
+				if !opt.SkipVerify && EditDistanceWithin(x, q, vtau) >= 0 {
+					linear = append(linear, id)
+				}
+			}
+			if !slices.Equal(ids, linear) || st.Results != len(ids) {
+				t.Fatalf("%s q%d %q: Search %v (Results %d), want %v", name, qi, q, ids, st.Results, linear)
+			}
+
+			dids, dists, dst, err := db.SearchDist(q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dst != st || len(dists) != len(dids) {
+				t.Fatalf("%s q%d: SearchDist stats %+v (%d dists, %d ids), want %+v", name, qi, dst, len(dists), len(dids), st)
+			}
+			for i, id := range dids {
+				if d := EditDistance(strs[id], q); dists[i] != d {
+					t.Fatalf("%s q%d: SearchDist id %d distance %d, want %d", name, qi, id, dists[i], d)
+				}
+			}
+			if dids = slices.Sorted(slices.Values(dids)); !slices.Equal(dids, ids) {
+				t.Fatalf("%s q%d: SearchDist ids %v, want %v", name, qi, dids, ids)
+			}
+
+			var rst Stats
+			got, err := db.SearchRangeAppend(q, opt, -5, n+10, nil, &rst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(int64s(ids), got) || rst != st {
+				t.Fatalf("%s q%d: full range %v %+v, want %v %+v", name, qi, got, rst, ids, st)
+			}
+
+			// A random partition of [0, n), empty windows included.
+			cuts := []int{0, n}
+			for k := rng.Intn(6); k > 0; k-- {
+				cuts = append(cuts, rng.Intn(n+1))
+			}
+			slices.Sort(cuts)
+			var sum Stats
+			got = []int64{-7}
+			for w := 0; w+1 < len(cuts); w++ {
+				if got, err = db.SearchRangeAppend(q, opt, cuts[w], cuts[w+1], got, &sum); err != nil {
 					t.Fatal(err)
 				}
-				if got[0] != -7 {
-					t.Fatalf("window %v: dst prefix clobbered", w)
-				}
-				var want []int64
-				for _, id := range full {
-					if id >= w[0] && id < w[1] {
-						want = append(want, int64(id))
-					}
-				}
-				if !slices.Equal(got[1:], want) {
-					t.Fatalf("ring=%v q=%d window %v: got %v, want %v", opt.Ring, qi, w, got[1:], want)
-				}
+			}
+			if got[0] != -7 || !slices.Equal(got[1:], int64s(ids)) || sum != st {
+				t.Fatalf("%s q%d windows %v: %v %+v, want %v %+v", name, qi, cuts, got, sum, ids, st)
 			}
 		}
 	}
+}
+
+func int64s(ids []int) []int64 {
+	out := make([]int64, len(ids))
+	for i, id := range ids {
+		out[i] = int64(id)
+	}
+	return out
 }

@@ -106,8 +106,9 @@ type strScratch struct {
 	qPosMasks []uint64
 	boxVal    []int
 	// qGrams/qByPos/qPiv hold the query's gram extraction and pivotal
-	// selection on the SearchRangeAppend path, where the per-row
-	// allocations of Extract/SelectPivotal would dominate join cost.
+	// selection for every entry point — SearchRangeAppend is both the
+	// engine's plain search and the join's per-row probe, where the
+	// allocations of Extract/SelectPivotal would dominate the cost.
 	qGrams  []Gram
 	qByPos  []Gram
 	qPiv    []Gram
@@ -214,8 +215,11 @@ func (db *DB) String(id int) string { return db.strs[id] }
 // Search returns the ids of all strings with ed(x, q) ≤ τ, ascending
 // (≤ Options.VerifyTau when that is set and tighter).
 func (db *DB) Search(q string, opt Options) ([]int, Stats, error) {
-	ids, _, st, err := db.search(q, opt, false)
-	return ids, st, err
+	var st Stats
+	s := db.getScratch()
+	defer db.putScratch(s)
+	db.filter(s, q, opt, 0, len(db.strs), false, &st)
+	return pairs.SortedIDs(s.results), st, nil
 }
 
 // SearchDist is Search additionally reporting each result's exact edit
@@ -224,11 +228,43 @@ func (db *DB) Search(q string, opt Options) ([]int, Stats, error) {
 // by distance anyway, so the id sort is skipped. With SkipVerify set
 // no results (and so no distances) are produced.
 func (db *DB) SearchDist(q string, opt Options) ([]int, []int, Stats, error) {
-	return db.search(q, opt, true)
+	var st Stats
+	s := db.getScratch()
+	defer db.putScratch(s)
+	db.filter(s, q, opt, 0, len(db.strs), true, &st)
+	return slices.Clone(s.results), slices.Clone(s.dists), st, nil
 }
 
-func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats, error) {
-	var st Stats
+// SearchRangeAppend runs the threshold search restricted to ids in
+// [lo, hi), appending the qualifying ids in ascending order to dst and
+// accumulating statistics into st. It is the join engine's per-tile
+// probe and, over [0, Len()), the engine's plain search: rows sharing
+// dst and st reuse pooled scratch instead of allocating per call.
+func (db *DB) SearchRangeAppend(q string, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
+	s := db.getScratch()
+	defer db.putScratch(s)
+	db.filter(s, q, opt, lo, hi, false, st)
+	slices.Sort(s.results)
+	dst = slices.Grow(dst, len(s.results))
+	for _, id := range s.results {
+		dst = append(dst, int64(id))
+	}
+	return dst, nil
+}
+
+// filter is the one search loop: it probes the index for q restricted
+// to ids in [lo, hi) (clamped to the corpus), leaves the verified ids in
+// s.results in probe order — with their distances in s.dists when
+// wantDist is set — and adds the work done to st. Postings and short
+// are ascending-id by construction, so the restriction costs two binary
+// searches per probed list, skipped when the window is the corpus.
+func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist bool, st *Stats) {
+	lo, hi = max(lo, 0), min(hi, len(db.strs))
+	if lo >= hi {
+		return
+	}
+	windowed := lo > 0 || hi < len(db.strs)
+	wlo, whi := int32(lo), int32(hi)
 	tau, kappa := db.tau, db.kappa
 	// vtau is the verification threshold: the filters stay at the built
 	// τ (candidate generation is a superset for any smaller bound), but
@@ -239,16 +275,8 @@ func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats,
 		vtau = opt.VerifyTau
 	}
 	m := tau + 1
-	l := opt.ChainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
+	l := min(max(opt.ChainLength, 1), m)
 
-	s := db.getScratch()
-	defer db.putScratch(s)
 	qStrMask := charMask(q)
 	verify := func(id int32) {
 		if opt.SkipVerify {
@@ -266,20 +294,27 @@ func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats,
 	}
 
 	// Short indexed strings bypass filtering (with the length filter).
-	for _, id := range db.short {
+	short := db.short
+	if windowed {
+		a, _ := slices.BinarySearch(short, wlo)
+		b, _ := slices.BinarySearch(short, whi)
+		short = short[a:b]
+	}
+	for _, id := range short {
 		if diff(len(db.strs[id]), len(q)) <= vtau {
 			st.Fallback++
 			verify(id)
 		}
 	}
 
-	qGrams := db.dict.Extract(q)
-	qPrefix := Prefix(qGrams, kappa, tau)
-	qPivotal := SelectPivotal(qPrefix, kappa, tau)
+	s.qGrams = db.dict.ExtractAppend(s.qGrams, q)
+	qPrefix := Prefix(s.qGrams, kappa, tau)
+	s.qPiv, s.qByPos = SelectPivotalAppend(s.qByPos, s.qPiv, qPrefix, kappa, tau)
+	qPivotal := s.qPiv
 	if len(qPrefix) < kappa*tau+1 || len(qPivotal) < tau+1 {
 		// Degenerate query: too short to carry the signature scheme.
-		// Scan all indexed strings with the length filter.
-		for id := range db.strs {
+		// Scan the id range with the length filter.
+		for id := lo; id < hi; id++ {
 			if db.pivotal[id] == nil {
 				continue // already handled via short
 			}
@@ -288,7 +323,8 @@ func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats,
 				verify(int32(id))
 			}
 		}
-		return finishSearch(s, &st, wantDist)
+		st.Results += len(s.results)
+		return
 	}
 	qLast := qPrefix[len(qPrefix)-1].ID
 	for _, g := range qPivotal {
@@ -396,6 +432,9 @@ func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats,
 	// query prefix gram.
 	for _, qg := range qPrefix {
 		postings := db.pivIdx[qg.ID]
+		if windowed {
+			postings = windowPiv(postings, wlo, whi)
+		}
 		st.Probes += len(postings)
 		for _, pe := range postings {
 			if db.lastPrefix[pe.id] > qLast {
@@ -411,6 +450,9 @@ func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats,
 	// query's pivotal grams.
 	for _, qg := range qPivotal {
 		postings := db.preIdx[qg.ID]
+		if windowed {
+			postings = windowPre(postings, wlo, whi)
+		}
 		st.Probes += len(postings)
 		for _, pe := range postings {
 			if db.lastPrefix[pe.id] <= qLast {
@@ -422,192 +464,7 @@ func (db *DB) search(q string, opt Options, wantDist bool) ([]int, []int, Stats,
 			decide(pe.id)
 		}
 	}
-
-	return finishSearch(s, &st, wantDist)
-}
-
-// SearchRangeAppend runs the threshold search restricted to ids in
-// [lo, hi), appending the qualifying ids in ascending order to dst and
-// accumulating statistics into st. It is the join engine's per-tile
-// probe: postings are ascending-id by construction, so the restriction
-// costs two binary searches per probed list, and the query-side gram
-// extraction and pivotal selection reuse pooled scratch instead of
-// allocating per row.
-func (db *DB) SearchRangeAppend(q string, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(db.strs) {
-		hi = len(db.strs)
-	}
-	if lo >= hi {
-		return dst, nil
-	}
-	tau, kappa := db.tau, db.kappa
-	vtau := tau
-	if opt.VerifyTau > 0 && opt.VerifyTau < tau {
-		vtau = opt.VerifyTau
-	}
-	m := tau + 1
-	l := opt.ChainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
-
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qStrMask := charMask(q)
-	verify := func(id int32) {
-		if opt.SkipVerify {
-			return
-		}
-		if contentLowerBound(db.strMasks[id], qStrMask) > vtau {
-			return
-		}
-		if EditDistanceWithin(db.strs[id], q, vtau) >= 0 {
-			s.results = append(s.results, int(id))
-		}
-	}
-
-	wlo, whi := int32(lo), int32(hi)
-	sa, _ := slices.BinarySearch(db.short, wlo)
-	sb, _ := slices.BinarySearch(db.short, whi)
-	for _, id := range db.short[sa:sb] {
-		if diff(len(db.strs[id]), len(q)) <= vtau {
-			st.Fallback++
-			verify(id)
-		}
-	}
-
-	s.qGrams = db.dict.ExtractAppend(s.qGrams, q)
-	qPrefix := Prefix(s.qGrams, kappa, tau)
-	s.qPiv, s.qByPos = SelectPivotalAppend(s.qByPos, s.qPiv, qPrefix, kappa, tau)
-	qPivotal := s.qPiv
-	if len(qPrefix) < kappa*tau+1 || len(qPivotal) < tau+1 {
-		// Degenerate query: scan the id range with the length filter.
-		for id := lo; id < hi; id++ {
-			if db.pivotal[id] == nil {
-				continue // already handled via short
-			}
-			if diff(len(db.strs[id]), len(q)) <= vtau {
-				st.Fallback++
-				verify(int32(id))
-			}
-		}
-		return finishRange(s, dst, st), nil
-	}
-	qLast := qPrefix[len(qPrefix)-1].ID
-	for _, g := range qPivotal {
-		s.qMasks = append(s.qMasks, charMask(q[g.Pos:g.Pos+int32(kappa)]))
-	}
-	qPivMasks := s.qMasks
-	if opt.Ring {
-		s.qPosMasks = appendPosMasks(s.qPosMasks[:0], q, db.winLen)
-	}
-	qPosMasks := s.qPosMasks
-
-	processed := s.processed
-	if cap(s.boxVal) < m {
-		s.boxVal = make([]int, m)
-	}
-	boxVal := s.boxVal[:m]
-	decide := func(id int32) {
-		if processed[id] == 1 {
-			return
-		}
-		processed[id] = 1
-		s.marked = append(s.marked, id)
-		x := db.strs[id]
-		if diff(len(x), len(q)) > vtau {
-			return
-		}
-		st.Cand1++
-		var pivotal []Gram
-		var masks []uint64
-		var text, gramSrc string
-		var caseA bool
-		if db.lastPrefix[id] <= qLast {
-			pivotal, masks, text, gramSrc = db.pivotal[id], db.pivMasks[id], q, x
-			caseA = true
-		} else {
-			pivotal, masks, text, gramSrc = qPivotal, qPivMasks, x, q
-		}
-		if opt.Ring {
-			for j := 0; j < m; j++ {
-				st.BoxChecks++
-				if caseA {
-					boxVal[j] = minGramBoxLBMasks(masks[j], kappa, int(pivotal[j].Pos), qPosMasks, len(q), db.winLen, tau)
-				} else {
-					boxVal[j] = minGramBoxLBText(masks[j], kappa, int(pivotal[j].Pos), text, db.winLen, tau)
-				}
-			}
-			viable := false
-			for i := 0; i < m && !viable; {
-				viable = true
-				sum, fail := 0, 0
-				for lp := 1; lp <= l; lp++ {
-					j := i + lp - 1
-					if j >= m {
-						j -= m
-					}
-					sum += boxVal[j]
-					if sum*m > lp*tau {
-						viable, fail = false, lp
-						break
-					}
-				}
-				if !viable {
-					i += fail
-				}
-			}
-			if !viable {
-				return
-			}
-		} else {
-			sum := 0
-			for j := 0; j < m; j++ {
-				st.BoxChecks++
-				g := pivotal[j]
-				sum += minGramEditExact(gramSrc[g.Pos:g.Pos+int32(kappa)], int(g.Pos), text, tau)
-				if sum > tau {
-					return
-				}
-			}
-		}
-		st.Cand2++
-		verify(id)
-	}
-
-	for _, qg := range qPrefix {
-		postings := windowPiv(db.pivIdx[qg.ID], wlo, whi)
-		st.Probes += len(postings)
-		for _, pe := range postings {
-			if db.lastPrefix[pe.id] > qLast {
-				continue
-			}
-			if diff(int(pe.pos), int(qg.Pos)) > tau {
-				continue
-			}
-			decide(pe.id)
-		}
-	}
-	for _, qg := range qPivotal {
-		postings := windowPre(db.preIdx[qg.ID], wlo, whi)
-		st.Probes += len(postings)
-		for _, pe := range postings {
-			if db.lastPrefix[pe.id] <= qLast {
-				continue
-			}
-			if diff(int(pe.pos), int(qg.Pos)) > tau {
-				continue
-			}
-			decide(pe.id)
-		}
-	}
-	return finishRange(s, dst, st), nil
+	st.Results += len(s.results)
 }
 
 // windowPiv returns the subrange of the ascending-id pivotal posting
@@ -624,30 +481,6 @@ func windowPre(post []prePosting, lo, hi int32) []prePosting {
 	a, _ := slices.BinarySearchFunc(post, lo, func(p prePosting, id int32) int { return int(p.id) - int(id) })
 	b, _ := slices.BinarySearchFunc(post, hi, func(p prePosting, id int32) int { return int(p.id) - int(id) })
 	return post[a:b]
-}
-
-// finishRange sorts the pooled result buffer and appends it, widened to
-// int64, to dst.
-func finishRange(s *strScratch, dst []int64, st *Stats) []int64 {
-	slices.Sort(s.results)
-	st.Results += len(s.results)
-	dst = slices.Grow(dst, len(s.results))
-	for _, id := range s.results {
-		dst = append(dst, int64(id))
-	}
-	return dst
-}
-
-// finishSearch detaches the pooled result buffers: sorted ids on the
-// plain path, unsorted id/distance pairs on the SearchDist path.
-func finishSearch(s *strScratch, st *Stats, wantDist bool) ([]int, []int, Stats, error) {
-	if wantDist {
-		st.Results = len(s.results)
-		return slices.Clone(s.results), slices.Clone(s.dists), *st, nil
-	}
-	out := pairs.SortedIDs(s.results)
-	st.Results = len(out)
-	return out, nil, *st, nil
 }
 
 // SearchLinear scans the whole database with the banded verifier; it is

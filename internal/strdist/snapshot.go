@@ -3,6 +3,7 @@ package strdist
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/snapshot"
@@ -125,13 +126,16 @@ func flattenPostings[P any](idx map[int32][]P, rec func(P) []int32) (keys []int3
 }
 
 // OpenSnapshotAt reconstructs a DB from the section group under the
-// given prefix of an already-opened container.
+// given prefix of an already-opened container. Every id, position and
+// box the search indexes with is range-checked here, so a group that is
+// structurally wrong fails with an error wrapping snapshot.ErrFormat
+// instead of panicking in a later Search.
 func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	fail := func(err error) (*DB, error) {
 		return nil, fmt.Errorf("strdist: snapshot %q: %w", prefix, err)
 	}
 	bad := func(format string, args ...any) (*DB, error) {
-		return nil, fmt.Errorf("strdist: snapshot %q: "+format, append([]any{prefix}, args...)...)
+		return fail(fmt.Errorf("%w: "+format, append([]any{snapshot.ErrFormat}, args...)...))
 	}
 
 	meta, err := rd.U64s(prefix + "meta")
@@ -142,7 +146,9 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 		return bad("meta has %d fields, want 4", len(meta))
 	}
 	kappa, tau, n, dictSize := int(meta[0]), int(meta[1]), int(meta[2]), int(meta[3])
-	if kappa < 1 || tau < 0 || n < 0 || dictSize < 0 {
+	// Positions are int32, so κ and τ beyond that range are no index
+	// NewDB could have built.
+	if kappa < 1 || kappa > math.MaxInt32 || tau < 0 || tau > math.MaxInt32 || n < 0 || dictSize < 0 {
 		return bad("implausible geometry κ=%d τ=%d n=%d dict=%d", kappa, tau, n, dictSize)
 	}
 
@@ -217,6 +223,9 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	if len(pivCnt) != n {
 		return bad("piv.cnt has %d entries, want %d", len(pivCnt), n)
 	}
+	if i := slices.IndexFunc(pivCnt, func(c uint64) bool { return c != 0 && c != uint64(tau+1) }); i >= 0 {
+		return bad("string %d has %d pivotal grams, want 0 or %d", i, pivCnt[i], tau+1)
+	}
 	totalPiv := 0
 	for _, c := range pivCnt {
 		totalPiv += int(c)
@@ -227,28 +236,48 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	}
 	pivotal := make([][]Gram, n)
 	masks := make([][]uint64, n)
-	pos := 0
+	pos, next := 0, 0
 	for id, c := range pivCnt {
 		cnt := int(c)
 		if cnt == 0 {
-			continue // nil, not empty: marks a short string
+			// nil, not empty: marks a short string. short must list
+			// exactly these ids, ascending.
+			if next == len(short) || int(short[next]) != id {
+				return bad("short disagrees with piv.cnt at string %d", id)
+			}
+			next++
+			continue
 		}
 		pv := make([]Gram, cnt)
 		for j := range pv {
 			pv[j] = Gram{ID: pivGrams[2*(pos+j)], Pos: pivGrams[2*(pos+j)+1]}
+			if pv[j].Pos < 0 || int(pv[j].Pos)+kappa > len(strs[id]) {
+				return bad("string %d: pivotal gram at %d outside its %d bytes", id, pv[j].Pos, len(strs[id]))
+			}
 		}
 		pivotal[id] = pv
 		masks[id] = pivMasks[pos : pos+cnt : pos+cnt]
 		pos += cnt
 	}
+	if next != len(short) {
+		return bad("short lists %d ids with pivotal grams, out of order or out of [0, %d)", len(short)-next, n)
+	}
+	// Every posting names a string with a pivotal signature (case A
+	// boxes read it), and ids ascend within a list (windowPiv /
+	// windowPre binary-search on that order).
+	signed := func(id int32) bool { return id >= 0 && int(id) < n && pivotal[id] != nil }
 
-	pivIdx, err := readPostings(rd, prefix+"pividx", 3, func(r []int32) pivPosting {
+	pivIdx, err := readPostings(rd, prefix+"pividx", 3, func(r []int32) bool {
+		return signed(r[0]) && r[1] >= 0 && int(r[1]) <= tau
+	}, func(r []int32) pivPosting {
 		return pivPosting{id: r[0], box: int16(r[1]), pos: r[2]}
 	})
 	if err != nil {
 		return fail(err)
 	}
-	preIdx, err := readPostings(rd, prefix+"preidx", 2, func(r []int32) prePosting {
+	preIdx, err := readPostings(rd, prefix+"preidx", 2, func(r []int32) bool {
+		return signed(r[0])
+	}, func(r []int32) prePosting {
 		return prePosting{id: r[0], pos: r[1]}
 	})
 	if err != nil {
@@ -270,7 +299,10 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	return db, nil
 }
 
-func readPostings[P any](rd *snapshot.Reader, name string, width int, rec func([]int32) P) (map[int32][]P, error) {
+// readPostings decodes one flattened inverted index. Each record of
+// width ints starts with its string id; valid must accept the record
+// and ids must not decrease within a list.
+func readPostings[P any](rd *snapshot.Reader, name string, width int, valid func([]int32) bool, rec func([]int32) P) (map[int32][]P, error) {
 	keys, err := rd.I32s(name + ".keys")
 	if err != nil {
 		return nil, err
@@ -284,19 +316,23 @@ func readPostings[P any](rd *snapshot.Reader, name string, width int, rec func([
 		return nil, err
 	}
 	if len(off) != len(keys)+1 || int(off[len(keys)])*width != len(post) {
-		return nil, fmt.Errorf("%s: posting regions disagree: %d keys, %d offsets, %d ints",
-			name, len(keys), len(off), len(post))
+		return nil, fmt.Errorf("%w: %s: posting regions disagree: %d keys, %d offsets, %d ints",
+			snapshot.ErrFormat, name, len(keys), len(off), len(post))
 	}
 	idx := make(map[int32][]P, len(keys))
 	for i, k := range keys {
 		lo, hi := off[i], off[i+1]
 		if lo > hi || int(hi)*width > len(post) {
-			return nil, fmt.Errorf("%s: offsets not monotone at key %d", name, i)
+			return nil, fmt.Errorf("%w: %s: offsets not monotone at key %d", snapshot.ErrFormat, name, i)
 		}
 		ps := make([]P, hi-lo)
 		for j := range ps {
 			base := (int(lo) + j) * width
-			ps[j] = rec(post[base : base+width])
+			r := post[base : base+width]
+			if !valid(r) || j > 0 && r[0] < post[base-width] {
+				return nil, fmt.Errorf("%w: %s: key %d: bad or out-of-order posting for id %d", snapshot.ErrFormat, name, k, r[0])
+			}
+			ps[j] = rec(r)
 		}
 		idx[k] = ps
 	}
