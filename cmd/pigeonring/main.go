@@ -11,7 +11,7 @@
 //	           [-save file] [-from-snapshot file]
 //
 // -save persists the built index as a snapshot container after the
-// run's build step; -from-snapshot skips building entirely and opens
+// run's build step; -from-snapshot skips dataset generation and opens
 // a previously saved container instead (the problem, τ and shard
 // layout come from the file, overriding -problem/-n/-tau/-shards).
 // Queries against a snapshot-opened index are replayed from the index

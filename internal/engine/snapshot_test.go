@@ -270,6 +270,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 	f.Add(engineContainer(f, s, "set", []uint64{2, math.Float64bits(math.NaN())}))
 	f.Add(engineContainer(f, h, "vector", []uint64{2, math.Float64bits(24)}))
 	f.Add(engineContainer(f, h, "set", []uint64{2, math.Float64bits(0.8)}))
+	g, err := BuildGraph(dataset.AIDS(6, 23), 2, 2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(engineContainer(f, g, "graph", []uint64{2, math.Float64bits(2)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := OpenSnapshot(bytes.NewReader(data), 1, nil)
 		if err != nil {

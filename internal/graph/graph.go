@@ -40,6 +40,13 @@ type Graph struct {
 	e    int     // number of edges
 }
 
+// MaxVertices bounds the vertex count of every graph that enters from
+// outside the program — an inline query, a snapshot's graphs, a DB's
+// corpus: New allocates an n×n adjacency matrix, so an unbounded n
+// would let a few bytes of input force a multi-gigabyte allocation.
+// Data graphs in this repo have tens of vertices.
+const MaxVertices = 1024
+
 // New returns a graph with n unlabeled (label 0) vertices and no edges.
 func New(n int) *Graph {
 	if n < 0 {

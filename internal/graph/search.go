@@ -55,9 +55,11 @@ type Stats struct {
 	BoxChecks int
 }
 
-// Partitioner splits the vertices of g into m disjoint groups (some may
-// be empty). It is pluggable so tests can reproduce papers' partitions.
-type Partitioner func(g *Graph, m int) [][]int
+// partitioner splits the vertices of g into m disjoint groups (some may
+// be empty). Tests plug in hand-made partitions to reproduce the
+// paper's examples; every other DB uses BFSPartitioner, which is what
+// lets a snapshot store the graphs alone and rebuild the parts on open.
+type partitioner func(g *Graph, m int) [][]int
 
 // BFSPartitioner is the default: vertices in BFS order (components
 // appended) sliced into m nearly equal contiguous chunks, which keeps
@@ -130,17 +132,23 @@ func (db *DB) putScratch(s *searchScratch) {
 	db.scratch.Put(s)
 }
 
-// NewDB partitions every graph with BFSPartitioner.
+// MaxTau bounds the threshold a DB is built for: every graph is split
+// into τ+1 parts, so τ is an allocation size. NewDB and OpenSnapshotAt
+// share the bound, so any DB that can be written can be reopened.
+const MaxTau = 1024
+
+// NewDB partitions every graph with BFSPartitioner. τ must lie in
+// [0, MaxTau] and no graph may have more than MaxVertices vertices.
 func NewDB(graphs []*Graph, tau int) (*DB, error) {
-	return NewDBWithPartitioner(graphs, tau, BFSPartitioner)
+	return newDBWithPartitioner(graphs, tau, BFSPartitioner)
 }
 
-// NewDBWithPartitioner partitions every graph with the supplied
+// newDBWithPartitioner partitions every graph with the supplied
 // partitioner (must produce exactly τ+1 disjoint groups covering all
 // vertices).
-func NewDBWithPartitioner(graphs []*Graph, tau int, part Partitioner) (*DB, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("graph: negative threshold %d", tau)
+func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, error) {
+	if tau < 0 || tau > MaxTau {
+		return nil, fmt.Errorf("graph: threshold %d outside [0, %d]", tau, MaxTau)
 	}
 	m := tau + 1
 	db := &DB{
@@ -151,6 +159,9 @@ func NewDBWithPartitioner(graphs []*Graph, tau int, part Partitioner) (*DB, erro
 		ecount: make([]int, len(graphs)),
 	}
 	for id, g := range graphs {
+		if g.n > MaxVertices {
+			return nil, fmt.Errorf("graph: graph %d has %d vertices, more than %d", id, g.n, MaxVertices)
+		}
 		groups := part(g, m)
 		if len(groups) != m {
 			return nil, fmt.Errorf("graph: partitioner returned %d groups, want %d", len(groups), m)
@@ -168,17 +179,10 @@ func NewDBWithPartitioner(graphs []*Graph, tau int, part Partitioner) (*DB, erro
 		db.labels[id] = Labels(g)
 		db.ecount[id] = g.EdgeCount()
 	}
-	db.initRuntime()
-	return db, nil
-}
-
-// initRuntime sets up the scratch pool, shared by
-// NewDBWithPartitioner and OpenSnapshot.
-func (db *DB) initRuntime() {
-	m := db.tau + 1
 	db.scratch.New = func() any {
 		return &searchScratch{cache: newBoxCache(m), ks: new(kernelScratch)}
 	}
+	return db, nil
 }
 
 // Len returns the number of indexed graphs.

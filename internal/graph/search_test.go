@@ -140,7 +140,7 @@ func TestPaperExample12Scenario(t *testing.T) {
 		}
 		return BFSPartitioner(g, m)
 	}
-	db, err := NewDBWithPartitioner([]*Graph{x}, tau, parts)
+	db, err := newDBWithPartitioner([]*Graph{x}, tau, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +199,18 @@ func TestDBValidation(t *testing.T) {
 	if _, err := NewDB(nil, -1); err == nil {
 		t.Error("negative τ should fail")
 	}
+	if _, err := NewDB(nil, MaxTau+1); err == nil {
+		t.Error("τ above MaxTau should fail")
+	}
+	if _, err := NewDB([]*Graph{New(3), New(MaxVertices + 1)}, 1); err == nil {
+		t.Error("a graph above MaxVertices should fail")
+	}
 	bad := func(g *Graph, m int) [][]int { return make([][]int, m+1) }
-	if _, err := NewDBWithPartitioner([]*Graph{New(3)}, 1, bad); err == nil {
+	if _, err := newDBWithPartitioner([]*Graph{New(3)}, 1, bad); err == nil {
 		t.Error("wrong group count should fail")
 	}
 	uncovering := func(g *Graph, m int) [][]int { return make([][]int, m) }
-	if _, err := NewDBWithPartitioner([]*Graph{New(3)}, 1, uncovering); err == nil {
+	if _, err := newDBWithPartitioner([]*Graph{New(3)}, 1, uncovering); err == nil {
 		t.Error("non-covering partition should fail")
 	}
 }

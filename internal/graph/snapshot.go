@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/snapshot"
 )
@@ -10,11 +11,9 @@ import (
 // SnapshotBackend tags whole-file graph snapshots.
 const SnapshotBackend = "graph"
 
-// WriteSnapshot writes the fully built index to w as a one-backend
-// snapshot container, returning the bytes written. The pre-partitioned
-// parts are stored as explicit subgraphs, so a reload reproduces the
-// exact partition even when the index was built with a custom
-// Partitioner; label vectors and edge counts are recomputed on open.
+// WriteSnapshot writes the DB to w as a one-backend snapshot container,
+// returning the bytes written. Only the build inputs are stored — τ and
+// the graphs — and OpenSnapshot partitions them again.
 func (db *DB) WriteSnapshot(w io.Writer) (int64, error) {
 	b := snapshot.NewBuilder()
 	if err := db.AppendSnapshot(b, ""); err != nil {
@@ -36,16 +35,12 @@ func OpenSnapshot(r io.ReaderAt) (*DB, error) {
 }
 
 // AppendSnapshot adds the DB's sections to b under the given name
-// prefix.
+// prefix: τ and the graphs. The parts, label vectors and edge counts
+// are derived data that OpenSnapshotAt rebuilds, so a file cannot carry
+// a partition that disagrees with its graphs.
 func (db *DB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
-	m := db.tau + 1
 	b.AddU64s(prefix+"meta", []uint64{uint64(db.tau), uint64(len(db.graphs))})
 	appendGraphs(b, prefix+"g.", db.graphs)
-	flat := make([]*Graph, 0, len(db.parts)*m)
-	for _, ps := range db.parts {
-		flat = append(flat, ps...)
-	}
-	appendGraphs(b, prefix+"p.", flat)
 	return nil
 }
 
@@ -76,8 +71,13 @@ func appendGraphs(b *snapshot.Builder, prefix string, gs []*Graph) {
 }
 
 // readGraphs is the inverse of appendGraphs; count is the expected
-// number of graphs.
-func readGraphs(rd *snapshot.Reader, prefix string, count int) ([]*Graph, error) {
+// number of graphs. Every offset is bounded by the payload actually
+// present before it slices or sizes anything, and a graph may have at
+// most MaxVertices vertices; any violation wraps snapshot.ErrFormat.
+func readGraphs(rd *snapshot.Reader, prefix string, count uint64) ([]*Graph, error) {
+	bad := func(format string, args ...any) ([]*Graph, error) {
+		return nil, fmt.Errorf("%w: %s: "+format, append([]any{snapshot.ErrFormat, prefix}, args...)...)
+	}
 	voff, err := rd.U64s(prefix + "voff")
 	if err != nil {
 		return nil, err
@@ -94,26 +94,29 @@ func readGraphs(rd *snapshot.Reader, prefix string, count int) ([]*Graph, error)
 	if err != nil {
 		return nil, err
 	}
-	if len(voff) != count+1 || len(eoff) != count+1 {
-		return nil, fmt.Errorf("%s: %d vertex and %d edge offsets, want %d graphs",
-			prefix, len(voff), len(eoff), count)
+	if uint64(len(voff)) != count+1 || uint64(len(eoff)) != count+1 {
+		return bad("%d vertex and %d edge offsets, want %d graphs", len(voff), len(eoff), count)
 	}
-	if int(voff[count]) != len(vlab) || int(eoff[count])*3 != len(edges) {
-		return nil, fmt.Errorf("%s: label/edge regions disagree with offsets", prefix)
+	nv, ne := uint64(len(vlab)), uint64(len(edges)/3)
+	if voff[count] != nv || eoff[count] != ne || len(edges)%3 != 0 {
+		return bad("label/edge regions disagree with offsets")
 	}
 	gs := make([]*Graph, count)
 	for i := range gs {
 		vlo, vhi := voff[i], voff[i+1]
 		elo, ehi := eoff[i], eoff[i+1]
-		if vlo > vhi || elo > ehi || vhi > uint64(len(vlab)) || int(ehi)*3 > len(edges) {
-			return nil, fmt.Errorf("%s: offsets not monotone at graph %d", prefix, i)
+		if vlo > vhi || vhi > nv || elo > ehi || ehi > ne {
+			return bad("offsets not monotone at graph %d", i)
+		}
+		if vhi-vlo > MaxVertices {
+			return bad("graph %d has %d vertices, more than %d", i, vhi-vlo, MaxVertices)
 		}
 		g := New(int(vhi - vlo))
 		copy(g.vlab, vlab[vlo:vhi])
-		for e := int(elo); e < int(ehi); e++ {
-			u, v, l := edges[3*e], edges[3*e+1], edges[3*e+2]
+		for e := edges[3*elo : 3*ehi]; len(e) > 0; e = e[3:] {
+			u, v, l := e[0], e[1], e[2]
 			if u < 0 || v <= u || int(v) >= g.n || l < 0 {
-				return nil, fmt.Errorf("%s: graph %d has invalid edge (%d,%d,%d)", prefix, i, u, v, l)
+				return bad("graph %d has invalid edge (%d,%d,%d)", i, u, v, l)
 			}
 			g.AddEdge(int(u), int(v), l)
 		}
@@ -123,7 +126,11 @@ func readGraphs(rd *snapshot.Reader, prefix string, count int) ([]*Graph, error)
 }
 
 // OpenSnapshotAt reconstructs a DB from the section group under the
-// given prefix of an already-opened container.
+// given prefix of an already-opened container: it reads the graphs and
+// builds the index from them exactly as NewDB does. Files written while
+// the parts were still stored open too; their p.* sections are ignored.
+// A group that is structurally wrong fails with an error wrapping
+// snapshot.ErrFormat.
 func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 	fail := func(err error) (*DB, error) {
 		return nil, fmt.Errorf("graph: snapshot %q: %w", prefix, err)
@@ -133,41 +140,14 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 		return fail(err)
 	}
 	if len(meta) != 2 {
-		return nil, fmt.Errorf("graph: snapshot %q: meta has %d fields, want 2", prefix, len(meta))
+		return fail(fmt.Errorf("%w: meta has %d fields, want 2", snapshot.ErrFormat, len(meta)))
 	}
-	tau, n := int(meta[0]), int(meta[1])
-	if tau < 0 || n < 0 {
-		return nil, fmt.Errorf("graph: snapshot %q: implausible τ=%d n=%d", prefix, tau, n)
+	if meta[0] > MaxTau || meta[1] > math.MaxInt32 {
+		return fail(fmt.Errorf("%w: implausible τ=%d n=%d", snapshot.ErrFormat, meta[0], meta[1]))
 	}
-	m := tau + 1
-	graphs, err := readGraphs(rd, prefix+"g.", n)
+	graphs, err := readGraphs(rd, prefix+"g.", meta[1])
 	if err != nil {
 		return fail(err)
 	}
-	flat, err := readGraphs(rd, prefix+"p.", n*m)
-	if err != nil {
-		return fail(err)
-	}
-	db := &DB{
-		tau:    tau,
-		graphs: graphs,
-		parts:  make([][]*Graph, n),
-		labels: make([]LabelVector, n),
-		ecount: make([]int, n),
-	}
-	for id, g := range graphs {
-		db.parts[id] = flat[id*m : (id+1)*m : (id+1)*m]
-		covered := 0
-		for _, p := range db.parts[id] {
-			covered += p.n
-		}
-		if covered != g.n {
-			return nil, fmt.Errorf("graph: snapshot %q: parts of graph %d cover %d of %d vertices",
-				prefix, id, covered, g.n)
-		}
-		db.labels[id] = Labels(g)
-		db.ecount[id] = g.EdgeCount()
-	}
-	db.initRuntime()
-	return db, nil
+	return NewDB(graphs, int(meta[0]))
 }

@@ -14,8 +14,8 @@ import (
 // one cache line. Hashed (offs == nil): open addressing with linear
 // probing over slot keys and packed posting locations, at least one
 // slot in four empty, so probe runs stay short and a miss terminates.
-// Either way a snapshot stores the arrays verbatim and reloading is a
-// validation pass, not a rebuild.
+// Neither layout is persisted: a snapshot stores the vectors, and
+// opening one rebuilds the tables.
 type partIndex struct {
 	// offs is the direct table, len (1<<w)+1, nil for a hashed part.
 	// int32 like the ids it indexes: a posting offset is at most n.
@@ -39,15 +39,14 @@ const maxDirectWidth = 32
 // hashedCap is the slot count of the open-addressing table for nKeys
 // distinct values: it bounds the load factor by 3/4 and is never full,
 // so lookups terminate. Non-power-of-two capacities keep the table
-// within ~4/3 of the key count (the table is persisted byte-for-byte,
-// so its size is snapshot size).
+// within ~4/3 of the key count.
 func hashedCap(nKeys int) int { return nKeys + nKeys/3 + 1 }
 
 // useDirect is the layout rule: a part of width w holding nKeys
 // distinct values is direct-addressed exactly when that table
 // ((1<<w)+1 four-byte offsets) is no larger than the hashed one
 // (hashedCap sixteen-byte slots). A pure function of (w, nKeys), so
-// builds and snapshot bytes are deterministic and there is no knob.
+// builds are deterministic and there is no knob.
 func useDirect(w, nKeys int) bool {
 	return w <= maxDirectWidth && (1<<w)+1 <= 4*hashedCap(nKeys)
 }
@@ -74,8 +73,7 @@ func newPartIndex(nKeys int, ids []int32) partIndex {
 
 // insert places key k with the posting span ids[start:end]. The caller
 // inserts distinct keys only, in ascending order, so the layout is a
-// pure function of the key set and the snapshot bytes are
-// deterministic.
+// pure function of the key set.
 func (p *partIndex) insert(k uint64, start, end int) {
 	c := uint64(len(p.loc))
 	s := slotOf(k, c)
@@ -175,49 +173,4 @@ func (p *partIndex) spans(vals, out []uint64) {
 		}
 		out[j] = p.loc[s]
 	}
-}
-
-// validate checks the structural invariants a snapshot-loaded table
-// over n vectors of part width w must satisfy before serving lookups.
-// Direct: exactly (1<<w)+1 offsets running monotonically from 0 to n.
-// Hashed: parallel key/loc arrays, at least one empty slot (probe
-// termination), and every posting span in bounds. Every part holds each
-// vector once, so ids must number n and lie in [0, n). Content-level
-// damage is the checksum layer's job; this pass only rules out crashes
-// and hangs.
-func (p *partIndex) validate(w, n int) bool {
-	if len(p.ids) != n {
-		return false
-	}
-	for _, id := range p.ids {
-		if uint32(id) >= uint32(n) {
-			return false
-		}
-	}
-	if p.offs != nil {
-		if w > maxDirectWidth || len(p.offs) != (1<<w)+1 || p.offs[0] != 0 || int(p.offs[1<<w]) != n {
-			return false
-		}
-		for v := 1; v < len(p.offs); v++ {
-			if p.offs[v] < p.offs[v-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if len(p.keys) != len(p.loc) || len(p.loc) == 0 {
-		return false
-	}
-	empty := false
-	for _, l := range p.loc {
-		if l == 0 {
-			empty = true
-			continue
-		}
-		start, end := l>>32, l&0xffffffff
-		if start >= end || end > uint64(len(p.ids)) {
-			return false
-		}
-	}
-	return empty
 }

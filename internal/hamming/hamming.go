@@ -237,12 +237,22 @@ func NewDB(vecs []bitvec.Vector, m int) (*DB, error) {
 	if m < 1 || m > d {
 		return nil, fmt.Errorf("hamming: invalid part count m=%d for d=%d", m, d)
 	}
-	part := bitvec.NewEqualPartitioning(d, m)
-	n, wpv := len(vecs), (d+63)/64
-	arena := make([]uint64, 0, n*wpv)
+	arena := make([]uint64, 0, len(vecs)*((d+63)/64))
 	for _, v := range vecs {
 		arena = append(arena, v.Words()...)
 	}
+	return build(arena, d, m), nil
+}
+
+// build indexes a non-empty arena of d-dimensional vectors (zero bits
+// beyond d) under an m-part equal-width partitioning, taking ownership
+// of the arena. It is the one constructor behind NewDB and
+// OpenSnapshotAt, so an opened snapshot is a fresh build by
+// construction.
+func build(arena []uint64, d, m int) *DB {
+	part := bitvec.NewEqualPartitioning(d, m)
+	wpv := (d + 63) / 64
+	n := len(arena) / wpv
 	db := &DB{arena: arena, n: n, wpv: wpv, part: part, box: newBoxes(part)}
 
 	db.index = make([]partIndex, m)
@@ -281,14 +291,7 @@ func NewDB(vecs []bitvec.Vector, m int) (*DB, error) {
 		db.sampleVals[i] = vals
 		db.sampleCnts[i] = cnts
 	}
-	db.initRuntime()
-	return db, nil
-}
 
-// initRuntime sets up the runtime-only state — histogram cache and
-// scratch pool — shared by NewDB and OpenSnapshot.
-func (db *DB) initRuntime() {
-	m := db.part.M()
 	db.histCache = make([]sync.Map, m)
 	db.scratch.New = func() any {
 		s := &searchScratch{
@@ -307,6 +310,7 @@ func (db *DB) initRuntime() {
 		}
 		return s
 	}
+	return db
 }
 
 // Len returns the number of indexed vectors.

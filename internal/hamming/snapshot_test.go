@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -65,9 +66,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("q%d tau=%d opt=%+v: results %v, want %v", qi, tau, opt, got, want)
 				}
 				// The cost model must see identical sample values, so the
-				// whole search trajectory — thresholds, probes, candidates —
-				// matches, not just the result set.
-				gst.BoxChecks, wst.BoxChecks = 0, 0 // identical too, but keep the check focused
+				// whole search trajectory — thresholds, probes, box checks,
+				// candidates — matches, not just the result set.
 				if !reflect.DeepEqual(gst, wst) {
 					t.Fatalf("q%d tau=%d opt=%+v: stats %+v, want %+v", qi, tau, opt, gst, wst)
 				}
@@ -123,9 +123,10 @@ func snapshotFixtures(t testing.TB) (direct, hashed *DB, directSnap, hashedSnap 
 	return
 }
 
-// TestSnapshotLayoutsRoundTrip: both table layouts persist verbatim —
-// the reopened DB holds the same arena and tables and searches
-// identically — and two builds of the same corpus write the same bytes.
+// TestSnapshotLayoutsRoundTrip: both table layouts come back from a
+// snapshot — the reopened DB holds the same arena and tables and
+// searches identically — and two builds of the same corpus write the
+// same bytes.
 func TestSnapshotLayoutsRoundTrip(t *testing.T) {
 	direct, hashed, directSnap, hashedSnap := snapshotFixtures(t)
 	_, _, directSnap2, hashedSnap2 := snapshotFixtures(t)
@@ -200,51 +201,128 @@ func editI32s(t testing.TB, snap []byte, section string, f func(v []int32) []int
 	})
 }
 
-// TestSnapshotRejectsForgedTables: a container with valid checksums but
-// a structurally wrong hamming section group — the pre-direct layout,
-// or a direct table that is short, long, non-monotone or does not span
-// [0, n] — fails with snapshot.ErrFormat instead of panicking now or
-// misreading postings later.
-func TestSnapshotRejectsForgedTables(t *testing.T) {
-	_, _, directSnap, hashedSnap := snapshotFixtures(t)
-	if got := resnap(t, directSnap, func(_ string, d []byte) ([]byte, bool) { return d, true }); !bytes.Equal(got, directSnap) {
+// storedIndexFile is testdata/stored-index.snap: a snapshot in the
+// layout that also stored each part's table (idx.*), the cost-model
+// sample and its deduplicated values (sv.*), written by that layout's
+// WriteSnapshot for storedIndexCorpus. Its part 0 (8 bits) is hashed
+// and its part 1 (7 bits) direct-addressed.
+func storedIndexFile(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/stored-index.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// storedIndexCorpus builds, fresh, the DB storedIndexFile was written
+// from: 40 random 15-bit vectors in 2 parts.
+func storedIndexCorpus(t testing.TB) *DB {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	vecs := make([]bitvec.Vector, 40)
+	for i := range vecs {
+		vecs[i] = bitvec.Random(rng, 15)
+	}
+	db, err := NewDB(vecs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// searchesLike fails unless got holds want's vectors and answers every
+// probe — each vector with one bit flipped, at several τ and options —
+// with want's ids and Stats.
+func searchesLike(t *testing.T, name string, got, want *DB) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Dim() != want.Dim() || got.M() != want.M() {
+		t.Fatalf("%s: geometry (%d,%d,%d), want (%d,%d,%d)",
+			name, got.Len(), got.Dim(), got.M(), want.Len(), want.Dim(), want.M())
+	}
+	opts := []Options{GPHOptions(), RingOptions(2), {ChainLength: 2, Alloc: AllocUniform},
+		{ChainLength: 2, Alloc: AllocCostModel, NoIntegerReduction: true}}
+	for id := 0; id < want.Len(); id++ {
+		if !got.Vector(id).Equal(want.Vector(id)) {
+			t.Fatalf("%s: vector %d differs", name, id)
+		}
+		q := want.Vector(id).Clone()
+		q.Flip(id % want.Dim())
+		for _, tau := range []int{0, 2, 4, 7} {
+			for _, opt := range opts {
+				have, hst, err := got.Search(q, tau, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				ids, st, _ := want.Search(q, tau, opt)
+				if !slices.Equal(have, ids) || !reflect.DeepEqual(hst, st) {
+					t.Fatalf("%s: q%d τ=%d opt=%+v: (%v, %+v), want (%v, %+v)", name, id, tau, opt, have, hst, ids, st)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotOpensStoredIndexFile: a file written by the layout that
+// stored the part tables still opens and answers like a fresh build of
+// the same vectors.
+func TestSnapshotOpensStoredIndexFile(t *testing.T) {
+	db, err := OpenSnapshot(bytes.NewReader(storedIndexFile(t)))
+	if err != nil {
+		t.Fatalf("stored-index snapshot no longer opens: %v", err)
+	}
+	searchesLike(t, "stored-index.snap", db, storedIndexCorpus(t))
+}
+
+// TestSnapshotIgnoresStoredIndex: what a stored-index file holds besides
+// its vectors is not trusted. Every forgery below has valid checksums
+// and targets the idx.*, sample or sv.* sections — tables reversed,
+// short, long, empty, non-monotone, out of range, mislabelled, or
+// missing — and each opens and answers exactly like a fresh NewDB.
+func TestSnapshotIgnoresStoredIndex(t *testing.T) {
+	snap := storedIndexFile(t)
+	if got := resnap(t, snap, func(_ string, d []byte) ([]byte, bool) { return d, true }); !bytes.Equal(got, snap) {
 		t.Fatal("resnap without edits must reproduce the file")
 	}
 	forged := map[string][]byte{
-		"old layout (no idx.offs)": resnap(t, hashedSnap, func(name string, d []byte) ([]byte, bool) {
+		"reversed posting ids": editI32s(t, snap, "idx.ids", func(v []int32) []int32 {
+			slices.Reverse(v)
+			return v
+		}),
+		"no idx.offs": resnap(t, snap, func(name string, d []byte) ([]byte, bool) {
 			return d, name != "idx.offs"
 		}),
-		"short offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 { return v[:len(v)-1] }),
-		"long offs":  editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 { return append(v, 300) }),
-		"empty offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 { return nil }),
-		"offs[0] != 0": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+		"short offs": editI32s(t, snap, "idx.offs", func(v []int32) []int32 { return v[:len(v)-1] }),
+		"long offs":  editI32s(t, snap, "idx.offs", func(v []int32) []int32 { return append(v, 40) }),
+		"empty offs": editI32s(t, snap, "idx.offs", func(v []int32) []int32 { return nil }),
+		"offs[0] != 0": editI32s(t, snap, "idx.offs", func(v []int32) []int32 {
 			v[0] = 1
 			return v
 		}),
-		"non-monotone offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+		"non-monotone offs": editI32s(t, snap, "idx.offs", func(v []int32) []int32 {
 			i := slices.IndexFunc(v, func(x int32) bool { return x > 0 })
 			v[i], v[i-1] = v[i-1], v[i]+1
 			return v
 		}),
-		"negative offs": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
+		"negative offs": editI32s(t, snap, "idx.offs", func(v []int32) []int32 {
 			v[1] = -1
 			return v
 		}),
-		"last offs != n": editI32s(t, directSnap, "idx.offs", func(v []int32) []int32 {
-			v[1<<9] = 299 // part 0 is 9 bits wide: its table ends here
+		"last offs != n": editI32s(t, snap, "idx.offs", func(v []int32) []int32 {
+			v[1<<7] = 39 // part 1 is 7 bits wide and the only direct part
 			return v
 		}),
-		"posting id out of range": editI32s(t, directSnap, "idx.ids", func(v []int32) []int32 {
-			v[17] = 300
+		"posting id out of range": editI32s(t, snap, "idx.ids", func(v []int32) []int32 {
+			v[17] = 40
 			return v
 		}),
-		"hashed part marked direct": resnap(t, hashedSnap, func(name string, d []byte) ([]byte, bool) {
+		"hashed part marked direct": resnap(t, snap, func(name string, d []byte) ([]byte, bool) {
 			if name == "idx.cap" {
 				return snapshot.U64Bytes([]uint64{0, 0}), true
 			}
 			return d, true
 		}),
-		"sample value wider than its part": resnap(t, directSnap, func(name string, d []byte) ([]byte, bool) {
+		"sample value wider than its part": resnap(t, snap, func(name string, d []byte) ([]byte, bool) {
 			if name == "sv.vals" {
 				v, _ := snapshot.BytesU64(d)
 				v[0] |= 1 << 40
@@ -252,9 +330,47 @@ func TestSnapshotRejectsForgedTables(t *testing.T) {
 			}
 			return d, true
 		}),
-		"absurd geometry": resnap(t, directSnap, func(name string, d []byte) ([]byte, bool) {
-			if name == "meta" {
-				return snapshot.U64Bytes([]uint64{1 << 62, 1 << 61, 300}), true
+		"sample ids out of range": editI32s(t, snap, "sample", func(v []int32) []int32 {
+			return []int32{-1, 1 << 30}
+		}),
+	}
+	fresh := storedIndexCorpus(t)
+	for name, data := range forged {
+		t.Run(name, func(t *testing.T) {
+			if bytes.Equal(data, snap) {
+				t.Fatal("forgery left the file unchanged")
+			}
+			db, err := OpenSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("OpenSnapshot: %v", err)
+			}
+			searchesLike(t, name, db, fresh)
+		})
+	}
+}
+
+// TestSnapshotRejectsForgedTables: a container with valid checksums but
+// a structurally wrong hamming section group — geometry that cannot be,
+// or vectors that do not match it — fails with snapshot.ErrFormat
+// instead of panicking now or misreading vectors later.
+func TestSnapshotRejectsForgedTables(t *testing.T) {
+	_, _, directSnap, _ := snapshotFixtures(t)
+	withSection := func(section string, payload []byte) []byte {
+		return resnap(t, directSnap, func(name string, d []byte) ([]byte, bool) {
+			if name == section {
+				return payload, true
+			}
+			return d, true
+		})
+	}
+	forged := map[string][]byte{
+		"absurd geometry":        withSection("meta", snapshot.U64Bytes([]uint64{1 << 62, 1 << 61, 300})),
+		"short meta":             withSection("meta", snapshot.U64Bytes([]uint64{100, 12})),
+		"no vectors":             withSection("meta", snapshot.U64Bytes([]uint64{100, 12, 0})),
+		"part wider than a word": withSection("meta", snapshot.U64Bytes([]uint64{100, 1, 300})),
+		"vecs length mismatch": resnap(t, directSnap, func(name string, d []byte) ([]byte, bool) {
+			if name == "vecs" {
+				return d[:len(d)-8], true
 			}
 			return d, true
 		}),

@@ -802,19 +802,12 @@ type GraphSpec struct {
 	Edges        [][3]int `json:"edges"`
 }
 
-// maxQueryGraphVertices bounds inline graph queries: graph.New
-// allocates an n×n adjacency matrix, so an unbounded n would let a
-// tiny request body force a multi-gigabyte allocation. Data graphs in
-// this repo have tens of vertices; 1024 is far above any legitimate
-// query.
-const maxQueryGraphVertices = 1024
-
 func (gs *GraphSpec) build() (*graph.Graph, error) {
 	if gs.N <= 0 {
 		return nil, fmt.Errorf("graph query needs n ≥ 1")
 	}
-	if gs.N > maxQueryGraphVertices {
-		return nil, fmt.Errorf("graph query n=%d exceeds the limit of %d vertices", gs.N, maxQueryGraphVertices)
+	if gs.N > graph.MaxVertices {
+		return nil, fmt.Errorf("graph query n=%d exceeds the limit of %d vertices", gs.N, graph.MaxVertices)
 	}
 	if len(gs.VertexLabels) != gs.N {
 		return nil, fmt.Errorf("graph query has %d vertex labels for n=%d", len(gs.VertexLabels), gs.N)
