@@ -2,7 +2,7 @@ package repro
 
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§8), one benchmark function per figure, plus ablation
-// benchmarks for the design choices called out in DESIGN.md. Run with:
+// benchmarks for the implementation's design choices. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -378,7 +378,7 @@ func BenchmarkFig12GEDComparison(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §4) --------------------------------------
+// --- Ablation benchmarks -----------------------------------------------------
 
 // BenchmarkAblationStrongVsBasic compares the strong form (prefix-viable
 // chains, Theorem 3) against the basic form (chain sums only, Theorem
@@ -521,14 +521,10 @@ func BenchmarkJoin(b *testing.B) {
 	ctx := context.Background()
 	run := func(b *testing.B, ix engine.Index) {
 		b.Helper()
-		joiner, ok := ix.(engine.Joiner)
-		if !ok {
-			b.Fatalf("%T does not implement engine.Joiner", ix)
-		}
 		var pairs int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ps, _, err := joiner.Join(ctx, engine.JoinOptions{})
+			ps, _, err := ix.Join(ctx, engine.JoinOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -583,7 +579,7 @@ func BenchmarkJoinSharded(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("set/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.(engine.Joiner).Join(ctx, engine.JoinOptions{}); err != nil {
+				if _, _, err := ix.Join(ctx, engine.JoinOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

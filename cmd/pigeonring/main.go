@@ -14,8 +14,10 @@
 // run's build step; -from-snapshot skips dataset generation and opens
 // a previously saved container instead (the problem, τ and shard
 // layout come from the file, overriding -problem/-n/-tau/-shards).
-// Queries against a snapshot-opened index are replayed from the index
-// itself, so no dataset is regenerated.
+// Built indexes come from the same code as the daemon's /v1/load
+// (server.Build), with its defaults and bounds. Sampled queries are
+// replayed from the index itself, so a snapshot-opened index needs no
+// regenerated dataset.
 //
 // In search mode (the default), for each sampled query it prints the
 // result count and the candidate counts of the baseline (l = 1) and
@@ -53,7 +55,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/setsim"
+	"repro/internal/server"
 )
 
 func main() {
@@ -97,7 +99,6 @@ func main() {
 	}
 
 	var ix engine.Index
-	var queriesQ []engine.Query
 	if *fromSnapshot != "" {
 		// The snapshot records the problem; it overrides -problem so a
 		// saved set index never searches as hamming by accident.
@@ -107,8 +108,11 @@ func main() {
 		}
 		p = ix.Problem()
 	} else {
-		ix, queriesQ, err = build(p, *n, *tau, *shards, *seed)
-		if err != nil {
+		req := server.LoadRequest{Problem: string(p), N: *n, Seed: *seed, Shards: *shards}
+		if *tau >= 0 {
+			req.Tau = tau
+		}
+		if ix, _, err = server.Build(req, 0); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -127,7 +131,7 @@ func main() {
 		return
 	}
 	if *topK > 0 {
-		runTopK(ctx, ix, queriesQ, p, *topK, *l, *queries, *shards, *seed)
+		runTopK(ctx, ix, p, *topK, *l, *queries, *shards, *seed)
 		return
 	}
 	fmt.Printf("%s search: n=%d τ=%g shards=%d l=%d (0 = paper default)\n",
@@ -138,7 +142,7 @@ func main() {
 	base := engine.Options{ChainLength: 1, Limit: *limit}
 	sampled := dataset.SampleQueries(ix.Len(), *queries, *seed)
 	for _, qi := range sampled {
-		q, err := queryAt(ix, queriesQ, qi)
+		q, err := engine.Object(ix, qi)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -162,22 +166,18 @@ func main() {
 // runTopK runs the sampled queries in top-k mode and prints each
 // query's ranked (id, distance) results with the τ-ladder depth it
 // took to find them.
-func runTopK(ctx context.Context, ix engine.Index, queriesQ []engine.Query, p engine.Problem, k, l, queries int, shards int, seed int64) {
-	ts, ok := ix.(engine.TopKSearcher)
-	if !ok {
-		log.Fatalf("%T does not support top-k search", ix)
-	}
+func runTopK(ctx context.Context, ix engine.Index, p engine.Problem, k, l, queries int, shards int, seed int64) {
 	fmt.Printf("%s top-%d search: n=%d τ=%g shards=%d l=%d (0 = paper default)\n",
 		p, k, ix.Len(), ix.Tau(), shards, l)
 	opt := engine.Options{TopK: k, ChainLength: l}
 	totalRungs, totalMS := 0, 0.0
 	sampled := dataset.SampleQueries(ix.Len(), queries, seed)
 	for _, qi := range sampled {
-		q, err := queryAt(ix, queriesQ, qi)
+		q, err := engine.Object(ix, qi)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, st, err := ts.SearchTopK(ctx, q, opt)
+		res, st, err := ix.SearchTopK(ctx, q, opt)
 		if stopOnCancel(err) {
 			return
 		}
@@ -202,18 +202,14 @@ func runTopK(ctx context.Context, ix engine.Index, queriesQ []engine.Query, p en
 // ring filter — and reports the pair count, candidate totals and the
 // speedup, mirroring the search-mode tally.
 func runJoin(ctx context.Context, ix engine.Index, p engine.Problem, baseName string, l, limit, shards, tileSize, show int) {
-	joiner, ok := ix.(engine.Joiner)
-	if !ok {
-		log.Fatalf("%T does not support joins", ix)
-	}
 	fmt.Printf("%s self-join: n=%d τ=%g shards=%d l=%d (0 = paper default)\n",
 		p, ix.Len(), ix.Tau(), shards, l)
 
-	_, bst, err := joiner.Join(ctx, engine.JoinOptions{ChainLength: 1, Limit: limit, TileSize: tileSize})
+	_, bst, err := ix.Join(ctx, engine.JoinOptions{ChainLength: 1, Limit: limit, TileSize: tileSize})
 	if stopOnCancel(err) {
 		return
 	}
-	pairs, rst, err := joiner.Join(ctx, engine.JoinOptions{ChainLength: l, Limit: limit, TileSize: tileSize})
+	pairs, rst, err := ix.Join(ctx, engine.JoinOptions{ChainLength: l, Limit: limit, TileSize: tileSize})
 	if stopOnCancel(err) {
 		return
 	}
@@ -240,16 +236,6 @@ func runJoin(ctx context.Context, ix engine.Index, p engine.Problem, baseName st
 	fmt.Printf("join time: %s %.3fms, Ring %.3fms (speedup %s)\n", baseName, baseMS, ringMS, speedup)
 }
 
-// queryAt resolves one sampled query: from the generated dataset when
-// the index was built in-process, or replayed out of the index itself
-// when it came from a snapshot (no dataset in memory).
-func queryAt(ix engine.Index, queriesQ []engine.Query, qi int) (engine.Query, error) {
-	if queriesQ != nil {
-		return queriesQ[qi], nil
-	}
-	return engine.Object(ix, qi)
-}
-
 // stopOnCancel distinguishes a Ctrl-C abort (clean exit) from a real
 // search failure (fatal).
 func stopOnCancel(err error) bool {
@@ -262,78 +248,6 @@ func stopOnCancel(err error) bool {
 	}
 	log.Fatal(err)
 	return true
-}
-
-// build constructs the engine index and the query encoder for one
-// problem, resolving per-problem τ defaults.
-func build(p engine.Problem, n int, tauF float64, shards int, seed int64) (engine.Index, []engine.Query, error) {
-	switch p {
-	case engine.Hamming:
-		tau := 24
-		if tauF >= 0 {
-			tau = int(tauF)
-		}
-		vecs := dataset.GIST(n, seed)
-		ix, err := engine.BuildHamming(vecs, vecs[0].Dim()/16, tau, shards, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		qs := make([]engine.Query, len(vecs))
-		for i, v := range vecs {
-			qs[i] = engine.VectorQuery(v)
-		}
-		return ix, qs, nil
-	case engine.Set:
-		tau := 0.8
-		if tauF > 0 {
-			tau = tauF
-		}
-		sets := dataset.DBLP(n, seed)
-		ix, err := engine.BuildSet(sets, setsim.Config{Measure: setsim.Jaccard, Tau: tau, M: 5}, shards, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		qs := make([]engine.Query, len(sets))
-		for i, s := range sets {
-			qs[i] = engine.SetQuery(s)
-		}
-		return ix, qs, nil
-	case engine.String:
-		tau := 2
-		if tauF >= 0 {
-			tau = int(tauF)
-		}
-		kappa := 2
-		if tau <= 1 {
-			kappa = 3
-		}
-		strs := dataset.IMDB(n, seed)
-		ix, err := engine.BuildString(strs, kappa, tau, shards, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		qs := make([]engine.Query, len(strs))
-		for i, s := range strs {
-			qs[i] = engine.StringQuery(s)
-		}
-		return ix, qs, nil
-	case engine.Graph:
-		tau := 3
-		if tauF >= 0 {
-			tau = int(tauF)
-		}
-		graphs := dataset.AIDS(n, seed)
-		ix, err := engine.BuildGraph(graphs, tau, shards, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		qs := make([]engine.Query, len(graphs))
-		for i, g := range graphs {
-			qs[i] = engine.GraphQuery(g)
-		}
-		return ix, qs, nil
-	}
-	return nil, nil, fmt.Errorf("unhandled problem %s", p)
 }
 
 type tally struct {

@@ -34,12 +34,12 @@
 // context-cancellable with Options.Limit early termination — a
 // sharded composite that fans queries out across a worker pool and
 // abandons shards on cancellation or a satisfied limit, and a batch
-// API parallelizing across queries. Every built index also implements
-// the Joiner capability — Join(ctx, opt) and the streaming JoinSeq,
-// the all-pairs self-join behind dedup and entity resolution, answered
-// by a 2-D upper-triangle tile decomposition over the same pool with
-// sharded output pair-identical to unsharded — and the TopKSearcher capability:
-// SearchTopK(ctx, q, opt) with Options.TopK answers "the k nearest"
+// API parallelizing across queries. Every Index also answers Join(ctx,
+// opt) and the streaming JoinSeq — the all-pairs self-join behind
+// dedup and entity resolution, answered by a 2-D upper-triangle tile
+// decomposition over the same pool with sharded output pair-identical
+// to unsharded — and SearchTopK(ctx, q, opt), which with Options.TopK
+// answers "the k nearest"
 // instead of "everything within τ" by climbing an expanding τ ladder
 // until k results verify, returning ranked (id, distance) Results,
 // byte-identical sharded versus plain. server exposes that layer over
@@ -47,8 +47,6 @@
 // mode, cancelled and limited counters, /v1/join with join and pair
 // totals); cmd/pigeonringd is the daemon serving it.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// substitutions, and EXPERIMENTS.md for paper-versus-measured results.
-// The benchmarks in bench_test.go regenerate each figure under
+// See README.md for a tour. The benchmarks in bench_test.go regenerate each figure under
 // `go test -bench`.
 package repro

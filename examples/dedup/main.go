@@ -42,20 +42,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	joiner, ok := ix.(engine.Joiner)
-	if !ok {
-		log.Fatalf("%T does not support joins", ix)
-	}
 	ctx := context.Background()
 	fmt.Printf("corpus: %d token sets, 8 shards, Jaccard τ = %v\n\n", ix.Len(), ix.Tau())
 
 	// The full join, pigeonhole baseline vs. ring filter: identical
 	// pairs, fewer candidates reaching verification.
-	base, bst, err := joiner.Join(ctx, engine.JoinOptions{ChainLength: 1})
+	base, bst, err := ix.Join(ctx, engine.JoinOptions{ChainLength: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ring, rst, err := joiner.Join(ctx, engine.JoinOptions{})
+	ring, rst, err := ix.Join(ctx, engine.JoinOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +66,7 @@ func main() {
 
 	// A deduplication report rarely needs every pair up front: Limit
 	// asks for the first k of the (i, j) order.
-	first, st, err := joiner.Join(ctx, engine.JoinOptions{Limit: 5})
+	first, st, err := ix.Join(ctx, engine.JoinOptions{Limit: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +79,7 @@ func main() {
 	// stops the iteration.
 	fmt.Printf("\nstreaming the first 3:\n")
 	count := 0
-	for p, err := range joiner.JoinSeq(ctx, engine.JoinOptions{}) {
+	for p, err := range ix.JoinSeq(ctx, engine.JoinOptions{}) {
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,7 +92,7 @@ func main() {
 	// A deadline abandons the join mid-fan-out, between row searches.
 	tight, cancel := context.WithTimeout(ctx, time.Microsecond)
 	defer cancel()
-	_, _, err = joiner.Join(tight, engine.JoinOptions{})
+	_, _, err = ix.Join(tight, engine.JoinOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		log.Fatalf("expected a deadline error, got %v", err)
 	}

@@ -191,7 +191,7 @@ func TestIntegrationSelfJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st, err := ix.(engine.Joiner).Join(ctx, engine.JoinOptions{})
+		got, st, err := ix.Join(ctx, engine.JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@
 // figure of the pigeonring paper's evaluation (Figures 2 and 5–12) on
 // the synthetic stand-in datasets. Each runner returns Figure values —
 // named series of (x, y) points — that cmd/experiments renders as text
-// tables and EXPERIMENTS.md records against the paper's shapes.
+// tables.
 //
 // Dataset sizes default to laptop scale (the paper used 80M–1B-point
 // datasets on a 3.2 GHz Xeon); set REPRO_SCALE to grow them and

@@ -375,3 +375,32 @@ func TestHandlerEndToEnd(t *testing.T) {
 		t.Fatal("forwarded top-k answered no results")
 	}
 }
+
+// TestHandlerRejectsUnknownFields: a misspelled option is a 400
+// invalid_argument from the coordinator exactly as from a daemon,
+// never dropped into a full, unlimited answer.
+func TestHandlerRejectsUnknownFields(t *testing.T) {
+	rs := newReplicaSet(t, 2, testLoad)
+	front := httptest.NewServer(newCoordinator(t, rs.urls).Handler())
+	t.Cleanup(front.Close)
+	for path, body := range map[string]string{
+		"/v1/search": `{"problem":"hamming","queryId":3,"limt":1}`,
+		"/v1/join":   `{"problem":"hamming","limt":1}`,
+	} {
+		for _, base := range []string{rs.urls[0], front.URL} {
+			resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb map[string]string
+			json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb["error"], "limt") {
+				t.Fatalf("%s%s: status %d body %v, want 400 naming the unknown field", base, path, resp.StatusCode, eb)
+			}
+			if base == front.URL && eb["code"] != "invalid_argument" {
+				t.Fatalf("coordinator %s: code %q, want invalid_argument", path, eb["code"])
+			}
+		}
+	}
+}

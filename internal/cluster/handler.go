@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -97,6 +98,19 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
+// decodeBody parses a buffered request body as the daemon does: an
+// unknown field — a misspelled option — is a 400, never silently
+// dropped.
+func decodeBody(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, "invalid_argument", "invalid request body: %v", err)
+		return false
+	}
+	return true
+}
+
 // handleBroadcast replays a load or snapshot request on every
 // configured replica — including ones marked down, because a load
 // succeeding on a recovered replica is exactly how it rejoins with
@@ -179,8 +193,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.SearchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_argument", "invalid request body: %v", err)
+	if !decodeBody(w, body, &req) {
 		return
 	}
 	// Top-k and timings answers cannot be merged from range fragments
@@ -208,8 +221,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.JoinRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_argument", "invalid request body: %v", err)
+	if !decodeBody(w, body, &req) {
 		return
 	}
 	if req.Timings {

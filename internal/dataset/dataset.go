@@ -4,9 +4,9 @@
 // titles, and the AIDS/Protein graph collections are not
 // redistributable, so each generator reproduces the statistics that
 // drive filtering behaviour — dimensionality, clusteredness, token or
-// gram frequency skew, length distributions, and label alphabets — as
-// documented per dataset in DESIGN.md. All generators are pure
-// functions of (n, seed).
+// gram frequency skew, length distributions, and label alphabets, as
+// each generator's comment records. All generators are pure functions
+// of (n, seed).
 package dataset
 
 import (
@@ -240,8 +240,7 @@ func perturbGraph(rng *rand.Rand, g *graph.Graph, vlabels, elabels, edits int) *
 // AIDS returns n antivirus-screen-like compound graphs: 62 vertex
 // labels (heavily skewed), 3 edge labels, tree-like sparsity. Sizes are
 // scaled to 10–18 vertices (the paper's average is 26) to keep exact
-// GED verification tractable for the pure-Go verifier; DESIGN.md
-// records the substitution.
+// GED verification tractable for the pure-Go verifier.
 func AIDS(n int, seed int64) []*graph.Graph {
 	rng := rand.New(rand.NewSource(seed + 4))
 	out := make([]*graph.Graph, n)

@@ -16,8 +16,8 @@ import (
 
 // One adapter serves every problem. Each problem package contributes a
 // thin backend wrapper — its boxes live in the package, the wrapper
-// only maps engine options onto them — and adapter implements Index,
-// Joiner, TopKSearcher and snapshot writing once above it: Search is
+// only maps engine options onto them — and adapter implements Index
+// (search, top-k, join) and snapshot writing once above it: Search is
 // the range probe over [0, n), SearchRange and every join row are the
 // same probe over a window, and top-k climbs the backend's ladder.
 //
@@ -65,7 +65,9 @@ type backend interface {
 }
 
 // adapter is the one plain Index: a backend plus the immutable facts
-// every search needs.
+// every search needs. The exported New* constructors return one; the
+// unexported new* ones return the concrete type for the composites
+// built from adapters (Sharded, snapshots).
 type adapter struct {
 	problem Problem
 	n       int
@@ -124,6 +126,9 @@ func (a *adapter) SearchTopK(ctx context.Context, q Query, opt Options) ([]Resul
 	})
 }
 
+// object replays indexed object i through the backend.
+func (a *adapter) object(i int) Query { return a.b.object(i) }
+
 // searchRange is the checked range probe behind SearchRange and every
 // join row: ids in [lo, hi) appended to dst, counters added to st.
 func (a *adapter) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
@@ -139,6 +144,15 @@ func (a *adapter) searchRange(ctx context.Context, q Query, opt Options, lo, hi 
 	}
 	st.merge(bst)
 	return out, nil
+}
+
+// plain returns an unexported constructor's adapter as an Index,
+// keeping the Index nil when construction failed.
+func plain(a *adapter, err error) (Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // chain resolves the requested chain length against a default.
@@ -234,6 +248,10 @@ type hammingBackend struct {
 // the one backend whose index is threshold-independent, so searches
 // may override τ per query.
 func NewHamming(db *hamming.DB, defaultTau int) (Index, error) {
+	return plain(newHamming(db, defaultTau))
+}
+
+func newHamming(db *hamming.DB, defaultTau int) (*adapter, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil hamming DB")
 	}
@@ -318,7 +336,9 @@ type setBackend struct{ db *setsim.PKWiseDB }
 
 // NewSet wraps a pkwise/Ring set similarity DB. The threshold and
 // measure are fixed by the DB's Config.
-func NewSet(db *setsim.PKWiseDB) (Index, error) {
+func NewSet(db *setsim.PKWiseDB) (Index, error) { return plain(newSet(db)) }
+
+func newSet(db *setsim.PKWiseDB) (*adapter, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil setsim DB")
 	}
@@ -378,7 +398,9 @@ type stringBackend struct{ db *strdist.DB }
 
 // NewString wraps a Pivotal/Ring edit distance DB. The threshold is
 // fixed by the DB.
-func NewString(db *strdist.DB) (Index, error) {
+func NewString(db *strdist.DB) (Index, error) { return plain(newString(db)) }
+
+func newString(db *strdist.DB) (*adapter, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil strdist DB")
 	}
@@ -439,7 +461,9 @@ func (b *stringBackend) AppendSnapshot(sb *snapshot.Builder, prefix string) erro
 type graphBackend struct{ db *graph.DB }
 
 // NewGraph wraps a Pars/Ring GED DB. The threshold is fixed by the DB.
-func NewGraph(db *graph.DB) (Index, error) {
+func NewGraph(db *graph.DB) (Index, error) { return plain(newGraph(db)) }
+
+func newGraph(db *graph.DB) (*adapter, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil graph DB")
 	}

@@ -131,11 +131,11 @@ func TestAutoShardJoinPairIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	want, _, err := auto.(Joiner).Join(ctx, JoinOptions{})
+	want, _, err := auto.Join(ctx, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := forced4.(Joiner).Join(ctx, JoinOptions{})
+	got, _, err := forced4.Join(ctx, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

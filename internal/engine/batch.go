@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/parallel"
 )
@@ -32,26 +31,14 @@ type BatchResult struct {
 // unfailed ctx the results are id-identical to calling Search per
 // query.
 //
-// When opt.TopK > 0 the batch runs top-k searches instead: idx must
-// implement TopKSearcher (every index this package builds does) and
-// each result lands in BatchResult.TopK.
+// When opt.TopK > 0 the batch runs top-k searches instead and each
+// result lands in BatchResult.TopK.
 func SearchBatch(ctx context.Context, idx Index, queries []Query, opt Options, workers int) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	ran := make([]bool, len(queries))
-	var ts TopKSearcher
-	if opt.TopK > 0 {
-		var ok bool
-		if ts, ok = idx.(TopKSearcher); !ok {
-			err := fmt.Errorf("engine: %T does not support top-k search", idx)
-			for i := range out {
-				out[i] = BatchResult{Err: err}
-			}
-			return out
-		}
-	}
 	parallel.ForEachCtx(ctx, len(queries), workers, func(jobCtx context.Context, i int) error {
-		if ts != nil {
-			res, st, err := ts.SearchTopK(jobCtx, queries[i], opt)
+		if opt.TopK > 0 {
+			res, st, err := idx.SearchTopK(jobCtx, queries[i], opt)
 			out[i] = BatchResult{TopK: res, Stats: st, Err: err}
 		} else {
 			ids, st, err := idx.Search(jobCtx, queries[i], opt)

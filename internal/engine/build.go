@@ -92,7 +92,7 @@ func chunks(n, shards int) [][2]int {
 // buildSharded builds one shard index per chunk in parallel and
 // composes them. workers bounds both the build and the per-query
 // fan-out. shards == AutoShards resolves via AutoShardCount.
-func buildSharded(n, shards, workers int, build func(lo, hi int) (Index, error)) (Index, error) {
+func buildSharded(n, shards, workers int, build func(lo, hi int) (*adapter, error)) (Index, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("engine: empty database")
 	}
@@ -101,9 +101,9 @@ func buildSharded(n, shards, workers int, build func(lo, hi int) (Index, error))
 	}
 	ranges := chunks(n, shards)
 	if len(ranges) == 1 {
-		return build(0, n)
+		return plain(build(0, n))
 	}
-	built := make([]Index, len(ranges))
+	built := make([]*adapter, len(ranges))
 	err := parallel.ForEachErr(len(ranges), workers, func(i int) error {
 		ix, err := build(ranges[i][0], ranges[i][1])
 		if err != nil {
@@ -115,31 +115,31 @@ func buildSharded(n, shards, workers int, build func(lo, hi int) (Index, error))
 	if err != nil {
 		return nil, err
 	}
-	return NewSharded(built, workers)
+	return newSharded(built, workers)
 }
 
 // BuildHamming indexes binary vectors for GPH/Ring search under an
 // m-part partitioning, split across the given number of shards.
 // defaultTau is the threshold used when a search does not override τ.
 func BuildHamming(vecs []bitvec.Vector, m, defaultTau, shards, workers int) (Index, error) {
-	return buildSharded(len(vecs), shards, workers, func(lo, hi int) (Index, error) {
+	return buildSharded(len(vecs), shards, workers, func(lo, hi int) (*adapter, error) {
 		db, err := hamming.NewDB(vecs[lo:hi], m)
 		if err != nil {
 			return nil, err
 		}
-		return NewHamming(db, defaultTau)
+		return newHamming(db, defaultTau)
 	})
 }
 
 // BuildSet indexes token sets for pkwise/Ring search under cfg, split
 // across the given number of shards.
 func BuildSet(sets []tokenset.Set, cfg setsim.Config, shards, workers int) (Index, error) {
-	return buildSharded(len(sets), shards, workers, func(lo, hi int) (Index, error) {
+	return buildSharded(len(sets), shards, workers, func(lo, hi int) (*adapter, error) {
 		db, err := setsim.NewPKWiseDB(sets[lo:hi], cfg)
 		if err != nil {
 			return nil, err
 		}
-		return NewSet(db)
+		return newSet(db)
 	})
 }
 
@@ -156,23 +156,23 @@ func BuildString(strs []string, kappa, tau, shards, workers int) (Index, error) 
 	if err != nil {
 		return nil, err
 	}
-	return buildSharded(len(strs), shards, workers, func(lo, hi int) (Index, error) {
+	return buildSharded(len(strs), shards, workers, func(lo, hi int) (*adapter, error) {
 		db, err := strdist.NewDB(strs[lo:hi], dict, tau)
 		if err != nil {
 			return nil, err
 		}
-		return NewString(db)
+		return newString(db)
 	})
 }
 
 // BuildGraph indexes graphs for Pars/Ring GED search at threshold tau,
 // split across the given number of shards.
 func BuildGraph(graphs []*graph.Graph, tau, shards, workers int) (Index, error) {
-	return buildSharded(len(graphs), shards, workers, func(lo, hi int) (Index, error) {
+	return buildSharded(len(graphs), shards, workers, func(lo, hi int) (*adapter, error) {
 		db, err := graph.NewDB(graphs[lo:hi], tau)
 		if err != nil {
 			return nil, err
 		}
-		return NewGraph(db)
+		return newGraph(db)
 	})
 }

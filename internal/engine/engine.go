@@ -6,8 +6,8 @@
 // query server above all — can load, shard and query any backend
 // uniformly.
 //
-// One unexported adapter implements Index, Joiner, TopKSearcher and
-// snapshot writing for all four problems. What differs per problem
+// One unexported adapter implements Index — search, top-k, join and
+// snapshot writing — for all four problems. What differs per problem
 // sits behind a small unexported backend interface (adapters.go): τ
 // validation, one exact range probe that resolves the paper's §8
 // chain length, the top-k ladder, object replay and persistence.
@@ -39,11 +39,11 @@
 //     shard outputs reproduces the unsharded result id-for-id.
 //   - SearchBatch: cross-query parallelism over any Index, cancelling
 //     undispatched queries when the context fails.
-//   - Joins: every index built by this package additionally implements
-//     Joiner — the all-pairs self-join behind dedup and entity
-//     resolution, answered by a 2-D upper-triangle tile decomposition
-//     of the pair space over the same worker pool (each tile probes
-//     one id range against another through reusable per-tile scratch),
+//   - Joins: every Index answers Join — the all-pairs self-join behind
+//     dedup and entity resolution — by a 2-D upper-triangle tile
+//     decomposition of the pair space over the same worker pool (each
+//     tile probes one id range against another through reusable
+//     per-tile scratch),
 //     context-cancellable and limit-aware like a search, with a
 //     streaming JoinSeq. Sharded joins are pair-for-pair identical to
 //     unsharded ones.
@@ -159,7 +159,7 @@ type Options struct {
 	// ≤ 0 means unlimited.
 	Limit int
 	// TopK, when > 0, asks for the k nearest objects instead of
-	// everything within τ; it is answered by SearchTopK (TopKSearcher),
+	// everything within τ; it is answered by Index.SearchTopK,
 	// which runs the ring filter at an expanding τ ladder and returns
 	// Result{ID, Distance} pairs ordered by (Distance, ID) ascending.
 	// Search and SearchSeq reject a TopK option, and TopK is mutually
@@ -189,9 +189,11 @@ type Options struct {
 	topkSlot int
 }
 
-// Index is the uniform search interface the plain adapter and the
-// sharded composite implement. Implementations are immutable and safe for
-// concurrent use.
+// Index is the uniform search interface. It is closed: the plain
+// adapter and the Sharded composite over adapters are its only
+// implementations, so every Index answers top-k searches and
+// self-joins, replays its objects and answers range-restricted
+// searches. Implementations are immutable and safe for concurrent use.
 type Index interface {
 	// Problem returns the query kind the index answers.
 	Problem() Problem
@@ -213,6 +215,17 @@ type Index interface {
 	// cancels its in-flight shard fan-out). No Stats are produced;
 	// use Search when counters matter.
 	SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error]
+	TopKSearcher
+	Joiner
+
+	// searchRange is the checked range probe behind SearchRange and
+	// every join row: the ids in the global range [lo, hi) within
+	// threshold of q, appended to dst in ascending order, with the
+	// work counters added to st. The range may straddle shards.
+	searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error)
+	// object returns the indexed object with global id i, which the
+	// caller has checked lies in [0, Len()), as a query.
+	object(i int) Query
 }
 
 // Tau wraps a threshold value for Options.Tau.

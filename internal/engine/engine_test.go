@@ -479,7 +479,7 @@ func TestAdapterMatchesBackend(t *testing.T) {
 							}
 						}
 						kst.Results = len(wantK)
-						got, gst, err := pb.ix.(TopKSearcher).SearchTopK(ctx, q, Options{ChainLength: l, TopK: k})
+						got, gst, err := pb.ix.SearchTopK(ctx, q, Options{ChainLength: l, TopK: k})
 						if err != nil {
 							t.Fatal(err)
 						}

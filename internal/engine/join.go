@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"iter"
-	"sort"
 )
 
 // The join API makes the paper's second headline workload — the
@@ -76,13 +74,12 @@ type JoinOptions struct {
 	Hooks *Hooks
 }
 
-// Joiner is the self-join capability of an Index: every pair of
-// distinct indexed objects within the index's default threshold,
-// reported ascending by (I, J). Every index this package builds —
-// the plain adapter and the Sharded composite over adapters —
-// implements it; callers holding a plain Index type-assert:
+// Joiner is the self-join half of Index: every pair of distinct
+// indexed objects within the index's default threshold, reported
+// ascending by (I, J). Every Index implements it, so callers call it
+// directly:
 //
-//	if j, ok := ix.(engine.Joiner); ok { pairs, st, err := j.Join(ctx, opt) }
+//	pairs, st, err := ix.Join(ctx, opt)
 type Joiner interface {
 	// Join returns all result pairs in ascending (I, J) order along
 	// with aggregate statistics (Stats.Pairs, Stats.JoinTiles). It
@@ -140,10 +137,7 @@ func collectJoinSeq(ctx context.Context, j Joiner, opt JoinOptions) iter.Seq2[Pa
 // parallelism).
 func (a *adapter) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
 	ranges := tileRanges(a.n, resolveTileSize(a.n, opt.TileSize, 0), nil)
-	return joinTiles(ctx, 0, opt, ranges,
-		func(jobCtx context.Context, row, lo, hi int, sopt Options, dst []int64, st *Stats) ([]int64, error) {
-			return a.searchRange(jobCtx, a.b.object(row), sopt, lo, hi, dst, st)
-		})
+	return joinTiles(ctx, a, 0, opt, ranges)
 }
 
 func (a *adapter) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
@@ -159,46 +153,13 @@ func (a *adapter) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, 
 // pair-for-pair identical to joining one unsharded index over the
 // whole database, for the same reason sharded search is id-identical:
 // every shard returns exact, ascending results.
-//
-// Joining requires shards built by this package; any other shard type
-// fails with an error.
 func (s *Sharded) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
-	shards := make([]*adapter, len(s.shards))
-	for i, sh := range s.shards {
-		a, ok := sh.(*adapter)
-		if !ok {
-			return nil, Stats{}, fmt.Errorf("engine: shard %d (%T) does not expose its objects; joins need shards built by this package", i, sh)
-		}
-		shards[i] = a
-	}
 	ranges := tileRanges(s.total, resolveTileSize(s.total, opt.TileSize, s.workers), s.offsets[1:])
-	probe := func(jobCtx context.Context, row, lo, hi int, sopt Options, dst []int64, st *Stats) ([]int64, error) {
-		// The tile ranges never straddle a shard, so [lo, hi) lies
-		// fully inside shard k and one local range search answers it.
-		k := s.shardOf(int64(lo))
-		off := s.offsets[k]
-		r := s.shardOf(int64(row))
-		q := shards[r].b.object(row - int(s.offsets[r]))
-		base := len(dst)
-		out, err := shards[k].searchRange(jobCtx, q, sopt, lo-int(off), hi-int(off), dst, st)
-		if err != nil {
-			return dst, fmt.Errorf("shard %d: %w", k, err)
-		}
-		for i := base; i < len(out); i++ {
-			out[i] += off
-		}
-		return out, nil
-	}
-	return joinTiles(ctx, s.workers, opt, ranges, probe)
+	return joinTiles(ctx, s, s.workers, opt, ranges)
 }
 
 // JoinSeq streams the sharded join's pairs; see Joiner.JoinSeq for the
 // contract.
 func (s *Sharded) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
 	return collectJoinSeq(ctx, s, opt)
-}
-
-// shardOf returns the index of the shard holding global id i.
-func (s *Sharded) shardOf(i int64) int {
-	return sort.Search(len(s.offsets), func(k int) bool { return s.offsets[k] > i }) - 1
 }

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,14 +23,15 @@ import (
 // identity, JoinSeq streaming, Limit prefixes and cancellation. The
 // -race acceptance criteria of the join redesign live here.
 
-// joinCase binds the engine indexes of one problem (unsharded and
-// 4-way sharded over identical data) to the reference pair list of the
-// backend's quadratic JoinLinear (or, for the duplicates case, a
-// literal list).
+// joinCase binds the engine indexes of one problem (unsharded, 4-way
+// sharded, and 3-way sharded reopened through a snapshot, all over
+// identical data) to the reference pair list of the backend's
+// quadratic JoinLinear (or, for the duplicates case, a literal list).
 type joinCase struct {
 	name      string
 	unsharded Index
 	sharded   Index
+	reopened  Index
 	want      []Pair
 }
 
@@ -60,21 +60,25 @@ func samePairs(a, b []Pair) bool {
 func buildJoinCases(t *testing.T) []joinCase {
 	t.Helper()
 	var cases []joinCase
+	add := func(name string, want []Pair, build func(shards int) (Index, error)) {
+		var ix [3]Index
+		for i, shards := range []int{1, 4, 3} {
+			var err error
+			if ix[i], err = build(shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cases = append(cases, joinCase{name, ix[0], ix[1], roundTrip(t, ix[2], 0, nil), want})
+	}
 
 	vecs := dataset.GIST(300, 11)
 	hdb, err := hamming.NewDB(vecs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := BuildHamming(vecs, 16, 24, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h4, err := BuildHamming(vecs, 16, 24, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, joinCase{"hamming", h1, h4, toEnginePairs(hdb.JoinLinear(24))})
+	add("hamming", toEnginePairs(hdb.JoinLinear(24)), func(shards int) (Index, error) {
+		return BuildHamming(vecs, 16, 24, shards, 0)
+	})
 
 	// Three byte-identical vectors at τ = 0, two of them in another
 	// shard than the first: each unordered pair exactly once, I < J, no
@@ -85,15 +89,9 @@ func buildJoinCases(t *testing.T) []joinCase {
 		dups[i] = bitvec.Random(rng, 64)
 	}
 	dups[50], dups[51] = dups[10].Clone(), dups[10].Clone()
-	d1, err := BuildHamming(dups, 8, 0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d4, err := BuildHamming(dups, 8, 0, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, joinCase{"hamming-duplicates", d1, d4, []Pair{{10, 50}, {10, 51}, {50, 51}}})
+	add("hamming-duplicates", []Pair{{10, 50}, {10, 51}, {50, 51}}, func(shards int) (Index, error) {
+		return BuildHamming(dups, 8, 0, shards, 0)
+	})
 
 	sets := dataset.DBLP(300, 12)
 	cfg := setsim.Config{Measure: setsim.Jaccard, Tau: 0.8, M: 5}
@@ -101,15 +99,9 @@ func buildJoinCases(t *testing.T) []joinCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := BuildSet(sets, cfg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := BuildSet(sets, cfg, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, joinCase{"set", s1, s4, toEnginePairs(sdb.JoinLinear())})
+	add("set", toEnginePairs(sdb.JoinLinear()), func(shards int) (Index, error) {
+		return BuildSet(sets, cfg, shards, 0)
+	})
 
 	strs := dataset.IMDB(300, 13)
 	dict, err := strdist.BuildGramDict(strs, 2)
@@ -120,43 +112,20 @@ func buildJoinCases(t *testing.T) []joinCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := BuildString(strs, 2, 2, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t4, err := BuildString(strs, 2, 2, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, joinCase{"string", t1, t4, toEnginePairs(tdb.JoinLinear())})
+	add("string", toEnginePairs(tdb.JoinLinear()), func(shards int) (Index, error) {
+		return BuildString(strs, 2, 2, shards, 0)
+	})
 
 	graphs := dataset.AIDS(60, 14)
 	gdb, err := graph.NewDB(graphs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := BuildGraph(graphs, 3, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g4, err := BuildGraph(graphs, 3, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, joinCase{"graph", g1, g4, toEnginePairs(gdb.JoinLinear())})
+	add("graph", toEnginePairs(gdb.JoinLinear()), func(shards int) (Index, error) {
+		return BuildGraph(graphs, 3, shards, 0)
+	})
 
 	return cases
-}
-
-// joiner type-asserts the Joiner capability every built index must
-// carry.
-func joiner(t *testing.T, ix Index) Joiner {
-	t.Helper()
-	j, ok := ix.(Joiner)
-	if !ok {
-		t.Fatalf("%T does not implement Joiner", ix)
-	}
-	return j
 }
 
 // TestJoinMatchesJoinLinear is the acceptance criterion: for every
@@ -169,7 +138,7 @@ func TestJoinMatchesJoinLinear(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for name, ix := range map[string]Index{"shards=1": tc.unsharded, "shards=4": tc.sharded} {
 				for _, l := range []int{0, 1} {
-					got, st, err := joiner(t, ix).Join(ctx, JoinOptions{ChainLength: l})
+					got, st, err := ix.Join(ctx, JoinOptions{ChainLength: l})
 					if err != nil {
 						t.Fatalf("%s l=%d: %v", name, l, err)
 					}
@@ -208,7 +177,7 @@ func TestJoinLimitPrefix(t *testing.T) {
 					if k < len(full) {
 						want = full[:k]
 					}
-					got, st, err := joiner(t, ix).Join(ctx, JoinOptions{Limit: k})
+					got, st, err := ix.Join(ctx, JoinOptions{Limit: k})
 					if err != nil {
 						t.Fatalf("%s limit %d: %v", name, k, err)
 					}
@@ -247,7 +216,7 @@ func TestJoinSeqMatchesJoin(t *testing.T) {
 	for _, tc := range buildJoinCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for name, ix := range map[string]Index{"shards=1": tc.unsharded, "shards=4": tc.sharded} {
-				got, err := collectPairs(joiner(t, ix).JoinSeq(ctx, JoinOptions{}))
+				got, err := collectPairs(ix.JoinSeq(ctx, JoinOptions{}))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -259,7 +228,7 @@ func TestJoinSeqMatchesJoin(t *testing.T) {
 				}
 				k := (len(tc.want) + 1) / 2
 				var prefix []Pair
-				for p, err := range joiner(t, ix).JoinSeq(ctx, JoinOptions{}) {
+				for p, err := range ix.JoinSeq(ctx, JoinOptions{}) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -284,7 +253,7 @@ func TestJoinSkipVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, st, err := joiner(t, ix).Join(context.Background(), JoinOptions{SkipVerify: true})
+	ps, st, err := ix.Join(context.Background(), JoinOptions{SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +281,8 @@ func (blockingBackend) object(int) Query                                        
 func (blockingBackend) AppendSnapshot(*snapshot.Builder, string) error              { return nil }
 
 // blockingShards returns n ten-object adapters over one blockingBackend.
-func blockingShards(n int, release chan struct{}) []Index {
-	shards := make([]Index, n)
+func blockingShards(n int, release chan struct{}) []*adapter {
+	shards := make([]*adapter, n)
 	for i := range shards {
 		shards[i] = &adapter{Hamming, 10, 1, blockingBackend{release}}
 	}
@@ -326,7 +295,7 @@ func blockingShards(n int, release chan struct{}) []Index {
 // join can only return ctx.Err() by honoring it between probes.
 func TestJoinCancelPrompt(t *testing.T) {
 	release := make(chan struct{})
-	sh, err := NewSharded(blockingShards(8, release), 4)
+	sh, err := newSharded(blockingShards(8, release), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +331,7 @@ func TestJoinCancelPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := joiner(t, plain).Join(dead, JoinOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := plain.Join(dead, JoinOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled plain err = %v, want context.Canceled", err)
 	}
 
@@ -382,7 +351,7 @@ func TestJoinCancelPrompt(t *testing.T) {
 // cancellation as its final yielded error.
 func TestJoinSeqCancelled(t *testing.T) {
 	release := make(chan struct{})
-	sh, err := NewSharded(blockingShards(4, release), 2)
+	sh, err := newSharded(blockingShards(4, release), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,30 +364,5 @@ func TestJoinSeqCancelled(t *testing.T) {
 	_, err = collectPairs(sh.JoinSeq(ctx, JoinOptions{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("seq err = %v, want context.Canceled", err)
-	}
-}
-
-// opaqueIndex hides the object accessor of the Index it wraps, playing
-// the role of a foreign shard implementation.
-type opaqueIndex struct{ Index }
-
-// TestJoinForeignShardRejected: a Sharded whose shards do not expose
-// their objects reports a clear error instead of joining wrongly.
-func TestJoinForeignShardRejected(t *testing.T) {
-	vecs := dataset.GIST(100, 17)
-	a, err := BuildHamming(vecs[:50], 16, 24, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildHamming(vecs[50:], 16, 24, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewSharded([]Index{opaqueIndex{a}, opaqueIndex{b}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sh.Join(context.Background(), JoinOptions{}); err == nil || !strings.Contains(err.Error(), "does not expose") {
-		t.Fatalf("foreign-shard join err = %v, want does-not-expose error", err)
 	}
 }

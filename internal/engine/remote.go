@@ -56,52 +56,6 @@ func EnumerateTiles(n, tileSize, workers int) []TileSpec {
 	return out
 }
 
-// globalRangeProbe answers range-restricted searches in global id
-// space for any index built by this package: a plain adapter probes
-// directly, a Sharded composite splits the range at shard boundaries
-// and rebases each shard's local ids — so callers may pass ranges
-// that straddle shards (a remote coordinator cannot know a replica's
-// shard layout).
-func globalRangeProbe(ix Index) (func(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error), error) {
-	if s, ok := ix.(*Sharded); ok {
-		probes := make([]func(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error), len(s.shards))
-		for i, sh := range s.shards {
-			p, err := globalRangeProbe(sh)
-			if err != nil {
-				return nil, fmt.Errorf("engine: shard %d: %w", i, err)
-			}
-			probes[i] = p
-		}
-		return func(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
-			for lo < hi {
-				k := s.shardOf(int64(lo))
-				off := int(s.offsets[k])
-				end := s.total
-				if k+1 < len(s.offsets) {
-					end = int(s.offsets[k+1])
-				}
-				cut := min(hi, end)
-				base := len(dst)
-				out, err := probes[k](ctx, q, opt, lo-off, cut-off, dst, st)
-				if err != nil {
-					return dst, fmt.Errorf("shard %d: %w", k, err)
-				}
-				for i := base; i < len(out); i++ {
-					out[i] += int64(off)
-				}
-				dst = out
-				lo = cut
-			}
-			return dst, nil
-		}, nil
-	}
-	a, ok := ix.(*adapter)
-	if !ok {
-		return nil, fmt.Errorf("engine: %T does not support range-restricted search; use an index built by this package", ix)
-	}
-	return a.searchRange, nil
-}
-
 // SearchRange runs a search restricted to the contiguous global-id
 // range [lo, hi): exactly the ids of Search(ctx, q, opt) that fall in
 // the range, ascending. It is the scatter unit of a distributed
@@ -121,16 +75,13 @@ func SearchRange(ctx context.Context, ix Index, q Query, opt Options, lo, hi int
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	probe, err := globalRangeProbe(ix)
-	if err != nil {
-		return nil, Stats{}, err
-	}
 	lo = max(lo, 0)
 	hi = min(hi, ix.Len())
 	var st Stats
 	var ids []int64
 	if lo < hi {
-		if ids, err = probe(ctx, q, opt, lo, hi, nil, &st); err != nil {
+		var err error
+		if ids, err = ix.searchRange(ctx, q, opt, lo, hi, nil, &st); err != nil {
 			return nil, Stats{}, err
 		}
 	}
@@ -163,10 +114,6 @@ func JoinTileRange(ctx context.Context, ix Index, t TileSpec, opt JoinOptions) (
 		return nil, Stats{}, fmt.Errorf("engine: tile rows [%d,%d) cols [%d,%d) out of range for %d objects",
 			t.RowLo, t.RowHi, t.ColLo, t.ColHi, n)
 	}
-	probe, err := globalRangeProbe(ix)
-	if err != nil {
-		return nil, Stats{}, err
-	}
 	start := time.Now()
 	sopt := opt.searchOptions()
 	var st Stats
@@ -180,11 +127,8 @@ func JoinTileRange(ctx context.Context, ix Index, t TileSpec, opt JoinOptions) (
 		if hi <= t.ColLo {
 			continue
 		}
-		q, err := Object(ix, r)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		if ids, err = probe(ctx, q, sopt, t.ColLo, hi, ids[:0], &st); err != nil {
+		var err error
+		if ids, err = ix.searchRange(ctx, ix.object(r), sopt, t.ColLo, hi, ids[:0], &st); err != nil {
 			return nil, Stats{}, fmt.Errorf("engine: join row %d: %w", r, err)
 		}
 		for _, j := range ids {

@@ -49,15 +49,16 @@ func TestEnumerateTilesCoverage(t *testing.T) {
 // TestJoinTileRangeUnionMatchesJoin is the scatter contract: running
 // every enumerated tile through JoinTileRange and merging the sorted
 // pair lists must reproduce Join pair-for-pair — on every backend,
-// unsharded and sharded, including tiles that straddle the sharded
-// index's internal shard bounds (EnumerateTiles cannot know them).
+// unsharded, sharded and reopened from a snapshot, including tiles
+// that straddle the sharded index's internal shard bounds
+// (EnumerateTiles cannot know them).
 func TestJoinTileRangeUnionMatchesJoin(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range buildJoinCases(t) {
 		for _, ix := range []struct {
 			name string
 			ix   Index
-		}{{"unsharded", tc.unsharded}, {"sharded", tc.sharded}} {
+		}{{"unsharded", tc.unsharded}, {"sharded", tc.sharded}, {"reopened", tc.reopened}} {
 			for _, tileSize := range []int{0, 50} {
 				tiles := EnumerateTiles(ix.ix.Len(), tileSize, 4)
 				var union []Pair
@@ -100,14 +101,15 @@ func TestJoinTileRangeRejectsBadTile(t *testing.T) {
 // partitioning [0, n) into contiguous ranges, searching each with
 // SearchRange and concatenating in range order must reproduce
 // Search's ascending id list exactly. The cut points are chosen to
-// fall inside the 4-way sharded index's shards.
+// fall inside the shards of the 4-way sharded and the reopened 3-way
+// sharded index.
 func TestSearchRangeConcatMatchesSearch(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range buildJoinCases(t) {
 		for _, ix := range []struct {
 			name string
 			ix   Index
-		}{{"unsharded", tc.unsharded}, {"sharded", tc.sharded}} {
+		}{{"unsharded", tc.unsharded}, {"sharded", tc.sharded}, {"reopened", tc.reopened}} {
 			n := ix.ix.Len()
 			cuts := []int{0, 1, n / 3, n/3 + 1, 2*n/3 + 5, n}
 			for probe := 0; probe < n; probe += n / 7 {

@@ -6,12 +6,12 @@ import (
 	"iter"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/setsim"
+	"repro/internal/snapshot"
 )
 
 // Tests for the Search contract every Index shares: context
@@ -143,39 +143,14 @@ func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 	}
 }
 
-// blockingIndex is a test Index whose Search blocks until its context
-// fails, counting how many searches started. It stands in for a slow
-// backend pass so cancellation tests are deterministic.
-type blockingIndex struct {
-	n       int
-	started atomic.Int32
-}
-
-func (b *blockingIndex) Problem() Problem { return Hamming }
-func (b *blockingIndex) Len() int         { return b.n }
-func (b *blockingIndex) Tau() float64     { return 1 }
-func (b *blockingIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
-	if err := checkKind(q, Hamming); err != nil {
-		return nil, Stats{}, err
-	}
-	b.started.Add(1)
-	<-ctx.Done()
-	return nil, Stats{}, ctx.Err()
-}
-func (b *blockingIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, b, q, opt)
-}
-
 // TestShardedCancelPrompt: cancelling a context mid-search over a
 // Sharded index returns context.Canceled promptly without leaking
-// goroutines. The shards block until their context fails, so the only
-// way the search can return at all is by honoring the cancellation.
+// goroutines. The shards' range probes block until after the
+// cancellation, so the search can only return context.Canceled by
+// honoring it when the blocked shards come back.
 func TestShardedCancelPrompt(t *testing.T) {
-	shards := make([]Index, 8)
-	for i := range shards {
-		shards[i] = &blockingIndex{n: 10}
-	}
-	sh, err := NewSharded(shards, 4)
+	release := make(chan struct{})
+	sh, err := newSharded(blockingShards(8, release), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +164,7 @@ func TestShardedCancelPrompt(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the fan-out start
 	cancel()
+	close(release)
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -201,8 +177,7 @@ func TestShardedCancelPrompt(t *testing.T) {
 	// A context that is already dead never dispatches a shard.
 	deadCtx, deadCancel := context.WithCancel(context.Background())
 	deadCancel()
-	fresh := &blockingIndex{n: 10}
-	sh2, err := NewSharded([]Index{fresh, fresh}, 2)
+	sh2, err := newSharded(blockingShards(2, release), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +200,8 @@ func TestShardedCancelPrompt(t *testing.T) {
 // TestSearchSeqCancelledSharded checks the streaming path surfaces
 // cancellation and drains its fan-out.
 func TestSearchSeqCancelledSharded(t *testing.T) {
-	shards := make([]Index, 4)
-	for i := range shards {
-		shards[i] = &blockingIndex{n: 10}
-	}
-	sh, err := NewSharded(shards, 2)
+	release := make(chan struct{})
+	sh, err := newSharded(blockingShards(4, release), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +209,7 @@ func TestSearchSeqCancelledSharded(t *testing.T) {
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
+		close(release)
 	}()
 	_, err = collect(sh.SearchSeq(ctx, VectorQuery(dataset.GIST(1, 1)[0]), Options{}))
 	if !errors.Is(err, context.Canceled) {
@@ -358,37 +331,26 @@ func TestParseProblemNormalizes(t *testing.T) {
 	}
 }
 
-// stubIndex is a test Index that answers every search with a fixed id
-// list, honouring Options.Limit the way the adapter does.
-type stubIndex struct {
-	ids []int64
-	n   int
-}
+// stubBackend is a backend whose range probes answer with a fixed id
+// list; the adapter over it applies Options.Limit.
+type stubBackend struct{ ids []int64 }
 
-func (s *stubIndex) Problem() Problem { return Hamming }
-func (s *stubIndex) Len() int         { return s.n }
-func (s *stubIndex) Tau() float64     { return 1 }
-func (s *stubIndex) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
-	ids := append([]int64(nil), s.ids...)
-	st := Stats{Results: len(ids)}
-	if opt.Limit > 0 && len(ids) > opt.Limit {
-		ids = ids[:opt.Limit]
-		st.Limited = true
-		st.Results = len(ids)
-	}
-	return ids, st, nil
+func (stubBackend) checkTau(*float64) error { return nil }
+func (b stubBackend) searchRange(_ Query, _ Options, _, _ int, dst []int64) ([]int64, Stats, error) {
+	return append(dst, b.ids...), Stats{Results: len(b.ids)}, nil
 }
-func (s *stubIndex) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, s, q, opt)
-}
+func (stubBackend) topkBounds(Options) []float64                                { return nil }
+func (stubBackend) topkRung(Query, Options, float64, *resultHeap, *Stats) error { return nil }
+func (stubBackend) object(int) Query                                            { return Query{kind: Hamming} }
+func (stubBackend) AppendSnapshot(*snapshot.Builder, string) error              { return nil }
 
 // TestShardedLimitedFlag: shard 0 holds ten matches and shard 1 none,
 // so Limit 5 cuts the true result set and Stats.Limited must say so
 // even though the last shard searched was not itself cut.
 func TestShardedLimitedFlag(t *testing.T) {
-	sh0 := &stubIndex{ids: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, n: 20}
-	sh1 := &stubIndex{n: 20}
-	s, err := NewSharded([]Index{sh0, sh1}, 1) // 1 worker: both shards run, in order
+	sh0 := &adapter{Hamming, 20, 1, stubBackend{ids: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}}
+	sh1 := &adapter{Hamming, 20, 1, stubBackend{}}
+	s, err := newSharded([]*adapter{sh0, sh1}, 1) // 1 worker: both shards run, in order
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/parallel"
 )
 
-// Sharded is a composite Index over N shards, each an Index holding a
-// contiguous slice of the database. A query fans out to every shard on
+// Sharded is a composite Index over N shards, each a plain adapter
+// holding a contiguous slice of the database. A query fans out to every shard on
 // a worker pool; shard i's local ids are rebased by its offset and the
 // per-shard results concatenated in shard order, which keeps the
 // output in ascending global id order — every backend returns exact,
@@ -27,11 +28,11 @@ import (
 // a prefix of completed shards already holds the first Limit ids, so
 // later shards' filtering and verification work is abandoned.
 //
-// Sharded is immutable after NewSharded and safe for concurrent use:
+// Sharded is immutable after newSharded and safe for concurrent use:
 // shards are themselves immutable and fan-out state is per call.
 type Sharded struct {
 	problem Problem
-	shards  []Index
+	shards  []*adapter
 	offsets []int64
 	workers int
 	total   int
@@ -60,12 +61,13 @@ func (s *Sharded) putFan(f *fanScratch) {
 	s.fan.Put(f)
 }
 
-// NewSharded builds a composite over shards, which must be non-empty,
+// newSharded builds a composite over shards, which must be non-empty,
 // share one Problem and one default τ, and hold contiguous id ranges
 // in order (shard 0 owns ids [0, shard0.Len()), shard 1 the next
-// range, and so on — the layout Build* producers emit). workers caps
-// the per-query fan-out; ≤ 0 selects GOMAXPROCS.
-func NewSharded(shards []Index, workers int) (*Sharded, error) {
+// range, and so on — the layout the Build* constructors and
+// OpenSnapshot emit). workers caps the per-query fan-out; ≤ 0 selects
+// GOMAXPROCS.
+func newSharded(shards []*adapter, workers int) (*Sharded, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: no shards")
 	}
@@ -261,17 +263,13 @@ func (s *Sharded) SearchTopK(ctx context.Context, q Query, opt Options) ([]Resul
 	results := make([][]Result, n)
 	perShard := make([]Stats, n)
 	err := parallel.ForEachCtx(ctx, n, s.workers, func(jobCtx context.Context, i int) error {
-		ts, ok := s.shards[i].(TopKSearcher)
-		if !ok {
-			return fmt.Errorf("shard %d: %T does not support top-k search", i, s.shards[i])
-		}
 		sopt := opt
 		sopt.topkSlot = i
 		var shardStart time.Time
 		if traceShards {
 			shardStart = time.Now()
 		}
-		res, st, err := ts.SearchTopK(jobCtx, q, sopt)
+		res, st, err := s.shards[i].SearchTopK(jobCtx, q, sopt)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -307,6 +305,41 @@ func (s *Sharded) SearchTopK(ctx context.Context, q Query, opt Options) ([]Resul
 	agg.PerShard = perShard
 	hooks.stage(StageSearch, time.Duration(agg.WallNS))
 	return out, agg, nil
+}
+
+// searchRange answers a range probe in global id space: the range is
+// split at shard boundaries and each piece probes its shard, whose
+// local ids are rebased by the shard's offset. Callers may pass ranges
+// that straddle shards — a remote coordinator cannot know a replica's
+// shard layout.
+func (s *Sharded) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
+	for lo < hi {
+		k := s.shardOf(int64(lo))
+		off := int(s.offsets[k])
+		cut := min(hi, off+s.shards[k].n)
+		base := len(dst)
+		out, err := s.shards[k].searchRange(ctx, q, opt, lo-off, cut-off, dst, st)
+		if err != nil {
+			return dst, fmt.Errorf("shard %d: %w", k, err)
+		}
+		for i := base; i < len(out); i++ {
+			out[i] += int64(off)
+		}
+		dst = out
+		lo = cut
+	}
+	return dst, nil
+}
+
+// object replays global id i from the shard holding it.
+func (s *Sharded) object(i int) Query {
+	k := s.shardOf(int64(i))
+	return s.shards[k].object(i - int(s.offsets[k]))
+}
+
+// shardOf returns the index of the shard holding global id i.
+func (s *Sharded) shardOf(i int64) int {
+	return sort.Search(len(s.offsets), func(k int) bool { return s.offsets[k] > i }) - 1
 }
 
 // SearchSeq streams q's results in ascending id order. Shards run

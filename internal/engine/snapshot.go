@@ -21,14 +21,17 @@ import (
 const SnapshotBackend = "pigeonring-engine"
 
 // WriteSnapshot serializes ix — a plain adapter or a Sharded composite
-// built by this package — into one snapshot container on w, returning
+// — into one snapshot container on w, returning
 // the bytes written. hooks (optional) receives one StageSnapshotWrite
 // span covering the whole pass.
 func WriteSnapshot(ix Index, w io.Writer, hooks *Hooks) (int64, error) {
 	start := time.Now()
-	shards := []Index{ix}
-	if s, ok := ix.(*Sharded); ok {
-		shards = s.shards
+	var shards []*adapter
+	switch ix := ix.(type) {
+	case *adapter:
+		shards = []*adapter{ix}
+	case *Sharded:
+		shards = ix.shards
 	}
 	b := snapshot.NewBuilder()
 	b.Add("engine/problem", []byte(ix.Problem()))
@@ -36,11 +39,7 @@ func WriteSnapshot(ix Index, w io.Writer, hooks *Hooks) (int64, error) {
 		uint64(len(shards)),
 		math.Float64bits(ix.Tau()),
 	})
-	for i, sh := range shards {
-		a, ok := sh.(*adapter)
-		if !ok {
-			return 0, fmt.Errorf("engine: %T cannot be snapshotted; use an index built by this package", sh)
-		}
+	for i, a := range shards {
 		if err := a.b.AppendSnapshot(b, fmt.Sprintf("s%d/", i)); err != nil {
 			return 0, fmt.Errorf("engine: snapshotting shard %d: %w", i, err)
 		}
@@ -90,37 +89,37 @@ func OpenSnapshot(r io.ReaderAt, workers int, hooks *Hooks) (Index, error) {
 
 	// Shard section groups are independent and the Reader is safe for
 	// concurrent reads, so open them in parallel.
-	shards := make([]Index, nShards)
+	shards := make([]*adapter, nShards)
 	err = parallel.ForEachErr(nShards, workers, func(i int) error {
 		prefix := fmt.Sprintf("s%d/", i)
-		var ix Index
+		var a *adapter
 		var err error
 		switch problem {
 		case Hamming:
 			var db *hamming.DB
 			if db, err = hamming.OpenSnapshotAt(rd, prefix); err == nil {
-				ix, err = NewHamming(db, int(tau))
+				a, err = newHamming(db, int(tau))
 			}
 		case Set:
 			var db *setsim.PKWiseDB
 			if db, err = setsim.OpenSnapshotAt(rd, prefix); err == nil {
-				ix, err = NewSet(db)
+				a, err = newSet(db)
 			}
 		case String:
 			var db *strdist.DB
 			if db, err = strdist.OpenSnapshotAt(rd, prefix); err == nil {
-				ix, err = NewString(db)
+				a, err = newString(db)
 			}
 		case Graph:
 			var db *graph.DB
 			if db, err = graph.OpenSnapshotAt(rd, prefix); err == nil {
-				ix, err = NewGraph(db)
+				a, err = newGraph(db)
 			}
 		}
 		if err != nil {
 			return fmt.Errorf("engine: opening shard %d: %w", i, err)
 		}
-		shards[i] = ix
+		shards[i] = a
 		return nil
 	})
 	if err != nil {
@@ -130,7 +129,7 @@ func OpenSnapshot(r io.ReaderAt, workers int, hooks *Hooks) (Index, error) {
 	if nShards == 1 {
 		out = shards[0]
 	} else {
-		if out, err = NewSharded(shards, workers); err != nil {
+		if out, err = newSharded(shards, workers); err != nil {
 			return nil, err
 		}
 	}
@@ -197,17 +196,5 @@ func Object(ix Index, id int) (Query, error) {
 	if id < 0 || id >= ix.Len() {
 		return Query{}, fmt.Errorf("engine: object id %d out of range [0,%d)", id, ix.Len())
 	}
-	if s, ok := ix.(*Sharded); ok {
-		k := s.shardOf(int64(id))
-		a, ok := s.shards[k].(*adapter)
-		if !ok {
-			return Query{}, fmt.Errorf("engine: shard %d (%T) does not expose its objects", k, s.shards[k])
-		}
-		return a.b.object(id - int(s.offsets[k])), nil
-	}
-	a, ok := ix.(*adapter)
-	if !ok {
-		return Query{}, fmt.Errorf("engine: %T does not expose its objects", ix)
-	}
-	return a.b.object(id), nil
+	return ix.object(id), nil
 }

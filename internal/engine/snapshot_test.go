@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,47 +78,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObject verifies the query-by-id capability on snapshot-loaded
-// indexes: Object(id) must return a query that searches identically to
-// the original raw object, for plain and sharded indexes alike.
+// TestObject verifies the query-by-id capability: Object(id) must
+// return a query that searches identically to the original raw object,
+// on a plain index, a sharded one and a sharded one reopened from a
+// snapshot alike.
 func TestObject(t *testing.T) {
 	for _, tc := range buildCases(t, 3) {
 		t.Run(tc.name, func(t *testing.T) {
-			re := roundTrip(t, tc.sharded, 0, nil)
-			for _, id := range []int{0, re.Len() / 2, re.Len() - 1} {
-				q, err := Object(re, id)
-				if err != nil {
-					t.Fatalf("Object(%d): %v", id, err)
-				}
-				if q.Kind() != re.Problem() {
-					t.Fatalf("Object(%d) kind %v, want %v", id, q.Kind(), re.Problem())
-				}
-				got, _, err := re.Search(context.Background(), q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err := tc.unsharded.Search(context.Background(), q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameIDs(got, want) {
-					t.Fatalf("Object(%d) search ids %v, want %v", id, got, want)
-				}
-				found := false
-				for _, r := range got {
-					if r == int64(id) {
-						found = true
+			for _, ix := range []struct {
+				name string
+				ix   Index
+			}{{"unsharded", tc.unsharded}, {"sharded", tc.sharded}, {"reopened", roundTrip(t, tc.sharded, 0, nil)}} {
+				re := ix.ix
+				for _, id := range []int{0, re.Len() / 2, re.Len() - 1} {
+					q, err := Object(re, id)
+					if err != nil {
+						t.Fatalf("%s: Object(%d): %v", ix.name, id, err)
+					}
+					if q.Kind() != re.Problem() {
+						t.Fatalf("%s: Object(%d) kind %v, want %v", ix.name, id, q.Kind(), re.Problem())
+					}
+					got, _, err := re.Search(context.Background(), q, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := tc.unsharded.Search(context.Background(), q, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameIDs(got, want) {
+						t.Fatalf("%s: Object(%d) search ids %v, want %v", ix.name, id, got, want)
+					}
+					if !slices.Contains(got, int64(id)) {
+						t.Fatalf("%s: Object(%d) search %v does not contain the object itself", ix.name, id, got)
 					}
 				}
-				if !found {
-					t.Fatalf("Object(%d) search %v does not contain the object itself", id, got)
+				if _, err := Object(re, -1); err == nil {
+					t.Fatalf("%s: negative id accepted", ix.name)
 				}
-			}
-			if _, err := Object(re, -1); err == nil {
-				t.Fatal("negative id accepted")
-			}
-			if _, err := Object(re, re.Len()); err == nil {
-				t.Fatal("out-of-range id accepted")
+				if _, err := Object(re, re.Len()); err == nil {
+					t.Fatalf("%s: out-of-range id accepted", ix.name)
+				}
 			}
 		})
 	}
@@ -214,15 +215,18 @@ func TestSnapshotHooks(t *testing.T) {
 // before any backend validation runs.
 func engineContainer(tb testing.TB, ix Index, problem string, meta []uint64) []byte {
 	tb.Helper()
-	shards := []Index{ix}
-	if s, ok := ix.(*Sharded); ok {
-		shards = s.shards
+	shards := []*adapter{}
+	switch ix := ix.(type) {
+	case *adapter:
+		shards = append(shards, ix)
+	case *Sharded:
+		shards = ix.shards
 	}
 	b := snapshot.NewBuilder()
 	b.Add("engine/problem", []byte(problem))
 	b.AddU64s("engine/meta", meta)
 	for i, sh := range shards {
-		if err := sh.(*adapter).b.AppendSnapshot(b, fmt.Sprintf("s%d/", i)); err != nil {
+		if err := sh.b.AppendSnapshot(b, fmt.Sprintf("s%d/", i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -290,7 +294,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 				t.Fatalf("opened index cannot search object 0: %v", err)
 			}
 		}
-		if _, _, err := ix.(Joiner).Join(ctx, JoinOptions{}); err != nil {
+		if _, _, err := ix.Join(ctx, JoinOptions{}); err != nil {
 			t.Fatalf("opened index cannot join: %v", err)
 		}
 	})

@@ -112,11 +112,6 @@ func tileWork(t joinTile, ranges []idRange) int64 {
 	return rows * cols
 }
 
-// rangeProbe answers one row of a tile: it appends to dst the ids in
-// [lo, hi) within threshold of row's object (ascending, hi ≤ row is
-// the caller's invariant) and accumulates work counters into st.
-type rangeProbe func(ctx context.Context, row, lo, hi int, sopt Options, dst []int64, st *Stats) ([]int64, error)
-
 // tileScratch is the per-worker reusable memory of the tile join: the
 // per-row id buffer the probes append into and the per-tile pair
 // accumulator (detached into an exact-size copy when the tile ends).
@@ -125,13 +120,6 @@ type tileScratch struct {
 	pairs []Pair
 }
 
-// joinTiles runs the 2-D tiled self-join over the given id ranges:
-// the upper-triangle tiles are enumerated, ordered by descending
-// estimated work, and pulled by a parallel.ForEachCtx worker pool
-// (channel dispatch is the work-stealing: whichever worker frees up
-// takes the next tile). The merged pairs are sorted ascending by
-// (I, J) and trimmed to opt.Limit — output identical to the backends'
-// quadratic JoinLinear references.
 // orderedTiles enumerates the upper-triangle tiles over ranges in the
 // schedule order joinTiles dispatches them: descending estimated work,
 // ties broken by (rj, ri) so the order is deterministic. The same
@@ -160,7 +148,16 @@ func orderedTiles(ranges []idRange) []joinTile {
 	return tiles
 }
 
-func joinTiles(ctx context.Context, workers int, opt JoinOptions, ranges []idRange, probe rangeProbe) ([]Pair, Stats, error) {
+// joinTiles runs the 2-D tiled self-join over the given id ranges:
+// the upper-triangle tiles are enumerated, ordered by descending
+// estimated work, and pulled by a parallel.ForEachCtx worker pool
+// (channel dispatch is the work-stealing: whichever worker frees up
+// takes the next tile). The merged pairs are sorted ascending by
+// (I, J) and trimmed to opt.Limit — output identical to the backends'
+// quadratic JoinLinear references. Row r of a tile replays ix's
+// object r and probes the tile's column range below r through
+// ix.searchRange.
+func joinTiles(ctx context.Context, ix Index, workers int, opt JoinOptions, ranges []idRange) ([]Pair, Stats, error) {
 	start := time.Now()
 	tiles := orderedTiles(ranges)
 
@@ -193,6 +190,7 @@ func joinTiles(ctx context.Context, workers int, opt JoinOptions, ranges []idRan
 			if hi <= cols.lo {
 				continue
 			}
+			q := ix.object(r)
 			if measure {
 				// Candidate generation alone, timed, to observe the
 				// filter/verify split the probes interleave — the same
@@ -200,7 +198,7 @@ func joinTiles(ctx context.Context, workers int, opt JoinOptions, ranges []idRan
 				fopt := sopt
 				fopt.SkipVerify = true
 				fstart := time.Now()
-				if _, err := probe(jobCtx, r, cols.lo, hi, fopt, s.ids[:0], &preStats); err != nil {
+				if _, err := ix.searchRange(jobCtx, q, fopt, cols.lo, hi, s.ids[:0], &preStats); err != nil {
 					s.pairs = ps
 					return fmt.Errorf("engine: join row %d: %w", r, err)
 				}
@@ -210,7 +208,7 @@ func joinTiles(ctx context.Context, workers int, opt JoinOptions, ranges []idRan
 			if opt.Timings {
 				fstart = time.Now()
 			}
-			ids, err := probe(jobCtx, r, cols.lo, hi, sopt, s.ids[:0], &agg)
+			ids, err := ix.searchRange(jobCtx, q, sopt, cols.lo, hi, s.ids[:0], &agg)
 			s.ids = ids
 			if err != nil {
 				s.pairs = ps

@@ -118,7 +118,7 @@ func TestJoinTileSizeParity(t *testing.T) {
 			for name, ix := range map[string]Index{"shards=1": tc.unsharded, "shards=4": tc.sharded} {
 				n := ix.Len()
 				for _, size := range []int{1, 7, 0, n, n + 100} {
-					got, st, err := joiner(t, ix).Join(ctx, JoinOptions{TileSize: size})
+					got, st, err := ix.Join(ctx, JoinOptions{TileSize: size})
 					if err != nil {
 						t.Fatalf("%s tileSize=%d: %v", name, size, err)
 					}
@@ -148,7 +148,7 @@ func TestJoinLimitPrefixTiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := joiner(t, ix).Join(ctx, JoinOptions{})
+		full, _, err := ix.Join(ctx, JoinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestJoinLimitPrefixTiled(t *testing.T) {
 			t.Fatalf("corpus yields only %d pairs; test needs ≥ 2", len(full))
 		}
 		k := len(full) / 2
-		got, st, err := joiner(t, ix).Join(ctx, JoinOptions{Limit: k, TileSize: 17})
+		got, st, err := ix.Join(ctx, JoinOptions{Limit: k, TileSize: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestJoinCancelMidTile(t *testing.T) {
 		// One tile spanning the whole corpus: the cancel must land
 		// mid-tile or the join finishes first — either way the error
 		// contract below holds, but the interesting path is mid-tile.
-		_, _, err := joiner(t, ix).Join(ctx, JoinOptions{TileSize: len(vecs)})
+		_, _, err := ix.Join(ctx, JoinOptions{TileSize: len(vecs)})
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)

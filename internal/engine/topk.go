@@ -59,10 +59,10 @@ func compareResult(a, b Result) int {
 // resultLess reports a < b under compareResult.
 func resultLess(a, b Result) bool { return compareResult(a, b) < 0 }
 
-// TopKSearcher is implemented by every index this package builds —
-// the plain adapter and Sharded. SearchTopK returns the Options.TopK
-// nearest objects ordered by (Distance, ID) ascending; fewer when the
-// backend's ceiling contains fewer. Options.TopK must be > 0 and
+// TopKSearcher is the top-k half of Index, so every Index answers it
+// directly: ix.SearchTopK(ctx, q, opt). SearchTopK returns the
+// Options.TopK nearest objects ordered by (Distance, ID) ascending;
+// fewer when the backend's ceiling contains fewer. Options.TopK must be > 0 and
 // Limit, SkipVerify and Timings must be unset (validateTopK).
 type TopKSearcher interface {
 	SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error)

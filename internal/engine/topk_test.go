@@ -37,11 +37,7 @@ func oracleTopK(all []Result, k int) []Result {
 // unsharded result exactly.
 func checkTopK(t *testing.T, unsharded, sharded Index, q Query, opt Options, want []Result) {
 	t.Helper()
-	uts, ok := unsharded.(TopKSearcher)
-	if !ok {
-		t.Fatalf("%T does not implement TopKSearcher", unsharded)
-	}
-	got, st, err := uts.SearchTopK(context.Background(), q, opt)
+	got, st, err := unsharded.SearchTopK(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +56,7 @@ func checkTopK(t *testing.T, unsharded, sharded Index, q Query, opt Options, wan
 		}
 	}
 
-	sts, ok := sharded.(TopKSearcher)
-	if !ok {
-		t.Fatalf("%T does not implement TopKSearcher", sharded)
-	}
-	got2, st2, err := sts.SearchTopK(context.Background(), q, opt)
+	got2, st2, err := sharded.SearchTopK(context.Background(), q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +264,7 @@ func TestTopKContextCancelMidLadder(t *testing.T) {
 			TopK:  len(vecs),
 			Hooks: &Hooks{Rung: func(rung int, tau float64, candidates int) { cancel() }},
 		}
-		_, _, err = ix.(TopKSearcher).SearchTopK(ctx, VectorQuery(vecs[0]), opt)
+		_, _, err = ix.SearchTopK(ctx, VectorQuery(vecs[0]), opt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("shards=%d: err = %v, want context.Canceled", shards, err)
 		}
@@ -296,7 +288,7 @@ func TestTopKRungHook(t *testing.T) {
 			taus = append(taus, tau)
 		}},
 	}
-	_, st, err := ix.(TopKSearcher).SearchTopK(context.Background(), VectorQuery(vecs[0]), opt)
+	_, st, err := ix.SearchTopK(context.Background(), VectorQuery(vecs[0]), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +312,6 @@ func TestTopKValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := ix.(TopKSearcher)
 		ctx := context.Background()
 		q := VectorQuery(vecs[0])
 		for name, opt := range map[string]Options{
@@ -330,7 +321,7 @@ func TestTopKValidation(t *testing.T) {
 			"skipVerify": {TopK: 3, SkipVerify: true},
 			"timings":    {TopK: 3, Timings: true},
 		} {
-			if _, _, err := ts.SearchTopK(ctx, q, opt); err == nil {
+			if _, _, err := ix.SearchTopK(ctx, q, opt); err == nil {
 				t.Fatalf("shards=%d: SearchTopK accepted %s", shards, name)
 			}
 		}
@@ -347,7 +338,7 @@ func TestTopKValidation(t *testing.T) {
 			t.Fatalf("shards=%d: SearchSeq with TopK: err = %v", shards, seqErr)
 		}
 		// Kind mismatch still wins over option validation.
-		if _, _, err := ts.SearchTopK(ctx, StringQuery("x"), Options{TopK: 3}); err == nil {
+		if _, _, err := ix.SearchTopK(ctx, StringQuery("x"), Options{TopK: 3}); err == nil {
 			t.Fatal("string query against hamming index accepted")
 		}
 	}
@@ -375,7 +366,7 @@ func TestSearchBatchTopK(t *testing.T) {
 		if r.IDs != nil {
 			t.Fatalf("result %d: top-k batch filled IDs: %v", i, r.IDs)
 		}
-		want, _, err := ix.(TopKSearcher).SearchTopK(context.Background(), queries[i], opt)
+		want, _, err := ix.SearchTopK(context.Background(), queries[i], opt)
 		if err != nil {
 			t.Fatal(err)
 		}

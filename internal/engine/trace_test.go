@@ -134,9 +134,8 @@ func TestHooksJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joiner := ix.(Joiner)
 	l := newSpanLog()
-	if _, _, err := joiner.Join(context.Background(), JoinOptions{Hooks: l.hooks()}); err != nil {
+	if _, _, err := ix.Join(context.Background(), JoinOptions{Hooks: l.hooks()}); err != nil {
 		t.Fatal(err)
 	}
 	l.mu.Lock()

@@ -13,7 +13,7 @@
 // delete an isolated vertex, or change a vertex label to a wildcard) is
 // subgraph-isomorphic to q.
 //
-// One substitution versus Pars is documented in DESIGN.md: parts are
+// One substitution versus Pars: parts are
 // vertex-induced subgraphs (no half-edges), under which every edit
 // operation still touches at most one part, so the pigeonhole and
 // pigeonring filters remain complete; and the partition filter is

@@ -234,14 +234,24 @@ func NewDB(vecs []bitvec.Vector, m int) (*DB, error) {
 			return nil, fmt.Errorf("hamming: vector %d has dimension %d, want %d", i, v.Dim(), d)
 		}
 	}
-	if m < 1 || m > d {
-		return nil, fmt.Errorf("hamming: invalid part count m=%d for d=%d", m, d)
+	if err := checkParts(d, m); err != nil {
+		return nil, fmt.Errorf("hamming: %w", err)
 	}
 	arena := make([]uint64, 0, len(vecs)*((d+63)/64))
 	for _, v := range vecs {
 		arena = append(arena, v.Words()...)
 	}
 	return build(arena, d, m), nil
+}
+
+// checkParts rejects a part count the equal-width partitioning of d
+// dimensions cannot take: one part per dimension at most, and no part
+// wider than the 64-bit word its values are read into.
+func checkParts(d, m int) error {
+	if m < 1 || m > d || (d+m-1)/m > 64 {
+		return fmt.Errorf("invalid part count m=%d for d=%d: want %d ≤ m ≤ %d", m, d, max(1, (d+63)/64), d)
+	}
+	return nil
 }
 
 // build indexes a non-empty arena of d-dimensional vectors (zero bits

@@ -280,6 +280,10 @@ func TestErrors(t *testing.T) {
 	if _, err := NewDB([]bitvec.Vector{bitvec.Random(rng, 64)}, 0); err == nil {
 		t.Error("m=0 should fail")
 	}
+	// 256 bits in 3 parts would need 86-bit part values.
+	if _, err := NewDB([]bitvec.Vector{bitvec.Random(rng, 256)}, 3); err == nil {
+		t.Error("parts wider than 64 bits should fail")
+	}
 	db, _ := randomDB(t, 50, 64, 8, 10)
 	if _, _, err := db.Search(bitvec.Random(rng, 32), 5, GPHOptions()); err == nil {
 		t.Error("dimension mismatch should fail")

@@ -75,7 +75,7 @@ func OpenSnapshotAt(rd *snapshot.Reader, prefix string) (*DB, error) {
 		return bad("implausible geometry d=%d m=%d n=%d", meta[0], meta[1], meta[2])
 	}
 	d, m, n := int(meta[0]), int(meta[1]), int(meta[2])
-	if m < 1 || (d+m-1)/m > 64 || n < 1 {
+	if checkParts(d, m) != nil || n < 1 {
 		return bad("implausible geometry d=%d m=%d n=%d", d, m, n)
 	}
 	words, err := rd.U64s(prefix + "vecs")

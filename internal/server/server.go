@@ -419,30 +419,49 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.handleLoadSnapshot(w, r, &req)
 		return
 	}
-	p, err := engine.ParseProblem(req.Problem)
+	start := time.Now()
+	ix, ds, err := Build(req, s.workers)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.N < 0 {
-		writeError(w, r, http.StatusBadRequest, "negative n")
+	e := &entry{index: ix, dataset: ds, buildMS: float64(time.Since(start).Nanoseconds()) / 1e6}
+	if !s.install(w, r, ix.Problem(), e) {
 		return
+	}
+	writeJSON(w, http.StatusOK, LoadResponse{
+		Problem: string(ix.Problem()), Dataset: ds, N: ix.Len(),
+		Tau: ix.Tau(), Shards: shardCount(ix), BuildMS: e.buildMS,
+	})
+}
+
+// Build generates the synthetic dataset a load request describes and
+// indexes it, building shards (and later fanning searches out) over
+// workers goroutines (≤ 0 selects GOMAXPROCS). It applies /v1/load's
+// bounds and per-problem defaults (see LoadRequest; Snapshot is not
+// consulted) and returns the index with the resolved dataset name.
+// Every error is the request's fault: an unknown problem or dataset,
+// or a parameter out of bounds or rejected by the index builder.
+func Build(req LoadRequest, workers int) (engine.Index, string, error) {
+	p, err := engine.ParseProblem(req.Problem)
+	if err != nil {
+		return nil, "", err
+	}
+	if req.N < 0 {
+		return nil, "", errors.New("negative n")
 	}
 	// Bound the build parameters: dataset generation and index
 	// construction are proportional to n (and search-time scratch to
 	// M), so unbounded values would let one request pin or OOM the
 	// daemon — the same reason inline graph queries are capped.
 	if req.N > maxLoadN {
-		writeError(w, r, http.StatusBadRequest, "n=%d exceeds the limit of %d", req.N, maxLoadN)
-		return
+		return nil, "", fmt.Errorf("n=%d exceeds the limit of %d", req.N, maxLoadN)
 	}
 	if req.M > maxLoadM {
-		writeError(w, r, http.StatusBadRequest, "m=%d exceeds the limit of %d", req.M, maxLoadM)
-		return
+		return nil, "", fmt.Errorf("m=%d exceeds the limit of %d", req.M, maxLoadM)
 	}
 	if req.Kappa > maxLoadKappa {
-		writeError(w, r, http.StatusBadRequest, "kappa=%d exceeds the limit of %d", req.Kappa, maxLoadKappa)
-		return
+		return nil, "", fmt.Errorf("kappa=%d exceeds the limit of %d", req.Kappa, maxLoadKappa)
 	}
 	if req.N == 0 {
 		if p == engine.Graph {
@@ -460,20 +479,17 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		req.Shards = 1
 	}
 	if req.Shards > maxLoadShards {
-		writeError(w, r, http.StatusBadRequest, "shards=%d exceeds the limit of %d", req.Shards, maxLoadShards)
-		return
+		return nil, "", fmt.Errorf("shards=%d exceeds the limit of %d", req.Shards, maxLoadShards)
 	}
 	// Hamming, string and graph thresholds are integer distances;
 	// reject fractional, negative or oversized τ instead of silently
 	// truncating (or trying to allocate) it.
 	if req.Tau != nil && p != engine.Set {
 		if *req.Tau != math.Trunc(*req.Tau) {
-			writeError(w, r, http.StatusBadRequest, "%s threshold must be an integer, got τ=%v", p, *req.Tau)
-			return
+			return nil, "", fmt.Errorf("%s threshold must be an integer, got τ=%v", p, *req.Tau)
 		}
 		if *req.Tau < 0 || *req.Tau > maxLoadTau {
-			writeError(w, r, http.StatusBadRequest, "%s threshold τ=%v outside [0, %d]", p, *req.Tau, maxLoadTau)
-			return
+			return nil, "", fmt.Errorf("%s threshold τ=%v outside [0, %d]", p, *req.Tau, maxLoadTau)
 		}
 	}
 	// tau resolves the build threshold with a per-problem default; a
@@ -485,61 +501,53 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return def
 	}
 
-	start := time.Now()
-	e := &entry{}
+	// Each problem has two synthetic generators; the first is the
+	// default.
+	names := map[engine.Problem][2]string{
+		engine.Hamming: {"gist", "sift"}, engine.Set: {"dblp", "enron"},
+		engine.String: {"imdb", "pubmed"}, engine.Graph: {"aids", "protein"},
+	}[p]
+	switch req.Dataset {
+	case "":
+		req.Dataset = names[0]
+	case names[0], names[1]:
+	default:
+		return nil, "", fmt.Errorf("unknown %s dataset %q (want %s or %s)", p, req.Dataset, names[0], names[1])
+	}
+	alt := req.Dataset == names[1]
+
+	var ix engine.Index
 	switch p {
 	case engine.Hamming:
-		tauV := tau(24)
 		gen := dataset.GIST
-		switch req.Dataset {
-		case "", "gist":
-			req.Dataset = "gist"
-		case "sift":
+		if alt {
 			gen = dataset.SIFT
-		default:
-			writeError(w, r, http.StatusBadRequest, "unknown hamming dataset %q (want gist or sift)", req.Dataset)
-			return
 		}
-		// Not kept on the entry: the index copies the vectors into its
-		// own arena, and queryId replays them from there.
+		// The index copies the vectors into its own arena; queries by
+		// id replay them from there.
 		vecs := gen(req.N, req.Seed)
 		m := req.M
 		if m <= 0 {
 			m = vecs[0].Dim() / 16
 		}
-		e.index, err = engine.BuildHamming(vecs, m, int(tauV), req.Shards, s.workers)
+		ix, err = engine.BuildHamming(vecs, m, int(tau(24)), req.Shards, workers)
 	case engine.Set:
-		tauV := tau(0.8)
 		gen := dataset.DBLP
-		switch req.Dataset {
-		case "", "dblp":
-			req.Dataset = "dblp"
-		case "enron":
+		if alt {
 			gen = dataset.Enron
-		default:
-			writeError(w, r, http.StatusBadRequest, "unknown set dataset %q (want dblp or enron)", req.Dataset)
-			return
 		}
-		sets := gen(req.N, req.Seed)
 		m := req.M
 		if m <= 0 {
 			m = 5
 		}
-		cfg := setsim.Config{Measure: setsim.Jaccard, Tau: tauV, M: m}
-		e.index, err = engine.BuildSet(sets, cfg, req.Shards, s.workers)
+		cfg := setsim.Config{Measure: setsim.Jaccard, Tau: tau(0.8), M: m}
+		ix, err = engine.BuildSet(gen(req.N, req.Seed), cfg, req.Shards, workers)
 	case engine.String:
-		tauV := tau(2)
 		gen := dataset.IMDB
-		switch req.Dataset {
-		case "", "imdb":
-			req.Dataset = "imdb"
-		case "pubmed":
+		if alt {
 			gen = dataset.PubMed
-		default:
-			writeError(w, r, http.StatusBadRequest, "unknown string dataset %q (want imdb or pubmed)", req.Dataset)
-			return
 		}
-		strs := gen(req.N, req.Seed)
+		tauV := tau(2)
 		kappa := req.Kappa
 		if kappa <= 0 {
 			kappa = 2
@@ -547,34 +555,18 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 				kappa = 3
 			}
 		}
-		e.index, err = engine.BuildString(strs, kappa, int(tauV), req.Shards, s.workers)
+		ix, err = engine.BuildString(gen(req.N, req.Seed), kappa, int(tauV), req.Shards, workers)
 	case engine.Graph:
-		tauV := tau(3)
 		gen := dataset.AIDS
-		switch req.Dataset {
-		case "", "aids":
-			req.Dataset = "aids"
-		case "protein":
+		if alt {
 			gen = dataset.Protein
-		default:
-			writeError(w, r, http.StatusBadRequest, "unknown graph dataset %q (want aids or protein)", req.Dataset)
-			return
 		}
-		e.index, err = engine.BuildGraph(gen(req.N, req.Seed), int(tauV), req.Shards, s.workers)
+		ix, err = engine.BuildGraph(gen(req.N, req.Seed), int(tau(3)), req.Shards, workers)
 	}
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "building %s index: %v", p, err)
-		return
+		return nil, "", fmt.Errorf("building %s index: %w", p, err)
 	}
-	e.dataset = req.Dataset
-	e.buildMS = float64(time.Since(start).Nanoseconds()) / 1e6
-	if !s.install(w, r, p, e) {
-		return
-	}
-	writeJSON(w, http.StatusOK, LoadResponse{
-		Problem: string(p), Dataset: req.Dataset, N: e.index.Len(),
-		Tau: e.index.Tau(), Shards: shardCount(e.index), BuildMS: e.buildMS,
-	})
+	return ix, req.Dataset, nil
 }
 
 // corpusHash computes an index's content address: FNV-64a over its
@@ -1144,15 +1136,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.K > 0 {
-		ts, ok := e.index.(engine.TopKSearcher)
-		if !ok {
-			// Unreachable for indexes this server builds; kept so a
-			// future foreign index degrades into a clear answer.
-			writeError(w, r, http.StatusNotImplemented, "%s index does not support top-k search", p)
-			return
-		}
 		opt.TopK = req.K
-		res, st, err := ts.SearchTopK(ctx, q, opt)
+		res, st, err := e.index.SearchTopK(ctx, q, opt)
 		if err != nil {
 			writeSearchError(w, r, e, err)
 			return
@@ -1369,16 +1354,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	joiner, ok := e.index.(engine.Joiner)
-	if !ok {
-		// Unreachable for indexes this server builds; kept so a future
-		// foreign index degrades into a clear answer instead of a 500.
-		writeError(w, r, http.StatusNotImplemented, "%s index does not support joins", p)
-		return
-	}
 	ctx, cancel := s.searchContext(r, req.TimeoutMS)
 	defer cancel()
-	pairs, st, err := joiner.Join(ctx, engine.JoinOptions{
+	pairs, st, err := e.index.Join(ctx, engine.JoinOptions{
 		ChainLength: req.L,
 		Limit:       req.Limit,
 		SkipVerify:  req.SkipVerify,
@@ -1491,16 +1469,12 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	resp := IndexesResponse{Indexes: make([]IndexInfo, 0, len(s.entries))}
 	for p, e := range s.entries {
-		shards := 1
-		if sh, ok := e.index.(*engine.Sharded); ok {
-			shards = sh.Shards()
-		}
 		resp.Indexes = append(resp.Indexes, IndexInfo{
 			Problem:      string(p),
 			Dataset:      e.dataset,
 			N:            e.index.Len(),
 			Tau:          e.index.Tau(),
-			Shards:       shards,
+			Shards:       shardCount(e.index),
 			BuildMS:      e.buildMS,
 			SnapshotHash: e.hash,
 		})
@@ -1552,10 +1526,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	for p, e := range entries {
-		shards := 1
-		if sh, ok := e.index.(*engine.Sharded); ok {
-			shards = sh.Shards()
-		}
 		// The serving counters are read back from the registry, so
 		// /v1/stats and /metrics can never disagree; counters are
 		// monotonic over the server's lifetime and survive reloads.
@@ -1564,7 +1534,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Dataset:      e.dataset,
 			N:            e.index.Len(),
 			Tau:          e.index.Tau(),
-			Shards:       shards,
+			Shards:       shardCount(e.index),
 			BuildMS:      e.buildMS,
 			SnapshotHash: e.hash,
 			Queries:      m.searches.Value(),

@@ -337,6 +337,11 @@ func TestErrorPaths(t *testing.T) {
 	if code, _ := h.post("/v1/search", SearchRequest{Problem: "hamming", QueryID: &qi, Tau: engine.Tau(23.9)}, nil); code != http.StatusBadRequest {
 		t.Fatalf("fractional search τ: status %d, want 400", code)
 	}
+	// A part count whose parts would not fit a word: 256-bit gist
+	// vectors in one part.
+	if code, body := h.post("/v1/load", LoadRequest{Problem: "hamming", N: 200, M: 1}, nil); code != http.StatusBadRequest {
+		t.Fatalf("m=1 on 256 bits: status %d body %q, want 400", code, body)
+	}
 	// Graph query validation must reject, not panic: negative edge
 	// label, negative vertex label, oversized n.
 	h.load(LoadRequest{Problem: "graph", N: 20, Seed: 1})
@@ -542,7 +547,7 @@ func TestJoinEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := local.(engine.Joiner).Join(context.Background(), engine.JoinOptions{})
+	want, _, err := local.Join(context.Background(), engine.JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/tokenset"
 )
 
-// This file validates the DESIGN.md substitution claim for pkwise: the
+// This file validates the substitution claim for pkwise: the
 // count-merge candidate generator produces exactly the candidate set of
 // the original algorithm's k-wise signature probing. A reference
 // signature generator is implemented here, combination hashing and
