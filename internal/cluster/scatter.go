@@ -156,21 +156,7 @@ func (c *Coordinator) Join(ctx context.Context, req server.JoinRequest) ([][2]in
 	for _, ps := range tilePairs {
 		out = append(out, ps...)
 	}
-	slices.SortFunc(out, func(a, b [2]int64) int {
-		if a[0] != b[0] {
-			if a[0] < b[0] {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a[1] < b[1]:
-			return -1
-		case a[1] > b[1]:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, func(a, b [2]int64) int { return slices.Compare(a[:], b[:]) })
 	if req.Limit > 0 && len(out) > req.Limit {
 		out = out[:req.Limit]
 		agg.Limited = true

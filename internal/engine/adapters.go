@@ -103,12 +103,19 @@ func (a *adapter) Search(ctx context.Context, q Query, opt Options) ([]int64, St
 }
 
 func (a *adapter) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, a, q, opt)
+	return collectSeq(ctx, func() ([]int64, Stats, error) { return a.Search(ctx, q, opt) })
 }
 
 // SearchTopK returns the Options.TopK nearest objects by climbing the
 // backend's τ ladder (see topk.go for each backend's shape).
 func (a *adapter) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
+	return a.searchTopK(ctx, q, opt, nil, 0)
+}
+
+// searchTopK is SearchTopK as one shard of a sharded top-k: cut, when
+// non-nil, is the fan-out's shared cutoff and slot this shard's place
+// in it (runLadder).
+func (a *adapter) searchTopK(ctx context.Context, q Query, opt Options, cut *topkCutoff, slot int) ([]Result, Stats, error) {
 	if err := checkKind(q, a.problem); err != nil {
 		return nil, Stats{}, err
 	}
@@ -118,12 +125,7 @@ func (a *adapter) SearchTopK(ctx context.Context, q Query, opt Options) ([]Resul
 	if err := a.b.checkTau(opt.Tau); err != nil {
 		return nil, Stats{}, err
 	}
-	return runLadder(ctx, opt, topkLadder{
-		bounds: a.b.topkBounds(opt),
-		run: func(bound float64, h *resultHeap, st *Stats) error {
-			return a.b.topkRung(q, opt, bound, h, st)
-		},
-	})
+	return runLadder(ctx, a.b, q, opt, cut, slot)
 }
 
 // object replays indexed object i through the backend.

@@ -181,12 +181,6 @@ type Options struct {
 	// per-shard fan-out legs. The nil default costs one pointer check;
 	// see the Hooks type for the callback contract.
 	Hooks *Hooks
-
-	// topkCut and topkSlot carry a sharded top-k fan-out's shared
-	// abandonment state into the per-shard ladders. Set only by
-	// Sharded.SearchTopK, never by callers.
-	topkCut  *topkCutoff
-	topkSlot int
 }
 
 // Index is the uniform search interface. It is closed: the plain
@@ -242,25 +236,22 @@ func checkKind(q Query, p Problem) error {
 	return nil
 }
 
-// collectSeq adapts a blocking Search into the SearchSeq contract for
-// the plain adapter: the backend runs to completion (one backend pass
-// is not interruptible), then the ids are yielded one at a time with
-// the context checked between yields.
-func collectSeq(ctx context.Context, ix Index, q Query, opt Options) iter.Seq2[int64, error] {
-	return func(yield func(int64, error) bool) {
-		ids, _, err := ix.Search(ctx, q, opt)
-		if err != nil {
-			yield(0, err)
-			return
+// collectSeq adapts a blocking call into the SearchSeq / JoinSeq
+// contract: run completes first (one backend pass is not
+// interruptible, and a join's (I, J) order is known only at the end),
+// then its items are yielded one at a time with the context checked
+// between yields. An error is yielded once, last, with a zero item.
+func collectSeq[T any](ctx context.Context, run func() ([]T, Stats, error)) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		items, _, err := run()
+		for i := 0; err == nil && i < len(items); i++ {
+			if err = ctx.Err(); err == nil && !yield(items[i], nil) {
+				return
+			}
 		}
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
-				yield(0, err)
-				return
-			}
-			if !yield(id, nil) {
-				return
-			}
+		if err != nil {
+			var zero T
+			yield(zero, err)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 	"repro/internal/tokenset"
 )
 
-// testIndexes builds one unsharded and one sharded index per problem
-// over the same synthetic data, plus the sample queries to run.
+// testCase holds one unsharded and one sharded index per problem over
+// the same synthetic data, plus the sample queries to run.
 type testCase struct {
 	name      string
 	unsharded Index
@@ -26,7 +26,10 @@ type testCase struct {
 	queries   []Query
 }
 
-func buildCases(t *testing.T, shards int) []testCase {
+// buildCases builds the test cases with the sharded index split into
+// shards and fanning out on a pool of the given size: 1 runs
+// parallel.ForEachCtx's serial loop, ≤ 0 selects GOMAXPROCS.
+func buildCases(t *testing.T, shards, workers int) []testCase {
 	t.Helper()
 	var cases []testCase
 
@@ -36,7 +39,7 @@ func buildCases(t *testing.T, shards int) []testCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hN, err := BuildHamming(vecs, 16, 24, shards, 0)
+	hN, err := BuildHamming(vecs, 16, 24, shards, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func buildCases(t *testing.T, shards int) []testCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sN, err := BuildSet(sets, cfg, shards, 0)
+	sN, err := BuildSet(sets, cfg, shards, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func buildCases(t *testing.T, shards int) []testCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tN, err := BuildString(strs, 2, 2, shards, 0)
+	tN, err := BuildString(strs, 2, 2, shards, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func buildCases(t *testing.T, shards int) []testCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gN, err := BuildGraph(graphs, 3, shards, 0)
+	gN, err := BuildGraph(graphs, 3, shards, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,45 +112,49 @@ func sameIDs(a, b []int64) bool {
 
 // TestShardedMatchesUnsharded is the acceptance-criterion test: for
 // every problem, every query against the sharded index returns the
-// exact id sequence the unsharded index returns.
+// exact id sequence the unsharded index returns, whether the shards
+// fan out serially (one worker) or on a pool of one worker per shard.
 func TestShardedMatchesUnsharded(t *testing.T) {
-	for _, tc := range buildCases(t, 4) {
+	serial, pooled := buildCases(t, 4, 1), buildCases(t, 4, 4)
+	for ci, tc := range serial {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, ok := tc.sharded.(*Sharded)
-			if !ok {
-				t.Fatalf("expected a *Sharded, got %T", tc.sharded)
-			}
-			if sh.Shards() != 4 {
-				t.Fatalf("shards = %d, want 4", sh.Shards())
-			}
-			if sh.Len() != tc.unsharded.Len() {
-				t.Fatalf("sharded Len = %d, unsharded %d", sh.Len(), tc.unsharded.Len())
-			}
-			for _, opt := range []Options{{}, {ChainLength: 1}} {
-				for qi, q := range tc.queries {
-					want, wantStats, err := tc.unsharded.Search(context.Background(), q, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, gotStats, err := tc.sharded.Search(context.Background(), q, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameIDs(got, want) {
-						t.Fatalf("query %d l=%d: sharded ids %v != unsharded %v", qi, opt.ChainLength, got, want)
-					}
-					if gotStats.Results != wantStats.Results {
-						t.Fatalf("query %d: sharded results %d != unsharded %d", qi, gotStats.Results, wantStats.Results)
-					}
-					if len(gotStats.PerShard) != 4 {
-						t.Fatalf("query %d: per-shard stats %d entries, want 4", qi, len(gotStats.PerShard))
-					}
-					sum := 0
-					for _, st := range gotStats.PerShard {
-						sum += st.Candidates
-					}
-					if sum != gotStats.Candidates {
-						t.Fatalf("query %d: aggregate candidates %d != per-shard sum %d", qi, gotStats.Candidates, sum)
+			for _, sharded := range []Index{tc.sharded, pooled[ci].sharded} {
+				sh, ok := sharded.(*Sharded)
+				if !ok {
+					t.Fatalf("expected a *Sharded, got %T", sharded)
+				}
+				if sh.Shards() != 4 {
+					t.Fatalf("shards = %d, want 4", sh.Shards())
+				}
+				if sh.Len() != tc.unsharded.Len() {
+					t.Fatalf("sharded Len = %d, unsharded %d", sh.Len(), tc.unsharded.Len())
+				}
+				for _, opt := range []Options{{}, {ChainLength: 1}} {
+					for qi, q := range tc.queries {
+						want, wantStats, err := tc.unsharded.Search(context.Background(), q, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gotStats, err := sharded.Search(context.Background(), q, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameIDs(got, want) {
+							t.Fatalf("workers=%d query %d l=%d: sharded ids %v != unsharded %v", sh.workers, qi, opt.ChainLength, got, want)
+						}
+						if gotStats.Results != wantStats.Results {
+							t.Fatalf("workers=%d query %d: sharded results %d != unsharded %d", sh.workers, qi, gotStats.Results, wantStats.Results)
+						}
+						if len(gotStats.PerShard) != 4 {
+							t.Fatalf("workers=%d query %d: per-shard stats %d entries, want 4", sh.workers, qi, len(gotStats.PerShard))
+						}
+						sum := 0
+						for _, st := range gotStats.PerShard {
+							sum += st.Candidates
+						}
+						if sum != gotStats.Candidates {
+							t.Fatalf("workers=%d query %d: aggregate candidates %d != per-shard sum %d", sh.workers, qi, gotStats.Candidates, sum)
+						}
 					}
 				}
 			}
@@ -575,7 +582,7 @@ func TestTauOverride(t *testing.T) {
 }
 
 func TestSearchBatchAlignsWithSingle(t *testing.T) {
-	for _, tc := range buildCases(t, 3) {
+	for _, tc := range buildCases(t, 3, 0) {
 		t.Run(tc.name, func(t *testing.T) {
 			batch := SearchBatch(context.Background(), tc.sharded, tc.queries, Options{}, 4)
 			if len(batch) != len(tc.queries) {

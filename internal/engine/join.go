@@ -108,29 +108,6 @@ func (opt JoinOptions) searchOptions() Options {
 	}
 }
 
-// collectJoinSeq adapts a blocking Join into the JoinSeq contract:
-// the join runs to completion (its output order cannot be known
-// sooner), then pairs are yielded one at a time with the context
-// checked between yields.
-func collectJoinSeq(ctx context.Context, j Joiner, opt JoinOptions) iter.Seq2[Pair, error] {
-	return func(yield func(Pair, error) bool) {
-		ps, _, err := j.Join(ctx, opt)
-		if err != nil {
-			yield(Pair{}, err)
-			return
-		}
-		for _, p := range ps {
-			if err := ctx.Err(); err != nil {
-				yield(Pair{}, err)
-				return
-			}
-			if !yield(p, nil) {
-				return
-			}
-		}
-	}
-}
-
 // Join runs the tiled self-join of one plain adapter: its range probe
 // answers each row, and the pool width defaults to GOMAXPROCS (a plain
 // adapter has no worker knob; shard the index to bound join
@@ -141,7 +118,7 @@ func (a *adapter) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, err
 }
 
 func (a *adapter) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectJoinSeq(ctx, a, opt)
+	return collectSeq(ctx, func() ([]Pair, Stats, error) { return a.Join(ctx, opt) })
 }
 
 // --- Sharded join ------------------------------------------------------------
@@ -161,5 +138,5 @@ func (s *Sharded) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, err
 // JoinSeq streams the sharded join's pairs; see Joiner.JoinSeq for the
 // contract.
 func (s *Sharded) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectJoinSeq(ctx, s, opt)
+	return collectSeq(ctx, func() ([]Pair, Stats, error) { return s.Join(ctx, opt) })
 }

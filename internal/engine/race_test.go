@@ -12,7 +12,7 @@ import (
 )
 
 func TestConcurrentMixedSearches(t *testing.T) {
-	cases := buildCases(t, 3)
+	cases := buildCases(t, 3, 0)
 
 	// Precompute the expected ids for every (case, query) pair.
 	want := make([][][]int64, len(cases))

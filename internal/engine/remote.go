@@ -115,25 +115,10 @@ func JoinTileRange(ctx context.Context, ix Index, t TileSpec, opt JoinOptions) (
 			t.RowLo, t.RowHi, t.ColLo, t.ColHi, n)
 	}
 	start := time.Now()
-	sopt := opt.searchOptions()
-	var st Stats
-	var out []Pair
-	var ids []int64
-	for r := t.RowLo; r < t.RowHi; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, Stats{}, err
-		}
-		hi := min(t.ColHi, r)
-		if hi <= t.ColLo {
-			continue
-		}
-		var err error
-		if ids, err = ix.searchRange(ctx, ix.object(r), sopt, t.ColLo, hi, ids[:0], &st); err != nil {
-			return nil, Stats{}, fmt.Errorf("engine: join row %d: %w", r, err)
-		}
-		for _, j := range ids {
-			out = append(out, Pair{I: j, J: int64(r)})
-		}
+	opt.Timings = false // no filter/verify split for one tile
+	out, st, err := runTile(ctx, ix, opt, idRange{t.RowLo, t.RowHi}, idRange{t.ColLo, t.ColHi}, new(tileScratch))
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	pairs.Sort(out)
 	st.Results = len(out)

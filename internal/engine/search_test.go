@@ -37,7 +37,7 @@ func collect(seq iter.Seq2[int64, error]) ([]int64, error) {
 // the sharded composite.
 func TestLimitReturnsPrefix(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range buildCases(t, 4) {
+	for _, tc := range buildCases(t, 4, 0) {
 		t.Run(tc.name, func(t *testing.T) {
 			for qi, q := range tc.queries {
 				full, _, err := tc.unsharded.Search(ctx, q, Options{})
@@ -77,17 +77,18 @@ func TestLimitReturnsPrefix(t *testing.T) {
 
 // TestSearchSeqMatchesSearch: SearchSeq yields id-for-id the same
 // results as the slice Search on all four backends, unsharded and
-// sharded.
+// sharded with a serial and a pooled fan-out.
 func TestSearchSeqMatchesSearch(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range buildCases(t, 3) {
+	serial, pooled := buildCases(t, 3, 1), buildCases(t, 3, 3)
+	for ci, tc := range serial {
 		t.Run(tc.name, func(t *testing.T) {
 			for qi, q := range tc.queries {
 				want, _, err := tc.unsharded.Search(ctx, q, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded": tc.sharded} {
+				for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
 					got, err := collect(ix.SearchSeq(ctx, q, Options{}))
 					if err != nil {
 						t.Fatalf("%s query %d: %v", name, qi, err)
@@ -101,12 +102,28 @@ func TestSearchSeqMatchesSearch(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits up to five seconds for the goroutine count to
+// fall back to before and fails the test if it does not.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
 // TestSearchSeqEarlyBreakAndLimit checks the streaming early-exit
 // paths: breaking after k ids gives the k-prefix, and Options.Limit
-// bounds the stream the same way.
+// bounds the stream the same way. No goroutine outlives an early
+// break on a sharded index, serial or pooled.
 func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range buildCases(t, 4) {
+	serial, pooled := buildCases(t, 4, 1), buildCases(t, 4, 4)
+	for ci, tc := range serial {
 		t.Run(tc.name, func(t *testing.T) {
 			q := tc.queries[0]
 			full, _, err := tc.unsharded.Search(ctx, q, Options{})
@@ -117,7 +134,8 @@ func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 				t.Fatalf("query 0 has no results; pick a better test query")
 			}
 			k := (len(full) + 1) / 2
-			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded": tc.sharded} {
+			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
+				before := runtime.NumGoroutine()
 				var got []int64
 				for id, err := range ix.SearchSeq(ctx, q, Options{}) {
 					if err != nil {
@@ -131,6 +149,7 @@ func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 				if !sameIDs(got, full[:k]) {
 					t.Fatalf("%s break@%d: ids %v, want %v", name, k, got, full[:k])
 				}
+				settleGoroutines(t, before)
 				got, err := collect(ix.SearchSeq(ctx, q, Options{Limit: k}))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -187,14 +206,7 @@ func TestShardedCancelPrompt(t *testing.T) {
 
 	// All fan-out goroutines must have drained; allow the runtime a
 	// moment to reap them.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
-	}
+	settleGoroutines(t, before)
 }
 
 // TestSearchSeqCancelledSharded checks the streaming path surfaces

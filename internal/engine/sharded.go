@@ -8,25 +8,28 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/parallel"
 )
 
 // Sharded is a composite Index over N shards, each a plain adapter
-// holding a contiguous slice of the database. A query fans out to every shard on
-// a worker pool; shard i's local ids are rebased by its offset and the
-// per-shard results concatenated in shard order, which keeps the
-// output in ascending global id order — every backend returns exact,
-// sorted results, so the concatenation is id-for-id identical to
-// searching one unsharded index over the whole database.
+// holding a contiguous slice of the database. Every query runs through
+// one ordered fan-out (fanOut): the same probe on each shard, on a
+// worker pool, with each shard's answer handed to the consumer in
+// shard order as soon as it and every shard before it are done. Shard
+// i's local ids are rebased by its offset, so the answers concatenated
+// in shard order are in ascending global id order — every backend
+// returns exact, sorted results, so the concatenation is id-for-id
+// identical to searching one unsharded index over the whole database.
 //
 // The fan-out is context-aware: once ctx fails, no new shards are
-// dispatched and the in-flight ones are drained before Search returns
-// the context's error, so cancellation never leaks goroutines. With
-// Options.Limit set, the fan-out additionally self-cancels as soon as
-// a prefix of completed shards already holds the first Limit ids, so
-// later shards' filtering and verification work is abandoned.
+// dispatched and the in-flight ones are drained before the call
+// returns the context's error, so cancellation never leaks goroutines.
+// A consumer that has enough stops the fan-out the same way, as a
+// success: Search stops once the delivered prefix holds Options.Limit
+// ids, so later shards' filtering and verification work is abandoned.
 //
 // Sharded is immutable after newSharded and safe for concurrent use:
 // shards are themselves immutable and fan-out state is per call.
@@ -36,29 +39,28 @@ type Sharded struct {
 	offsets []int64
 	workers int
 	total   int
-	// fan pools per-call fan-out scratch (fanScratch); the per-shard
-	// Stats are allocated fresh each call because they escape into the
-	// returned Stats.PerShard.
-	fan sync.Pool
+	fans    sync.Pool // of *fan, the per-call fan-out state
 }
 
-// fanScratch is the pooled per-search fan-out state: the per-shard
-// result staging area and the completion flags the limit prefix scan
-// reads. Shard result slices are nilled on release so pooling never
-// retains them.
-type fanScratch struct {
-	ids      [][]int64
-	searched []bool
+// fan is one call's fan-out state: the done flags and delivery cursor
+// fanOut puts finished shards in order with, and the per-shard id
+// slices and delivered-id count of a threshold search. Id slices are
+// nilled on release so pooling never retains them.
+type fan struct {
+	mu        sync.Mutex
+	done      []bool
+	delivered int
+	stopped   atomic.Bool
+	ids       [][]int64
+	count     int
 }
 
-func (s *Sharded) getFan() *fanScratch {
-	return s.fan.Get().(*fanScratch)
-}
-
-func (s *Sharded) putFan(f *fanScratch) {
+func (s *Sharded) putFan(f *fan) {
+	clear(f.done)
 	clear(f.ids)
-	clear(f.searched)
-	s.fan.Put(f)
+	f.delivered, f.count = 0, 0
+	f.stopped.Store(false)
+	s.fans.Put(f)
 }
 
 // newSharded builds a composite over shards, which must be non-empty,
@@ -86,11 +88,8 @@ func newSharded(shards []*adapter, workers int) (*Sharded, error) {
 		total += sh.Len()
 	}
 	s := &Sharded{problem: p, shards: shards, offsets: offsets, workers: workers, total: total}
-	s.fan.New = func() any {
-		return &fanScratch{
-			ids:      make([][]int64, len(shards)),
-			searched: make([]bool, len(shards)),
-		}
+	s.fans.New = func() any {
+		return &fan{done: make([]bool, len(shards)), ids: make([][]int64, len(shards))}
 	}
 	return s, nil
 }
@@ -107,13 +106,89 @@ func (s *Sharded) Tau() float64 { return s.shards[0].Tau() }
 // Shards returns the number of shards.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Search fans q out to every shard and merges the results. The
-// returned Stats aggregate all searched shards (TotalNS sums shard CPU
-// time, WallNS is the end-to-end clock) and carry the per-shard
-// breakdown in PerShard. When ctx fails mid-search, undispatched
-// shards are skipped, in-flight ones drained, and ctx's error
-// returned. With Options.Limit, shards beyond a completed prefix that
-// already covers the limit are abandoned and Stats.Limited is set.
+// errEnough is how a satisfied consumer stops the fan-out. The leg
+// whose delivery answered "enough" returns it, which halts dispatch
+// like any failure; every earlier shard has already been delivered,
+// so it is the lowest-indexed error and the one ForEachCtx returns.
+var errEnough = errors.New("engine: shard fan-out stopped early")
+
+// fanOut is the one shard fan-out behind Search, SearchSeq and
+// SearchTopK, running on f, a fan the caller holds until it has read
+// the answers. leg(ctx, i) runs the query on shard i on the worker
+// pool and returns the shard's Stats; its duration goes to hooks.Shard
+// and its error comes back wrapped as "shard i: …". As soon as shard i
+// and every shard before it are done, deliver(i) is called — in shard
+// order, one call at a time, under f's lock, so it must not block —
+// and f.delivered counts the calls. When deliver answers false
+// ("enough"), the remaining legs are abandoned — undispatched ones
+// never start, in-flight ones finish their backend pass but are never
+// delivered — and fanOut succeeds. The returned Stats aggregate every
+// finished shard and carry one PerShard entry per shard, zero for
+// shards never run.
+func (s *Sharded) fanOut(ctx context.Context, f *fan, hooks *Hooks, leg func(ctx context.Context, i int) (Stats, error), deliver func(i int) bool) (Stats, error) {
+	n := len(s.shards)
+	perShard := make([]Stats, n)
+	traceShards := hooks.wantShard()
+	err := parallel.ForEachCtx(ctx, n, s.workers, func(ctx context.Context, i int) error {
+		if f.stopped.Load() {
+			// Dispatched just before a delivery answered "enough".
+			return errEnough
+		}
+		var start time.Time
+		if traceShards {
+			start = time.Now()
+		}
+		st, err := leg(ctx, i)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		if traceShards {
+			hooks.Shard(i, time.Since(start), st)
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		perShard[i], f.done[i] = st, true
+		for !f.stopped.Load() && f.delivered < n && f.done[f.delivered] {
+			f.delivered++
+			if !deliver(f.delivered - 1) {
+				f.stopped.Store(true)
+				return errEnough
+			}
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errEnough) {
+		return Stats{}, err
+	}
+	var agg Stats
+	for _, st := range perShard {
+		agg.merge(st)
+	}
+	agg.PerShard = perShard
+	return agg, nil
+}
+
+// searchLeg is the threshold-search leg Search and SearchSeq fan out:
+// shard i's ids, rebased to global ids, land in ids[i].
+func (s *Sharded) searchLeg(q Query, opt Options, ids [][]int64) func(context.Context, int) (Stats, error) {
+	return func(ctx context.Context, i int) (Stats, error) {
+		shardIDs, st, err := s.shards[i].Search(ctx, q, opt)
+		for j := range shardIDs {
+			shardIDs[j] += s.offsets[i]
+		}
+		ids[i] = shardIDs
+		return st, err
+	}
+}
+
+// Search fans q out to every shard and concatenates the results in
+// shard order. The returned Stats aggregate all searched shards
+// (TotalNS sums shard CPU time, WallNS is the end-to-end clock) and
+// carry the per-shard breakdown in PerShard. When ctx fails
+// mid-search, undispatched shards are skipped, in-flight ones drained,
+// and ctx's error returned. With Options.Limit, shards past a
+// delivered prefix that already holds Limit ids are abandoned and
+// Stats.Limited is set.
 func (s *Sharded) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
 	if err := checkKind(q, s.problem); err != nil {
 		return nil, Stats{}, err
@@ -122,106 +197,29 @@ func (s *Sharded) Search(ctx context.Context, q Query, opt Options) ([]int64, St
 		return nil, Stats{}, errTopKViaSearch
 	}
 	start := time.Now()
-	n := len(s.shards)
-	fan := s.getFan()
-	defer s.putFan(fan)
-	ids, searched := fan.ids, fan.searched
-	perShard := make([]Stats, n)
-
-	// Hooks: the composite owns the query-level spans (one StageSearch
-	// for the whole fan-out) and reports each shard leg through the
-	// Shard callback; the per-shard searches run with hooks stripped
-	// so N shards don't emit N query-level spans.
+	// The composite owns the query-level spans — one StageSearch for
+	// the whole fan-out, each shard leg through the Shard callback — so
+	// the per-shard searches run with hooks stripped.
 	hooks := opt.Hooks
 	opt.Hooks = nil
-	traceShards := hooks.wantShard()
-
-	// With a limit, the fan-out runs under a child context that is
-	// cancelled as soon as shards 0..j are all done and together hold
-	// at least Limit ids: every id of the first Limit lies in that
-	// prefix (shard order is ascending id order), so the remaining
-	// shards can only produce ids past the cutoff.
-	fanCtx := ctx
-	cancel := context.CancelFunc(func() {})
-	if opt.Limit > 0 {
-		fanCtx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-	var mu sync.Mutex
-	prefixDone, prefixCount := 0, 0
-
-	err := parallel.ForEachCtx(fanCtx, n, s.workers, func(jobCtx context.Context, i int) error {
-		var shardStart time.Time
-		if traceShards {
-			shardStart = time.Now()
-		}
-		shardIDs, st, err := s.shards[i].Search(jobCtx, q, opt)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if traceShards {
-			hooks.Shard(i, time.Since(shardStart), st)
-		}
-		for j := range shardIDs {
-			shardIDs[j] += s.offsets[i]
-		}
-		if opt.Limit > 0 {
-			mu.Lock()
-			ids[i], perShard[i], searched[i] = shardIDs, st, true
-			for prefixDone < n && searched[prefixDone] {
-				prefixCount += len(ids[prefixDone])
-				prefixDone++
-			}
-			if prefixCount >= opt.Limit {
-				cancel()
-			}
-			mu.Unlock()
-		} else {
-			ids[i], perShard[i], searched[i] = shardIDs, st, true
-		}
-		return nil
+	f := s.fans.Get().(*fan)
+	defer s.putFan(f)
+	// Shard order is ascending id order: once the delivered prefix
+	// holds Limit ids, later shards can only add ids past the cut.
+	agg, err := s.fanOut(ctx, f, hooks, s.searchLeg(q, opt, f.ids), func(i int) bool {
+		f.count += len(f.ids[i])
+		return opt.Limit <= 0 || f.count < opt.Limit
 	})
-	limited := false
 	if err != nil {
-		// Distinguish our own limit-triggered cancellation (a success:
-		// the prefix already holds the first Limit ids) from a caller
-		// cancellation or a genuine shard failure. A failed prefix
-		// shard can never satisfy the limit, so suppression is safe.
-		if opt.Limit > 0 && ctx.Err() == nil && errors.Is(err, context.Canceled) && prefixCount >= opt.Limit {
-			limited = true
-		} else {
-			return nil, Stats{}, err
-		}
+		return nil, Stats{}, err
 	}
-
-	var agg Stats
-	for i := range perShard {
-		if searched[i] {
-			agg.merge(perShard[i])
-		}
-	}
-	nOut := 0
-	mergeUpto := n
-	if opt.Limit > 0 {
-		mergeUpto = prefixDone
-	}
-	for i := 0; i < mergeUpto; i++ {
-		nOut += len(ids[i])
-	}
-	out := make([]int64, 0, nOut)
-	for i := 0; i < mergeUpto; i++ {
-		out = append(out, ids[i]...)
-	}
-	if opt.Limit > 0 && len(out) > opt.Limit {
-		out = out[:opt.Limit]
-		limited = true
-	}
-	if limited {
+	out := slices.Concat(f.ids[:f.delivered]...)
+	if opt.Limit > 0 && (len(out) > opt.Limit || f.delivered < len(s.shards)) {
+		out = out[:min(len(out), opt.Limit)]
 		agg.Limited = true
 		agg.Results = len(out)
 	}
 	agg.WallNS = time.Since(start).Nanoseconds()
-	agg.PerShard = perShard
 	if opt.Timings {
 		hooks.stage(StageFilter, time.Duration(agg.FilterNS))
 		hooks.stage(StageVerify, time.Duration(agg.VerifyNS))
@@ -247,7 +245,6 @@ func (s *Sharded) SearchTopK(ctx context.Context, q Query, opt Options) ([]Resul
 		return nil, Stats{}, err
 	}
 	start := time.Now()
-	n := len(s.shards)
 	// As in Search, the composite owns the query-level spans and the
 	// per-shard searches run with hooks stripped — except the Rung
 	// callback, which stays per shard: the adaptive ladder behavior is
@@ -257,52 +254,28 @@ func (s *Sharded) SearchTopK(ctx context.Context, q Query, opt Options) ([]Resul
 	if hooks.wantRung() {
 		opt.Hooks = &Hooks{Rung: hooks.Rung}
 	}
-	traceShards := hooks.wantShard()
-	opt.topkCut = newTopkCutoff(opt.TopK, n)
-
-	results := make([][]Result, n)
-	perShard := make([]Stats, n)
-	err := parallel.ForEachCtx(ctx, n, s.workers, func(jobCtx context.Context, i int) error {
-		sopt := opt
-		sopt.topkSlot = i
-		var shardStart time.Time
-		if traceShards {
-			shardStart = time.Now()
-		}
-		res, st, err := s.shards[i].SearchTopK(jobCtx, q, sopt)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if traceShards {
-			hooks.Shard(i, time.Since(shardStart), st)
-		}
+	cut := newTopkCutoff(opt.TopK, len(s.shards))
+	results := make([][]Result, len(s.shards))
+	f := s.fans.Get().(*fan)
+	defer s.putFan(f)
+	agg, err := s.fanOut(ctx, f, hooks, func(ctx context.Context, i int) (Stats, error) {
+		res, st, err := s.shards[i].searchTopK(ctx, q, opt, cut, i)
 		for j := range res {
 			res[j].ID += s.offsets[i]
 		}
-		results[i], perShard[i] = res, st
-		return nil
-	})
+		results[i] = res
+		return st, err
+	}, func(int) bool { return true })
 	if err != nil {
 		return nil, Stats{}, err
 	}
-
-	var agg Stats
-	total := 0
-	for i := range perShard {
-		agg.merge(perShard[i])
-		total += len(results[i])
-	}
-	out := make([]Result, 0, total)
-	for _, res := range results {
-		out = append(out, res...)
-	}
+	out := slices.Concat(results...)
 	slices.SortFunc(out, compareResult)
 	if len(out) > opt.TopK {
 		out = out[:opt.TopK]
 	}
 	agg.Results = len(out)
 	agg.WallNS = time.Since(start).Nanoseconds()
-	agg.PerShard = perShard
 	hooks.stage(StageSearch, time.Duration(agg.WallNS))
 	return out, agg, nil
 }
@@ -361,59 +334,29 @@ func (s *Sharded) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2
 		}
 		seqCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		n := len(s.shards)
 		// As in Search: shard legs report through the Shard hook, the
 		// per-shard searches run hook-free. No query-level StageSearch
 		// is emitted — a stream has no single completion instant.
 		hooks := opt.Hooks
 		opt.Hooks = nil
-		traceShards := hooks.wantShard()
-		// One single-result channel per shard, buffered so a producing
-		// shard never blocks on a consumer that has moved on.
-		out := make([]chan []int64, n)
-		for i := range out {
-			out[i] = make(chan []int64, 1)
-		}
+		// Buffered for every shard, so a delivery never blocks on a
+		// consumer that has moved on.
+		ready := make(chan []int64, len(s.shards))
 		var fanErr error
 		go func() {
-			// fanErr is written before the channels close, and a
-			// consumer reads it only after observing a closed channel,
-			// so the handoff is ordered.
-			fanErr = parallel.ForEachCtx(seqCtx, n, s.workers, func(jobCtx context.Context, i int) error {
-				var shardStart time.Time
-				if traceShards {
-					shardStart = time.Now()
-				}
-				shardIDs, st, err := s.shards[i].Search(jobCtx, q, opt)
-				if err != nil {
-					return fmt.Errorf("shard %d: %w", i, err)
-				}
-				if traceShards {
-					hooks.Shard(i, time.Since(shardStart), st)
-				}
-				for j := range shardIDs {
-					shardIDs[j] += s.offsets[i]
-				}
-				out[i] <- shardIDs
-				return nil
+			f := s.fans.Get().(*fan)
+			defer s.putFan(f)
+			// fanErr is written before ready closes, and the consumer
+			// reads it only after observing the close, so the handoff
+			// is ordered.
+			_, fanErr = s.fanOut(seqCtx, f, hooks, s.searchLeg(q, opt, f.ids), func(i int) bool {
+				ready <- f.ids[i]
+				return true
 			})
-			for i := range out {
-				close(out[i])
-			}
+			close(ready)
 		}()
 		yielded := 0
-		for i := 0; i < n; i++ {
-			shardIDs, ok := <-out[i]
-			if !ok {
-				// The fan-out stopped before this shard delivered:
-				// a shard failed or the context did.
-				err := fanErr
-				if err == nil {
-					err = context.Canceled
-				}
-				yield(0, err)
-				return
-			}
+		for shardIDs := range ready {
 			for _, id := range shardIDs {
 				if !yield(id, nil) {
 					return
@@ -423,6 +366,9 @@ func (s *Sharded) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2
 					return
 				}
 			}
+		}
+		if fanErr != nil {
+			yield(0, fanErr)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func roundTrip(t *testing.T, ix Index, workers int, hooks *Hooks) Index {
 // problem, both unsharded and sharded, a written-then-opened index
 // answers every query with the exact ids and stats of the original.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, tc := range buildCases(t, 3) {
+	for _, tc := range buildCases(t, 3, 0) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, ix := range []Index{tc.unsharded, tc.sharded} {
 				re := roundTrip(t, ix, 0, nil)
@@ -83,7 +83,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // on a plain index, a sharded one and a sharded one reopened from a
 // snapshot alike.
 func TestObject(t *testing.T) {
-	for _, tc := range buildCases(t, 3) {
+	for _, tc := range buildCases(t, 3, 0) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, ix := range []struct {
 				name string
@@ -127,7 +127,7 @@ func TestObject(t *testing.T) {
 // TestSnapshotFileHelpers covers the atomic write + open-by-path pair,
 // including overwrite-in-place and the reported size.
 func TestSnapshotFileHelpers(t *testing.T) {
-	tc := buildCases(t, 2)[0]
+	tc := buildCases(t, 2, 0)[0]
 	path := filepath.Join(t.TempDir(), "ix.snap")
 	n, err := WriteSnapshotFile(tc.sharded, path, nil)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestSnapshotRejectsWrongContainer(t *testing.T) {
 		t.Fatalf("foreign backend err = %v, want ErrBackend", err)
 	}
 
-	tc := buildCases(t, 2)[0]
+	tc := buildCases(t, 2, 0)[0]
 	var buf bytes.Buffer
 	if _, err := WriteSnapshot(tc.unsharded, &buf, nil); err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestSnapshotHooks(t *testing.T) {
 			t.Errorf("stage %v duration %v", s, d)
 		}
 	}}
-	tc := buildCases(t, 2)[0]
+	tc := buildCases(t, 2, 0)[0]
 	roundTrip(t, tc.sharded, 0, hooks)
 	if got[StageSnapshotWrite] != 1 || got[StageSnapshotOpen] != 1 {
 		t.Fatalf("spans = %v, want one write and one open", got)

@@ -154,15 +154,12 @@ func orderedTiles(ranges []idRange) []joinTile {
 // (channel dispatch is the work-stealing: whichever worker frees up
 // takes the next tile). The merged pairs are sorted ascending by
 // (I, J) and trimmed to opt.Limit — output identical to the backends'
-// quadratic JoinLinear references. Row r of a tile replays ix's
-// object r and probes the tile's column range below r through
-// ix.searchRange.
+// quadratic JoinLinear references. Each tile runs runTile on a
+// pooled scratch.
 func joinTiles(ctx context.Context, ix Index, workers int, opt JoinOptions, ranges []idRange) ([]Pair, Stats, error) {
 	start := time.Now()
 	tiles := orderedTiles(ranges)
 
-	sopt := opt.searchOptions()
-	measure := opt.Timings && !opt.SkipVerify
 	var pool sync.Pool
 	pool.New = func() any { return new(tileScratch) }
 	tilePairs := make([][]Pair, len(tiles))
@@ -174,66 +171,12 @@ func joinTiles(ctx context.Context, ix Index, workers int, opt JoinOptions, rang
 		rows, cols := ranges[tl.rj], ranges[tl.ri]
 		s := pool.Get().(*tileScratch)
 		defer pool.Put(s)
-		ps := s.pairs[:0]
-		var agg Stats
-		var preStats Stats
-		var filterNS, fullNS int64
-		for r := rows.lo; r < rows.hi; r++ {
-			if err := jobCtx.Err(); err != nil {
-				s.pairs = ps
-				return err
-			}
-			hi := cols.hi
-			if hi > r {
-				hi = r
-			}
-			if hi <= cols.lo {
-				continue
-			}
-			q := ix.object(r)
-			if measure {
-				// Candidate generation alone, timed, to observe the
-				// filter/verify split the probes interleave — the same
-				// extra pass Options.Timings costs on a search.
-				fopt := sopt
-				fopt.SkipVerify = true
-				fstart := time.Now()
-				if _, err := ix.searchRange(jobCtx, q, fopt, cols.lo, hi, s.ids[:0], &preStats); err != nil {
-					s.pairs = ps
-					return fmt.Errorf("engine: join row %d: %w", r, err)
-				}
-				filterNS += time.Since(fstart).Nanoseconds()
-			}
-			var fstart time.Time
-			if opt.Timings {
-				fstart = time.Now()
-			}
-			ids, err := ix.searchRange(jobCtx, q, sopt, cols.lo, hi, s.ids[:0], &agg)
-			s.ids = ids
-			if err != nil {
-				s.pairs = ps
-				return fmt.Errorf("engine: join row %d: %w", r, err)
-			}
-			if opt.Timings {
-				fullNS += time.Since(fstart).Nanoseconds()
-			}
-			for _, j := range ids {
-				ps = append(ps, Pair{I: j, J: int64(r)})
-			}
+		ps, agg, err := runTile(jobCtx, ix, opt, rows, cols, s)
+		if err != nil {
+			return err
 		}
-		s.pairs = ps
 		elapsed := time.Since(tileStart)
 		agg.TotalNS = elapsed.Nanoseconds()
-		if opt.Timings {
-			if opt.SkipVerify || filterNS > fullNS {
-				// The filter share is measured in a separate pass, so
-				// clock noise can push it past the full pass; and with
-				// SkipVerify the full pass is all filter.
-				filterNS = fullNS
-			}
-			agg.FilterNS = filterNS
-			agg.VerifyNS = fullNS - filterNS
-		}
 		tilePairs[t] = append(make([]Pair, 0, len(ps)), ps...)
 		tileStats[t] = agg
 		if traceTiles {
@@ -266,4 +209,68 @@ func joinTiles(ctx context.Context, ix Index, workers int, opt JoinOptions, rang
 	agg.JoinTiles = len(tiles)
 	agg.WallNS = time.Since(start).Nanoseconds()
 	return out, agg, nil
+}
+
+// runTile is the tile body of joinTiles and JoinTileRange: row r of
+// rows replays ix's object r and probes the columns of cols below r
+// through ix.searchRange. It returns the tile's pairs (I, J), in row
+// order, in s's reusable pair buffer, with the probes' counters.
+// Cancellation is checked between rows. Under opt.Timings each row's
+// candidate generation runs once more with verification off, and the
+// returned FilterNS / VerifyNS carry the split.
+func runTile(ctx context.Context, ix Index, opt JoinOptions, rows, cols idRange, s *tileScratch) ([]Pair, Stats, error) {
+	sopt := opt.searchOptions()
+	measure := opt.Timings && !opt.SkipVerify
+	ps := s.pairs[:0]
+	var agg, preStats Stats
+	var filterNS, fullNS int64
+	for r := rows.lo; r < rows.hi; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, Stats{}, err
+		}
+		hi := min(cols.hi, r)
+		if hi <= cols.lo {
+			continue
+		}
+		q := ix.object(r)
+		if measure {
+			// Candidate generation alone, timed, to observe the
+			// filter/verify split the probes interleave — the same
+			// extra pass Options.Timings costs on a search.
+			fopt := sopt
+			fopt.SkipVerify = true
+			fstart := time.Now()
+			if _, err := ix.searchRange(ctx, q, fopt, cols.lo, hi, s.ids[:0], &preStats); err != nil {
+				return nil, Stats{}, fmt.Errorf("engine: join row %d: %w", r, err)
+			}
+			filterNS += time.Since(fstart).Nanoseconds()
+		}
+		var fstart time.Time
+		if opt.Timings {
+			fstart = time.Now()
+		}
+		ids, err := ix.searchRange(ctx, q, sopt, cols.lo, hi, s.ids[:0], &agg)
+		s.ids = ids
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("engine: join row %d: %w", r, err)
+		}
+		if opt.Timings {
+			fullNS += time.Since(fstart).Nanoseconds()
+		}
+		for _, j := range ids {
+			ps = append(ps, Pair{I: j, J: int64(r)})
+		}
+	}
+	s.pairs = ps
+	if opt.Timings {
+		if opt.SkipVerify || filterNS > fullNS {
+			// The filter share is measured in a separate pass, so
+			// clock noise can push it past the full pass; and with
+			// SkipVerify the full pass is all filter.
+			filterNS = fullNS
+		}
+		agg.FilterNS = filterNS
+		agg.VerifyNS = fullNS - filterNS
+	}
+	return ps, agg, nil
 }

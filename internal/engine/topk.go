@@ -157,16 +157,6 @@ func (h *resultHeap) sorted() []Result {
 // only its returned slice.
 var topkPool = sync.Pool{New: func() any { return new(resultHeap) }}
 
-// topkLadder is one backend's expanding-τ plan: the ascending rung
-// bounds (the last is the backend's ceiling) and a runner executing
-// one rung — a full filter+verify pass answering exactly
-// {x : d(x, q) ≤ bound} — that pushes every verified hit into the heap
-// and accumulates the backend's work counters into st.
-type topkLadder struct {
-	bounds []float64
-	run    func(bound float64, h *resultHeap, st *Stats) error
-}
-
 // intLadder returns the doubling rung bounds 1, 2, 4, … capped by (and
 // always ending at) ceil.
 func intLadder(ceil int) []float64 {
@@ -180,15 +170,17 @@ func intLadder(ceil int) []float64 {
 	return append(bounds, float64(ceil))
 }
 
-// runLadder climbs the ladder until a rung verifies at least k results
-// (they then include the k nearest; see the package-section comment)
-// or the ceiling rung completes, and returns the k best ordered by
-// (Distance, ID). The context is checked between rungs — one rung is
-// the unit of non-interruptible work, exactly like one threshold
-// search. Under a sharded cutoff the ladder additionally reports each
-// rung's distances and abandons its remaining rungs once the k global
-// best provably lie within bounds already answered (topkCutoff).
-func runLadder(ctx context.Context, opt Options, lad topkLadder) ([]Result, Stats, error) {
+// runLadder climbs be's ladder for q — topkBounds, the last being the
+// ceiling, each rung one full filter+verify pass by topkRung — until a
+// rung verifies at least k results (they then include the k nearest;
+// see the package-section comment) or the ceiling rung completes, and
+// returns the k best ordered by (Distance, ID). The context is checked
+// between rungs — one rung is the unit of non-interruptible work,
+// exactly like one threshold search. Under a sharded cutoff (cut
+// non-nil) the ladder additionally reports each rung's distances into
+// its slot and abandons its remaining rungs once the k global best
+// provably lie within bounds already answered (topkCutoff).
+func runLadder(ctx context.Context, be backend, q Query, opt Options, cut *topkCutoff, slot int) ([]Result, Stats, error) {
 	k := opt.TopK
 	start := time.Now()
 	h := topkPool.Get().(*resultHeap)
@@ -197,7 +189,7 @@ func runLadder(ctx context.Context, opt Options, lad topkLadder) ([]Result, Stat
 		topkPool.Put(h)
 	}()
 	var st Stats
-	for _, b := range lad.bounds {
+	for _, b := range be.topkBounds(opt) {
 		if err := ctx.Err(); err != nil {
 			return nil, Stats{}, err
 		}
@@ -206,14 +198,14 @@ func runLadder(ctx context.Context, opt Options, lad topkLadder) ([]Result, Stat
 		// deduplicating against earlier rungs.
 		h.reset(k)
 		candBefore := st.Candidates
-		if err := lad.run(b, h, &st); err != nil {
+		if err := be.topkRung(q, opt, b, h, &st); err != nil {
 			return nil, Stats{}, err
 		}
 		st.Rungs++
 		opt.Hooks.rung(st.Rungs, b, st.Candidates-candBefore)
-		if opt.topkCut != nil {
-			opt.topkCut.report(opt.topkSlot, h.items)
-			if len(h.items) < k && opt.topkCut.covered(b) {
+		if cut != nil {
+			cut.report(slot, h.items)
+			if len(h.items) < k && cut.covered(b) {
 				// k results at distance ≤ b exist globally; everything
 				// this shard has not yet verified is at distance > b,
 				// strictly dominated, so deeper rungs cannot contribute.

@@ -189,9 +189,14 @@ func TestTopKOracleString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildString(strs, 2, 3, 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	// A serial (one worker) and a pooled (one worker per shard) fan-out.
+	var shardeds []Index
+	for _, workers := range []int{1, 4} {
+		sharded, err := BuildString(strs, 2, 3, 4, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardeds = append(shardeds, sharded)
 	}
 	oracle := func(q string) []Result {
 		var all []Result
@@ -208,11 +213,13 @@ func TestTopKOracleString(t *testing.T) {
 	for _, qi := range dataset.SampleQueries(len(strs), 5, 28) {
 		q := strs[qi]
 		full := oracle(q)
-		for _, k := range []int{1, 3, len(strs) + 1} {
-			checkTopK(t, unsharded, sharded, StringQuery(q), Options{TopK: k}, oracleTopK(full, k))
+		for _, sharded := range shardeds {
+			for _, k := range []int{1, 3, len(strs) + 1} {
+				checkTopK(t, unsharded, sharded, StringQuery(q), Options{TopK: k}, oracleTopK(full, k))
+			}
+			checkTopK(t, unsharded, sharded, StringQuery(q),
+				Options{TopK: 2, ChainLength: 1}, oracleTopK(full, 2))
 		}
-		checkTopK(t, unsharded, sharded, StringQuery(q),
-			Options{TopK: 2, ChainLength: 1}, oracleTopK(full, 2))
 	}
 }
 
@@ -222,9 +229,14 @@ func TestTopKOracleGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildGraph(graphs, 3, 3, 0)
-	if err != nil {
-		t.Fatal(err)
+	// A serial (one worker) and a pooled (one worker per shard) fan-out.
+	var shardeds []Index
+	for _, workers := range []int{1, 3} {
+		sharded, err := BuildGraph(graphs, 3, 3, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardeds = append(shardeds, sharded)
 	}
 	oracle := func(q *graph.Graph) []Result {
 		var all []Result
@@ -239,11 +251,13 @@ func TestTopKOracleGraph(t *testing.T) {
 	for _, qi := range dataset.SampleQueries(len(graphs), 4, 30) {
 		q := graphs[qi]
 		full := oracle(q)
-		for _, k := range []int{1, 3, len(graphs) + 1} {
-			checkTopK(t, unsharded, sharded, GraphQuery(q), Options{TopK: k}, oracleTopK(full, k))
+		for _, sharded := range shardeds {
+			for _, k := range []int{1, 3, len(graphs) + 1} {
+				checkTopK(t, unsharded, sharded, GraphQuery(q), Options{TopK: k}, oracleTopK(full, k))
+			}
+			checkTopK(t, unsharded, sharded, GraphQuery(q),
+				Options{TopK: 2, ChainLength: 1}, oracleTopK(full, 2))
 		}
-		checkTopK(t, unsharded, sharded, GraphQuery(q),
-			Options{TopK: 2, ChainLength: 1}, oracleTopK(full, 2))
 	}
 }
 

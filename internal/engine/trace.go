@@ -18,10 +18,6 @@ import "time"
 type Stage string
 
 const (
-	// StageParse is request decoding and query resolution — emitted by
-	// callers that parse wire formats (the HTTP server), never by the
-	// engine itself.
-	StageParse Stage = "parse"
 	// StageFilter is candidate generation, reported when
 	// Options.Timings measures the filter/verify split.
 	StageFilter Stage = "filter"

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"math"
 	"sort"
@@ -40,6 +41,11 @@ const (
 )
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
+
+var ecma = crc64.MakeTable(crc64.ECMA)
+
+// checksum is the CRC64/ECMA every table and payload is stored with.
+func checksum(data []byte) uint64 { return crc64.Checksum(data, ecma) }
 
 // Builder accumulates named sections and writes them as one container.
 // Sections are written in the order they were added; names must be
@@ -282,15 +288,25 @@ func (rd *Reader) Has(name string) bool {
 // section, a truncated file and a corrupt payload are all errors (the
 // last wrapping ErrChecksum).
 func (rd *Reader) Section(name string) ([]byte, error) {
-	// An empty section's aligned offset may sit past EOF when it is the
-	// last one in the file; sectionRaw returns it without reading, with
-	// only its (constant) CRC checked.
-	data, e, err := rd.sectionRaw(name)
-	if err != nil {
-		return nil, err
+	e, ok := rd.sections[name]
+	if !ok {
+		return nil, fmt.Errorf("snapshot: no section %q (have %v)", name, shortNames(rd.order))
 	}
-	if len(data) == 0 {
-		return data, nil
+	// An empty section's aligned offset may sit past EOF when it is the
+	// last one in the file; it is returned without reading, with only
+	// its (constant) CRC checked.
+	if e.length == 0 {
+		if e.crc != checksum(nil) {
+			return nil, fmt.Errorf("%w: empty section %q has CRC 0x%016x", ErrChecksum, name, e.crc)
+		}
+		return []byte{}, nil
+	}
+	data := make([]byte, e.length)
+	if _, err := rd.r.ReadAt(data, e.off); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("snapshot: section %q truncated: %w", name, io.ErrUnexpectedEOF)
+		}
+		return nil, fmt.Errorf("snapshot: reading section %q: %w", name, err)
 	}
 	if got := checksum(data); got != e.crc {
 		return nil, fmt.Errorf("%w: section %q CRC 0x%016x, want 0x%016x", ErrChecksum, name, got, e.crc)
@@ -298,59 +314,28 @@ func (rd *Reader) Section(name string) ([]byte, error) {
 	return data, nil
 }
 
-// sectionRaw reads a payload without verifying its checksum; callers
-// fuse verification into their decode pass.
-func (rd *Reader) sectionRaw(name string) ([]byte, entry, error) {
-	e, ok := rd.sections[name]
-	if !ok {
-		return nil, e, fmt.Errorf("snapshot: no section %q (have %v)", name, shortNames(rd.order))
-	}
-	if e.length == 0 {
-		if e.crc != checksum(nil) {
-			return nil, e, fmt.Errorf("%w: empty section %q has CRC 0x%016x", ErrChecksum, name, e.crc)
-		}
-		return []byte{}, e, nil
-	}
-	data := make([]byte, e.length)
-	if _, err := rd.r.ReadAt(data, e.off); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, e, fmt.Errorf("snapshot: section %q truncated: %w", name, io.ErrUnexpectedEOF)
-		}
-		return nil, e, fmt.Errorf("snapshot: reading section %q: %w", name, err)
-	}
-	return data, e, nil
-}
-
-// U64s reads a section as a little-endian []uint64 region, verifying
-// its checksum with the same pass that decodes it.
+// U64s reads a section as a little-endian []uint64 region.
 func (rd *Reader) U64s(name string) ([]uint64, error) {
-	b, e, err := rd.sectionRaw(name)
+	b, err := rd.Section(name)
 	if err != nil {
 		return nil, err
 	}
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("snapshot: section %q: length %d is not a multiple of 8", name, len(b))
-	}
-	v, got := checksumU64s(b)
-	if got != e.crc {
-		return nil, fmt.Errorf("%w: section %q CRC 0x%016x, want 0x%016x", ErrChecksum, name, got, e.crc)
+	v, err := BytesU64(b)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: section %q: %w", name, err)
 	}
 	return v, nil
 }
 
-// I32s reads a section as a little-endian []int32 region, verifying
-// its checksum with the same pass that decodes it.
+// I32s reads a section as a little-endian []int32 region.
 func (rd *Reader) I32s(name string) ([]int32, error) {
-	b, e, err := rd.sectionRaw(name)
+	b, err := rd.Section(name)
 	if err != nil {
 		return nil, err
 	}
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("snapshot: section %q: length %d is not a multiple of 4", name, len(b))
-	}
-	v, got := checksumI32s(b)
-	if got != e.crc {
-		return nil, fmt.Errorf("%w: section %q CRC 0x%016x, want 0x%016x", ErrChecksum, name, got, e.crc)
+	v, err := BytesI32(b)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: section %q: %w", name, err)
 	}
 	return v, nil
 }
