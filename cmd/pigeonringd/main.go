@@ -58,12 +58,13 @@
 // both endpoints answering 501.
 //
 // Cluster mode: -coordinator turns the process into a coordinator
-// that serves the same /v1/* surface but owns no indexes, scattering
-// searches and joins over the replica daemons named by -replicas
-// (comma-separated base URLs). Loads broadcast to every replica;
-// corpus identity is verified by snapshot hash at attach and on every
-// scattered call; a replica that dies mid-join is retried elsewhere
-// under -replica-timeout per call. See the README's "Cluster mode".
+// that serves the same /v1/* surface but owns no indexes, forwarding
+// each search whole to one of the replica daemons named by -replicas
+// (comma-separated base URLs) and scattering joins over them as
+// tiles. Loads broadcast to every replica; corpus identity is verified
+// by snapshot hash at attach and on every search and tile; a search or
+// tile whose replica dies or reloaded is retried elsewhere under
+// -replica-timeout per call. See the README's "Cluster mode".
 //
 //	pigeonringd -addr :8080 &
 //	pigeonringd -addr :8081 &

@@ -1,15 +1,13 @@
 // Package cluster implements the coordinator mode of pigeonringd:
-// scatter-gather over N replica daemons speaking the existing /v1/*
+// it spreads work over N replica daemons speaking the existing /v1/*
 // JSON API, with the same endpoints exposed outward so a client
 // cannot tell one box from five.
 //
-// The unit of scattered work is what the engine already made
-// self-contained:
+// Every replica holds the whole corpus, and the engine's filters are
+// exact, so:
 //
-//   - A search scatters as contiguous global-id ranges — each replica
-//     answers the ids of one range (SearchRequest.RangeLo/RangeHi),
-//     and concatenating the ascending per-range lists in range order
-//     reproduces the single-node answer id-for-id.
+//   - A search — threshold, top-k or timings — is forwarded whole to
+//     one replica, which answers exactly what a single node does.
 //   - A join scatters as 2-D tiles — (rowLo,rowHi)×(colLo,colHi)
 //     fragments of the upper-triangle pair space (engine.TileSpec,
 //     POST /v1/join/tile), dispatched over a bounded in-flight window
@@ -20,8 +18,9 @@
 // replica reports a content hash of its loaded index (the FNV-64a of
 // its deterministic snapshot encoding) and the coordinator verifies
 // at attach time that all replicas agree, then stamps the hash on
-// every scattered request so a replica that reloaded something else
-// answers 409 instead of polluting a merged result.
+// every search and tile so a replica that reloaded something else
+// answers 409 and the work moves to another replica instead of being
+// answered from the wrong data.
 //
 // Failure semantics: a replica that cannot be reached, answers 5xx,
 // times out, or rejects the corpus is marked down and its work item
@@ -73,26 +72,24 @@ type Config struct {
 	// Replicas is the static list of replica base URLs (required,
 	// non-empty). Scheme-less entries get "http://".
 	Replicas []string
-	// Timeout bounds each replica HTTP call (one tile, one range, one
-	// forwarded request); 0 selects 30s. A timed-out call is retried
-	// on another replica.
+	// Timeout bounds each replica HTTP call (one tile, one forwarded
+	// request); 0 selects 30s. A timed-out call is retried on another
+	// replica.
 	Timeout time.Duration
-	// InflightPerReplica bounds the scattered-join dispatch window:
-	// at most InflightPerReplica × len(Replicas) tiles are in flight
-	// at once; ≤ 0 selects 4.
-	InflightPerReplica int
-	// MaxAttempts bounds how many replicas one work item is tried on
-	// before giving up; ≤ 0 selects 3 × len(Replicas).
-	MaxAttempts int
 	// RetryBaseDelay is the first retry's backoff (doubling per
 	// attempt, capped at 1s); ≤ 0 selects 50ms.
 	RetryBaseDelay time.Duration
-	// Registry receives the pigeonring_cluster_* families; nil
-	// creates a private registry.
-	Registry *telemetry.Registry
 	// DisableMetrics leaves GET /metrics unmounted on the handler.
 	DisableMetrics bool
 }
+
+// A scattered join keeps inflightPerReplica tiles per replica in
+// flight, and one work item is tried on up to attemptsPerReplica ×
+// len(Replicas) replicas before it fails.
+const (
+	inflightPerReplica = 4
+	attemptsPerReplica = 3
+)
 
 // corpusInfo is the attach-time identity of one problem's corpus, as
 // all replicas agreed on it.
@@ -144,28 +141,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	inflight := cfg.InflightPerReplica
-	if inflight <= 0 {
-		inflight = 4
-	}
-	attempts := cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3 * len(cfg.Replicas)
-	}
 	baseWait := cfg.RetryBaseDelay
 	if baseWait <= 0 {
 		baseWait = 50 * time.Millisecond
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	met := newClusterMetrics(reg)
+	met := newClusterMetrics(telemetry.NewRegistry())
 	c := &Coordinator{
 		client:    &http.Client{},
 		timeout:   timeout,
-		inflight:  inflight * len(cfg.Replicas),
-		attempts:  attempts,
+		inflight:  inflightPerReplica * len(cfg.Replicas),
+		attempts:  attemptsPerReplica * len(cfg.Replicas),
 		baseWait:  baseWait,
 		met:       met,
 		noMetrics: cfg.DisableMetrics,
@@ -281,8 +266,8 @@ func indexMap(resp server.IndexesResponse) map[string]corpusInfo {
 // identityDiff describes the first way two replicas' corpora diverge,
 // or "" when they are interchangeable scatter targets. The comparison
 // is by content hash (which already covers objects, τ and shard
-// layout); n is double-checked because tile and range coordinates are
-// derived from it.
+// layout); n is double-checked because tile coordinates are derived
+// from it.
 func identityDiff(a, b map[string]corpusInfo) string {
 	keys := make([]string, 0, len(a)+len(b))
 	for p := range a {

@@ -236,6 +236,54 @@ func TestRetryExhaustionAllReplicasDown(t *testing.T) {
 	}
 }
 
+// TestSearchFailsOverStaleReplica: a replica reloaded behind the
+// coordinator's back (another seed) answers 409 corpus_mismatch to the
+// attached corpus hash, so every search — through Search and through
+// the outward /v1/search — moves on to the replica still holding the
+// attached corpus and answers exactly what a single node does.
+func TestSearchFailsOverStaleReplica(t *testing.T) {
+	rs := newReplicaSet(t, 2, testLoad)
+	c := newCoordinator(t, rs.urls)
+	ctx := context.Background()
+	if err := c.Attach(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Query objects that have a neighbour, so the stale corpus would
+	// answer them differently.
+	pairs := singleJoin(t, rs.urls[0], server.JoinRequest{Problem: "hamming"}).Pairs
+	if len(pairs) < 2*len(rs.urls) {
+		t.Fatalf("reference join has %d pairs; corpus too sparse for the test", len(pairs))
+	}
+	stale := testLoad
+	stale.Seed = 7
+	if code := postJSON(t, rs.urls[1]+"/v1/load", stale, nil); code != http.StatusOK {
+		t.Fatalf("reloading replica 1: status %d", code)
+	}
+	front := httptest.NewServer(c.Handler())
+	t.Cleanup(front.Close)
+	for _, pair := range pairs[:2*len(rs.urls)] {
+		id := int(pair[1])
+		req := server.SearchRequest{Problem: "hamming", QueryID: &id}
+		var want, viaHTTP server.SearchResponse
+		if code := postJSON(t, rs.urls[0]+"/v1/search", req, &want); code != http.StatusOK {
+			t.Fatalf("single-node search: status %d", code)
+		}
+		got, _, err := c.Search(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := postJSON(t, front.URL+"/v1/search", req, &viaHTTP); code != http.StatusOK {
+			t.Fatalf("coordinator search: status %d", code)
+		}
+		if !slices.Equal(got, want.IDs) || !slices.Equal(viaHTTP.IDs, want.IDs) {
+			t.Fatalf("query %d: Search %v, /v1/search %v, single node %v", id, got, viaHTTP.IDs, want.IDs)
+		}
+	}
+	if c.met.tileRetries.Value() == 0 {
+		t.Fatal("the stale replica never refused a search: the retry counter did not move")
+	}
+}
+
 // TestAttachRejectsCorpusMismatch: replicas holding different corpora
 // (here: different seeds) must be refused at attach — scattering over
 // them would merge answers computed on different data.

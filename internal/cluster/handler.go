@@ -15,12 +15,11 @@ import (
 
 // The coordinator's outward HTTP surface: the same /v1/* endpoints a
 // single daemon serves, so clients (and the CLI, and the smoke
-// scripts) need no cluster awareness. Searches and joins scatter;
-// requests a scatter cannot merge (top-k, batch, timings) forward to
-// one replica with the same failover the scattered legs get; load and
-// snapshot broadcast to every replica — a cluster where only some
-// replicas loaded the new corpus must not exist, so a partial
-// broadcast is an error.
+// scripts) need no cluster awareness. Joins scatter as tiles; searches,
+// batches, tiles and timings joins forward whole to one replica with
+// the same failover a tile gets; load and snapshot broadcast to every
+// replica — a cluster where only some replicas loaded the new corpus
+// must not exist, so a partial broadcast is an error.
 
 // statusClientClosedRequest mirrors the daemon's 499 for abandoned
 // requests.
@@ -37,8 +36,8 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/join/tile", c.handleForwardPOST)
 	mux.HandleFunc("GET /v1/indexes", c.handleForwardGET)
 	mux.HandleFunc("GET /v1/stats", c.handleForwardGET)
-	mux.HandleFunc("GET /v1/healthz", c.handleHealthz)
-	mux.HandleFunc("GET /v1/readyz", c.handleReadyz)
+	mux.HandleFunc("GET /v1/healthz", c.handleHealth)
+	mux.HandleFunc("GET /v1/readyz", c.handleHealth)
 	if !c.noMetrics {
 		mux.Handle("GET /metrics", c.met.reg.Handler())
 	}
@@ -196,23 +195,13 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, body, &req) {
 		return
 	}
-	// Top-k and timings answers cannot be merged from range fragments
-	// (a ladder and a time split are whole-corpus artifacts), and an
-	// explicitly ranged request is already one leg of a scatter:
-	// all three run on one replica, chosen with the usual failover.
-	if req.K > 0 || req.Timings || req.RangeLo != nil || req.RangeHi != nil {
-		c.forward(w, r, body)
-		return
-	}
-	ids, st, err := c.Search(r.Context(), req)
-	if err != nil {
+	var out json.RawMessage
+	if err := c.search(r.Context(), req, &out); err != nil {
 		writeClusterError(w, r, err)
 		return
 	}
-	if ids == nil {
-		ids = []int64{}
-	}
-	writeJSON(w, http.StatusOK, server.SearchResponse{Problem: req.Problem, IDs: ids, Stats: st})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(out)
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -239,18 +228,15 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, server.JoinResponse{Problem: req.Problem, Pairs: pairs, Stats: st})
 }
 
-// handleHealthz reports the cluster view: ready when an attached
-// corpus view exists and at least one replica is believed up. The
-// payload shape is the daemon's own HealthResponse, so probes need no
+// handleHealth reports the cluster view on /v1/healthz (always 200)
+// and /v1/readyz (503 until ready): ready when an attached corpus view
+// exists and at least one replica is believed up. The payload shape is
+// the daemon's own HealthResponse, so probes need no
 // coordinator-specific parsing.
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.health())
-}
-
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := c.health()
 	status := http.StatusOK
-	if !h.Ready {
+	if !h.Ready && r.URL.Path == "/v1/readyz" {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, h)

@@ -25,9 +25,9 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 	lat := telemetry.LatencySeconds()
 	return &clusterMetrics{
 		reg:           reg,
-		tileRetries:   reg.Counter("pigeonring_cluster_tile_retries_total", "Scattered work items re-dispatched to another replica after a failure."),
-		searchScatter: reg.Histogram("pigeonring_cluster_scatter_seconds", "End-to-end scatter-gather latency.", lat, telemetry.L("op", "search")),
-		joinScatter:   reg.Histogram("pigeonring_cluster_scatter_seconds", "End-to-end scatter-gather latency.", lat, telemetry.L("op", "join")),
+		tileRetries:   reg.Counter("pigeonring_cluster_tile_retries_total", "Work items (searches, join tiles, forwarded requests) re-dispatched to another replica after a failure."),
+		searchScatter: reg.Histogram("pigeonring_cluster_scatter_seconds", "End-to-end coordinator latency of one forwarded search or one scattered join.", lat, telemetry.L("op", "search")),
+		joinScatter:   reg.Histogram("pigeonring_cluster_scatter_seconds", "End-to-end coordinator latency of one forwarded search or one scattered join.", lat, telemetry.L("op", "join")),
 	}
 }
 
@@ -36,5 +36,5 @@ func (m *clusterMetrics) replicaUp(url string) *telemetry.Gauge {
 }
 
 func (m *clusterMetrics) tilesDispatched(url string) *telemetry.Counter {
-	return m.reg.Counter("pigeonring_cluster_tiles_dispatched_total", "Work items (join tiles, search ranges, forwarded requests) sent to the replica, including retries.", telemetry.L("replica", url))
+	return m.reg.Counter("pigeonring_cluster_tiles_dispatched_total", "Work items (join tiles, forwarded requests) sent to the replica, including retries.", telemetry.L("replica", url))
 }

@@ -16,10 +16,10 @@ import (
 // requested problem.
 var ErrNotLoaded = errors.New("cluster: no index loaded on the replicas")
 
-// mergeWork folds one leg's engine statistics into the scatter's
+// mergeWork folds one tile's engine statistics into the join's
 // aggregate: the work counters add up across replicas exactly as they
-// do across shards; wall-clock totals are replaced by the scatter's
-// own elapsed time by the caller.
+// do across shards; wall-clock totals are replaced by the join's own
+// elapsed time by the caller.
 func mergeWork(dst *engine.Stats, s engine.Stats) {
 	dst.Candidates += s.Candidates
 	dst.Probes += s.Probes
@@ -30,76 +30,43 @@ func mergeWork(dst *engine.Stats, s engine.Stats) {
 	dst.Limited = dst.Limited || s.Limited
 }
 
-// splitRanges cuts [0, n) into at most parts contiguous, near-even,
-// non-empty ranges.
-func splitRanges(n, parts int) [][2]int {
-	if parts > n {
-		parts = n
+// Search answers one threshold search through the coordinator's one
+// search path (see search): the ids are exactly a single node's, the
+// statistics the answering replica's. A top-k request belongs on
+// Handler, whose response carries its results.
+func (c *Coordinator) Search(ctx context.Context, req server.SearchRequest) ([]int64, engine.Stats, error) {
+	if req.K > 0 {
+		return nil, engine.Stats{}, fmt.Errorf("cluster: Search answers threshold searches; send top-k requests through Handler")
 	}
-	out := make([][2]int, 0, parts)
-	for i := 0; i < parts; i++ {
-		lo, hi := i*n/parts, (i+1)*n/parts
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
+	var resp server.SearchResponse
+	if err := c.search(ctx, req, &resp); err != nil {
+		return nil, engine.Stats{}, err
 	}
-	return out
+	return resp.IDs, resp.Stats, nil
 }
 
-// Search scatters one threshold search across the replicas: the id
-// space [0, n) splits into one contiguous range per replica, each
-// range resolves on whichever replica is up (stamped with the corpus
-// hash), and the ascending per-range id lists concatenate in range
-// order — byte-identical to a single node answering the same request.
-// Requests a scatter cannot merge (top-k, timings, explicit ranges)
-// belong on the forwarding path, not here.
-func (c *Coordinator) Search(ctx context.Context, req server.SearchRequest) ([]int64, engine.Stats, error) {
-	if req.K > 0 || req.Timings || req.RangeLo != nil || req.RangeHi != nil {
-		return nil, engine.Stats{}, fmt.Errorf("cluster: request cannot be scattered; forward it to one replica")
-	}
+// search forwards one search — threshold, top-k or timings — whole to
+// one replica with failover, decoding the answer into out. Unless the
+// caller brought a corpus hash, the request carries the attached one,
+// so a replica that reloaded another corpus answers 409 and the search
+// moves on to the next replica.
+func (c *Coordinator) search(ctx context.Context, req server.SearchRequest, out any) error {
 	info, ok, err := c.corpus(ctx, req.Problem)
 	if err != nil {
-		return nil, engine.Stats{}, err
+		return err
 	}
 	if !ok {
-		return nil, engine.Stats{}, fmt.Errorf("%w: %s", ErrNotLoaded, req.Problem)
+		return fmt.Errorf("%w: %s", ErrNotLoaded, req.Problem)
+	}
+	if req.CorpusHash == "" {
+		req.CorpusHash = info.SnapshotHash
 	}
 	start := time.Now()
-	ranges := splitRanges(info.N, len(c.replicas))
-	ids := make([][]int64, len(ranges))
-	stats := make([]engine.Stats, len(ranges))
-	err = parallel.ForEachCtx(ctx, len(ranges), len(ranges), func(jobCtx context.Context, i int) error {
-		leg := req
-		leg.RangeLo, leg.RangeHi = &ranges[i][0], &ranges[i][1]
-		leg.CorpusHash = info.SnapshotHash
-		var resp server.SearchResponse
-		if err := c.withReplica(jobCtx, "/v1/search", &leg, &resp); err != nil {
-			return err
-		}
-		ids[i], stats[i] = resp.IDs, resp.Stats
-		return nil
-	})
-	if err != nil {
-		return nil, engine.Stats{}, err
+	if err := c.withReplica(ctx, "/v1/search", &req, out); err != nil {
+		return err
 	}
-	var agg engine.Stats
-	total := 0
-	for i := range ids {
-		mergeWork(&agg, stats[i])
-		total += len(ids[i])
-	}
-	out := make([]int64, 0, total)
-	for _, part := range ids {
-		out = append(out, part...)
-	}
-	if req.Limit > 0 && len(out) > req.Limit {
-		out = out[:req.Limit]
-		agg.Limited = true
-	}
-	agg.Results = len(out)
-	agg.WallNS = time.Since(start).Nanoseconds()
 	c.met.searchScatter.Observe(time.Since(start).Seconds())
-	return out, agg, nil
+	return nil
 }
 
 // Join scatters one self-join across the replicas as 2-D tiles — the

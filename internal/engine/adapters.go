@@ -18,8 +18,8 @@ import (
 // thin backend wrapper — its boxes live in the package, the wrapper
 // only maps engine options onto them — and adapter implements Index
 // (search, top-k, join) and snapshot writing once above it: Search is
-// the range probe over [0, n), SearchRange and every join row are the
-// same probe over a window, and top-k climbs the backend's ladder.
+// the range probe over [0, n), every join row is the same probe over a
+// window, and top-k climbs the backend's ladder.
 //
 // A fifth problem implements backend:
 //
@@ -131,8 +131,8 @@ func (a *adapter) searchTopK(ctx context.Context, q Query, opt Options, cut *top
 // object replays indexed object i through the backend.
 func (a *adapter) object(i int) Query { return a.b.object(i) }
 
-// searchRange is the checked range probe behind SearchRange and every
-// join row: ids in [lo, hi) appended to dst, counters added to st.
+// searchRange is the checked range probe behind every join row: ids
+// in [lo, hi) appended to dst, counters added to st.
 func (a *adapter) searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return dst, err

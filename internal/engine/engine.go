@@ -11,8 +11,8 @@
 // sits behind a small unexported backend interface (adapters.go): τ
 // validation, one exact range probe that resolves the paper's §8
 // chain length, the top-k ladder, object replay and persistence.
-// Search, SearchRange and every join row run that same range probe,
-// so a fifth problem implements the backend methods and nothing else.
+// Search and every join row run that same range probe, so a fifth
+// problem implements the backend methods and nothing else.
 //
 // The layer adds what the single-problem packages deliberately leave
 // out:
@@ -212,8 +212,8 @@ type Index interface {
 	TopKSearcher
 	Joiner
 
-	// searchRange is the checked range probe behind SearchRange and
-	// every join row: the ids in the global range [lo, hi) within
+	// searchRange is the checked range probe behind every join row,
+	// JoinTileRange's included: the ids in the global range [lo, hi) within
 	// threshold of q, appended to dst in ascending order, with the
 	// work counters added to st. The range may straddle shards.
 	searchRange(ctx context.Context, q Query, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error)

@@ -401,7 +401,7 @@ func parityBackends(t *testing.T) []parityBackend {
 }
 
 // TestAdapterMatchesBackend pins every plain adapter entry point —
-// Search (plain, SkipVerify, Timings), SearchSeq, SearchRange over
+// Search (plain, SkipVerify, Timings), SearchSeq, searchRange over
 // full, empty, inverted and random windows, and SearchTopK — to the
 // raw backend entry points at the chain length the adapter resolves:
 // exact ids or results and exact work counters, at l ∈ {0, 1, 2, m}.
@@ -457,7 +457,8 @@ func TestAdapterMatchesBackend(t *testing.T) {
 
 					a, b := rng.Intn(pb.n+1), rng.Intn(pb.n+1)
 					for _, w := range [][2]int{{0, pb.n}, {a / 2, a / 2}, {pb.n, 0}, {min(a, b), max(a, b)}} {
-						got, gst, err := SearchRange(ctx, pb.ix, q, Options{ChainLength: l}, w[0], w[1])
+						var gst Stats
+						got, err := pb.ix.searchRange(ctx, q, Options{ChainLength: l}, w[0], w[1], nil, &gst)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -466,9 +467,9 @@ func TestAdapterMatchesBackend(t *testing.T) {
 						if w[0] < w[1] {
 							wids, wwst = pb.window(q, lr, w[0], w[1])
 						}
-						check(fmt.Sprintf("SearchRange [%d,%d)", w[0], w[1]), got, gst, wids, wwst)
+						check(fmt.Sprintf("searchRange [%d,%d)", w[0], w[1]), got, gst, wids, wwst)
 						if w == [2]int{0, pb.n} {
-							check("SearchRange full vs Search", got, gst, want, wst)
+							check("searchRange full vs Search", got, gst, want, wst)
 						}
 					}
 

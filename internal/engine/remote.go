@@ -16,10 +16,8 @@ import (
 // answers it with exactly the pairs the in-process scheduler would
 // have produced — so the coordinator enumerates tiles with
 // EnumerateTiles, ships them over the wire, and a replica executes
-// each one with JoinTileRange. SearchRange is the analogous unit for
-// scattered searches: a search restricted to a contiguous global-id
-// range, so concatenating the per-range outputs in range order
-// reproduces the unrestricted search id-for-id.
+// each one with JoinTileRange. A search needs no such unit: any
+// replica holding the corpus answers it whole.
 
 // TileSpec names one tile of a self-join's 2-D decomposition in
 // global id space: the pairs whose larger id lies in [RowLo, RowHi)
@@ -54,46 +52,6 @@ func EnumerateTiles(n, tileSize, workers int) []TileSpec {
 		}
 	}
 	return out
-}
-
-// SearchRange runs a search restricted to the contiguous global-id
-// range [lo, hi): exactly the ids of Search(ctx, q, opt) that fall in
-// the range, ascending. It is the scatter unit of a distributed
-// search — concatenating the outputs of a partition of [0, n) in
-// range order reproduces the unrestricted search id-for-id, because
-// every backend's range probe is exact. Options.Limit trims the
-// output to the range's first Limit ids (work past the limit is not
-// abandoned); TopK and Timings are not supported on this path.
-func SearchRange(ctx context.Context, ix Index, q Query, opt Options, lo, hi int) ([]int64, Stats, error) {
-	if opt.TopK > 0 {
-		return nil, Stats{}, fmt.Errorf("engine: top-k search cannot be range-restricted")
-	}
-	if opt.Timings {
-		return nil, Stats{}, fmt.Errorf("engine: Timings is not supported on a range-restricted search")
-	}
-	if err := checkKind(q, ix.Problem()); err != nil {
-		return nil, Stats{}, err
-	}
-	start := time.Now()
-	lo = max(lo, 0)
-	hi = min(hi, ix.Len())
-	var st Stats
-	var ids []int64
-	if lo < hi {
-		var err error
-		if ids, err = ix.searchRange(ctx, q, opt, lo, hi, nil, &st); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	if opt.Limit > 0 && len(ids) > opt.Limit {
-		ids = ids[:opt.Limit]
-		st.Limited = true
-	}
-	st.Results = len(ids)
-	st.TotalNS = time.Since(start).Nanoseconds()
-	st.WallNS = st.TotalNS
-	opt.Hooks.stage(StageSearch, time.Since(start))
-	return ids, st, nil
 }
 
 // JoinTileRange executes one tile of a self-join on ix: every result

@@ -11,8 +11,9 @@ import (
 // enumeration covering the pair space exactly once, the
 // union-of-tiles == Join contract JoinTileRange must honor for a
 // coordinator to scatter joins, and the concat-of-ranges == Search
-// contract behind SearchRange — including ranges that straddle shard
-// boundaries, which a remote caller cannot avoid.
+// contract behind the range probe every join row runs — including
+// ranges that straddle shard boundaries, which a remote tile cannot
+// avoid.
 
 func TestEnumerateTilesCoverage(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 129, 500} {
@@ -97,12 +98,12 @@ func TestJoinTileRangeRejectsBadTile(t *testing.T) {
 	}
 }
 
-// TestSearchRangeConcatMatchesSearch is the search-scatter contract:
-// partitioning [0, n) into contiguous ranges, searching each with
-// SearchRange and concatenating in range order must reproduce
-// Search's ascending id list exactly. The cut points are chosen to
-// fall inside the shards of the 4-way sharded and the reopened 3-way
-// sharded index.
+// TestSearchRangeConcatMatchesSearch is the range-probe contract that
+// joins and JoinTileRange rely on: partitioning [0, n) into contiguous
+// ranges, probing each with searchRange and concatenating in range
+// order must reproduce Search's ascending id list exactly. The cut
+// points are chosen to fall inside the shards of the 4-way sharded and
+// the reopened 3-way sharded index.
 func TestSearchRangeConcatMatchesSearch(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range buildJoinCases(t) {
@@ -123,7 +124,8 @@ func TestSearchRangeConcatMatchesSearch(t *testing.T) {
 				}
 				var got []int64
 				for i := 0; i+1 < len(cuts); i++ {
-					ids, st, err := SearchRange(ctx, ix.ix, q, Options{}, cuts[i], cuts[i+1])
+					var st Stats
+					ids, err := ix.ix.searchRange(ctx, q, Options{}, cuts[i], cuts[i+1], nil, &st)
 					if err != nil {
 						t.Fatalf("%s/%s range [%d,%d): %v", tc.name, ix.name, cuts[i], cuts[i+1], err)
 					}
@@ -142,52 +144,5 @@ func TestSearchRangeConcatMatchesSearch(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSearchRangeLimitAndErrors(t *testing.T) {
-	ctx := context.Background()
-	tc := buildJoinCases(t)[0]
-	ix := tc.unsharded
-	// Pick a probe with at least two in-threshold neighbors so Limit=1
-	// actually trims (every row matches at least itself).
-	var q Query
-	var full []int64
-	for probe := 0; probe < ix.Len(); probe++ {
-		cand, err := Object(ix, probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, _, err := SearchRange(ctx, ix, cand, Options{}, 0, ix.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) >= 2 {
-			q, full = cand, ids
-			break
-		}
-	}
-	if len(full) < 2 {
-		t.Fatal("test corpus too sparse: no probe with 2+ results")
-	}
-	trimmed, st, err := SearchRange(ctx, ix, q, Options{Limit: 1}, 0, ix.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trimmed) != 1 || trimmed[0] != full[0] || !st.Limited {
-		t.Fatalf("Limit=1: got %v (Limited=%v), want prefix of %v", trimmed, st.Limited, full)
-	}
-	if _, _, err := SearchRange(ctx, ix, q, Options{TopK: 3}, 0, ix.Len()); err == nil {
-		t.Fatal("TopK accepted on SearchRange")
-	}
-	if _, _, err := SearchRange(ctx, ix, q, Options{Timings: true}, 0, ix.Len()); err == nil {
-		t.Fatal("Timings accepted on SearchRange")
-	}
-	// An empty or inverted range is not an error: it contributes no ids.
-	if ids, _, err := SearchRange(ctx, ix, q, Options{}, 50, 50); err != nil || len(ids) != 0 {
-		t.Fatalf("empty range: ids=%v err=%v", ids, err)
-	}
-	if ids, _, err := SearchRange(ctx, ix, q, Options{}, -5, 0); err != nil || len(ids) != 0 {
-		t.Fatalf("clamped range: ids=%v err=%v", ids, err)
 	}
 }

@@ -3,15 +3,16 @@ package server
 import (
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 )
 
 // Tests for the serving surface a cluster coordinator depends on:
-// corpus hashes as cross-process identity, range-restricted searches,
-// and the /v1/join/tile fragment endpoint with its corpus_mismatch
-// guard.
+// corpus hashes as cross-process identity, the corpus_mismatch guard
+// on forwarded searches, and the /v1/join/tile fragment endpoint with
+// the same guard.
 
 // TestCorpusHashIdentity: the hash must agree between two processes
 // that built the identical corpus (that is the whole point — attach-
@@ -48,6 +49,18 @@ func TestCorpusHashIdentity(t *testing.T) {
 		t.Fatalf("different shard layout reports the same hash %q", c)
 	}
 
+	// A search stamped with another corpus's hash is refused, so a
+	// coordinator can fail over from a replica that reloaded.
+	qid := 3
+	if code, body := h1.post("/v1/search", SearchRequest{
+		Problem: "hamming", QueryID: &qid, CorpusHash: "feedfacefeedface",
+	}, nil); code != http.StatusConflict || !strings.Contains(body, `"corpus_mismatch"`) {
+		t.Fatalf("stale corpus hash: status %d body %s, want 409 corpus_mismatch", code, body)
+	}
+	if got := h1.search(SearchRequest{Problem: "hamming", QueryID: &qid, CorpusHash: a}); len(got.IDs) == 0 {
+		t.Fatal("search stamped with the loaded corpus hash found nothing, not even its own query")
+	}
+
 	var ir IndexesResponse
 	h1.get("/v1/indexes", &ir)
 	if len(ir.Indexes) != 1 || ir.Indexes[0].SnapshotHash != a {
@@ -57,46 +70,6 @@ func TestCorpusHashIdentity(t *testing.T) {
 	h1.get("/v1/stats", &sr)
 	if sr.Problems["hamming"].SnapshotHash != a {
 		t.Fatalf("stats hash %q, want %q", sr.Problems["hamming"].SnapshotHash, a)
-	}
-}
-
-func TestRangedSearch(t *testing.T) {
-	h := newHarness(t)
-	h.load(LoadRequest{Problem: "hamming", N: 400, Shards: 2})
-	var hr HealthResponse
-	h.get("/v1/healthz", &hr)
-	hash := hr.Corpora["hamming"]
-
-	qid := 3
-	full := h.search(SearchRequest{Problem: "hamming", QueryID: &qid})
-	var got []int64
-	cuts := []int{0, 57, 130, 131, 400}
-	for i := 0; i+1 < len(cuts); i++ {
-		r := h.search(SearchRequest{
-			Problem: "hamming", QueryID: &qid,
-			RangeLo: &cuts[i], RangeHi: &cuts[i+1], CorpusHash: hash,
-		})
-		got = append(got, r.IDs...)
-	}
-	if !sameIDs(got, full.IDs) {
-		t.Fatalf("range concat %v != full search %v", got, full.IDs)
-	}
-
-	lo, hi := 0, 400
-	if code, body := h.post("/v1/search", SearchRequest{
-		Problem: "hamming", QueryID: &qid, RangeLo: &lo, RangeHi: &hi, CorpusHash: "feedfacefeedface",
-	}, nil); code != http.StatusConflict {
-		t.Fatalf("stale corpus hash: status %d body %s, want 409", code, body)
-	}
-	if code, body := h.post("/v1/search", SearchRequest{
-		Problem: "hamming", QueryID: &qid, RangeLo: &lo,
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("rangeLo without rangeHi: status %d body %s, want 400", code, body)
-	}
-	if code, body := h.post("/v1/search", SearchRequest{
-		Problem: "hamming", QueryID: &qid, RangeLo: &lo, RangeHi: &hi, K: 3,
-	}, nil); code != http.StatusBadRequest {
-		t.Fatalf("k with range: status %d body %s, want 400", code, body)
 	}
 }
 

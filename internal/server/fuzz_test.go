@@ -1,0 +1,143 @@
+package server
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/engine"
+)
+
+// FuzzSearchRequest posts arbitrary bytes to /v1/search and
+// /v1/search/batch on a server holding tiny indexes of all four
+// problems. Request bodies are untrusted input: whatever arrives, the
+// server must not panic or answer 5xx — apart from the 504 a client
+// earns by asking for a deadline shorter than its search — and every
+// 200 must decode into its response type with ids in ascending order.
+func FuzzSearchRequest(f *testing.F) {
+	s := New(1, 0)
+	h := s.Handler()
+	for _, load := range []string{
+		`{"problem":"hamming","n":50,"shards":2}`,
+		`{"problem":"set","n":50,"shards":2}`,
+		`{"problem":"string","n":50}`,
+		`{"problem":"graph","n":30,"shards":2}`,
+	} {
+		if code, body := serve(h, "/v1/load", []byte(load)); code != http.StatusOK {
+			f.Fatalf("load %s: status %d body %s", load, code, body)
+		}
+	}
+
+	// Seeds: the bodies the server and cluster tests post.
+	vec := dataset.GIST(50, 42)[7].String()
+	str := dataset.IMDB(50, 42)[9]
+	g := dataset.AIDS(30, 42)[4]
+	spec := GraphSpec{N: g.N()}
+	for v := 0; v < g.N(); v++ {
+		spec.VertexLabels = append(spec.VertexLabels, g.VertexLabel(v))
+	}
+	for _, e := range g.Edges() {
+		spec.Edges = append(spec.Edges, [3]int{e.U, e.V, int(e.Label)})
+	}
+	qid, tau := 3, 30.0
+	for _, req := range []any{
+		SearchRequest{Problem: "hamming", QueryID: &qid},
+		SearchRequest{Problem: "set", QueryID: &qid, Limit: 1},
+		SearchRequest{Problem: "string", QueryID: &qid, Timings: true},
+		SearchRequest{Problem: "graph", QueryID: &qid, SkipVerify: true, L: 1},
+		SearchRequest{Problem: "hamming", Vector: vec, Tau: &tau, K: 3},
+		SearchRequest{Problem: "hamming", Vector: "0101"},
+		SearchRequest{Problem: "set", Set: dataset.DBLP(50, 42)[11]},
+		SearchRequest{Problem: "string", String: &str, K: 2},
+		SearchRequest{Problem: "graph", Graph: &spec, TimeoutMS: 50},
+		SearchRequest{Problem: "hamming", QueryID: &qid, CorpusHash: "feedfacefeedface"},
+		SearchRequest{Problem: "hamming", QueryID: &qid, K: 3, Limit: 1},
+		BatchRequest{Problem: "hamming", QueryIDs: []int{3, 49, 12, 7}},
+		BatchRequest{Problem: "graph", QueryIDs: []int{0, 1}, K: 2},
+		BatchRequest{Problem: "set", QueryIDs: []int{50}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(false, body)
+		f.Add(true, body)
+	}
+	f.Add(false, []byte(`{"problem":"hamming","queryId":3,"limt":1}`))
+	f.Add(true, []byte(`{"problem":"hamming","queryIds":[1,2,3],"workers":2}`))
+	f.Add(false, []byte(`{"problem":"hamming","queryId":-1,"timeout_ms":-5}`))
+
+	f.Fuzz(func(t *testing.T, batch bool, body []byte) {
+		path := "/v1/search"
+		if batch {
+			path = "/v1/search/batch"
+		}
+		code, resp := serve(h, path, body)
+		switch {
+		case code == http.StatusGatewayTimeout && strings.Contains(resp, `"deadline_exceeded"`):
+			return
+		case code >= 500:
+			t.Fatalf("%s %q: status %d body %s", path, body, code, resp)
+		case code != http.StatusOK:
+			return
+		}
+		if batch {
+			var br BatchResponse
+			strictDecode(t, resp, &br)
+			for _, item := range br.Results {
+				ascending(t, resp, item.IDs, item.Results)
+			}
+			return
+		}
+		var sr SearchResponse
+		if strictUnmarshal(resp, &sr) == nil {
+			ascending(t, resp, sr.IDs, nil)
+			return
+		}
+		var tr TopKResponse
+		strictDecode(t, resp, &tr)
+		ascending(t, resp, nil, tr.Results)
+	})
+}
+
+// serve runs one POST through the handler in-process.
+func serve(h http.Handler, path string, body []byte) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec.Code, rec.Body.String()
+}
+
+func strictUnmarshal(raw string, v any) error {
+	dec := json.NewDecoder(strings.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+func strictDecode(t *testing.T, raw string, v any) {
+	t.Helper()
+	if err := strictUnmarshal(raw, v); err != nil {
+		t.Fatalf("200 body %s does not decode into %T: %v", raw, v, err)
+	}
+}
+
+// ascending checks a threshold answer's ids strictly ascend and a
+// top-k answer is ordered by (distance, id).
+func ascending(t *testing.T, raw string, ids []int64, res []engine.Result) {
+	t.Helper()
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("ids not strictly ascending in %s", raw)
+		}
+	}
+	if !slices.IsSortedFunc(res, func(a, b engine.Result) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID, b.ID))
+	}) {
+		t.Fatalf("top-k results not ordered by (distance, id) in %s", raw)
+	}
+}

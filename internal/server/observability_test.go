@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +55,40 @@ func TestReadiness(t *testing.T) {
 	}
 	if code := h.get("/v1/readyz", nil); code != http.StatusOK {
 		t.Fatalf("readyz after load: status %d, want 200", code)
+	}
+}
+
+// TestHealthConsistentDuringLoad polls /v1/healthz on fresh servers
+// while their loads install: every answer must be one view of the
+// server, its corpora one per counted index and ready exactly when
+// an index is counted.
+func TestHealthConsistentDuringLoad(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		s := New(0, 0)
+		h := s.Handler()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, p := range []string{"hamming", "set", "string"} {
+				serve(h, "/v1/load", []byte(`{"problem":"`+p+`","n":40}`))
+			}
+		}()
+		for polling := true; polling; {
+			select {
+			case <-done:
+				polling = false
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+			var hr HealthResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {
+				t.Fatal(err)
+			}
+			if len(hr.Corpora) != hr.Indexes || hr.Ready != (hr.Indexes > 0) {
+				t.Fatalf("round %d: inconsistent health %s", round, rec.Body.String())
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@
 //	POST /v1/search        {"problem":"hamming","queryId":17,"limit":10,"timeout_ms":50,...}
 //	POST /v1/search/batch  {"problem":"set","queryIds":[1,2,3],...}
 //	POST /v1/join          {"problem":"set","limit":100,"timeout_ms":5000,...}
+//	POST /v1/join/tile     {"problem":"set","rowLo":0,"rowHi":64,"colLo":0,"colHi":64}
 //	GET  /v1/indexes
 //	GET  /v1/stats
 //	GET  /v1/healthz       liveness + readiness view {"ready":bool,"indexes":n}
@@ -21,7 +22,15 @@
 // One index is held per problem; loading replaces the previous index
 // atomically. Searches are lock-free after entry lookup — engine
 // indexes are immutable — so any number of requests may run
-// concurrently, each fanning out across the index's shards.
+// concurrently, each fanning out across the index's shards; a batch
+// runs its queries over at most Config.Workers goroutines.
+//
+// A cluster coordinator serves this same surface over replicas of
+// this daemon. It forwards each search whole, stamped with the
+// corpus hash it attached to ("corpusHash"; a replica that reloaded
+// another corpus answers 409 "corpus_mismatch" and the coordinator
+// tries the next replica), and scatters joins as /v1/join/tile
+// fragments under the same guard.
 //
 // Persistence: when Config.SnapshotDir is set, POST /v1/snapshot
 // writes a loaded index to a file in that directory (atomically —
@@ -149,9 +158,6 @@ type Config struct {
 	// when a request carries no timeout_ms; 0 disables it. Requests
 	// may shorten it but never lengthen it.
 	SearchTimeout time.Duration
-	// Registry receives the server's metric families; nil creates a
-	// private registry. Pass a shared one to co-expose other families.
-	Registry *telemetry.Registry
 	// DisableMetrics leaves GET /metrics unmounted (metrics are still
 	// recorded; /v1/stats keeps working).
 	DisableMetrics bool
@@ -190,10 +196,6 @@ func New(workers int, timeout time.Duration) *Server {
 
 // NewFromConfig creates an empty server; see Config for the knobs.
 func NewFromConfig(cfg Config) *Server {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	slowW := cfg.SlowQueryWriter
 	if slowW == nil {
 		slowW = os.Stderr
@@ -208,7 +210,7 @@ func NewFromConfig(cfg Config) *Server {
 		started:   time.Now(),
 		snapDir:   cfg.SnapshotDir,
 		maxK:      maxK,
-		met:       newServerMetrics(reg),
+		met:       newServerMetrics(telemetry.NewRegistry()),
 		slow:      newSlowLog(cfg.SlowQueryThreshold, slowW),
 		noMetrics: cfg.DisableMetrics,
 		entries:   make(map[engine.Problem]*entry),
@@ -231,8 +233,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/join/tile", s.handleJoinTile)
 	mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
+	mux.HandleFunc("GET /v1/readyz", s.handleHealth)
 	if !s.noMetrics {
 		mux.Handle("GET /metrics", s.met.reg.Handler())
 	}
@@ -241,10 +243,8 @@ func (s *Server) Handler() http.Handler {
 
 // readiness reports whether any index is loaded, and how many.
 func (s *Server) readiness() (ready bool, indexes int) {
-	s.mu.RLock()
-	indexes = len(s.entries)
-	s.mu.RUnlock()
-	return indexes > 0, indexes
+	h := s.health()
+	return h.Ready, h.Indexes
 }
 
 // HealthResponse is the /v1/healthz and /v1/readyz payload: the
@@ -262,32 +262,30 @@ type HealthResponse struct {
 	Corpora map[string]string `json:"corpora,omitempty"`
 }
 
-// corpora snapshots the loaded problem → corpus-hash map.
-func (s *Server) corpora() map[string]string {
+// health builds the health payload from one locked read, so the
+// index count, readiness and corpora never disagree with each other.
+func (s *Server) health() HealthResponse {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.entries) == 0 {
-		return nil
+	h := HealthResponse{Status: "ok", Ready: len(s.entries) > 0, Indexes: len(s.entries)}
+	if h.Ready {
+		h.Corpora = make(map[string]string, len(s.entries))
+		for p, e := range s.entries {
+			h.Corpora[string(p)] = e.hash
+		}
 	}
-	out := make(map[string]string, len(s.entries))
-	for p, e := range s.entries {
-		out[string(p)] = e.hash
-	}
-	return out
+	return h
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ready, n := s.readiness()
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Ready: ready, Indexes: n, Corpora: s.corpora()})
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ready, n := s.readiness()
+// handleHealth answers /v1/healthz, always 200, and /v1/readyz, 503
+// until the first index loads.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	h := s.health()
 	status := http.StatusOK
-	if !ready {
+	if !h.Ready && r.URL.Path == "/v1/readyz" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, HealthResponse{Status: "ok", Ready: ready, Indexes: n, Corpora: s.corpora()})
+	writeJSON(w, status, h)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -865,18 +863,11 @@ type SearchRequest struct {
 	// Timings measures the filter/verify time split (runs candidate
 	// generation twice).
 	Timings bool `json:"timings,omitempty"`
-	// RangeLo/RangeHi restrict the search to ids in [rangeLo, rangeHi)
-	// — the scatter unit of a cluster search: a coordinator partitions
-	// [0, n) across replicas and concatenates the ascending per-range
-	// id lists. Both must be present together; mutually exclusive with
-	// k and timings.
-	RangeLo *int `json:"rangeLo,omitempty"`
-	RangeHi *int `json:"rangeHi,omitempty"`
 	// CorpusHash, when present, must match the loaded index's corpus
 	// hash (see /v1/healthz "corpora"); a mismatch answers 409 with
-	// code "corpus_mismatch". A coordinator stamps it on scattered
-	// requests so a replica serving a stale corpus rejects work
-	// instead of corrupting a merged answer.
+	// code "corpus_mismatch". A coordinator stamps it on the searches
+	// it forwards, so a replica that reloaded another corpus refuses
+	// the search and the coordinator retries it on another replica.
 	CorpusHash string `json:"corpusHash,omitempty"`
 }
 
@@ -916,12 +907,7 @@ func (e *entry) query(p engine.Problem, req *SearchRequest) (engine.Query, error
 		return engine.Query{}, fmt.Errorf("ambiguous query: supply queryId or exactly one inline payload, not both")
 	}
 	if req.QueryID != nil {
-		id := *req.QueryID
-		if id < 0 || id >= e.index.Len() {
-			return engine.Query{}, fmt.Errorf("queryId %d out of range [0, %d)", id, e.index.Len())
-		}
-		// The index replays the object, same as a join row does.
-		return engine.Object(e.index, id)
+		return e.byID(*req.QueryID)
 	}
 	switch p {
 	case engine.Hamming:
@@ -956,14 +942,13 @@ func (e *entry) query(p engine.Problem, req *SearchRequest) (engine.Query, error
 	return engine.Query{}, fmt.Errorf("unhandled problem %s", p)
 }
 
-func (req *SearchRequest) options() engine.Options {
-	return engine.Options{
-		Tau:         req.Tau,
-		ChainLength: req.L,
-		Limit:       req.Limit,
-		SkipVerify:  req.SkipVerify,
-		Timings:     req.Timings,
+// byID replays indexed object id as a query, the same way a join row
+// does.
+func (e *entry) byID(id int) (engine.Query, error) {
+	if id < 0 || id >= e.index.Len() {
+		return engine.Query{}, fmt.Errorf("queryId %d out of range [0, %d)", id, e.index.Len())
 	}
+	return engine.Object(e.index, id)
 }
 
 // checkCorpus enforces a request's corpusHash claim against the entry
@@ -991,10 +976,12 @@ func writeInvalidArgument(w http.ResponseWriter, r *http.Request, format string,
 	}))
 }
 
-// validateK checks the top-k fields of a search or batch request,
-// answering the error itself. k = 0 (threshold mode) always passes.
-func (s *Server) validateK(w http.ResponseWriter, r *http.Request, k, limit int, skipVerify, timings bool) bool {
+// validateSearch checks the limit, timeout_ms and top-k fields a
+// search and a batch share, answering the error itself.
+func (s *Server) validateSearch(w http.ResponseWriter, r *http.Request, limit, timeoutMS, k int, skipVerify, timings bool) bool {
 	switch {
+	case limit < 0 || timeoutMS < 0:
+		writeError(w, r, http.StatusBadRequest, "limit and timeout_ms must be non-negative")
 	case k < 0:
 		writeInvalidArgument(w, r, "k must be non-negative, got %d", k)
 	case k == 0:
@@ -1013,8 +1000,11 @@ func (s *Server) validateK(w http.ResponseWriter, r *http.Request, k, limit int,
 	return false
 }
 
-// record folds one search outcome into the problem's registry slice.
-func (e *entry) record(st engine.Stats) {
+// record folds one search outcome into the problem's registry slice;
+// a top-k outcome also observes how deep its τ ladder climbed (the
+// per-rung counter is fed by the entry's Rung hook as the ladder
+// runs, not here).
+func (e *entry) record(st engine.Stats, topk bool) {
 	e.met.searches.Inc()
 	if st.Limited {
 		e.met.limited.Inc()
@@ -1025,14 +1015,17 @@ func (e *entry) record(st engine.Stats) {
 	e.met.verifyNS.Add(st.VerifyNS)
 	e.met.wallNS.Add(st.WallNS)
 	e.met.searchSeconds.Observe(float64(st.WallNS) / 1e9)
+	if topk {
+		e.met.topkRungsPer.Observe(float64(st.Rungs))
+	}
 }
 
-// recordTopK folds one top-k search outcome in, additionally observing
-// how deep its τ ladder climbed. (The per-rung counter is fed by the
-// entry's Rung hook as the ladder runs, not here.)
-func (e *entry) recordTopK(st engine.Stats) {
-	e.record(st)
-	e.met.topkRungsPer.Observe(float64(st.Rungs))
+// orEmpty encodes an empty answer as [] rather than null.
+func orEmpty[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
 }
 
 // statusClientClosedRequest is nginx's non-standard code for "the
@@ -1081,35 +1074,11 @@ func writeSearchError(w http.ResponseWriter, r *http.Request, e *entry, err erro
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r, &req) || !s.validateSearch(w, r, req.Limit, req.TimeoutMS, req.K, req.SkipVerify, req.Timings) {
 		return
-	}
-	if req.Limit < 0 || req.TimeoutMS < 0 {
-		writeError(w, r, http.StatusBadRequest, "limit and timeout_ms must be non-negative")
-		return
-	}
-	if !s.validateK(w, r, req.K, req.Limit, req.SkipVerify, req.Timings) {
-		return
-	}
-	ranged := req.RangeLo != nil || req.RangeHi != nil
-	if ranged {
-		switch {
-		case req.RangeLo == nil || req.RangeHi == nil:
-			writeInvalidArgument(w, r, "rangeLo and rangeHi must be supplied together")
-			return
-		case req.K > 0:
-			writeInvalidArgument(w, r, "k cannot be range-restricted — a top-k answer needs the whole corpus")
-			return
-		case req.Timings:
-			writeInvalidArgument(w, r, "timings is not supported with a range-restricted search")
-			return
-		}
 	}
 	e, p, ok := s.lookup(w, r, req.Problem)
-	if !ok {
-		return
-	}
-	if !s.checkCorpus(w, r, e, req.CorpusHash) {
+	if !ok || !s.checkCorpus(w, r, e, req.CorpusHash) {
 		return
 	}
 	q, err := e.query(p, &req)
@@ -1119,63 +1088,41 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.searchContext(r, req.TimeoutMS)
 	defer cancel()
-	opt := req.options()
-	opt.Hooks = e.hooks
-	if ranged {
-		ids, st, err := engine.SearchRange(ctx, e.index, q, opt, *req.RangeLo, *req.RangeHi)
-		if err != nil {
-			writeSearchError(w, r, e, err)
-			return
-		}
-		e.record(st)
-		s.slow.maybe(requestID(r.Context()), "search", p, e.tau(req.Tau), req.L, req.Limit, st)
-		if ids == nil {
-			ids = []int64{}
-		}
-		writeJSON(w, http.StatusOK, SearchResponse{Problem: string(p), IDs: ids, Stats: st})
-		return
-	}
+	opt := engine.Options{Tau: req.Tau, ChainLength: req.L, Limit: req.Limit, TopK: req.K, SkipVerify: req.SkipVerify, Timings: req.Timings, Hooks: e.hooks}
+	var ids []int64
+	var res []engine.Result
+	var st engine.Stats
 	if req.K > 0 {
-		opt.TopK = req.K
-		res, st, err := e.index.SearchTopK(ctx, q, opt)
-		if err != nil {
-			writeSearchError(w, r, e, err)
-			return
-		}
-		e.recordTopK(st)
-		s.slow.maybe(requestID(r.Context()), "search", p, e.tau(req.Tau), req.L, 0, st)
-		if res == nil {
-			res = []engine.Result{}
-		}
-		writeJSON(w, http.StatusOK, TopKResponse{Problem: string(p), Results: res, Stats: st})
-		return
+		res, st, err = e.index.SearchTopK(ctx, q, opt)
+	} else {
+		ids, st, err = e.index.Search(ctx, q, opt)
 	}
-	ids, st, err := e.index.Search(ctx, q, opt)
 	if err != nil {
 		writeSearchError(w, r, e, err)
 		return
 	}
-	e.record(st)
+	e.record(st, req.K > 0)
 	s.slow.maybe(requestID(r.Context()), "search", p, e.tau(req.Tau), req.L, req.Limit, st)
-	if ids == nil {
-		ids = []int64{}
+	if req.K > 0 {
+		writeJSON(w, http.StatusOK, TopKResponse{Problem: string(p), Results: orEmpty(res), Stats: st})
+	} else {
+		writeJSON(w, http.StatusOK, SearchResponse{Problem: string(p), IDs: orEmpty(ids), Stats: st})
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{Problem: string(p), IDs: ids, Stats: st})
 }
 
 // --- /v1/search/batch --------------------------------------------------------
 
 // BatchRequest addresses many dataset queries at once. Limit applies
 // per query; TimeoutMS bounds the whole batch — once it expires, the
-// remaining queries are cancelled and carry a per-item error.
+// remaining queries are cancelled and carry a per-item error. The
+// queries run over the server's Config.Workers goroutines; a body
+// cannot ask for more (an unknown "workers" field is a 400).
 type BatchRequest struct {
-	Problem  string `json:"problem"`
-	QueryIDs []int  `json:"queryIds"`
-	// Workers caps cross-query parallelism; ≤ 0 selects GOMAXPROCS.
-	Workers int      `json:"workers,omitempty"`
-	Tau     *float64 `json:"tau,omitempty"`
-	L       int      `json:"l,omitempty"`
-	Limit   int      `json:"limit,omitempty"`
+	Problem  string   `json:"problem"`
+	QueryIDs []int    `json:"queryIds"`
+	Tau      *float64 `json:"tau,omitempty"`
+	L        int      `json:"l,omitempty"`
+	Limit    int      `json:"limit,omitempty"`
 	// K switches every query of the batch into top-k mode; per-item
 	// results land in BatchItem.Results instead of IDs. Same
 	// constraints as SearchRequest.K.
@@ -1205,14 +1152,7 @@ type BatchResponse struct {
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.Limit < 0 || req.TimeoutMS < 0 {
-		writeError(w, r, http.StatusBadRequest, "limit and timeout_ms must be non-negative")
-		return
-	}
-	if !s.validateK(w, r, req.K, req.Limit, req.SkipVerify, req.Timings) {
+	if !decode(w, r, &req) || !s.validateSearch(w, r, req.Limit, req.TimeoutMS, req.K, req.SkipVerify, req.Timings) {
 		return
 	}
 	e, p, ok := s.lookup(w, r, req.Problem)
@@ -1229,8 +1169,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	queries := make([]engine.Query, len(req.QueryIDs))
 	for i, id := range req.QueryIDs {
-		sr := SearchRequest{QueryID: &req.QueryIDs[i]}
-		q, err := e.query(p, &sr)
+		q, err := e.byID(id)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, "query %d: %v", id, err)
 			return
@@ -1240,22 +1179,15 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.searchContext(r, req.TimeoutMS)
 	defer cancel()
 	opt := engine.Options{Tau: req.Tau, ChainLength: req.L, Limit: req.Limit, TopK: req.K, SkipVerify: req.SkipVerify, Timings: req.Timings, Hooks: e.hooks}
-	batch := engine.SearchBatch(ctx, e.index, queries, opt, req.Workers)
+	batch := engine.SearchBatch(ctx, e.index, queries, opt, s.workers)
 	resp := BatchResponse{Problem: string(p), Results: make([]BatchItem, len(batch))}
 	rid := requestID(r.Context())
 	deadlined := false
 	for i, br := range batch {
-		item := BatchItem{IDs: br.IDs, Results: br.TopK, Stats: br.Stats}
-		if item.IDs == nil {
-			item.IDs = []int64{}
-		}
+		item := BatchItem{IDs: orEmpty(br.IDs), Results: br.TopK, Stats: br.Stats}
 		switch {
 		case br.Err == nil:
-			if req.K > 0 {
-				e.recordTopK(br.Stats)
-			} else {
-				e.record(br.Stats)
-			}
+			e.record(br.Stats, req.K > 0)
 			s.slow.maybe(rid, "search_batch", p, e.tau(req.Tau), req.L, req.Limit, br.Stats)
 		case errors.Is(br.Err, context.Canceled) || errors.Is(br.Err, context.DeadlineExceeded):
 			item.Error = br.Err.Error()

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -292,6 +294,40 @@ func TestBatchSearch(t *testing.T) {
 	h.get("/v1/stats", &st)
 	if got := st.Problems["hamming"].Queries; got != int64(len(ids)+len(ids)) {
 		t.Fatalf("stats queries = %d, want %d", got, 2*len(ids))
+	}
+}
+
+// TestBatchHonorsWorkers: Config.Workers caps a batch's query
+// parallelism — a one-worker server never runs two of its searches at
+// once — and a batch body cannot ask for more.
+func TestBatchHonorsWorkers(t *testing.T) {
+	s := NewFromConfig(Config{Workers: 1})
+	h := newHarnessServer(t, s)
+	h.load(LoadRequest{Problem: "hamming", N: 300})
+	var running, overlaps atomic.Int32
+	s.entries[engine.Hamming].hooks.Stage = func(st engine.Stage, _ time.Duration) {
+		if st != engine.StageSearch {
+			return
+		}
+		if running.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(2 * time.Millisecond)
+		running.Add(-1)
+	}
+	ids := make([]int, 16)
+	for i := range ids {
+		ids[i] = i
+	}
+	if code, body := h.post("/v1/search/batch", BatchRequest{Problem: "hamming", QueryIDs: ids}, nil); code != http.StatusOK {
+		t.Fatalf("batch: status %d body %s", code, body)
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Fatalf("a one-worker server ran batch searches concurrently %d times", n)
+	}
+	code, body := h.post("/v1/search/batch", json.RawMessage(`{"problem":"hamming","queryIds":[1,2],"workers":8}`), nil)
+	if code != http.StatusBadRequest || !strings.Contains(body, "workers") {
+		t.Fatalf("batch with workers: status %d body %s, want 400 naming the field", code, body)
 	}
 }
 

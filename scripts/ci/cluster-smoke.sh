@@ -3,11 +3,12 @@
 # processes, including failover. Phase A records the single-node truth:
 # one daemon builds the hamming corpus, snapshots it, and answers a
 # join and a search. Phase B boots three replicas that load the same
-# snapshot plus a coordinator scattering over them, and asserts the
-# coordinator's answers are byte-identical to phase A — first with all
-# replicas healthy, then again after one replica is killed with
-# SIGKILL mid-cluster, which must leave the answer bytes unchanged and
-# the coordinator's tile-retry counter above zero.
+# snapshot plus a coordinator over them, which forwards searches whole
+# and scatters joins as tiles, and asserts the coordinator's answers
+# are byte-identical to phase A — first with all replicas healthy, then
+# again after one replica is killed with SIGKILL mid-cluster, which
+# must leave the answer bytes unchanged and the coordinator's retry
+# counter above zero.
 #
 # Expects ./pigeonringd to be built (see $PIGEONRINGD in
 # with-daemon.sh). Self-dispatching: with-daemon.sh re-invokes this
@@ -41,7 +42,7 @@ cluster)
   curl -sf -X POST "http://$coord/v1/search" \
     -d '{"problem":"hamming","queryId":11}' | jq -c .ids >cluster-ids.json
   diff single-ids.json cluster-ids.json || {
-    echo "scattered search diverged from single node" >&2; exit 1; }
+    echo "coordinator search diverged from single node" >&2; exit 1; }
 
   curl -sf -X POST "http://$coord/v1/join" \
     -d '{"problem":"hamming","tileSize":96}' | jq -c .pairs >cluster-pairs.json
@@ -49,11 +50,19 @@ cluster)
     echo "scattered join diverged from single node" >&2; exit 1; }
 
   # Fault injection: SIGKILL the second replica. The coordinator still
-  # believes it up (it served the join above), so the next join's first
-  # dispatches to it fail mid-flight and must be retried elsewhere —
-  # with the answer bytes unchanged.
+  # believes it up (it served the join above), and it forwards each
+  # search to the next replica in turn, so one of three searches is
+  # sent to the dead replica and must be retried elsewhere — with the
+  # answer bytes unchanged. The join that follows must match too.
   read -r -a pids <<<"$PIGEONRINGD_PIDS"
   kill -9 "${pids[1]}"
+
+  for i in 1 2 3; do
+    curl -sf -X POST "http://$coord/v1/search" \
+      -d '{"problem":"hamming","queryId":11}' | jq -c .ids >cluster-failover-ids.json
+    diff single-ids.json cluster-failover-ids.json || {
+      echo "search $i after replica death diverged from single node" >&2; exit 1; }
+  done
 
   curl -sf -X POST "http://$coord/v1/join" \
     -d '{"problem":"hamming","tileSize":96}' | jq -c .pairs >failover-pairs.json
@@ -63,11 +72,11 @@ cluster)
   retries=$(curl -sf "http://$coord/metrics" \
     | awk '/^pigeonring_cluster_tile_retries_total/ {print $2}')
   [ -n "$retries" ] && [ "$retries" -gt 0 ] || {
-    echo "tile retry counter is '${retries:-absent}', want > 0 after replica death" >&2
+    echo "retry counter is '${retries:-absent}', want > 0 after replica death" >&2
     curl -s "http://$coord/metrics" | grep '^pigeonring_cluster' >&2 || true
     exit 1
   }
-  echo "replica death survived: $retries tile retries, answers unchanged"
+  echo "replica death survived: $retries retries, answers unchanged"
   exit 0
   ;;
 esac
