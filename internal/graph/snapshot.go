@@ -2,37 +2,10 @@ package graph
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/snapshot"
 )
-
-// SnapshotBackend tags whole-file graph snapshots.
-const SnapshotBackend = "graph"
-
-// WriteSnapshot writes the DB to w as a one-backend snapshot container,
-// returning the bytes written. Only the build inputs are stored — τ and
-// the graphs — and OpenSnapshot partitions them again.
-func (db *DB) WriteSnapshot(w io.Writer) (int64, error) {
-	b := snapshot.NewBuilder()
-	if err := db.AppendSnapshot(b, ""); err != nil {
-		return 0, err
-	}
-	return b.WriteTo(w, SnapshotBackend)
-}
-
-// OpenSnapshot loads a DB from a snapshot written by WriteSnapshot.
-func OpenSnapshot(r io.ReaderAt) (*DB, error) {
-	rd, err := snapshot.Open(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := rd.CheckBackend(SnapshotBackend); err != nil {
-		return nil, err
-	}
-	return OpenSnapshotAt(rd, "")
-}
 
 // AppendSnapshot adds the DB's sections to b under the given name
 // prefix: τ and the graphs. The parts, label vectors and edge counts

@@ -12,6 +12,38 @@ import (
 	"repro/internal/snapshot"
 )
 
+// writeSnapshot packs db's section group into a container the way the
+// engine packs one shard, and returns the file's bytes.
+func writeSnapshot(t testing.TB, db *DB) []byte {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	if err := db.AppendSnapshot(b, ""); err != nil {
+		t.Fatal(err)
+	}
+	return snapshotFile(t, b)
+}
+
+// snapshotFile serializes a section group as a container holding one
+// graph group.
+func snapshotFile(t testing.TB, b *snapshot.Builder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf, "graph"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openSnapshot opens data and reads its graph group the way the
+// engine opens one shard.
+func openSnapshot(data []byte) (*DB, error) {
+	rd, err := snapshot.Open(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return OpenSnapshotAt(rd, "")
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	graphs := moleculeCorpus(rng, 100, 5, 10, 6, 2)
@@ -20,13 +52,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := db.WriteSnapshot(&buf); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
-		}
-		db2, err := OpenSnapshot(bytes.NewReader(buf.Bytes()))
+		db2, err := openSnapshot(writeSnapshot(t, db))
 		if err != nil {
-			t.Fatalf("OpenSnapshot: %v", err)
+			t.Fatalf("open: %v", err)
 		}
 		if db2.Len() != db.Len() || db2.Tau() != db.Tau() {
 			t.Fatalf("geometry differs")
@@ -89,11 +117,7 @@ func resnap(t testing.TB, snap []byte, edit func(name string, data []byte) ([]by
 			b.Add(name, data)
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf, SnapshotBackend); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return snapshotFile(t, b)
 }
 
 // withSection replaces one section's payload, keeping every other.
@@ -189,7 +213,7 @@ func searchesLike(t *testing.T, got, want *DB) {
 // stored the parts still opens and answers like a fresh build of the
 // same graphs.
 func TestSnapshotOpensStoredIndexFile(t *testing.T) {
-	db, err := OpenSnapshot(bytes.NewReader(storedIndexFile(t)))
+	db, err := openSnapshot(storedIndexFile(t))
 	if err != nil {
 		t.Fatalf("stored-index snapshot no longer opens: %v", err)
 	}
@@ -228,9 +252,9 @@ func TestSnapshotIgnoresStoredIndex(t *testing.T) {
 			if bytes.Equal(data, snap) {
 				t.Fatal("forgery left the file unchanged")
 			}
-			db, err := OpenSnapshot(bytes.NewReader(data))
+			db, err := openSnapshot(data)
 			if err != nil {
-				t.Fatalf("OpenSnapshot: %v", err)
+				t.Fatalf("open: %v", err)
 			}
 			searchesLike(t, db, fresh)
 		})
@@ -245,11 +269,7 @@ func TestSnapshotRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
+	snap := writeSnapshot(t, db)
 	// huge is one graph of MaxVertices+1 isolated vertices.
 	huge := snapshot.NewBuilder()
 	huge.AddU64s("meta", []uint64{1, 1})
@@ -257,10 +277,6 @@ func TestSnapshotRejectsMalformed(t *testing.T) {
 	huge.AddI32s("g.vlab", make([]int32, MaxVertices+1))
 	huge.AddU64s("g.eoff", []uint64{0, 0})
 	huge.AddI32s("g.edges", nil)
-	var hugeBuf bytes.Buffer
-	if _, err := huge.WriteTo(&hugeBuf, SnapshotBackend); err != nil {
-		t.Fatal(err)
-	}
 	forged := map[string][]byte{
 		"short meta":        withSection(t, snap, "meta", snapshot.U64Bytes([]uint64{1})),
 		"τ = 2^62":          withSection(t, snap, "meta", snapshot.U64Bytes([]uint64{1 << 62, 4})),
@@ -284,11 +300,11 @@ func TestSnapshotRejectsMalformed(t *testing.T) {
 		"edge vertex out of range": editI32s(t, snap, "g.edges", func(v []int32) {
 			v[0], v[1] = 0, 1<<20
 		}),
-		"graph above MaxVertices": hugeBuf.Bytes(),
+		"graph above MaxVertices": snapshotFile(t, huge),
 	}
 	for name, data := range forged {
 		t.Run(name, func(t *testing.T) {
-			_, err := OpenSnapshot(bytes.NewReader(data))
+			_, err := openSnapshot(data)
 			if !errors.Is(err, snapshot.ErrFormat) {
 				t.Errorf("err = %v, want one wrapping snapshot.ErrFormat", err)
 			}
@@ -305,13 +321,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var seed bytes.Buffer
-	if _, err := db.WriteSnapshot(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(writeSnapshot(f, db))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := OpenSnapshot(bytes.NewReader(data))
+		db, err := openSnapshot(data)
 		if err != nil || db.Len() == 0 {
 			return
 		}

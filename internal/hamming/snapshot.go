@@ -2,38 +2,10 @@ package hamming
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/snapshot"
 )
-
-// SnapshotBackend tags whole-file hamming snapshots.
-const SnapshotBackend = "hamming"
-
-// WriteSnapshot writes the DB to w as a one-backend snapshot container,
-// returning the bytes written. Only the build inputs are stored — the
-// geometry and the vector arena — and OpenSnapshot rebuilds the part
-// tables and the cost-model sample from them.
-func (db *DB) WriteSnapshot(w io.Writer) (int64, error) {
-	b := snapshot.NewBuilder()
-	if err := db.AppendSnapshot(b, ""); err != nil {
-		return 0, err
-	}
-	return b.WriteTo(w, SnapshotBackend)
-}
-
-// OpenSnapshot loads a DB from a snapshot written by WriteSnapshot.
-func OpenSnapshot(r io.ReaderAt) (*DB, error) {
-	rd, err := snapshot.Open(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := rd.CheckBackend(SnapshotBackend); err != nil {
-		return nil, err
-	}
-	return OpenSnapshotAt(rd, "")
-}
 
 // AppendSnapshot adds the DB's sections to b under the given name
 // prefix: the geometry and the vector arena. Everything else — part

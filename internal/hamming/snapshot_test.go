@@ -13,6 +13,38 @@ import (
 	"repro/internal/snapshot"
 )
 
+// writeSnapshot packs db's section group into a container the way the
+// engine packs one shard, and returns the file's bytes.
+func writeSnapshot(t testing.TB, db *DB) []byte {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	if err := db.AppendSnapshot(b, ""); err != nil {
+		t.Fatal(err)
+	}
+	return snapshotFile(t, b)
+}
+
+// snapshotFile serializes a section group as a container holding one
+// hamming group.
+func snapshotFile(t testing.TB, b *snapshot.Builder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf, "hamming"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openSnapshot opens data and reads its hamming group the way the
+// engine opens one shard.
+func openSnapshot(data []byte) (*DB, error) {
+	rd, err := snapshot.Open(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return OpenSnapshotAt(rd, "")
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, d, m = 400, 128, 8
@@ -25,17 +57,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	written, err := db.WriteSnapshot(&buf)
+	db2, err := openSnapshot(writeSnapshot(t, db))
 	if err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if written != int64(buf.Len()) {
-		t.Fatalf("WriteSnapshot reported %d bytes, wrote %d", written, buf.Len())
-	}
-	db2, err := OpenSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("OpenSnapshot: %v", err)
+		t.Fatalf("open: %v", err)
 	}
 	if db2.Len() != db.Len() || db2.Dim() != db.Dim() || db2.M() != db.M() {
 		t.Fatalf("geometry: got (%d,%d,%d), want (%d,%d,%d)",
@@ -76,25 +100,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotRejectsForeign(t *testing.T) {
-	var buf bytes.Buffer
-	rng := rand.New(rand.NewSource(1))
-	vecs := []bitvec.Vector{bitvec.Random(rng, 64), bitvec.Random(rng, 64)}
-	db, err := NewDB(vecs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Another backend's OpenSnapshot must refuse this file; emulate by
-	// checking the tag is present and specific.
-	data := buf.Bytes()
-	if !bytes.Contains(data[:128], []byte(SnapshotBackend)) {
-		t.Fatal("backend tag missing from header region")
-	}
-}
-
 // snapshotFixture builds a DB over n clustered d-bit vectors in m parts,
 // requiring every part to come out direct-addressed (or every part
 // hashed), and returns it with its snapshot bytes.
@@ -109,11 +114,7 @@ func snapshotFixture(t testing.TB, d, m, n int, wantDirect bool) (*DB, []byte) {
 			t.Fatalf("d=%d m=%d n=%d part %d: direct = %v, fixture wants %v", d, m, n, i, !wantDirect, wantDirect)
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := db.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return db, buf.Bytes()
+	return db, writeSnapshot(t, db)
 }
 
 // snapshotFixtures is one all-direct and one all-hashed fixture.
@@ -138,7 +139,7 @@ func TestSnapshotLayoutsRoundTrip(t *testing.T) {
 		db   *DB
 		snap []byte
 	}{{direct, directSnap}, {hashed, hashedSnap}} {
-		got, err := OpenSnapshot(bytes.NewReader(c.snap))
+		got, err := openSnapshot(c.snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,11 +181,7 @@ func resnap(t testing.TB, snap []byte, edit func(name string, data []byte) ([]by
 			b.Add(name, data)
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf, SnapshotBackend); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return snapshotFile(t, b)
 }
 
 // editI32s applies f to the decoded int32 payload of one section.
@@ -267,7 +264,7 @@ func searchesLike(t *testing.T, name string, got, want *DB) {
 // stored the part tables still opens and answers like a fresh build of
 // the same vectors.
 func TestSnapshotOpensStoredIndexFile(t *testing.T) {
-	db, err := OpenSnapshot(bytes.NewReader(storedIndexFile(t)))
+	db, err := openSnapshot(storedIndexFile(t))
 	if err != nil {
 		t.Fatalf("stored-index snapshot no longer opens: %v", err)
 	}
@@ -340,9 +337,9 @@ func TestSnapshotIgnoresStoredIndex(t *testing.T) {
 			if bytes.Equal(data, snap) {
 				t.Fatal("forgery left the file unchanged")
 			}
-			db, err := OpenSnapshot(bytes.NewReader(data))
+			db, err := openSnapshot(data)
 			if err != nil {
-				t.Fatalf("OpenSnapshot: %v", err)
+				t.Fatalf("open: %v", err)
 			}
 			searchesLike(t, name, db, fresh)
 		})
@@ -376,9 +373,9 @@ func TestSnapshotRejectsForgedTables(t *testing.T) {
 		}),
 	}
 	for name, data := range forged {
-		db, err := OpenSnapshot(bytes.NewReader(data))
+		db, err := openSnapshot(data)
 		if !errors.Is(err, snapshot.ErrFormat) {
-			t.Errorf("%s: OpenSnapshot = (%v, %v), want snapshot.ErrFormat", name, db != nil, err)
+			t.Errorf("%s: open = (%v, %v), want snapshot.ErrFormat", name, db != nil, err)
 		}
 	}
 }
@@ -393,7 +390,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	f.Add(directSnap)
 	f.Add(hashedSnap)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := OpenSnapshot(bytes.NewReader(data))
+		db, err := openSnapshot(data)
 		if err != nil {
 			return
 		}

@@ -2,47 +2,19 @@ package setsim
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/snapshot"
 	"repro/internal/tokenset"
 )
 
-// SnapshotBackend tags whole-file pkwise snapshots.
-const SnapshotBackend = "setsim"
-
-// WriteSnapshot writes the fully built pkwise index to w as a
-// one-backend snapshot container, returning the bytes written. A DB
-// with a custom Class function cannot be snapshotted: the function is
-// code, not data, and a reload with a different assignment would
-// silently index nothing usefully.
-func (db *PKWiseDB) WriteSnapshot(w io.Writer) (int64, error) {
-	b := snapshot.NewBuilder()
-	if err := db.AppendSnapshot(b, ""); err != nil {
-		return 0, err
-	}
-	return b.WriteTo(w, SnapshotBackend)
-}
-
-// OpenSnapshot loads a PKWiseDB from a snapshot written by
-// WriteSnapshot.
-func OpenSnapshot(r io.ReaderAt) (*PKWiseDB, error) {
-	rd, err := snapshot.Open(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := rd.CheckBackend(SnapshotBackend); err != nil {
-		return nil, err
-	}
-	return OpenSnapshotAt(rd, "")
-}
-
 // AppendSnapshot adds the DB's sections to b under the given name
 // prefix: the configuration and the sets themselves. Everything else —
 // prefix lengths, postings — is derived data that OpenSnapshotAt
 // rebuilds, so a file cannot carry an index that disagrees with its
-// sets.
+// sets. A DB with a custom Class function cannot be snapshotted: the
+// function is code, not data, and a reload with a different assignment
+// would silently index nothing usefully.
 func (db *PKWiseDB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 	if db.cfg.Class != nil {
 		return fmt.Errorf("setsim: cannot snapshot an index with a custom Class function")

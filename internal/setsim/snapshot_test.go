@@ -13,6 +13,27 @@ import (
 	"repro/internal/tokenset"
 )
 
+// writeSnapshot packs db's section group into a container the way the
+// engine packs one shard, and returns the file's bytes.
+func writeSnapshot(t testing.TB, db *PKWiseDB) []byte {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	if err := db.AppendSnapshot(b, ""); err != nil {
+		t.Fatal(err)
+	}
+	return snapshotFile(t, b)
+}
+
+// openSnapshot opens data and reads its setsim group the way the
+// engine opens one shard.
+func openSnapshot(data []byte) (*PKWiseDB, error) {
+	rd, err := snapshot.Open(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return OpenSnapshotAt(rd, "")
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sets := genSets(rng, 300, 15, 300)
@@ -24,13 +45,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := db.WriteSnapshot(&buf); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
-		}
-		db2, err := OpenSnapshot(bytes.NewReader(buf.Bytes()))
+		db2, err := openSnapshot(writeSnapshot(t, db))
 		if err != nil {
-			t.Fatalf("OpenSnapshot: %v", err)
+			t.Fatalf("open: %v", err)
 		}
 		c2 := db2.Config()
 		if db2.Len() != db.Len() || c2.Measure != cfg.Measure || c2.Tau != cfg.Tau || c2.M != cfg.M {
@@ -71,18 +88,17 @@ func TestSnapshotRejectsCustomClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := db.WriteSnapshot(&buf); err == nil {
-		t.Fatal("WriteSnapshot accepted a custom Class function")
+	if err := db.AppendSnapshot(snapshot.NewBuilder(), ""); err == nil {
+		t.Fatal("AppendSnapshot accepted a custom Class function")
 	}
 }
 
-// snapshotFile serializes a section group as a whole-file setsim
-// snapshot.
+// snapshotFile serializes a section group as a container holding one
+// setsim group.
 func snapshotFile(t testing.TB, b *snapshot.Builder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf, SnapshotBackend); err != nil {
+	if _, err := b.WriteTo(&buf, "setsim"); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -118,7 +134,7 @@ func TestSnapshotIgnoresStoredIndex(t *testing.T) {
 	b.AddI32s("post.keys", []int32{0, 1, 2})
 	b.AddU64s("post.off", []uint64{0, 2, 4, 6})
 	b.AddI32s("post.ids", []int32{1 << 30, -1, 7, 3, int32(len(sets)), 0})
-	db, err := OpenSnapshot(bytes.NewReader(snapshotFile(t, b)))
+	db, err := openSnapshot(snapshotFile(t, b))
 	if err != nil {
 		t.Fatalf("old-layout snapshot no longer opens: %v", err)
 	}
@@ -181,7 +197,7 @@ func TestSnapshotRejectsMalformed(t *testing.T) {
 	for name, fill := range cases {
 		b := snapshot.NewBuilder()
 		fill(b)
-		_, err := OpenSnapshot(bytes.NewReader(snapshotFile(t, b)))
+		_, err := openSnapshot(snapshotFile(t, b))
 		if !errors.Is(err, snapshot.ErrFormat) {
 			t.Errorf("%s: err = %v, want one wrapping snapshot.ErrFormat", name, err)
 		}
@@ -197,13 +213,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var seed bytes.Buffer
-	if _, err := db.WriteSnapshot(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(writeSnapshot(f, db))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := OpenSnapshot(bytes.NewReader(data))
+		db, err := openSnapshot(data)
 		if err != nil {
 			return
 		}

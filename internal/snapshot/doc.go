@@ -35,7 +35,7 @@
 // each section's checksum is verified on first read, so a flipped byte
 // anywhere in the file surfaces as ErrChecksum and a truncated file as
 // a wrapped io.ErrUnexpectedEOF. The backend tag names the index type
-// that wrote the file (e.g. "pigeonring-engine", "hamming"), letting a
+// that wrote the file ("pigeonring-engine" for every engine index), letting a
 // reader reject a structurally valid snapshot of the wrong kind before
 // touching any section.
 //

@@ -263,9 +263,6 @@ func takeStr16(b []byte) (string, []byte, bool) {
 	return string(b[2 : 2+n]), b[2+n:], true
 }
 
-// Backend returns the container's backend tag.
-func (rd *Reader) Backend() string { return rd.backend }
-
 // CheckBackend returns ErrBackend unless the container was written by
 // the named backend.
 func (rd *Reader) CheckBackend(want string) error {
@@ -277,12 +274,6 @@ func (rd *Reader) CheckBackend(want string) error {
 
 // Sections returns the section names in file order.
 func (rd *Reader) Sections() []string { return append([]string(nil), rd.order...) }
-
-// Has reports whether a section exists.
-func (rd *Reader) Has(name string) bool {
-	_, ok := rd.sections[name]
-	return ok
-}
 
 // Section reads one payload and verifies its checksum. A missing
 // section, a truncated file and a corrupt payload are all errors (the

@@ -91,6 +91,10 @@ func EditDistanceWithin(a, b string, tau int) int {
 	if width <= len(prevBuf) {
 		prev, cur = prevBuf[:width], curBuf[:width]
 	} else {
+		// ed(a, b) ≤ max(la, lb), so a wider band changes nothing; the
+		// clamp keeps a τ read from a snapshot from sizing the rows.
+		tau = min(tau, max(la, lb))
+		width = 2*tau + 1
 		prev, cur = make([]int, width), make([]int, width)
 	}
 	// prev[k] = D(i-1, j) where j = (i-1) + (k - tau).

@@ -61,8 +61,9 @@ func BuildGramDict(corpus []string, kappa int) (*GramDict, error) {
 }
 
 // BuildGramDictFromOrder builds a dictionary with an explicit global
-// order: grams[i] receives id i. It exists so tests can reproduce the
-// paper's lexicographic examples.
+// order: grams[i] receives id i. Snapshots restore a stored order
+// through it, and tests use it to reproduce the paper's lexicographic
+// examples.
 func BuildGramDictFromOrder(grams []string, kappa int) (*GramDict, error) {
 	if kappa < 1 {
 		return nil, fmt.Errorf("strdist: gram length %d < 1", kappa)
@@ -149,7 +150,7 @@ func Prefix(sorted []Gram, kappa, tau int) []Gram {
 // τ+1 disjoint grams; shorter prefixes may yield fewer, in which case
 // the caller must fall back to direct verification.
 func SelectPivotal(prefix []Gram, kappa, tau int) []Gram {
-	pivotal, _ := SelectPivotalAppend(nil, make([]Gram, 0, tau+1), prefix, kappa, tau)
+	pivotal, _ := SelectPivotalAppend(nil, make([]Gram, 0, min(tau+1, len(prefix))), prefix, kappa, tau)
 	return pivotal
 }
 

@@ -150,7 +150,8 @@ type prePosting struct {
 
 // NewDB indexes strs for threshold tau with κ-grams ordered by dict.
 // Pass a dict built on the same corpus (BuildGramDict) or an explicit
-// order for reproducing paper examples.
+// order (BuildGramDictFromOrder: a snapshot's stored order, a paper
+// example).
 func NewDB(strs []string, dict *GramDict, tau int) (*DB, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("strdist: negative threshold %d", tau)
@@ -191,16 +192,10 @@ func NewDB(strs []string, dict *GramDict, tau int) (*DB, error) {
 			db.preIdx[g.ID] = append(db.preIdx[g.ID], prePosting{int32(id), g.Pos})
 		}
 	}
-	db.initRuntime()
-	return db, nil
-}
-
-// initRuntime sets up the scratch pool, shared by NewDB and
-// OpenSnapshot.
-func (db *DB) initRuntime() {
 	db.scratch.New = func() any {
 		return &strScratch{processed: make([]uint8, len(db.strs))}
 	}
+	return db, nil
 }
 
 // Len returns the number of indexed strings.
