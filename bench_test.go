@@ -490,18 +490,6 @@ func BenchmarkAblationContentFilter(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGraphPrefilter measures the optional global
-// label-multiset prefilter for GED search.
-func BenchmarkAblationGraphPrefilter(b *testing.B) {
-	db, gs, qs := graphEnv(b, "AIDS", 3)
-	b.Run("with-prefilter", func(b *testing.B) {
-		benchGraphSearch(b, db, gs, qs, graph.Options{Ring: true, ChainLength: 2, LabelPrefilter: true})
-	})
-	b.Run("no-prefilter", func(b *testing.B) {
-		benchGraphSearch(b, db, gs, qs, graph.Options{Ring: true, ChainLength: 2})
-	})
-}
-
 // --- Joins -------------------------------------------------------------------
 
 // Join benchmark workload sizes: a join runs one search per row, so

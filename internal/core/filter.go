@@ -25,12 +25,9 @@ func (d Direction) String() string {
 
 // Filter is a pigeonring filtering condition: an object survives the
 // filter only if its box values admit a prefix-viable chain of the
-// configured length. A Filter built by a constructor is immutable and
-// safe for concurrent use; a Filter reconfigured in place via
-// ResetIntegerReduction is confined to its owning goroutine.
+// configured length. A Filter is immutable and safe for concurrent use.
 //
-// The zero Filter is not valid; use one of the constructors (or, for a
-// pooled zero value, ResetIntegerReduction).
+// The zero Filter is not valid; use one of the constructors.
 type Filter struct {
 	m   int
 	l   int
@@ -80,19 +77,6 @@ func NewIntegerReduction(t []float64, l int, dir Direction) *Filter {
 	return f
 }
 
-// ResetIntegerReduction reconfigures f in place as the Theorem 7
-// integer-reduction filter NewIntegerReduction(t, l, dir) would build,
-// reusing f's prefix-sum storage when its capacity suffices. It exists
-// for pooled per-search scratch: a search that rebuilds its filter per
-// query pays zero steady-state allocations instead of two. The receiver
-// must not be shared with concurrent users of its previous state.
-func (f *Filter) ResetIntegerReduction(t []float64, l int, dir Direction) {
-	validateML(len(t), l)
-	pre := f.pre
-	*f = Filter{m: len(t), l: l, dir: dir, intRed: true, pre: pre}
-	f.resetThresholds(t)
-}
-
 func validateML(m, l int) {
 	if m < 1 {
 		panic(fmt.Sprintf("core: filter needs at least one box, got m=%d", m))
@@ -102,25 +86,14 @@ func validateML(m, l int) {
 	}
 }
 
+// setThresholds fills f.pre with the doubled-ring prefix sums of t.
 func (f *Filter) setThresholds(t []float64) {
-	f.pre = make([]float64, 2*len(t)+1)
-	f.resetThresholds(t)
-}
-
-// resetThresholds fills f.pre with the doubled-ring prefix sums of t,
-// growing it only when the reused capacity is too small.
-func (f *Filter) resetThresholds(t []float64) {
 	m := len(t)
-	if cap(f.pre) < 2*m+1 {
-		f.pre = make([]float64, 2*m+1)
-	}
-	pre := f.pre[:2*m+1]
-	pre[0] = 0
+	f.pre = make([]float64, 2*m+1)
 	for i := 0; i < 2*m; i++ {
-		pre[i+1] = pre[i] + t[i%m]
+		f.pre[i+1] = f.pre[i] + t[i%m]
 	}
-	f.pre = pre
-	f.tsum = pre[m]
+	f.tsum = f.pre[m]
 }
 
 // M returns the number of boxes on the ring.

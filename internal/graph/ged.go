@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // GEDWithin returns the exact graph edit distance between a and b if it
 // is at most tau, and −1 otherwise. Edit operations (unit cost each):
 // insert/delete an isolated labeled vertex, change a vertex label,
@@ -10,7 +12,8 @@ package graph
 // degree, pruned with the remaining-label-multiset lower bound.
 func GEDWithin(a, b *Graph, tau int) int {
 	ks := getKernel()
-	d := ks.gedWithin(a, b, tau)
+	labelsInto(b, &ks.ged.lb)
+	d := ks.gedWithin(a, b, &ks.ged.lb, tau)
 	putKernel(ks)
 	return d
 }
@@ -27,7 +30,7 @@ func GED(a, b *Graph) int {
 }
 
 // gedState is the branch-and-bound state, embedded in kernelScratch so
-// every buffer and map is reused across calls.
+// every buffer is reused across calls.
 type gedState struct {
 	a, b   *Graph
 	tau    int
@@ -36,21 +39,26 @@ type gedState struct {
 	bEdges []Edge
 	phi    []int // a-vertex -> b-vertex or -1 (ε); indexed by a-vertex
 	usedB  []bool
-	remA   map[int32]int
-	remB   map[int32]int
-	la, lb LabelVector
+	// dict holds the pair's distinct vertex labels, sorted; aLab and
+	// bLab give each vertex's label as an index into it, and remA and
+	// remB count, per index, the vertices of a and b not yet mapped.
+	dict       []int32
+	aLab, bLab []int
+	remA, remB []int
+	la, lb     LabelVector
 }
 
-// gedWithin is the pooled kernel behind GEDWithin.
-func (ks *kernelScratch) gedWithin(a, b *Graph, tau int) int {
+// gedWithin is the pooled kernel behind GEDWithin. bl holds b's label
+// multisets, so a search verifying many graphs against one query
+// counts the query's labels once.
+func (ks *kernelScratch) gedWithin(a, b *Graph, bl *LabelVector, tau int) int {
 	if tau < 0 {
 		return -1
 	}
 	s := &ks.ged
 	// Cheap global bound first.
 	labelsInto(a, &s.la)
-	labelsInto(b, &s.lb)
-	if LabelLowerBound(s.la, s.lb, a.n, b.n, a.e, b.e) > tau {
+	if LabelLowerBound(s.la, *bl, a.n, b.n, a.e, b.e) > tau {
 		return -1
 	}
 	s.a, s.b, s.tau, s.best = a, b, tau, tau+1
@@ -61,23 +69,29 @@ func (ks *kernelScratch) gedWithin(a, b *Graph, tau int) int {
 		s.phi[i] = -1
 	}
 	s.usedB = growBoolsClear(s.usedB, b.n)
-	if s.remA == nil {
-		s.remA = make(map[int32]int)
-		s.remB = make(map[int32]int)
-	}
-	clear(s.remA)
-	clear(s.remB)
-	for _, l := range a.vlab {
-		s.remA[l]++
-	}
-	for _, l := range b.vlab {
-		s.remB[l]++
-	}
+	s.dict = append(append(s.dict[:0], s.la.vlabels...), bl.vlabels...)
+	slices.Sort(s.dict)
+	s.dict = slices.Compact(s.dict)
+	s.remA = growIntsZero(s.remA, len(s.dict))
+	s.remB = growIntsZero(s.remB, len(s.dict))
+	s.aLab = s.labelIDs(a, s.aLab, s.remA)
+	s.bLab = s.labelIDs(b, s.bLab, s.remB)
 	s.search(0, 0)
 	if s.best > tau {
 		return -1
 	}
 	return s.best
+}
+
+// labelIDs fills ids with the dictionary index of each of g's vertex
+// labels, counts them into rem, and returns ids.
+func (s *gedState) labelIDs(g *Graph, ids, rem []int) []int {
+	ids = growInts(ids, g.n)
+	for v, l := range g.vlab {
+		ids[v], _ = slices.BinarySearch(s.dict, l)
+		rem[ids[v]]++
+	}
+	return ids
 }
 
 // degreeOrderInto fills buf with g's vertices in descending degree
@@ -101,12 +115,7 @@ func degreeOrderInto(g *Graph, buf []int) []int {
 func (s *gedState) vertexLB(remACount, remBCount int) int {
 	inter := 0
 	for l, ca := range s.remA {
-		if ca == 0 {
-			continue
-		}
-		if cb := s.remB[l]; cb > 0 {
-			inter += min(ca, cb)
-		}
+		inter += min(ca, s.remB[l])
 	}
 	return max(remACount, remBCount) - inter
 }
@@ -146,16 +155,16 @@ func (s *gedState) search(step, cost int) {
 	}
 
 	u := s.order[step]
-	ul := s.a.vlab[u]
+	ul := s.aLab[u]
 
 	// Try mapping u to each unused b-vertex, label matches first.
 	for v := 0; v < s.b.n; v++ {
-		if !s.usedB[v] && s.b.vlab[v] == ul {
+		if !s.usedB[v] && s.bLab[v] == ul {
 			s.tryMap(step, cost, u, ul, v)
 		}
 	}
 	for v := 0; v < s.b.n; v++ {
-		if !s.usedB[v] && s.b.vlab[v] != ul {
+		if !s.usedB[v] && s.bLab[v] != ul {
 			s.tryMap(step, cost, u, ul, v)
 		}
 	}
@@ -176,10 +185,10 @@ func (s *gedState) search(step, cost int) {
 	s.remA[ul]++
 }
 
-// tryMap maps a-vertex u onto b-vertex v and recurses.
-func (s *gedState) tryMap(step, cost, u int, ul int32, v int) {
+// tryMap maps a-vertex u (label index ul) onto b-vertex v and recurses.
+func (s *gedState) tryMap(step, cost, u, ul, v int) {
 	delta := 0
-	vl := s.b.vlab[v]
+	vl := s.bLab[v]
 	if ul != vl {
 		delta++
 	}

@@ -1,0 +1,105 @@
+package graph_test
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/graph"
+)
+
+// goldenPath pins what the filter and verifier answer on two seeded
+// corpora: ids and the Candidates / BoxChecks / Results counters of
+// every search. A kernel change that keeps the paper's semantics
+// leaves every line identical.
+const goldenPath = "testdata/search-golden.txt"
+
+// goldenLines runs Pars and Ring(l) for every l in 1…τ+1 at τ 1–3 over
+// a sampled AIDS and Protein corpus. Most queries are corpus members;
+// the rest come from a differently seeded generator, so some of their
+// labels are unknown to the index.
+func goldenLines(t testing.TB) []string {
+	t.Helper()
+	corpora := []struct {
+		name    string
+		graphs  []*graph.Graph
+		foreign []*graph.Graph
+	}{
+		{"aids", dataset.AIDS(300, 11), dataset.AIDS(6, 12)},
+		{"protein", dataset.Protein(150, 11), dataset.Protein(6, 12)},
+	}
+	var out []string
+	for _, c := range corpora {
+		var qs []*graph.Graph
+		for _, id := range dataset.SampleQueries(len(c.graphs), 24, 13) {
+			qs = append(qs, c.graphs[id])
+		}
+		qs = append(qs, c.foreign...)
+		for tau := 1; tau <= 3; tau++ {
+			db, err := graph.NewDB(c.graphs, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []graph.Options{graph.ParsOptions()}
+			for l := 1; l <= tau+1; l++ {
+				opts = append(opts, graph.RingOptions(l))
+			}
+			for qi, q := range qs {
+				for _, opt := range opts {
+					ids, st, err := db.Search(q, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := "pars"
+					if opt.Ring {
+						name = fmt.Sprintf("ring%d", opt.ChainLength)
+					}
+					out = append(out, fmt.Sprintf("%s tau=%d q=%d %s cand=%d box=%d res=%d ids=%s",
+						c.name, tau, qi, name, st.Candidates, st.BoxChecks, st.Results, joinInts(ids)))
+				}
+			}
+		}
+	}
+	return out
+}
+
+func joinInts(xs []int) string {
+	var b strings.Builder
+	for i, x := range xs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprint(&b, x)
+	}
+	return b.String()
+}
+
+// TestSearchMatchesGolden: every search answers the recorded ids and
+// counters, line for line.
+func TestSearchMatchesGolden(t *testing.T) {
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		want = append(want, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got := goldenLines(t)
+	if len(got) != len(want) {
+		t.Fatalf("%d searches, golden file has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("line %d:\n got %s\nwant %s", i+1, got[i], want[i])
+		}
+	}
+}

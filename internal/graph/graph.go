@@ -13,6 +13,21 @@
 // delete an isolated vertex, or change a vertex label to a wildcard) is
 // subgraph-isomorphic to q.
 //
+// Each box first goes through a label screen. At build time every part
+// gets a signature: (label id, count) runs for its non-Wildcard vertex
+// labels and for its edge labels, held in one arena per DB. A search
+// counts the query's labels once over the same dictionaries. A variant
+// embeds into q only if it has, for every label, no more vertices or
+// edges with that label than q, and no more vertices than q. So at
+// least max(vertex-label excess, |part| − |q|) + edge-label excess
+// deletions are needed: an edge deletion lowers only the edge excess,
+// by at most 1, and a wildcard or isolated-vertex deletion lowers only
+// the vertex terms, by at most 1 each. When that bound exceeds the
+// box's budget the box is settled without a walk; otherwise the walk
+// starts at the bound. Stats.BoxChecks counts every box the cache
+// cannot answer, whether the screen or the walk settles it, so
+// candidate sets and counters are those of the walk alone.
+//
 // One substitution versus Pars: parts are
 // vertex-induced subgraphs (no half-edges), under which every edit
 // operation still touches at most one part, so the pigeonhole and
@@ -21,7 +36,10 @@
 // changes shared work but not the candidate set.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Wildcard is the vertex label produced by deletion-neighborhood label
 // erasure; it matches any label during subgraph isomorphism.
@@ -204,10 +222,25 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d e=%d}", g.n, g.EdgeCount())
 }
 
-// LabelVector summarizes label multisets for cheap lower bounds.
+// appendEdgeLabels appends the label of every edge (U < V,
+// lexicographic) to buf and returns it.
+func (g *Graph) appendEdgeLabels(buf []int32) []int32 {
+	for u := 0; u < g.n; u++ {
+		for _, l := range g.elab[u*g.n+u+1 : (u+1)*g.n] {
+			if l >= 0 {
+				buf = append(buf, l)
+			}
+		}
+	}
+	return buf
+}
+
+// LabelVector summarizes label multisets for cheap lower bounds: each
+// multiset is a sorted slice in which a label repeats once per vertex
+// (edge) carrying it.
 type LabelVector struct {
-	vcount map[int32]int
-	ecount map[int32]int
+	vlabels []int32
+	elabels []int32
 }
 
 // Labels returns the vertex- and edge-label multisets of g.
@@ -217,25 +250,13 @@ func Labels(g *Graph) LabelVector {
 	return lv
 }
 
-// labelsInto fills lv with g's label multisets, reusing lv's maps —
-// the allocation-free form the pooled kernels and searches use.
+// labelsInto fills lv with g's label multisets, reusing lv's slices —
+// the allocation-free form the pooled kernels use.
 func labelsInto(g *Graph, lv *LabelVector) {
-	if lv.vcount == nil {
-		lv.vcount = make(map[int32]int)
-		lv.ecount = make(map[int32]int)
-	}
-	clear(lv.vcount)
-	clear(lv.ecount)
-	for _, l := range g.vlab {
-		lv.vcount[l]++
-	}
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
-			if l := g.elab[u*g.n+v]; l >= 0 {
-				lv.ecount[l]++
-			}
-		}
-	}
+	lv.vlabels = append(lv.vlabels[:0], g.vlab...)
+	lv.elabels = g.appendEdgeLabels(lv.elabels[:0])
+	slices.Sort(lv.vlabels)
+	slices.Sort(lv.elabels)
 }
 
 // LabelLowerBound returns a cheap admissible lower bound on ged(a, b):
@@ -243,17 +264,25 @@ func labelsInto(g *Graph, lv *LabelVector) {
 // vertices plus the same on edges. Every edit operation fixes at most
 // one unit of either difference.
 func LabelLowerBound(a, b LabelVector, na, nb, ea, eb int) int {
-	vInter := multisetIntersection(a.vcount, b.vcount)
-	eInter := multisetIntersection(a.ecount, b.ecount)
-	lb := max(na, nb) - vInter + max(ea, eb) - eInter
-	return lb
+	vInter := multisetIntersection(a.vlabels, b.vlabels)
+	eInter := multisetIntersection(a.elabels, b.elabels)
+	return max(na, nb) - vInter + max(ea, eb) - eInter
 }
 
-func multisetIntersection(a, b map[int32]int) int {
-	s := 0
-	for k, ca := range a {
-		if cb, ok := b[k]; ok {
-			s += min(ca, cb)
+// multisetIntersection returns |a ∩ b| for two sorted multisets by
+// merging them.
+func multisetIntersection(a, b []int32) int {
+	s, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			s++
+			i++
+			j++
 		}
 	}
 	return s

@@ -16,12 +16,6 @@ type Options struct {
 	// ChainLength is the pigeonring chain length l (used when Ring is
 	// true). The paper finds l in [τ−2, τ] best.
 	ChainLength int
-	// LabelPrefilter additionally dismisses graphs whose global
-	// label-multiset lower bound already exceeds τ. It is not part of
-	// Pars or Ring as the paper evaluates them (it changes candidate
-	// counts), but it is a standard orthogonal filter exposed for the
-	// ablation benchmarks.
-	LabelPrefilter bool
 	// SkipVerify stops after the partition/ring filter: candidates are
 	// counted but not verified and no results are returned (the
 	// "Cand." series of the paper's time plots).
@@ -49,9 +43,8 @@ type Stats struct {
 	Candidates int
 	// Results is the number of graphs with ged(x, q) ≤ τ.
 	Results int
-	// Prefiltered counts graphs dismissed by the global label bound.
-	Prefiltered int
-	// BoxChecks counts deletion-neighbourhood box evaluations.
+	// BoxChecks counts box evaluations, whether the label screen or
+	// the deletion-neighbourhood walk settles them.
 	BoxChecks int
 }
 
@@ -105,8 +98,7 @@ type DB struct {
 	tau    int
 	graphs []*Graph
 	parts  [][]*Graph
-	labels []LabelVector
-	ecount []int
+	sigs   partSigs
 	// scratch pools per-search box caches and result buffers so the
 	// scan loop stays allocation-free across calls.
 	scratch sync.Pool
@@ -115,14 +107,17 @@ type DB struct {
 // searchScratch is the per-search working memory a DB hands out from
 // its pool: the box cache, the result buffer, one kernel scratch that
 // serves every box probe and GED verification of the query, and the
-// query's label multisets.
+// query's label counts over the DB's label dictionaries.
 type searchScratch struct {
 	cache   *boxCache
 	results []int
 	// dists holds the verified GED of each entry of results, populated
 	// only on the SearchDist path.
-	dists   []int
-	ks      *kernelScratch
+	dists []int
+	ks    *kernelScratch
+	qv    []int32 // query vertex-label counts, indexed by dictionary id
+	qe    []int32 // query edge-label counts, indexed by dictionary id
+	// qLabels is the query's label multisets, GED's global bound.
 	qLabels LabelVector
 }
 
@@ -155,8 +150,6 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 		tau:    tau,
 		graphs: graphs,
 		parts:  make([][]*Graph, len(graphs)),
-		labels: make([]LabelVector, len(graphs)),
-		ecount: make([]int, len(graphs)),
 	}
 	for id, g := range graphs {
 		if g.n > MaxVertices {
@@ -176,9 +169,8 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 			return nil, fmt.Errorf("graph: partition of graph %d covers %d of %d vertices", id, covered, g.N())
 		}
 		db.parts[id] = ps
-		db.labels[id] = Labels(g)
-		db.ecount[id] = g.EdgeCount()
 	}
+	db.sigs = buildPartSigs(db.parts)
 	db.scratch.New = func() any {
 		return &searchScratch{cache: newBoxCache(m), ks: new(kernelScratch)}
 	}
@@ -216,10 +208,14 @@ func (c *boxCache) reset() {
 	}
 }
 
-// get returns the box-i lower bound resolved up to budget: a value ≤
-// budget is exact, budget+1 means "more than budget deletions". The
-// probe runs on the caller's kernel scratch.
-func (c *boxCache) get(i, budget int, part, q *Graph, st *Stats, ks *kernelScratch) int {
+// box returns graph id's box-i lower bound resolved up to budget: a
+// value ≤ budget is exact, budget+1 means "more than budget
+// deletions". A box the cache cannot answer is counted in BoxChecks
+// and settled by the label screen when its bound exceeds budget;
+// otherwise the deletion-neighbourhood walk runs on the scratch's
+// kernel, starting at that bound.
+func (db *DB) box(s *searchScratch, id, i, budget int, q *Graph, st *Stats) int {
+	c := s.cache
 	if c.probed[i] >= 0 {
 		if c.val[i] <= c.probed[i] {
 			// Exact value known.
@@ -234,7 +230,11 @@ func (c *boxCache) get(i, budget int, part, q *Graph, st *Stats, ks *kernelScrat
 		}
 	}
 	st.BoxChecks++
-	v := ks.minDeletionOps(part, q, budget)
+	part := db.parts[id][i]
+	v := budget + 1
+	if lb := db.sigs.bound(id*(db.tau+1)+i, part.n, q.n, s.qv, s.qe); lb <= budget {
+		v = s.ks.minDeletionOps(part, q, lb, budget)
+	}
 	c.probed[i] = budget
 	c.val[i] = v
 	return v
@@ -295,7 +295,6 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 	db.putScratch(s)
 	st.Candidates += rst.Candidates
 	st.Results += rst.Results
-	st.Prefiltered += rst.Prefiltered
 	st.BoxChecks += rst.BoxChecks
 	return dst, nil
 }
@@ -324,25 +323,19 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	}
 
 	s := db.scratch.Get().(*searchScratch)
-	labelsInto(q, &s.qLabels)
-	qLabels := s.qLabels
-	qEdges := q.EdgeCount()
+	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
+	if !opt.SkipVerify {
+		labelsInto(q, &s.qLabels)
+	}
 	cache := s.cache
 	results := s.results
 	dists := s.dists
 	for id := lo; id < hi; id++ {
-		g := db.graphs[id]
-		if opt.LabelPrefilter &&
-			LabelLowerBound(db.labels[id], qLabels, g.N(), q.N(), db.ecount[id], qEdges) > tau {
-			st.Prefiltered++
-			continue
-		}
-		parts := db.parts[id]
 		cache.reset()
 		candidate := false
 		for i := 0; i < m && !candidate; i++ {
 			// 1-prefix: the starting part must embed (box value 0).
-			if cache.get(i, 0, parts[i], q, &st, s.ks) != 0 {
+			if db.box(s, id, i, 0, q, &st) != 0 {
 				continue
 			}
 			candidate = true
@@ -354,7 +347,7 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 				if budget < 0 {
 					budget = 0
 				}
-				v := cache.get(j, budget, parts[j], q, &st, s.ks)
+				v := db.box(s, id, j, budget, q, &st)
 				sum += v
 				// quota(lp) = lp·τ/m: boxes and thresholds are integers,
 				// so sum·m ≤ lp·τ compares exactly without the float
@@ -370,7 +363,7 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 		}
 		st.Candidates++
 		if !opt.SkipVerify {
-			if d := s.ks.gedWithin(g, q, vtau); d >= 0 {
+			if d := s.ks.gedWithin(db.graphs[id], q, &s.qLabels, vtau); d >= 0 {
 				results = append(results, id)
 				if wantDist {
 					dists = append(dists, d)

@@ -79,8 +79,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		for trial := 0; trial < 8; trial++ {
 			q := graphs[rng.Intn(len(graphs))]
-			for _, opt := range []Options{ParsOptions(), RingOptions(tau),
-				{Ring: true, ChainLength: tau, LabelPrefilter: true}} {
+			for _, opt := range []Options{ParsOptions(), RingOptions(tau)} {
 				got, gst, err := db2.Search(q, opt)
 				if err != nil {
 					t.Fatal(err)

@@ -113,13 +113,16 @@ func (ks *kernelScratch) matchOrder(p *Graph) {
 // result is an admissible lower bound for the §6.4 box value.
 func MinDeletionOps(part, q *Graph, budget int) int {
 	ks := getKernel()
-	v := ks.minDeletionOps(part, q, budget)
+	v := ks.minDeletionOps(part, q, 0, budget)
 	putKernel(ks)
 	return v
 }
 
-// minDeletionOps is the pooled kernel behind MinDeletionOps.
-func (ks *kernelScratch) minDeletionOps(part, q *Graph, budget int) int {
+// minDeletionOps is the pooled kernel behind MinDeletionOps. It tries
+// deletion counts from lb up; lb must be a lower bound on the answer
+// (the DB's box screen supplies one), so the counts it skips could not
+// have succeeded.
+func (ks *kernelScratch) minDeletionOps(part, q *Graph, lb, budget int) int {
 	if budget < 0 {
 		budget = 0
 	}
@@ -127,7 +130,7 @@ func (ks *kernelScratch) minDeletionOps(part, q *Graph, budget int) int {
 	// which keeps concurrent searches from racing on the shared indexed
 	// parts without the old per-call Clone.
 	ks.vg.copyFrom(part)
-	for k := 0; k <= budget; k++ {
+	for k := max(lb, 0); k <= budget; k++ {
 		if ks.existsVariant(&ks.vg, q, k) {
 			return k
 		}
