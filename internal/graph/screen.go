@@ -68,34 +68,12 @@ func buildPartSigs(parts [][]*Graph) partSigs {
 }
 
 // denseIDs returns the distinct values of ls in ascending order and,
-// for each element of ls, its index among them. Labels spanning a
-// range no wider than ls itself are ranked by counting over that
-// range; wider ones by sorting.
+// for each element of ls, its index among them.
 func denseIDs(ls []int32) (dict, ids []int32) {
-	ids = make([]int32, len(ls))
-	if len(ls) == 0 {
-		return nil, ids
-	}
-	lo, hi := slices.Min(ls), slices.Max(ls)
-	if int64(hi)-int64(lo) < int64(len(ls)) {
-		rank := make([]int32, int(hi-lo)+1)
-		for _, l := range ls {
-			rank[l-lo] = 1
-		}
-		for i, r := range rank {
-			if r != 0 {
-				rank[i] = int32(len(dict))
-				dict = append(dict, lo+int32(i))
-			}
-		}
-		for i, l := range ls {
-			ids[i] = rank[l-lo]
-		}
-		return dict, ids
-	}
 	dict = slices.Clone(ls)
 	slices.Sort(dict)
 	dict = slices.Clone(slices.Compact(dict))
+	ids = make([]int32, len(ls))
 	for i, l := range ls {
 		id, _ := slices.BinarySearch(dict, l)
 		ids[i] = int32(id)

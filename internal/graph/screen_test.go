@@ -85,9 +85,9 @@ func FuzzBoxScreen(f *testing.F) {
 	})
 }
 
-// TestDenseIDs: both ranking paths — counting over a narrow label span
-// and sorting a wide one — return the sorted distinct labels and each
-// label's index among them.
+// TestDenseIDs: over label spans from one value to the whole int32
+// range, denseIDs returns the sorted distinct labels and each label's
+// index among them.
 func TestDenseIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, span := range []int64{1, 5, 40, 1 << 20, 1 << 32} {
