@@ -64,57 +64,3 @@ func (b BoxFunc) Len() int { return b.M }
 
 // Box returns the value of box i by invoking the wrapped function.
 func (b BoxFunc) Box(i int) float64 { return b.F(i) }
-
-// MemoBoxes wraps a BoxValues and caches each box value after its first
-// computation. It is useful when several chain checks may revisit the
-// same box (for example, checks started from multiple viable boxes of the
-// same object).
-type MemoBoxes struct {
-	inner  BoxValues
-	vals   []float64
-	filled []bool
-}
-
-// NewMemoBoxes returns a memoizing wrapper around inner.
-func NewMemoBoxes(inner BoxValues) *MemoBoxes {
-	m := inner.Len()
-	return &MemoBoxes{
-		inner:  inner,
-		vals:   make([]float64, m),
-		filled: make([]bool, m),
-	}
-}
-
-// Len returns the number of boxes.
-func (b *MemoBoxes) Len() int { return b.inner.Len() }
-
-// Box returns the cached value of box i, computing it on first access.
-func (b *MemoBoxes) Box(i int) float64 {
-	if !b.filled[i] {
-		b.vals[i] = b.inner.Box(i)
-		b.filled[i] = true
-	}
-	return b.vals[i]
-}
-
-// Computed reports how many distinct boxes have been evaluated so far.
-// It is used by benchmarks to account for filtering work.
-func (b *MemoBoxes) Computed() int {
-	n := 0
-	for _, f := range b.filled {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset forgets all cached values so the wrapper can be reused for the
-// next object, sparing one allocation per candidate on hot paths. The
-// inner BoxValues is expected to read the caller's current object
-// state.
-func (b *MemoBoxes) Reset() {
-	for i := range b.filled {
-		b.filled[i] = false
-	}
-}

@@ -313,29 +313,6 @@ func TestUniformThresholds(t *testing.T) {
 	}
 }
 
-func TestMemoBoxes(t *testing.T) {
-	calls := 0
-	inner := BoxFunc{M: 5, F: func(i int) float64 {
-		calls++
-		return float64(i)
-	}}
-	mb := NewMemoBoxes(inner)
-	if mb.Len() != 5 {
-		t.Fatalf("Len = %d", mb.Len())
-	}
-	for trial := 0; trial < 3; trial++ {
-		if got := mb.Box(2); got != 2 {
-			t.Fatalf("Box(2) = %v", got)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("inner called %d times, want 1", calls)
-	}
-	if mb.Computed() != 1 {
-		t.Errorf("Computed = %d, want 1", mb.Computed())
-	}
-}
-
 // TestLazyEarlyStop verifies that PrefixViableFrom stops consulting
 // boxes at the first quota violation.
 func TestLazyEarlyStop(t *testing.T) {

@@ -2,31 +2,35 @@
 // (Problem 5 of the pigeonring paper) with the Pars partition filter as
 // the pigeonhole baseline and its pigeonring upgrade "Ring" (§6.4),
 // together with the substrates they need: labeled undirected graphs,
-// subgraph isomorphism with label wildcards, deletion neighborhoods,
-// and an exact branch-and-bound graph edit distance verifier.
+// subgraph isomorphism with label wildcards, and an exact
+// branch-and-bound graph edit distance verifier.
 //
 // The ⟨F, B, D⟩ instance follows §6.4: a data graph is partitioned into
 // m = τ+1 disjoint parts; box i is the minimum graph edit distance from
-// part i to any subgraph of the query; D(τ) = τ. Box values are lower
-// bounded by the deletion-neighborhood test: ged(x_i, q') ≤ t only if
-// some variant of x_i produced by at most t deletions (delete an edge,
-// delete an isolated vertex, or change a vertex label to a wildcard) is
-// subgraph-isomorphic to q.
+// part i to any subgraph of the query; D(τ) = τ. The filters need only
+// a lower bound on each box: ged(x_i, q') ≤ t only if some variant of
+// x_i produced by at most t deletions (delete an edge, delete an
+// isolated vertex, or change a vertex label to a wildcard) is
+// subgraph-isomorphic to q, so any lower bound on that deletion count
+// will do.
 //
-// Each box first goes through a label screen. At build time every part
-// gets a signature: (label id, count) runs for its non-Wildcard vertex
-// labels and for its edge labels, held in one arena per DB. A search
-// counts the query's labels once over the same dictionaries. A variant
-// embeds into q only if it has, for every label, no more vertices or
-// edges with that label than q, and no more vertices than q. So at
-// least max(vertex-label excess, |part| − |q|) + edge-label excess
-// deletions are needed: an edge deletion lowers only the edge excess,
-// by at most 1, and a wildcard or isolated-vertex deletion lowers only
-// the vertex terms, by at most 1 each. When that bound exceeds the
-// box's budget the box is settled without a walk; otherwise the walk
-// starts at the bound. Stats.BoxChecks counts every box the cache
-// cannot answer, whether the screen or the walk settles it, so
-// candidate sets and counters are those of the walk alone.
+// Box values come from a label screen. At build time every part gets a
+// signature: (label id, count) runs for its non-Wildcard vertex labels
+// and for its edge labels, held in one arena per DB. A search counts
+// the query's labels once over the same dictionaries. A variant embeds
+// into q only if it has, for every label, no more vertices or edges
+// with that label than q, and no more vertices than q. So at least
+// max(vertex-label excess, |part| − |q|) + edge-label excess deletions
+// are needed: an edge deletion lowers only the edge excess, by at most
+// 1, and a wildcard or isolated-vertex deletion lowers only the vertex
+// terms, by at most 1 each. That bound is the box value. A box with no
+// budget (a chain's head, or a chain box once the chain has used its
+// quota) whose bound is 0 also runs the exact sub-isomorphism test and
+// reads 1 when the part does not embed, so Pars's candidates are exact
+// and every chain starts at a part that embeds. Chain boxes with budget
+// left keep the bound, which can be below the exact deletion count:
+// Ring admits more candidates than an exact box would, never fewer.
+// Stats.BoxChecks counts every box evaluation.
 //
 // One substitution versus Pars: parts are
 // vertex-induced subgraphs (no half-edges), under which every edit
@@ -41,8 +45,8 @@ import (
 	"slices"
 )
 
-// Wildcard is the vertex label produced by deletion-neighborhood label
-// erasure; it matches any label during subgraph isomorphism.
+// Wildcard is the vertex label a wildcard deletion leaves behind; it
+// matches any label during subgraph isomorphism.
 const Wildcard int32 = -2
 
 // Graph is an undirected graph with labeled vertices and labeled edges,
@@ -160,44 +164,6 @@ func (g *Graph) Clone() *Graph {
 		e:    g.e,
 	}
 	return c
-}
-
-// copyFrom makes g a deep copy of src, reusing g's buffers — the
-// pooled replacement for Clone in the deletion-neighbourhood walk.
-func (g *Graph) copyFrom(src *Graph) {
-	g.n = src.n
-	g.e = src.e
-	g.vlab = append(g.vlab[:0], src.vlab...)
-	g.elab = append(g.elab[:0], src.elab...)
-	g.deg = append(g.deg[:0], src.deg...)
-}
-
-// induceInto writes the subgraph of g induced by vs into dst, reusing
-// dst's buffers.
-func (g *Graph) induceInto(dst *Graph, vs []int) {
-	n := len(vs)
-	dst.n = n
-	dst.e = 0
-	dst.vlab = growInt32s(dst.vlab, n)
-	dst.elab = growInt32s(dst.elab, n*n)
-	dst.deg = growIntsZero(dst.deg, n)
-	for i := range dst.elab {
-		dst.elab[i] = -1
-	}
-	for i, v := range vs {
-		dst.vlab[i] = g.vlab[v]
-	}
-	for i, u := range vs {
-		for j := i + 1; j < n; j++ {
-			if l := g.elab[u*g.n+vs[j]]; l >= 0 {
-				dst.elab[i*n+j] = l
-				dst.elab[j*n+i] = l
-				dst.deg[i]++
-				dst.deg[j]++
-				dst.e++
-			}
-		}
-	}
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertices

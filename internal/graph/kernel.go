@@ -2,27 +2,18 @@ package graph
 
 import "sync"
 
-// kernelScratch is the pooled match state of the subgraph-isomorphism,
-// deletion-neighbourhood and GED kernels. The kernels recurse on one
-// scratch but never overlap two independent top-level invocations, so
-// a DB search holds a single scratch for every box probe and
-// verification of a query; the exported entry points
-// (SubgraphIsomorphic, MinDeletionOps, GEDWithin) draw from a package
-// pool instead.
+// kernelScratch is the pooled match state of the subgraph-isomorphism
+// and GED kernels. The kernels recurse on one scratch but never overlap
+// two independent top-level invocations, so a DB search holds a single
+// scratch for every budget-0 box test and verification of a query; the
+// exported entry points (SubgraphIsomorphic, GEDWithin) draw from a
+// package pool instead.
 type kernelScratch struct {
 	// Subgraph isomorphism backtracking state.
 	order  []int
 	placed []bool
 	phi    []int
 	used   []bool
-	// Deletion-neighbourhood variant walk: the private mutable copy of
-	// the part (replacing the old per-call Clone) and the
-	// isolated-vertex subset machinery.
-	vg       Graph
-	sub      Graph
-	isolated []int
-	drop     []bool
-	keep     []int
 	// GED branch-and-bound state.
 	ged gedState
 }

@@ -47,7 +47,9 @@ func checkScreen(t *testing.T, part, other, q *Graph) int {
 // TestBoxScreenAdmissible: on random parts and queries — Wildcard
 // part vertices, query labels no part carries (labels 3 and 4, and
 // Wildcard), empty parts, parts larger than the query — the label
-// screen never exceeds the box value it stands in for.
+// screen never exceeds the box value it stands in for. And since the
+// ring adds box values across a graph's parts, the bounds of the τ+1
+// BFSPartitioner parts of a graph x sum to at most ged(x, q).
 func TestBoxScreenAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	next := func() byte { return byte(rng.Intn(256)) }
@@ -62,6 +64,36 @@ func TestBoxScreenAdmissible(t *testing.T) {
 	}
 	if positive < 300 {
 		t.Fatalf("only %d of 3000 bounds were positive; the property is barely exercised", positive)
+	}
+	multi := 0
+	for trial := 0; trial < 300; trial++ {
+		x := screenGraph(next, 6, 3, 7)
+		q := screenGraph(next, 6, 5, 8)
+		m := 1 + rng.Intn(4)
+		var parts []*Graph
+		for _, vs := range BFSPartitioner(x, m) {
+			parts = append(parts, x.InducedSubgraph(vs))
+		}
+		s := buildPartSigs([][]*Graph{parts})
+		qv, qe := s.countQuery(q, nil, nil)
+		sum, nonzero := 0, 0
+		for i, p := range parts {
+			if b := s.bound(i, p.n, q.n, qv, qe); b > 0 {
+				sum += b
+				nonzero++
+			}
+		}
+		// ged(x, q) ≥ sum ⇔ no distance within sum−1.
+		if d := GEDWithin(x, q, sum-1); d >= 0 {
+			t.Fatalf("%d parts: bounds sum to %d > ged %d\nx %v %v\nquery %v %v",
+				m, sum, d, x.vlab, x.Edges(), q.vlab, q.Edges())
+		}
+		if nonzero > 1 {
+			multi++
+		}
+	}
+	if multi < 60 {
+		t.Fatalf("only %d of 300 graphs had two positive part bounds; the sum is barely exercised", multi)
 	}
 }
 

@@ -43,8 +43,9 @@ type Stats struct {
 	Candidates int
 	// Results is the number of graphs with ged(x, q) ≤ τ.
 	Results int
-	// BoxChecks counts box evaluations, whether the label screen or
-	// the deletion-neighbourhood walk settles them.
+	// BoxChecks counts box evaluations: one label-screen bound each,
+	// plus a sub-isomorphism test for a budget-0 box the bound
+	// leaves at 0.
 	BoxChecks int
 }
 
@@ -99,17 +100,16 @@ type DB struct {
 	graphs []*Graph
 	parts  [][]*Graph
 	sigs   partSigs
-	// scratch pools per-search box caches and result buffers so the
+	// scratch pools per-search kernel state and result buffers so the
 	// scan loop stays allocation-free across calls.
 	scratch sync.Pool
 }
 
 // searchScratch is the per-search working memory a DB hands out from
-// its pool: the box cache, the result buffer, one kernel scratch that
-// serves every box probe and GED verification of the query, and the
+// its pool: the result buffer, one kernel scratch that serves every
+// sub-isomorphism test and GED verification of the query, and the
 // query's label counts over the DB's label dictionaries.
 type searchScratch struct {
-	cache   *boxCache
 	results []int
 	// dists holds the verified GED of each entry of results, populated
 	// only on the SearchDist path.
@@ -172,7 +172,7 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 	}
 	db.sigs = buildPartSigs(db.parts)
 	db.scratch.New = func() any {
-		return &searchScratch{cache: newBoxCache(m), ks: new(kernelScratch)}
+		return &searchScratch{ks: new(kernelScratch)}
 	}
 	return db, nil
 }
@@ -186,67 +186,27 @@ func (db *DB) Tau() int { return db.tau }
 // Graph returns the indexed graph with the given id.
 func (db *DB) Graph(id int) *Graph { return db.graphs[id] }
 
-// boxCache memoizes deletion-neighbourhood box values per data graph,
-// remembering the deepest budget probed so far. probed[i] = -1 means
-// untouched; val[i] holds MinDeletionOps(part_i, q, probed[i]).
-type boxCache struct {
-	probed []int
-	val    []int
-}
-
-func newBoxCache(m int) *boxCache {
-	c := &boxCache{probed: make([]int, m), val: make([]int, m)}
-	for i := range c.probed {
-		c.probed[i] = -1
-	}
-	return c
-}
-
-func (c *boxCache) reset() {
-	for i := range c.probed {
-		c.probed[i] = -1
-	}
-}
-
-// box returns graph id's box-i lower bound resolved up to budget: a
-// value ≤ budget is exact, budget+1 means "more than budget
-// deletions". A box the cache cannot answer is counted in BoxChecks
-// and settled by the label screen when its bound exceeds budget;
-// otherwise the deletion-neighbourhood walk runs on the scratch's
-// kernel, starting at that bound.
+// box returns a lower bound on graph id's box i, resolved up to
+// budget: the label screen's bound, or, at budget 0, exactly 0 when the
+// part embeds into q and 1 when it does not. Values above budget read
+// budget+1 ("more than budget"). Each call counts one BoxCheck.
 func (db *DB) box(s *searchScratch, id, i, budget int, q *Graph, st *Stats) int {
-	c := s.cache
-	if c.probed[i] >= 0 {
-		if c.val[i] <= c.probed[i] {
-			// Exact value known.
-			if c.val[i] <= budget {
-				return c.val[i]
-			}
-			return budget + 1
-		}
-		// Known "> probed[i]".
-		if budget <= c.probed[i] {
-			return budget + 1
-		}
-	}
 	st.BoxChecks++
 	part := db.parts[id][i]
-	v := budget + 1
-	if lb := db.sigs.bound(id*(db.tau+1)+i, part.n, q.n, s.qv, s.qe); lb <= budget {
-		v = s.ks.minDeletionOps(part, q, lb, budget)
+	v := db.sigs.bound(id*(db.tau+1)+i, part.n, q.n, s.qv, s.qe)
+	if budget == 0 && v == 0 && !s.ks.subgraphIsomorphic(part, q) {
+		v = 1
 	}
-	c.probed[i] = budget
-	c.val[i] = v
-	return v
+	return min(v, budget+1)
 }
 
 // Search returns the ids of all graphs with ged(x, q) ≤ τ, ascending.
 //
 // The ring filter follows §6.4 and Example 12 of the paper: every
 // prefix-viable chain must start at a part that embeds into q (the
-// quota of a 1-prefix is τ/(τ+1) < 1), and each subsequent box is
-// resolved by a deletion-neighbourhood probe with exactly the budget
-// the chain has left, ⌊l'·τ/m − consumed⌋.
+// quota of a 1-prefix is τ/(τ+1) < 1), and each subsequent box takes
+// the label screen's lower bound against the budget the chain has
+// left, ⌊l'·τ/m − consumed⌋; a box with no budget left must embed too.
 func (db *DB) Search(q *Graph, opt Options) ([]int, Stats, error) {
 	s, st := db.search(q, opt, 0, len(db.graphs), false)
 	out := pairs.SortedIDs(s.results)
@@ -327,11 +287,9 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	if !opt.SkipVerify {
 		labelsInto(q, &s.qLabels)
 	}
-	cache := s.cache
 	results := s.results
 	dists := s.dists
 	for id := lo; id < hi; id++ {
-		cache.reset()
 		candidate := false
 		for i := 0; i < m && !candidate; i++ {
 			// 1-prefix: the starting part must embed (box value 0).

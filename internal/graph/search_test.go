@@ -105,8 +105,10 @@ func TestRingCandidateSubset(t *testing.T) {
 
 // TestPaperExample12Scenario captures the behaviour of §6.4 Example 12:
 // a molecule-like data graph whose first part embeds into the query
-// (so Pars admits it) but whose ged exceeds τ = 2, and whose second
-// part needs ≥ 2 deletions to embed so the l = 2 ring chain filters it.
+// (so Pars admits it) but whose ged exceeds τ = 2. Against q the second
+// part's label bound is 1, within the l = 2 chain's budget, so Ring(2)
+// keeps the false positive; against q2, which also lacks the S, that
+// bound is 2 and Ring(2) filters it.
 func TestPaperExample12Scenario(t *testing.T) {
 	const (
 		lS int32 = 0
@@ -126,14 +128,19 @@ func TestPaperExample12Scenario(t *testing.T) {
 		[]int32{lC, lC, lS, lN, lC},
 		[][3]int32{{0, 1, 0}, {1, 2, 1}, {1, 3, 0}, {1, 4, 0}},
 	)
+	// q2: q with the S replaced by an N as well.
+	q2 := molecule(
+		[]int32{lC, lC, lN, lN, lC},
+		[][3]int32{{0, 1, 0}, {1, 2, 1}, {1, 3, 0}, {1, 4, 0}},
+	)
 	const tau = 2
-	d := GED(x, q)
-	if d <= tau {
-		t.Fatalf("scenario needs ged > τ, got %d", d)
+	for _, query := range []*Graph{q, q2} {
+		if d := GED(x, query); d <= tau {
+			t.Fatalf("scenario needs ged > τ, got %d", d)
+		}
 	}
-	// Fix the partition: part 0 = the C-C core (embeds into q), part 1
-	// = {S, P} (needs ≥ 2 deletions: wildcard P and its bond context),
-	// part 2 = {O}.
+	// Fix the partition: part 0 = the C-C core (embeds into q and q2),
+	// part 1 = {S, P}, part 2 = {O}.
 	parts := func(g *Graph, m int) [][]int {
 		if g == x && m == 3 {
 			return [][]int{{0, 1}, {2, 3}, {4}}
@@ -144,28 +151,42 @@ func TestPaperExample12Scenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Part 0 embeds: Pars keeps x as a candidate.
-	if !SubgraphIsomorphic(x.InducedSubgraph([]int{0, 1}), q) {
-		t.Fatal("part 0 should embed into q")
-	}
-	_, stPars, err := db.Search(q, ParsOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stPars.Candidates != 1 {
-		t.Errorf("Pars candidates = %d, want 1 (false positive)", stPars.Candidates)
-	}
-	// Ring at l = 2: box 0 = 0, but box 1 needs more than
-	// ⌊2·τ/m⌋ = 1 deletion, so no prefix-viable chain of length 2.
-	_, stRing, err := db.Search(q, RingOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stRing.Candidates != 0 {
-		t.Errorf("Ring candidates = %d, want 0 (filtered)", stRing.Candidates)
-	}
-	if res, _, _ := db.Search(q, ParsOptions()); len(res) != 0 {
-		t.Errorf("x must not be a result: %v", res)
+	// Ring(2)'s only chain starts at box 0 = 0 (parts 1 and 2 do not
+	// embed) and may spend ⌊2·τ/m⌋ = 1 on box 1. Box 1 takes its label
+	// bound. Against q that bound is 1, for the missing P, although
+	// MinDeletionOps reads 2: the S–P bond has no counterpart in q
+	// either, but an edge-label count cannot see which vertices a bond
+	// joins. So Ring(2) keeps x. Against q2 the S is missing too, the
+	// bound is 2 and the chain fails.
+	for _, c := range []struct {
+		name     string
+		q        *Graph
+		ringCand int
+	}{
+		{"q", q, 1},
+		{"q2", q2, 0},
+	} {
+		// Part 0 embeds: Pars keeps x as a candidate.
+		if !SubgraphIsomorphic(x.InducedSubgraph([]int{0, 1}), c.q) {
+			t.Fatalf("%s: part 0 should embed", c.name)
+		}
+		res, stPars, err := db.Search(c.q, ParsOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stPars.Candidates != 1 {
+			t.Errorf("%s: Pars candidates = %d, want 1 (false positive)", c.name, stPars.Candidates)
+		}
+		if len(res) != 0 {
+			t.Errorf("%s: x must not be a result: %v", c.name, res)
+		}
+		_, stRing, err := db.Search(c.q, RingOptions(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stRing.Candidates != c.ringCand {
+			t.Errorf("%s: Ring(2) candidates = %d, want %d", c.name, stRing.Candidates, c.ringCand)
+		}
 	}
 }
 

@@ -339,9 +339,8 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 	// The chain check is the hand-inlined integer form of
 	// core.NewUniform(τ, m, l, LE).HasPrefixViableChain — prefix sums
 	// compare as sum·m ≤ l'·τ, which is exact for integer boxes — with
-	// the Corollary 2 skip kept; the generic Filter/MemoBoxes
-	// machinery's interface dispatch and float quotas dominated the
-	// filter cost at κ=2.
+	// the Corollary 2 skip kept; core.Filter's interface dispatch and
+	// float quotas dominated the filter cost at κ=2.
 	if cap(s.boxVal) < m {
 		s.boxVal = make([]int, m)
 	}
