@@ -127,11 +127,11 @@ func (s *partSigs) countQuery(q *Graph, qv, qe []int32) ([]int32, []int32) {
 
 // bound is the box screen: a lower bound on the number of deletions
 // after which part p (pn vertices) embeds into a query of qn vertices
-// whose label counts are qv and qe. A variant embeds into q only if, for every label, it has
-// no more vertices (edges) with that label than q, and no more
-// vertices than q. Deleting an edge lowers only the edge excess, by
-// at most 1; a wildcard or an isolated-vertex deletion lowers only the
-// two vertex terms, by at most 1 each. So
+// whose label counts are qv and qe. A variant embeds into q only if,
+// for every label, it has no more vertices (edges) with that label
+// than q, and no more vertices than q. Deleting an edge lowers only
+// the edge excess, by at most 1; a wildcard or an isolated-vertex
+// deletion lowers only the two vertex terms, by at most 1 each. So
 // max(vertex excess, pn − qn) + edge excess deletions are needed.
 func (s *partSigs) bound(p, pn, qn int, qv, qe []int32) int {
 	vx, ex := 0, 0
