@@ -26,9 +26,10 @@
 // and entity resolution — once with the baseline filter and once with
 // the ring filter, and reports pairs, candidates and the speedup.
 // -k switches search mode into top-k: instead of everything within τ,
-// each sampled query asks for its k nearest objects via the engine's
-// adaptive τ-ladder, and the run prints the ranked (id, distance)
-// results plus how many ladder rungs each query climbed. -k is
+// each sampled query asks for its k nearest objects (hamming climbs
+// the engine's adaptive τ-ladder, the other problems take one pass at
+// the built τ), and the run prints the ranked (id, distance) results
+// plus how many ladder rungs each query climbed. -k is
 // mutually exclusive with -limit and join mode.
 //
 // -shards fans searches (and join tiles) out across an
@@ -164,8 +165,9 @@ func main() {
 }
 
 // runTopK runs the sampled queries in top-k mode and prints each
-// query's ranked (id, distance) results with the τ-ladder depth it
-// took to find them.
+// query's ranked (id, distance) results with the number of rungs it
+// took to find them: the τ-ladder depth on hamming, one per shard on
+// the fixed-τ problems.
 func runTopK(ctx context.Context, ix engine.Index, p engine.Problem, k, l, queries int, shards int, seed int64) {
 	fmt.Printf("%s top-%d search: n=%d τ=%g shards=%d l=%d (0 = paper default)\n",
 		p, k, ix.Len(), ix.Tau(), shards, l)

@@ -40,7 +40,7 @@
 // fires), and -search-timeout caps every search and join server-side.
 // "limit" stops a search after the first n ids, or a join after its
 // first n pairs. "k" asks for the k nearest objects instead — ranked
-// [{id, distance}] results from the engine's adaptive τ-ladder —
+// [{id, distance}] results from the engine's top-k search —
 // bounded server-side by -max-k. /v1/stats counts cancelled and
 // limited queries plus join and pair totals per problem.
 //

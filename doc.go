@@ -40,8 +40,9 @@
 // decomposition over the same pool with sharded output pair-identical
 // to unsharded — and SearchTopK(ctx, q, opt), which with Options.TopK
 // answers "the k nearest"
-// instead of "everything within τ" by climbing an expanding τ ladder
-// until k results verify, returning ranked (id, distance) Results,
+// instead of "everything within τ" — Hamming by climbing an expanding
+// τ ladder until k results verify, string, graph and set in one pass
+// at the built τ — returning ranked (id, distance) Results,
 // byte-identical sharded versus plain. server exposes that layer over
 // HTTP/JSON (request-scoped contexts, limit/timeout_ms, "k" top-k
 // mode, cancelled and limited counters, /v1/join with join and pair

@@ -432,16 +432,13 @@ func (b *stringBackend) searchRange(q Query, opt Options, lo, hi int, dst []int6
 	return dst, Stats{Candidates: st.Cand2 + st.Fallback, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-// topkBounds caps the ladder at the built τ (a Pivotal index cannot
-// see further). Every rung filters at the built τ and tightens only
-// the verification threshold (strdist.Options.VerifyTau), so early
-// rungs pay the full filter but a much cheaper banded verification.
-func (b *stringBackend) topkBounds(Options) []float64 { return intLadder(b.db.Tau()) }
+// topkBounds is a single rung at the built τ: a Pivotal index cannot
+// see further, and its candidates at τ are a superset for any smaller
+// threshold, so the k nearest are the k smallest verified distances.
+func (b *stringBackend) topkBounds(Options) []float64 { return []float64{float64(b.db.Tau())} }
 
-func (b *stringBackend) topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error {
-	sopt := b.options(opt)
-	sopt.VerifyTau = int(bound)
-	ids, dists, bst, err := b.db.SearchDist(q.str, sopt)
+func (b *stringBackend) topkRung(q Query, opt Options, _ float64, h *resultHeap, st *Stats) error {
+	ids, dists, bst, err := b.db.SearchDist(q.str, b.options(opt))
 	if err != nil {
 		return err
 	}
@@ -494,18 +491,13 @@ func (b *graphBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64
 	return dst, Stats{Candidates: st.Candidates, Results: st.Results, BoxChecks: st.BoxChecks}, err
 }
 
-// topkBounds caps the ladder at the built τ (a Pars index cannot see
-// further). Every rung filters at the built τ and tightens only the
-// verification budget (graph.Options.VerifyTau) — GED verification
-// dominates graph search cost and early-abandons far sooner at a small
-// budget, so the cheap low rungs usually answer the query without ever
-// paying a full-τ verification pass.
-func (b *graphBackend) topkBounds(Options) []float64 { return intLadder(b.db.Tau()) }
+// topkBounds is a single rung at the built τ, as for strings: a Pars
+// index cannot see further, and one filter pass at τ holds the k
+// nearest.
+func (b *graphBackend) topkBounds(Options) []float64 { return []float64{float64(b.db.Tau())} }
 
-func (b *graphBackend) topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error {
-	gopt := b.options(opt)
-	gopt.VerifyTau = int(bound)
-	ids, dists, bst, err := b.db.SearchDist(q.g, gopt)
+func (b *graphBackend) topkRung(q Query, opt Options, _ float64, h *resultHeap, st *Stats) error {
+	ids, dists, bst, err := b.db.SearchDist(q.g, b.options(opt))
 	if err != nil {
 		return err
 	}

@@ -159,13 +159,14 @@ type Options struct {
 	// ≤ 0 means unlimited.
 	Limit int
 	// TopK, when > 0, asks for the k nearest objects instead of
-	// everything within τ; it is answered by Index.SearchTopK,
-	// which runs the ring filter at an expanding τ ladder and returns
-	// Result{ID, Distance} pairs ordered by (Distance, ID) ascending.
-	// Search and SearchSeq reject a TopK option, and TopK is mutually
-	// exclusive with Limit, SkipVerify and Timings (validateTopK). On a
-	// Hamming index Tau caps the ladder: results stay within that
-	// radius; the fixed-τ backends always cap at their built τ.
+	// everything within τ; it is answered by Index.SearchTopK, which
+	// returns Result{ID, Distance} pairs ordered by (Distance, ID)
+	// ascending. A Hamming index runs the ring filter at an expanding τ
+	// ladder, and Tau caps the ladder: results stay within that radius.
+	// The string, graph and set indexes answer in one pass at their
+	// built τ. Search and SearchSeq reject a TopK option, and TopK is
+	// mutually exclusive with Limit, SkipVerify and Timings
+	// (validateTopK).
 	TopK int
 	// SkipVerify stops after candidate generation; Stats are filled
 	// but no results are returned.

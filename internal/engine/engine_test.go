@@ -331,11 +331,9 @@ func parityBackends(t *testing.T) []parityBackend {
 			must(err)
 			return ids, tstats(st)
 		},
-		bounds: intLadder(strTau),
-		rung: func(q Query, l int, b float64) ([]Result, Stats) {
-			o := topt(l, false)
-			o.VerifyTau = int(b)
-			ids, dists, st, err := tdb.SearchDist(q.Text(), o)
+		bounds: []float64{strTau},
+		rung: func(q Query, l int, _ float64) ([]Result, Stats) {
+			ids, dists, st, err := tdb.SearchDist(q.Text(), topt(l, false))
 			must(err)
 			rs := make([]Result, len(ids))
 			for i, id := range ids {
@@ -384,11 +382,9 @@ func parityBackends(t *testing.T) []parityBackend {
 			must(err)
 			return ids, gstats(st)
 		},
-		bounds: intLadder(graphTau),
-		rung: func(q Query, l int, b float64) ([]Result, Stats) {
-			o := gopt(l, false)
-			o.VerifyTau = int(b)
-			ids, dists, st, err := gdb.SearchDist(q.Graph(), o)
+		bounds: []float64{graphTau},
+		rung: func(q Query, l int, _ float64) ([]Result, Stats) {
+			ids, dists, st, err := gdb.SearchDist(q.Graph(), gopt(l, false))
 			must(err)
 			rs := make([]Result, len(ids))
 			for i, id := range ids {

@@ -10,28 +10,26 @@ import (
 )
 
 // Top-k search: instead of "everything within τ", answer "the k
-// nearest objects". The planner runs the existing ring filter at an
-// expanding τ ladder — τ = 1, 2, 4, … up to the backend's ceiling —
-// until a rung verifies at least k results. A search at bound b
-// answers exactly {x : d(x, q) ≤ b}, so each rung's result set
-// contains every previous rung's; the first rung with ≥ k verified
-// results therefore already holds the k nearest overall, and the
-// doubling schedule bounds the total work at roughly twice the final
-// rung's. The ladder's shape is per backend:
+// nearest objects". A search at bound b answers exactly
+// {x : d(x, q) ≤ b}, so the k smallest verified distances of one pass
+// at b are the k nearest within b. How far b reaches is per backend:
 //
-//   - hamming: a real τ ladder. The index is threshold-independent, so
-//     every rung is a full GPH/Ring search at that τ. The ceiling is
-//     the vector dimension, or Options.Tau when set (then results stay
-//     within that radius).
-//   - string, graph: the filter is built for one τ, so every rung
-//     filters at the built τ and tightens only the verification
-//     threshold (Options.VerifyTau in the backends). Early rungs are
-//     cheap because verification early-abandons far sooner at a small
-//     budget — for GED, where verification dominates, this is the win.
-//     The ceiling is the built τ: the k nearest *within the index's
-//     radius* (an index built for τ cannot see further).
-//   - set: verification cost is threshold-independent (one exact
-//     overlap count), so the ladder is a single rung at the built τ.
+//   - hamming: a τ ladder. The index is threshold-independent, so the
+//     planner runs a full GPH/Ring search at τ = 1, 2, 4, … up to the
+//     ceiling — the vector dimension, or Options.Tau when set (then
+//     results stay within that radius) — and stops at the first rung
+//     that verifies at least k results. Each rung's result set
+//     contains every previous rung's, so that rung already holds the k
+//     nearest overall, and the doubling schedule bounds the total work
+//     at roughly twice the final rung's.
+//   - string, graph, set: the filter is built for one τ and its
+//     candidates at τ are a superset for every smaller threshold, so
+//     top-k is one filter-and-verify pass at the built τ: the k nearest
+//     *within the index's radius* (an index built for τ cannot see
+//     further).
+//
+// Both shapes run through the same ladder loop; a one-pass backend's
+// ladder is a single rung.
 //
 // Results order by (Distance, ID) ascending — distance-ascending with
 // ascending-id tie-break — and are exact: every distance comes from

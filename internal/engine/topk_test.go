@@ -389,38 +389,3 @@ func TestSearchBatchTopK(t *testing.T) {
 		}
 	}
 }
-
-// TestTopKStringVerifyTauLadder pins the backend-level contract the
-// string/graph ladders rely on: tightening only VerifyTau answers
-// exactly the threshold-b search, for every b up to the built τ.
-func TestTopKStringVerifyTauLadder(t *testing.T) {
-	strs := dataset.IMDB(400, 36)
-	dict, err := strdist.BuildGramDict(strs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := strdist.NewDB(strs, dict, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := strs[7]
-	// b = 0 is "unset" by the VerifyTau convention, so the ladder's
-	// rungs start at 1.
-	for b := 1; b <= 3; b++ {
-		opt := strdist.RingOptions(3)
-		opt.VerifyTau = b
-		got, _, err := db.Search(q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []int
-		for id, s := range strs {
-			if d := strdist.EditDistanceWithin(s, q, b); d >= 0 {
-				want = append(want, id)
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("VerifyTau=%d: ids %v, want %v", b, got, want)
-		}
-	}
-}

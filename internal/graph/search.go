@@ -20,15 +20,6 @@ type Options struct {
 	// counted but not verified and no results are returned (the
 	// "Cand." series of the paper's time plots).
 	SkipVerify bool
-	// VerifyTau, when in [1, τ), tightens verification only: the result
-	// set becomes exactly the graphs with ged(x, q) ≤ VerifyTau while
-	// the partition/ring filters keep answering the index's built τ
-	// (their candidate supersets stay valid for any smaller threshold).
-	// The engine's top-k ladder uses this to run cheap low-threshold
-	// rungs — GED verification early-abandons far sooner at a small
-	// budget — against a fixed-τ index. 0 (or any value ≥ τ) verifies
-	// at τ as usual.
-	VerifyTau int
 }
 
 // ParsOptions returns the configuration of the Pars baseline.
@@ -264,12 +255,6 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchScratch, Stats) {
 	var st Stats
 	tau := db.tau
-	// vtau is the verification threshold: the filters stay at the built
-	// τ, verification answers the tighter bound when one is requested.
-	vtau := tau
-	if opt.VerifyTau > 0 && opt.VerifyTau < tau {
-		vtau = opt.VerifyTau
-	}
 	m := tau + 1
 	l := opt.ChainLength
 	if !opt.Ring {
@@ -321,7 +306,7 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 		}
 		st.Candidates++
 		if !opt.SkipVerify {
-			if d := s.ks.gedWithin(db.graphs[id], q, &s.qLabels, vtau); d >= 0 {
+			if d := s.ks.gedWithin(db.graphs[id], q, &s.qLabels, tau); d >= 0 {
 				results = append(results, id)
 				if wantDist {
 					dists = append(dists, d)

@@ -51,7 +51,7 @@
 // the first n ascending ids; "k" switches /v1/search and
 // /v1/search/batch into top-k mode — the k nearest objects as
 // [{id, distance}] pairs ordered by (distance, id) ascending, answered
-// by the engine's adaptive τ-ladder (TopKResponse). "k" is mutually
+// by the engine's top-k search (TopKResponse). "k" is mutually
 // exclusive with "limit", "skipVerify" and "timings"; conflicts are
 // answered 400 with a machine-readable {"code":"invalid_argument"}
 // payload. /v1/join self-joins the loaded dataset —

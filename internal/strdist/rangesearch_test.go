@@ -9,8 +9,8 @@ import (
 )
 
 // TestSearchRangeAppendParity pins the three entry points to one
-// another and to the linear scan: Search answers exactly SearchLinear
-// (at VerifyTau when set), SearchDist the same ids with their exact
+// another and to the linear scan: Search answers exactly SearchLinear,
+// SearchDist the same ids with their exact
 // edit distances, SearchRangeAppend over [0, n) the same ids and Stats,
 // and any partition of [0, n) into windows the same ids in order with
 // every Stats counter summing to the full-range figure — the contract
@@ -42,18 +42,13 @@ func TestSearchRangeAppendParity(t *testing.T) {
 		}
 	}
 	opts := map[string]Options{
-		"pivotal":     PivotalOptions(),
-		"ring l=1":    RingOptions(1),
-		"ring l=2":    RingOptions(2),
-		"ring l=3":    RingOptions(3),
-		"ring skip":   {Ring: true, ChainLength: 3, SkipVerify: true},
-		"ring vtau=1": {Ring: true, ChainLength: 3, VerifyTau: 1},
+		"pivotal":   PivotalOptions(),
+		"ring l=1":  RingOptions(1),
+		"ring l=2":  RingOptions(2),
+		"ring l=3":  RingOptions(3),
+		"ring skip": {Ring: true, ChainLength: 3, SkipVerify: true},
 	}
 	for name, opt := range opts {
-		vtau := tau
-		if opt.VerifyTau > 0 {
-			vtau = opt.VerifyTau
-		}
 		for qi, q := range queries {
 			ids, st, err := db.Search(q, opt)
 			if err != nil {
@@ -61,7 +56,7 @@ func TestSearchRangeAppendParity(t *testing.T) {
 			}
 			var linear []int
 			for id, x := range strs {
-				if !opt.SkipVerify && EditDistanceWithin(x, q, vtau) >= 0 {
+				if !opt.SkipVerify && EditDistanceWithin(x, q, tau) >= 0 {
 					linear = append(linear, id)
 				}
 			}

@@ -20,13 +20,6 @@ type Options struct {
 	// verification runs and no results are returned (the "Cand." series
 	// of the paper's time plots).
 	SkipVerify bool
-	// VerifyTau, when in [1, τ), tightens verification only: the result
-	// set becomes exactly the strings with ed(x, q) ≤ VerifyTau while
-	// the filters keep answering the index's built τ (their candidate
-	// supersets stay valid for any smaller threshold). The engine's
-	// top-k ladder uses this to run cheap low-threshold rungs against a
-	// fixed-τ index. 0 (or any value ≥ τ) verifies at τ as usual.
-	VerifyTau int
 }
 
 // PivotalOptions returns the configuration of the Pivotal baseline.
@@ -207,8 +200,7 @@ func (db *DB) Tau() int { return db.tau }
 // String returns the indexed string with the given id.
 func (db *DB) String(id int) string { return db.strs[id] }
 
-// Search returns the ids of all strings with ed(x, q) ≤ τ, ascending
-// (≤ Options.VerifyTau when that is set and tighter).
+// Search returns the ids of all strings with ed(x, q) ≤ τ, ascending.
 func (db *DB) Search(q string, opt Options) ([]int, Stats, error) {
 	var st Stats
 	s := db.getScratch()
@@ -261,14 +253,6 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 	windowed := lo > 0 || hi < len(db.strs)
 	wlo, whi := int32(lo), int32(hi)
 	tau, kappa := db.tau, db.kappa
-	// vtau is the verification threshold: the filters stay at the built
-	// τ (candidate generation is a superset for any smaller bound), but
-	// verification — and the pre-verify length/content bounds — answer
-	// the tighter threshold when one is requested.
-	vtau := tau
-	if opt.VerifyTau > 0 && opt.VerifyTau < tau {
-		vtau = opt.VerifyTau
-	}
 	m := tau + 1
 	l := min(max(opt.ChainLength, 1), m)
 
@@ -277,10 +261,10 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 		if opt.SkipVerify {
 			return
 		}
-		if contentLowerBound(db.strMasks[id], qStrMask) > vtau {
+		if contentLowerBound(db.strMasks[id], qStrMask) > tau {
 			return
 		}
-		if d := EditDistanceWithin(db.strs[id], q, vtau); d >= 0 {
+		if d := EditDistanceWithin(db.strs[id], q, tau); d >= 0 {
 			s.results = append(s.results, int(id))
 			if wantDist {
 				s.dists = append(s.dists, d)
@@ -296,7 +280,7 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 		short = short[a:b]
 	}
 	for _, id := range short {
-		if diff(len(db.strs[id]), len(q)) <= vtau {
+		if diff(len(db.strs[id]), len(q)) <= tau {
 			st.Fallback++
 			verify(id)
 		}
@@ -313,7 +297,7 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 			if db.pivotal[id] == nil {
 				continue // already handled via short
 			}
-			if diff(len(db.strs[id]), len(q)) <= vtau {
+			if diff(len(db.strs[id]), len(q)) <= tau {
 				st.Fallback++
 				verify(int32(id))
 			}
@@ -352,7 +336,7 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 		processed[id] = 1
 		s.marked = append(s.marked, id)
 		x := db.strs[id]
-		if diff(len(x), len(q)) > vtau {
+		if diff(len(x), len(q)) > tau {
 			return
 		}
 		st.Cand1++
