@@ -78,7 +78,7 @@ func validateTopK(opt Options) error {
 		return fmt.Errorf("engine: TopK requires verification (distances come from the verifier), SkipVerify is not supported")
 	}
 	if opt.Timings {
-		return fmt.Errorf("engine: Timings is not supported with TopK (the ladder already interleaves multiple filter passes)")
+		return fmt.Errorf("engine: Timings is not supported with TopK (the filter/verify split needs a second, SkipVerify pass, and top-k distances come from the verifier)")
 	}
 	return nil
 }

@@ -20,6 +20,14 @@
 // length up to κ+τ inside the position window — admissible because the
 // truly aligned segment is among them and ed(g, s) ≥ H(mask(g),
 // mask(s))/2. Exactness tests against brute force cover this.
+//
+// The index (DB) is flat: the pivotal and prefix inverted lists are CSR
+// arrays keyed by gram id whose postings carry the case split, position
+// and length a probe tests, and each indexed string's τ+1 pivotal boxes
+// (char mask and position) are one record in an arena that its pivotal
+// postings address. Strings the scheme cannot index — too short for
+// τ+1 pivotal grams, longer than 65 535 bytes, or holding a gram the
+// dictionary lacks — are verified directly with the length filter.
 package strdist
 
 import "math/bits"

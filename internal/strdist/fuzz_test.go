@@ -1,6 +1,9 @@
 package strdist
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzEditDistanceWithin cross-checks the banded verifier against the
 // full-matrix reference on arbitrary byte strings and thresholds.
@@ -39,6 +42,67 @@ func FuzzContentBoundAdmissible(f *testing.F) {
 		lb := contentLowerBound(charMask(a), charMask(b))
 		if d := refEditDistance(a, b); lb > d {
 			t.Fatalf("content bound %d exceeds ed(%q,%q)=%d", lb, a, b, d)
+		}
+	})
+}
+
+// FuzzSearchRange cross-checks the windowed search against the linear
+// scan: a corpus of up to 24 short strings over a 4-letter alphabet is
+// decoded from the input (a 0xff byte ends a string), indexed at τ 0–3
+// with a dictionary built on a prefix of the corpus — so indexed
+// strings may hold grams the dictionary lacks — and searched by one of
+// its strings or by the undecoded tail, Pivotal or Ring(l), over a
+// window that may be empty or inverted.
+func FuzzSearchRange(f *testing.F) {
+	f.Add([]byte("abcab\xffabcdabca\xffbbcadd\xffabcab\xffdcba"), uint8(2), uint8(2), uint8(1), uint8(0), uint8(5), uint8(3), uint8(9))
+	f.Add([]byte("aaaaaaaa\xffaaaabaaa\xffaaab"), uint8(1), uint8(1), uint8(0), uint8(1), uint8(3), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, tau, kappa, dictFrom, lo, hi, mode, qi uint8) {
+		var strs []string
+		var cur []byte
+		for _, c := range data {
+			if c == 0xff {
+				strs = append(strs, string(cur))
+				cur = nil
+				continue
+			}
+			if len(cur) < 40 {
+				cur = append(cur, 'a'+c%4)
+			}
+		}
+		if len(strs) == 0 || len(strs) > 24 {
+			t.Skip()
+		}
+		n := len(strs)
+		dict, err := BuildGramDict(strs[int(dictFrom)%n:], 1+int(kappa)%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := NewDB(strs, dict, int(tau)%4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := string(cur)
+		if int(qi) < 2*n {
+			q = strs[int(qi)%n]
+		}
+		opt := PivotalOptions()
+		if l := int(mode) % 5; l > 0 {
+			opt = RingOptions(l)
+		}
+		wlo, whi := int(lo)%(n+2)-1, int(hi)%(n+2)-1
+		var want []int64
+		for _, id := range db.SearchLinear(q) {
+			if id >= wlo && id < whi {
+				want = append(want, int64(id))
+			}
+		}
+		var st Stats
+		got, err := db.SearchRangeAppend(q, opt, wlo, whi, nil, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || st.Results != len(want) {
+			t.Fatalf("τ=%d opt=%+v window [%d,%d) q=%q: %v (Results %d), want %v", db.Tau(), opt, wlo, whi, q, got, st.Results, want)
 		}
 	})
 }

@@ -116,3 +116,66 @@ func int64s(ids []int) []int64 {
 	}
 	return out
 }
+
+// TestLongStringsExact: strings longer than a posting's 16-bit length
+// and position fields bypass the signature scheme, and one exactly at
+// the limit is indexed; near-copies of either, and a plain query, are
+// answered by Search and SearchRangeAppend exactly like SearchLinear.
+func TestLongStringsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	long := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(20))
+		}
+		return string(b)
+	}
+	over, limit := long(70_000), long(65_535)
+	strs := append(dataset.IMDB(40, 3), over, limit)
+	strs = append(strs, dataset.IMDB(40, 4)...)
+	dict, err := BuildGramDict(strs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tau = 2
+	db, err := NewDB(strs, dict, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isShort(db, 40) || isShort(db, 41) {
+		t.Fatalf("short(70000 bytes) = %v, short(65535 bytes) = %v; want true, false", isShort(db, 40), isShort(db, 41))
+	}
+	edit := func(s string, at int) string { return s[:at] + "Z" + s[at+2:] } // one substitution, one deletion
+	queries := []string{edit(over, 50_000), edit(over, 3), edit(limit, 65_000), edit(limit, 100), strs[7], "Z" + limit}
+	n := len(strs)
+	for qi, q := range queries {
+		want := db.SearchLinear(q)
+		if qi < 4 && len(want) == 0 {
+			t.Fatalf("q%d: the near-copy is not within τ of its source", qi)
+		}
+		for _, opt := range []Options{PivotalOptions(), RingOptions(3)} {
+			ids, st, err := db.Search(q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ids, want) || st.Results != len(want) {
+				t.Fatalf("q%d opt=%+v: Search %v (Results %d), want %v", qi, opt, ids, st.Results, want)
+			}
+			for _, w := range [][2]int{{0, n}, {0, 41}, {40, 42}, {41, n}} {
+				got, err := db.SearchRangeAppend(q, opt, w[0], w[1], nil, new(Stats))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var in []int64
+				for _, id := range want {
+					if id >= w[0] && id < w[1] {
+						in = append(in, int64(id))
+					}
+				}
+				if !slices.Equal(got, in) {
+					t.Fatalf("q%d opt=%+v window %v: SearchRangeAppend %v, want %v", qi, opt, w, got, in)
+				}
+			}
+		}
+	}
+}

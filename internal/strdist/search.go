@@ -2,6 +2,7 @@ package strdist
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -50,16 +51,29 @@ type Stats struct {
 
 // DB is an edit-distance search index built for a fixed threshold τ and
 // gram length κ, holding the Pivotal indexes the Ring filter also uses.
+//
+// The layout is flat so that a probe and a box check each touch one
+// contiguous record. Both inverted indexes are CSR arrays keyed by gram
+// id, and every posting carries what the probe loop tests — the string's
+// last prefix gram (the §6.3 case split), its position and the string's
+// length (the length filter) — so a posting that fails them never reads
+// per-string data. The τ+1 pivotal boxes of every indexed string form
+// one record in an arena, addressed by the slot its pivotal postings
+// carry.
 type DB struct {
 	kappa, tau int
 	strs       []string
 	dict       *GramDict
 
-	// Per indexed string: orientation anchor, pivotal grams (position
-	// order) and their char masks.
-	lastPrefix []int32
-	pivotal    [][]Gram
-	pivMasks   [][]uint64
+	// boxes holds one record of recLen words per indexed string, the
+	// string in slot s owning boxes[s·recLen : (s+1)·recLen]: the char
+	// masks of its τ+1 pivotal grams in position order, then their
+	// positions packed four 16-bit fields to a word (boxPos) — 32 bytes
+	// at τ = 2. Only indexed strings have a slot, and each holds at
+	// least κ(τ+1) bytes, so the arena is bounded by the corpus size
+	// whatever τ claims.
+	boxes  []uint64
+	recLen int
 	// winLen = κ+τ is the box-probe window stride: the length cap of
 	// the substrings a §6.3 box minimizes over, and the stride of the
 	// query's precomputed position-mask table (appendPosMasks). An
@@ -76,12 +90,19 @@ type DB struct {
 	// most candidates that would fail verification anyway.
 	strMasks []uint64
 
-	// pivIdx maps gram id -> occurrences as a pivotal gram.
-	pivIdx map[int32][]pivPosting
-	// preIdx maps gram id -> occurrences in a string's prefix.
-	preIdx map[int32][]prePosting
-	// short holds ids of strings too short to carry τ+1 pivotal grams;
-	// they bypass filtering.
+	// piv lists, per gram id g, the occurrences of g as a pivotal gram:
+	// piv[pivOff[g]:pivOff[g+1]], ascending by string id.
+	pivOff []int
+	piv    []pivPosting
+	// pre lists, per gram id g, the occurrences of g in a string's
+	// prefix: pre[preOff[g]:preOff[g+1]], ascending by string id.
+	preOff []int
+	pre    []posting
+	// short holds, ascending, the ids of strings the signature scheme
+	// does not index — too short to carry τ+1 pivotal grams, longer
+	// than a posting's 16-bit length and position fields, or holding a
+	// gram the dictionary lacks (whose order against a query's grams is
+	// undefined); they bypass filtering.
 	short []int32
 	// scratch pools per-search working memory (strScratch) so the hot
 	// path stays allocation-free across calls.
@@ -130,15 +151,28 @@ func (db *DB) putScratch(s *strScratch) {
 	db.scratch.Put(s)
 }
 
-type pivPosting struct {
-	id  int32
-	box int16
-	pos int32
+// posting is one occurrence of a gram in an indexed string, carrying
+// everything the probe loop tests before it decides the string: the
+// id, the string's last prefix gram id, the gram's position and the
+// string's length (12 bytes).
+type posting struct {
+	id, last int32
+	pos, len uint16
 }
 
-type prePosting struct {
-	id  int32
-	pos int32
+// pivPosting is a pivotal-gram posting: a case-A hit, which also needs
+// the string's box slot.
+type pivPosting struct {
+	posting
+	slot int32
+}
+
+func (p posting) key() int32 { return p.id }
+
+// boxPos returns the position of pivotal gram j from a box record
+// holding m masks.
+func boxPos(rec []uint64, m, j int) int {
+	return int(uint16(rec[m+j/4] >> (16 * (j % 4))))
 }
 
 // NewDB indexes strs for threshold tau with κ-grams ordered by dict.
@@ -155,40 +189,89 @@ func NewDB(strs []string, dict *GramDict, tau int) (*DB, error) {
 	kappa := dict.Kappa()
 	db := &DB{
 		kappa: kappa, tau: tau, strs: strs, dict: dict,
-		lastPrefix: make([]int32, len(strs)),
-		pivotal:    make([][]Gram, len(strs)),
-		pivMasks:   make([][]uint64, len(strs)),
-		pivIdx:     make(map[int32][]pivPosting),
-		preIdx:     make(map[int32][]prePosting),
-		winLen:     kappa + tau,
-		strMasks:   make([]uint64, len(strs)),
+		winLen:   kappa + tau,
+		strMasks: make([]uint64, len(strs)),
 	}
+	m := tau + 1
+	db.recLen = m + (m+3)/4
 	fullPrefix := kappa*tau + 1
+	// Postings are collected in id order with their gram ids as keys,
+	// then bucketed by a stable counting sort, so every list stays
+	// ascending by id.
+	var (
+		piv              []pivPosting
+		pre              []posting
+		pivKeys, preKeys []int32
+		grams, byPos     []Gram
+		pivotal          []Gram
+	)
 	for id, s := range strs {
 		db.strMasks[id] = charMask(s)
-		grams := dict.Extract(s)
-		prefix := Prefix(grams, kappa, tau)
-		pivotal := SelectPivotal(prefix, kappa, tau)
-		if len(prefix) < fullPrefix || len(pivotal) < tau+1 {
+		if len(s) > math.MaxUint16 {
 			db.short = append(db.short, int32(id))
 			continue
 		}
-		db.lastPrefix[id] = prefix[len(prefix)-1].ID
-		db.pivotal[id] = pivotal
-		masks := make([]uint64, len(pivotal))
-		for b, g := range pivotal {
-			masks[b] = charMask(s[g.Pos : g.Pos+int32(kappa)])
-			db.pivIdx[g.ID] = append(db.pivIdx[g.ID], pivPosting{int32(id), int16(b), g.Pos})
+		grams = dict.ExtractAppend(grams, s)
+		prefix := Prefix(grams, kappa, tau)
+		pivotal, byPos = SelectPivotalAppend(byPos, pivotal, prefix, kappa, tau)
+		if len(prefix) < fullPrefix || len(pivotal) < m || prefix[0].ID < 0 {
+			db.short = append(db.short, int32(id))
+			continue
 		}
-		db.pivMasks[id] = masks
+		p := posting{id: int32(id), last: prefix[len(prefix)-1].ID, len: uint16(len(s))}
+		slot := int32(len(db.boxes) / db.recLen)
+		db.boxes = append(db.boxes, make([]uint64, db.recLen)...)
+		rec := db.boxes[len(db.boxes)-db.recLen:]
+		for j, g := range pivotal {
+			rec[j] = charMask(s[g.Pos : g.Pos+int32(kappa)])
+			rec[m+j/4] |= uint64(g.Pos) << (16 * (j % 4))
+			p.pos = uint16(g.Pos)
+			piv = append(piv, pivPosting{p, slot})
+			pivKeys = append(pivKeys, g.ID)
+		}
 		for _, g := range prefix {
-			db.preIdx[g.ID] = append(db.preIdx[g.ID], prePosting{int32(id), g.Pos})
+			p.pos = uint16(g.Pos)
+			pre = append(pre, p)
+			preKeys = append(preKeys, g.ID)
 		}
 	}
+	db.boxes = slices.Clone(db.boxes) // drop append's spare capacity
+	db.pivOff, db.piv = bucket(dict.Size(), pivKeys, piv)
+	db.preOff, db.pre = bucket(dict.Size(), preKeys, pre)
 	db.scratch.New = func() any {
 		return &strScratch{processed: make([]uint8, len(db.strs))}
 	}
 	return db, nil
+}
+
+// bucket groups post by key into CSR form: the entries with key g are
+// out[off[g]:off[g+1]], in their order in post. Keys are gram ids in
+// [0, size) — indexed strings hold no gram outside the dictionary.
+func bucket[P any](size int, keys []int32, post []P) (off []int, out []P) {
+	off = make([]int, size+1)
+	for _, k := range keys {
+		off[k+1]++
+	}
+	for g := range size {
+		off[g+1] += off[g]
+	}
+	next := slices.Clone(off[:size])
+	out = make([]P, len(post))
+	for i, k := range keys {
+		out[next[k]] = post[i]
+		next[k]++
+	}
+	return off, out
+}
+
+// list returns the CSR list of gram id g: empty for an id outside the
+// dictionary, which is how a query's unknown grams (negative ids)
+// probe.
+func list[P any](off []int, post []P, g int32) []P {
+	if g < 0 || int(g) >= len(off)-1 {
+		return nil
+	}
+	return post[off[g]:off[g+1]]
 }
 
 // Len returns the number of indexed strings.
@@ -292,10 +375,12 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 	qPivotal := s.qPiv
 	if len(qPrefix) < kappa*tau+1 || len(qPivotal) < tau+1 {
 		// Degenerate query: too short to carry the signature scheme.
-		// Scan the id range with the length filter.
+		// Scan the id range with the length filter, stepping over the
+		// short ids already handled.
 		for id := lo; id < hi; id++ {
-			if db.pivotal[id] == nil {
-				continue // already handled via short
+			if len(short) > 0 && int(short[0]) == id {
+				short = short[1:]
+				continue
 			}
 			if diff(len(db.strs[id]), len(q)) <= tau {
 				st.Fallback++
@@ -329,28 +414,18 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 		s.boxVal = make([]int, m)
 	}
 	boxVal := s.boxVal[:m]
-	decide := func(id int32) {
+	// decide runs the second filter on a string that passed the prefix,
+	// position and length filters. The probe loop that found it fixes
+	// the §6.3 orientation: rec is x's box record from the arena,
+	// probed against q (case A), or nil for q's pivotal grams against x
+	// (case B).
+	decide := func(id int32, rec []uint64) {
 		if processed[id] == 1 {
 			return
 		}
 		processed[id] = 1
 		s.marked = append(s.marked, id)
-		x := db.strs[id]
-		if diff(len(x), len(q)) > tau {
-			return
-		}
 		st.Cand1++
-		// Pick the box side by the §6.3 orientation rule.
-		var pivotal []Gram
-		var masks []uint64
-		var text, gramSrc string
-		var caseA bool
-		if db.lastPrefix[id] <= qLast {
-			pivotal, masks, text, gramSrc = db.pivotal[id], db.pivMasks[id], q, x
-			caseA = true
-		} else {
-			pivotal, masks, text, gramSrc = qPivotal, qPivMasks, x, q
-		}
 		if opt.Ring {
 			// Boxes are evaluated eagerly: a rejected candidate's chain
 			// walk visits every box anyway (each start is either probed
@@ -359,14 +434,17 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 			// closure call per box. Case-A boxes probe the query's
 			// precomputed position masks; case-B boxes fold the
 			// candidate's bytes directly (see minGramBoxLBText).
-			for j := 0; j < m; j++ {
-				st.BoxChecks++
-				if caseA {
-					boxVal[j] = minGramBoxLBMasks(masks[j], kappa, int(pivotal[j].Pos), qPosMasks, len(q), db.winLen, tau)
-				} else {
-					boxVal[j] = minGramBoxLBText(masks[j], kappa, int(pivotal[j].Pos), text, db.winLen, tau)
+			if rec != nil {
+				for j, mask := range rec[:m] {
+					boxVal[j] = minGramBoxLBMasks(mask, kappa, boxPos(rec, m, j), qPosMasks, len(q), db.winLen, tau)
+				}
+			} else {
+				x := db.strs[id]
+				for j, g := range qPivotal {
+					boxVal[j] = minGramBoxLBText(qPivMasks[j], kappa, int(g.Pos), x, db.winLen, tau)
 				}
 			}
+			st.BoxChecks += m
 			viable := false
 			for i := 0; i < m && !viable; {
 				viable = true
@@ -392,11 +470,17 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 		} else {
 			// Alignment filter: Σ exact per-gram minimum edit distances
 			// must stay within τ (the basic form at l = m).
+			x := db.strs[id]
 			sum := 0
 			for j := 0; j < m; j++ {
 				st.BoxChecks++
-				g := pivotal[j]
-				sum += minGramEditExact(gramSrc[g.Pos:g.Pos+int32(kappa)], int(g.Pos), text, tau)
+				if rec != nil {
+					p := boxPos(rec, m, j)
+					sum += minGramEditExact(x[p:p+kappa], p, q, tau)
+				} else {
+					p := qPivotal[j].Pos
+					sum += minGramEditExact(q[p:p+int32(kappa)], int(p), x, tau)
+				}
 				if sum > tau {
 					return
 				}
@@ -409,56 +493,43 @@ func (db *DB) filter(s *strScratch, q string, opt Options, lo, hi int, wantDist 
 	// Case A: x's prefix ends first; probe the pivotal index with every
 	// query prefix gram.
 	for _, qg := range qPrefix {
-		postings := db.pivIdx[qg.ID]
+		postings := list(db.pivOff, db.piv, qg.ID)
 		if windowed {
-			postings = windowPiv(postings, wlo, whi)
+			postings = window(postings, wlo, whi)
 		}
 		st.Probes += len(postings)
 		for _, pe := range postings {
-			if db.lastPrefix[pe.id] > qLast {
+			if pe.last > qLast || diff(int(pe.pos), int(qg.Pos)) > tau || diff(int(pe.len), len(q)) > tau {
 				continue
 			}
-			if diff(int(pe.pos), int(qg.Pos)) > tau {
-				continue
-			}
-			decide(pe.id)
+			decide(pe.id, db.boxes[int(pe.slot)*db.recLen:int(pe.slot+1)*db.recLen])
 		}
 	}
 	// Case B: q's prefix ends first; probe the prefix index with the
 	// query's pivotal grams.
 	for _, qg := range qPivotal {
-		postings := db.preIdx[qg.ID]
+		postings := list(db.preOff, db.pre, qg.ID)
 		if windowed {
-			postings = windowPre(postings, wlo, whi)
+			postings = window(postings, wlo, whi)
 		}
 		st.Probes += len(postings)
 		for _, pe := range postings {
-			if db.lastPrefix[pe.id] <= qLast {
+			if pe.last <= qLast || diff(int(pe.pos), int(qg.Pos)) > tau || diff(int(pe.len), len(q)) > tau {
 				continue
 			}
-			if diff(int(pe.pos), int(qg.Pos)) > tau {
-				continue
-			}
-			decide(pe.id)
+			decide(pe.id, nil)
 		}
 	}
 	st.Results += len(s.results)
 }
 
-// windowPiv returns the subrange of the ascending-id pivotal posting
-// list whose ids fall in [lo, hi).
-func windowPiv(post []pivPosting, lo, hi int32) []pivPosting {
-	a, _ := slices.BinarySearchFunc(post, lo, func(p pivPosting, id int32) int { return int(p.id) - int(id) })
-	b, _ := slices.BinarySearchFunc(post, hi, func(p pivPosting, id int32) int { return int(p.id) - int(id) })
-	return post[a:b]
-}
-
-// windowPre returns the subrange of the ascending-id prefix posting
-// list whose ids fall in [lo, hi).
-func windowPre(post []prePosting, lo, hi int32) []prePosting {
-	a, _ := slices.BinarySearchFunc(post, lo, func(p prePosting, id int32) int { return int(p.id) - int(id) })
-	b, _ := slices.BinarySearchFunc(post, hi, func(p prePosting, id int32) int { return int(p.id) - int(id) })
-	return post[a:b]
+// window returns the subrange of an ascending-id posting list whose ids
+// fall in [lo, hi).
+func window[P interface{ key() int32 }](post []P, lo, hi int32) []P {
+	cmp := func(p P, id int32) int { return int(p.key()) - int(id) }
+	a, _ := slices.BinarySearchFunc(post, lo, cmp)
+	b, _ := slices.BinarySearchFunc(post[a:], hi, cmp)
+	return post[a : a+b]
 }
 
 // SearchLinear scans the whole database with the banded verifier; it is
