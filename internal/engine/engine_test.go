@@ -367,7 +367,7 @@ func parityBackends(t *testing.T) []parityBackend {
 		return o
 	}
 	gstats := func(st graph.Stats) Stats {
-		return Stats{Candidates: st.Candidates, Results: st.Results, BoxChecks: st.BoxChecks}
+		return Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}
 	}
 	out = append(out, parityBackend{
 		name: "graph", ix: gix, n: len(graphs), m: graphTau + 1, def: max(1, graphTau-1), queries: gq,

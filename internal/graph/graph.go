@@ -34,11 +34,24 @@
 // labels) the bound is almost always 0, so Ring's candidates there come
 // close to Pars's. Stats.BoxChecks counts every box evaluation.
 //
-// One substitution versus Pars: parts are
-// vertex-induced subgraphs (no half-edges), under which every edit
-// operation still touches at most one part, so the pigeonhole and
-// pigeonring filters remain complete; and the partition filter is
-// evaluated per graph instead of through Pars's partition trie, which
+// Heads come from an inverted index, not a scan of every part. NewDB
+// puts each part on exactly one list, keyed by its rarest non-Wildcard
+// vertex label (the one the fewest parts carry); parts with no such
+// label (all Wildcards, or the empty parts of a graph with fewer than
+// τ+1 vertices) go on one list that every search probes. A head's
+// bound is 0 only if each of its labels occurs in q, so the lists of
+// q's labels plus that list hold every part that can head a chain, and
+// the candidates stay exact. A search marks those parts in a bitset
+// over its id window (a binary search cuts each ascending list to the
+// window), then walks the marks in ascending order, so results come
+// out sorted and a graph stops being tried once it is a candidate.
+// Stats.Probes counts the postings read.
+//
+// Two substitutions versus Pars: parts are vertex-induced subgraphs
+// (no half-edges), under which every edit operation still touches at
+// most one part, so the pigeonhole and pigeonring filters remain
+// complete; and parts are found through the rarest-label lists above
+// instead of Pars's partition trie, then tested one by one, which
 // changes shared work but not the candidate set.
 package graph
 

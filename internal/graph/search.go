@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -34,9 +36,12 @@ type Stats struct {
 	Candidates int
 	// Results is the number of graphs with ged(x, q) ≤ τ.
 	Results int
+	// Probes counts the head-index postings read: one per part the
+	// lists of q's labels and the always-probed list hold in range.
+	Probes int
 	// BoxChecks counts box evaluations: one label-screen bound each,
 	// plus a sub-isomorphism test for a budget-0 box the bound
-	// leaves at 0.
+	// leaves at 0. Only parts the head index marks are tried as heads.
 	BoxChecks int
 }
 
@@ -91,8 +96,9 @@ type DB struct {
 	graphs []*Graph
 	parts  [][]*Graph
 	sigs   partSigs
-	// scratch pools per-search kernel state and result buffers so the
-	// scan loop stays allocation-free across calls.
+	heads  headIndex
+	// scratch pools per-search kernel state and result buffers so a
+	// search stays allocation-free across calls.
 	scratch sync.Pool
 }
 
@@ -110,6 +116,9 @@ type searchScratch struct {
 	qe    []int32 // query edge-label counts, indexed by dictionary id
 	// qLabels is the query's label multisets, GED's global bound.
 	qLabels LabelVector
+	// marks holds one bit per part of the searched id window, set for
+	// the parts the head index lists under q's labels.
+	marks []uint64
 }
 
 func (db *DB) putScratch(s *searchScratch) {
@@ -124,7 +133,8 @@ func (db *DB) putScratch(s *searchScratch) {
 const MaxTau = 1024
 
 // NewDB partitions every graph with BFSPartitioner. τ must lie in
-// [0, MaxTau] and no graph may have more than MaxVertices vertices.
+// [0, MaxTau], no graph may have more than MaxVertices vertices, and
+// the len(graphs)·(τ+1) parts must fit the head index's int32 part ids.
 func NewDB(graphs []*Graph, tau int) (*DB, error) {
 	return newDBWithPartitioner(graphs, tau, BFSPartitioner)
 }
@@ -137,6 +147,9 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 		return nil, fmt.Errorf("graph: threshold %d outside [0, %d]", tau, MaxTau)
 	}
 	m := tau + 1
+	if int64(len(graphs))*int64(m) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d graphs × %d parts exceed %d parts", len(graphs), m, math.MaxInt32)
+	}
 	db := &DB{
 		tau:    tau,
 		graphs: graphs,
@@ -162,6 +175,7 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 		db.parts[id] = ps
 	}
 	db.sigs = buildPartSigs(db.parts)
+	db.heads = buildHeadIndex(&db.sigs, len(graphs)*m)
 	db.scratch.New = func() any {
 		return &searchScratch{ks: new(kernelScratch)}
 	}
@@ -223,8 +237,8 @@ func (db *DB) SearchDist(q *Graph, opt Options) ([]int, []int, Stats, error) {
 // SearchRangeAppend runs the τ search restricted to ids in [lo, hi),
 // appending the qualifying ids in ascending order to dst and
 // accumulating statistics into st. It is the join engine's per-tile
-// probe: the scan loop simply iterates the id range, so the
-// restriction is free.
+// probe: the head index's lists are ascending, so each is cut to the
+// window by one binary search.
 func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
 	if lo < 0 {
 		lo = 0
@@ -236,8 +250,9 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 		return dst, nil
 	}
 	s, rst := db.search(q, opt, lo, hi, false)
-	// The ascending scan produces ascending results; widen before the
-	// scratch (and its result buffer) goes back to the pool.
+	// Heads are walked in ascending order, so results come out
+	// ascending; widen before the scratch (and its result buffer) goes
+	// back to the pool.
 	dst = slices.Grow(dst, len(s.results))
 	for _, id := range s.results {
 		dst = append(dst, int64(id))
@@ -246,12 +261,16 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 	db.putScratch(s)
 	st.Candidates += rst.Candidates
 	st.Results += rst.Results
+	st.Probes += rst.Probes
 	st.BoxChecks += rst.BoxChecks
 	return dst, nil
 }
 
-// search scans ids in [lo, hi) (the full corpus for the public Search
-// wrappers, one tile's range on the join path).
+// search answers ids in [lo, hi) (the full corpus for the public
+// Search wrappers, one tile's range on the join path). It marks the
+// parts the head index lists under q's labels, then walks them in
+// ascending order: a marked part whose box is 0 heads a chain, and the
+// first chain that passes makes its graph a candidate.
 func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchScratch, Stats) {
 	var st Stats
 	tau := db.tau
@@ -272,44 +291,28 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	if !opt.SkipVerify {
 		labelsInto(q, &s.qLabels)
 	}
+	plo := lo * m
+	s.marks = growUint64sClear(s.marks, ((hi-lo)*m+63)/64)
+	st.Probes = db.heads.mark(s.qv, plo, hi*m, s.marks)
 	results := s.results
 	dists := s.dists
-	for id := lo; id < hi; id++ {
-		candidate := false
-		for i := 0; i < m && !candidate; i++ {
-			// 1-prefix: the starting part must embed (box value 0).
-			if db.box(s, id, i, 0, q, &st) != 0 {
+	last := -1 // the latest candidate; its other heads are skipped
+	for w, word := range s.marks {
+		for word != 0 {
+			p := plo + w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			id, i := p/m, p%m
+			if id == last || !db.chain(s, id, i, l, q, &st) {
 				continue
 			}
-			candidate = true
-			sum := 0
-			for lp := 2; lp <= l; lp++ {
-				j := (i + lp - 1) % m
-				// quota(lp) = lp·τ/m; the box may use what is left.
-				budget := (lp*tau)/m - sum
-				if budget < 0 {
-					budget = 0
-				}
-				v := db.box(s, id, j, budget, q, &st)
-				sum += v
-				// quota(lp) = lp·τ/m: boxes and thresholds are integers,
-				// so sum·m ≤ lp·τ compares exactly without the float
-				// round-trip the generic quota form paid per box.
-				if sum*m > lp*tau {
-					candidate = false
-					break
-				}
-			}
-		}
-		if !candidate {
-			continue
-		}
-		st.Candidates++
-		if !opt.SkipVerify {
-			if d := s.ks.gedWithin(db.graphs[id], q, &s.qLabels, tau); d >= 0 {
-				results = append(results, id)
-				if wantDist {
-					dists = append(dists, d)
+			last = id
+			st.Candidates++
+			if !opt.SkipVerify {
+				if d := s.ks.gedWithin(db.graphs[id], q, &s.qLabels, tau); d >= 0 {
+					results = append(results, id)
+					if wantDist {
+						dists = append(dists, d)
+					}
 				}
 			}
 		}
@@ -317,6 +320,32 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	s.results = results
 	s.dists = dists
 	return s, st
+}
+
+// chain reports whether the chain of l boxes that graph id heads at
+// part i passes: the head must embed (a 1-prefix's quota τ/m is below
+// 1), and each later box takes the label bound against the budget the
+// chain has left.
+func (db *DB) chain(s *searchScratch, id, i, l int, q *Graph, st *Stats) bool {
+	if db.box(s, id, i, 0, q, st) != 0 {
+		return false
+	}
+	tau := db.tau
+	m := tau + 1
+	sum := 0
+	for lp := 2; lp <= l; lp++ {
+		j := (i + lp - 1) % m
+		// quota(lp) = lp·τ/m; the box may use what is left.
+		budget := max((lp*tau)/m-sum, 0)
+		sum += db.box(s, id, j, budget, q, st)
+		// quota(lp) = lp·τ/m: boxes and thresholds are integers,
+		// so sum·m ≤ lp·τ compares exactly without the float
+		// round-trip the generic quota form paid per box.
+		if sum*m > lp*tau {
+			return false
+		}
+	}
+	return true
 }
 
 // SearchLinear verifies every graph directly; it is the ground truth
