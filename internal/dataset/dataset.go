@@ -81,7 +81,7 @@ func zipfSets(n, avgLen, universe int, seed int64) []tokenset.Set {
 	// Near-duplicates: replace a small fraction of tokens of an
 	// earlier set, so high Jaccard thresholds have non-trivial result
 	// sets.
-	for i := n / 2; i < n; i += 4 {
+	for i := max(n/2, 1); i < n; i += 4 { // n = 1 has no earlier half to copy from
 		src := raw[rng.Intn(n/2)]
 		dup := append([]int32(nil), src...)
 		repl := len(dup)/20 + 1
@@ -150,7 +150,7 @@ func IMDB(n int, seed int64) []string {
 		last := pseudoWord(rng, 2+rng.Intn(2))
 		out[i] = first + " " + last
 	}
-	for i := n / 2; i < n; i += 3 {
+	for i := max(n/2, 1); i < n; i += 3 { // n = 1 has no earlier half to copy from
 		s := out[rng.Intn(n/2)]
 		for e := 0; e <= rng.Intn(3); e++ {
 			s = typo(rng, s)
@@ -180,7 +180,7 @@ func PubMed(n int, seed int64) []string {
 		}
 		out[i] = strings.Join(parts, " ")
 	}
-	for i := n / 2; i < n; i += 3 {
+	for i := max(n/2, 1); i < n; i += 3 { // n = 1 has no earlier half to copy from
 		s := out[rng.Intn(n/2)]
 		for e := 0; e <= rng.Intn(6); e++ {
 			s = typo(rng, s)
@@ -247,7 +247,7 @@ func AIDS(n int, seed int64) []*graph.Graph {
 	for i := range out {
 		out[i] = moleculeLike(rng, 10, 18, 62, 3, 0.15)
 	}
-	for i := n / 2; i < n; i += 3 {
+	for i := max(n/2, 1); i < n; i += 3 { // n = 1 has no earlier half to copy from
 		src := out[rng.Intn(n/2)]
 		out[i] = perturbGraph(rng, src, 62, 3, rng.Intn(4))
 	}

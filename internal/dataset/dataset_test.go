@@ -164,3 +164,19 @@ func TestSampleQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyCorpora: every generator builds n ∈ {0, …, 4} objects. The
+// planted-duplicate loops copy from the first half, which is empty at
+// n = 1.
+func TestTinyCorpora(t *testing.T) {
+	for n := 0; n <= 4; n++ {
+		for i, got := range []int{
+			len(GIST(n, 1)), len(SIFT(n, 1)), len(DBLP(n, 1)), len(Enron(n, 1)),
+			len(IMDB(n, 1)), len(PubMed(n, 1)), len(AIDS(n, 1)), len(Protein(n, 1)),
+		} {
+			if got != n {
+				t.Fatalf("generator %d at n=%d: %d objects", i, n, got)
+			}
+		}
+	}
+}

@@ -106,6 +106,44 @@ func FuzzSearchRequest(f *testing.F) {
 	})
 }
 
+// FuzzLoadRequest posts arbitrary bytes to /v1/load. A load body is
+// untrusted input like a search body: whatever arrives, the server
+// must not panic or answer 5xx. Bodies that decode to more than 64
+// objects (n = 0 selects the 5000-object default) or more than 8
+// shards are skipped, so each input builds in milliseconds. The
+// server's snapshot directory holds one small hamming snapshot, so
+// snapshot loads reach the file-opening path.
+func FuzzLoadRequest(f *testing.F) {
+	h := NewFromConfig(Config{Workers: 1, SnapshotDir: f.TempDir()}).Handler()
+	for path, body := range map[string]string{
+		"/v1/load":     `{"problem":"hamming","n":5}`,
+		"/v1/snapshot": `{"problem":"hamming"}`,
+	} {
+		if code, resp := serve(h, path, []byte(body)); code != http.StatusOK {
+			f.Fatalf("%s %s: status %d body %s", path, body, code, resp)
+		}
+	}
+	for _, p := range []string{"hamming", "set", "string", "graph"} {
+		f.Add([]byte(`{"problem":"` + p + `","n":1}`))
+	}
+	f.Add([]byte(`{"problem":"hamming","dataset":"sift","n":5,"shards":2,"m":4,"tau":0}`))
+	f.Add([]byte(`{"problem":"set","dataset":"enron","n":9,"shards":-1,"m":2,"tau":0.5}`))
+	f.Add([]byte(`{"problem":"string","dataset":"pubmed","n":3,"kappa":1,"tau":3}`))
+	f.Add([]byte(`{"problem":"graph","dataset":"protein","n":7,"shards":8,"tau":1}`))
+	f.Add([]byte(`{"problem":"hamming","snapshot":"hamming.snap"}`))
+	f.Add([]byte(`{"snapshot":"../etc/passwd","n":3}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req LoadRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Snapshot == "" &&
+			(req.N == 0 || req.N > 64 || req.Shards > 8) {
+			t.Skip()
+		}
+		if code, resp := serve(h, "/v1/load", body); code >= 500 {
+			t.Fatalf("%q: status %d body %s", body, code, resp)
+		}
+	})
+}
+
 // serve runs one POST through the handler in-process.
 func serve(h http.Handler, path string, body []byte) (int, string) {
 	rec := httptest.NewRecorder()

@@ -681,3 +681,14 @@ func TestJoinDeadline(t *testing.T) {
 		t.Fatalf("failed join counted: joins = %d, want 0", got)
 	}
 }
+
+// TestLoadSingleObject: a one-object load answers 200 for every
+// problem, so no dataset generator may fail at n = 1.
+func TestLoadSingleObject(t *testing.T) {
+	h := newHarness(t)
+	for _, p := range []string{"hamming", "set", "string", "graph"} {
+		if resp := h.load(LoadRequest{Problem: p, N: 1}); resp.N != 1 {
+			t.Fatalf("%s: loaded n=%d, want 1", p, resp.N)
+		}
+	}
+}
