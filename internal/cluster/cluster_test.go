@@ -91,72 +91,6 @@ func singleJoin(t *testing.T, url string, req server.JoinRequest) server.JoinRes
 
 var testLoad = server.LoadRequest{Problem: "hamming", N: 300, Shards: 2}
 
-func TestScatterSearchMatchesSingleNode(t *testing.T) {
-	rs := newReplicaSet(t, 3, testLoad)
-	c := newCoordinator(t, rs.urls)
-	ctx := context.Background()
-	if err := c.Attach(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for qid := 0; qid < 300; qid += 37 {
-		id := qid
-		var want server.SearchResponse
-		if code := postJSON(t, rs.urls[0]+"/v1/search", server.SearchRequest{Problem: "hamming", QueryID: &id}, &want); code != http.StatusOK {
-			t.Fatalf("single-node search: status %d", code)
-		}
-		got, st, err := c.Search(ctx, server.SearchRequest{Problem: "hamming", QueryID: &id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want.IDs) {
-			t.Fatalf("query %d: scatter %v != single-node %v", qid, got, want.IDs)
-		}
-		if !slices.IsSorted(got) {
-			t.Fatalf("query %d: merged stream not ascending: %v", qid, got)
-		}
-		if st.Results != len(got) {
-			t.Fatalf("query %d: stats Results=%d for %d ids", qid, st.Results, len(got))
-		}
-	}
-	// Limit trims the merged stream to its ascending prefix.
-	id := 3
-	full, _, err := c.Search(ctx, server.SearchRequest{Problem: "hamming", QueryID: &id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) > 1 {
-		lim, st, err := c.Search(ctx, server.SearchRequest{Problem: "hamming", QueryID: &id, Limit: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(lim, full[:1]) || !st.Limited {
-			t.Fatalf("limit=1: got %v (Limited=%v), want %v", lim, st.Limited, full[:1])
-		}
-	}
-}
-
-func TestScatterJoinMatchesSingleNode(t *testing.T) {
-	rs := newReplicaSet(t, 3, testLoad)
-	c := newCoordinator(t, rs.urls)
-	ctx := context.Background()
-	want := singleJoin(t, rs.urls[0], server.JoinRequest{Problem: "hamming"})
-	if len(want.Pairs) == 0 {
-		t.Fatal("reference join is empty; corpus too sparse for the test")
-	}
-	for _, tileSize := range []int{0, 40} {
-		got, st, err := c.Join(ctx, server.JoinRequest{Problem: "hamming", TileSize: tileSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want.Pairs) {
-			t.Fatalf("tileSize=%d: scatter join %d pairs != single-node %d pairs", tileSize, len(got), len(want.Pairs))
-		}
-		if st.Pairs != len(got) || st.JoinTiles == 0 {
-			t.Fatalf("tileSize=%d: implausible stats %+v", tileSize, st)
-		}
-	}
-}
-
 // TestJoinSurvivesReplicaDeath kills one replica outright: every tile
 // it would have served fails over, the output stays identical, and
 // the retry counter proves the failover path actually ran.
@@ -367,8 +301,10 @@ func TestCancelMidScatter(t *testing.T) {
 }
 
 // TestHandlerEndToEnd drives the coordinator through its outward HTTP
-// surface only — load broadcast, health, search, join — the way the
-// CI cluster smoke (and a real client) does.
+// surface only — load broadcast, health, then a join over the new
+// corpus — the way the CI cluster smoke (and a real client) does.
+// internal/engine's TestExactness drives searches, top-k and joins
+// through the same handler against the linear scan.
 func TestHandlerEndToEnd(t *testing.T) {
 	rs := newReplicaSet(t, 3, testLoad)
 	c := newCoordinator(t, rs.urls)
@@ -404,24 +340,6 @@ func TestHandlerEndToEnd(t *testing.T) {
 		t.Fatalf("coordinator join %d pairs != replica join %d pairs", len(got.Pairs), len(want.Pairs))
 	}
 
-	id := 5
-	var wantS, gotS server.SearchResponse
-	postJSON(t, rs.urls[0]+"/v1/search", server.SearchRequest{Problem: "hamming", QueryID: &id}, &wantS)
-	if code := postJSON(t, front.URL+"/v1/search", server.SearchRequest{Problem: "hamming", QueryID: &id}, &gotS); code != http.StatusOK {
-		t.Fatalf("coordinator search: status %d", code)
-	}
-	if !slices.Equal(gotS.IDs, wantS.IDs) {
-		t.Fatalf("coordinator search %v != replica search %v", gotS.IDs, wantS.IDs)
-	}
-
-	// Top-k forwards to one replica and keeps the TopKResponse shape.
-	var tk server.TopKResponse
-	if code := postJSON(t, front.URL+"/v1/search", server.SearchRequest{Problem: "hamming", QueryID: &id, K: 3}, &tk); code != http.StatusOK {
-		t.Fatalf("coordinator top-k: status %d", code)
-	}
-	if len(tk.Results) == 0 {
-		t.Fatal("forwarded top-k answered no results")
-	}
 }
 
 // TestHandlerRejectsUnknownFields: a misspelled option is a 400

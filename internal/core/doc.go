@@ -41,16 +41,16 @@
 //   - variable threshold allocation, Σ t_i = n (Theorem 6),
 //   - integer reduction, Σ t_i = n−m+1 with a slack of l'−1 added to each
 //     prefix quota (Theorem 7),
-//   - and the ≥-duals of all of the above (used by set similarity search,
-//     where results must share at least τ tokens).
+//   - and the ≥-duals of all of the above, for problems whose results
+//     must reach a bound, as set similarity's must share at least τ
+//     tokens.
 //
 // Checking is incremental: boxes are consumed through the BoxValues
-// interface so that expensive box values (graph edit distance bounds,
-// q-gram alignment bounds) are computed lazily and checking stops at the
-// first violated prefix. HasPrefixViableChain applies the Corollary 2
-// skip from Section 7 of the paper: when the chain starting at i first
-// violates its quota at prefix length l', no chain starting in
-// [i+1 .. i+l'-1] can be prefix-viable, so those starts are skipped.
+// interface, so a costly box value can be computed lazily and checking
+// stops at the first violated prefix. HasPrefixViableChain applies the
+// Corollary 2 skip from Section 7 of the paper: when the chain starting
+// at i first violates its quota at prefix length l', no chain starting
+// in [i+1 .. i+l'-1] can be prefix-viable, so those starts are skipped.
 //
 // # Framework
 //
@@ -59,4 +59,13 @@
 // checkers (Lemmas 6 and 7). Completeness guarantees no result is ever
 // missed; tightness additionally guarantees that with l = m the
 // candidates are exactly the results.
+//
+// # Role in the repository
+//
+// This package is the theorem-level reference. No search backend
+// imports it: hamming, setsim, strdist and graph each implement the
+// same filter inside their own kernel, specialised to their boxes. The
+// package is checked by its own tests and exercised by
+// examples/quickstart, and setsim's kernel_test.go keeps Filter as a
+// parity reference for the set kernel's chain check.
 package core

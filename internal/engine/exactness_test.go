@@ -29,10 +29,11 @@ import (
 // TestExactness is the engine's exactness contract as one seeded,
 // model-based property. The filters are complete at every chain length
 // (§5, Lemma 6), so every configuration of one corpus must answer every
-// operation exactly like the linear scan, at every l. The
-// configurations are a plain index, a sharded one fanning out serially
-// and on a pool, the pooled one reopened from a snapshot, and a
-// three-replica cluster behind a coordinator.
+// operation exactly like the linear scan, at every l: a plain index, a
+// sharded one fanning out serially and on a pool, the pooled one
+// reopened from a snapshot, and a three-replica cluster behind a
+// coordinator. The plain index must also report the backend's own work
+// counters, and candidates never grow with l.
 //
 // Each subtest draws a /v1/load request and a random operation
 // sequence from its seed alone. A failure names the seed and the step;
@@ -41,12 +42,9 @@ func TestExactness(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			c := newExactCase(t, seed)
-			// Every operation once, in a random order, then a few more.
-			order := c.rng.Perm(len(exactOps))
-			for i := 0; i < 2; i++ {
-				order = append(order, c.rng.Intn(len(exactOps)))
-			}
-			for i, op := range order {
+			// Every operation once, in a random order, then two more.
+			n := len(exactOps)
+			for i, op := range append(c.rng.Perm(n), c.rng.Intn(n), c.rng.Intn(n)) {
 				c.step, c.op = i+1, exactOps[op].name
 				exactOps[op].run(c)
 			}
@@ -54,19 +52,14 @@ func TestExactness(t *testing.T) {
 	}
 }
 
-// exactOps are the operations a case draws its sequence from.
 var exactOps = []struct {
 	name string
 	run  func(*exactCase)
 }{
 	{"search", (*exactCase).search},
-	{"limit", (*exactCase).limit},
-	{"skipVerify", (*exactCase).skipVerify},
-	{"searchSeq", (*exactCase).searchSeq},
 	{"batch", (*exactCase).batch},
 	{"topK", (*exactCase).topK},
 	{"join", (*exactCase).join},
-	{"joinSeq", (*exactCase).joinSeq},
 	{"tiles", (*exactCase).tiles},
 	{"window", (*exactCase).window},
 }
@@ -75,26 +68,26 @@ var exactOps = []struct {
 type config struct {
 	name    string
 	ix      engine.Index
-	sharded bool // has the sharded layout (and its exact counters)
+	sharded bool // has the sharded layout, whose counters all agree
 }
 
 type exactCase struct {
 	t        *testing.T
+	ctx      context.Context
 	seed     int64
 	step     int
 	op       string
 	rng      *rand.Rand
 	req      server.LoadRequest
+	problem  engine.Problem
 	n, m     int // corpus size; box count, the largest useful chain length
 	shards   int // shard count of the sharded configurations
 	configs  []config
-	coord    *cluster.Coordinator
 	front    string // the coordinator's HTTP address
+	replica  string // one replica daemon's HTTP address
 	queries  []engine.Query
-	queryIDs []int // the corpus id each query replays, or −1
+	queryIDs []int // the corpus object each query replays, or −1
 	model    model
-	ctx      context.Context
-	problem  engine.Problem
 }
 
 func (c *exactCase) fatalf(format string, args ...any) {
@@ -111,8 +104,7 @@ func (c *exactCase) must(err error) {
 }
 
 // drawLoad draws the case's corpus and index parameters. Problems
-// rotate with the seed so every four seeds cover all of them; graph
-// corpora stay small because every candidate costs an exact GED.
+// rotate with the seed so every four seeds cover all of them.
 func drawLoad(rng *rand.Rand, seed int64) (req server.LoadRequest, m int) {
 	problems := []string{"hamming", "set", "string", "graph"}
 	datasets := map[string][2]string{
@@ -121,6 +113,7 @@ func drawLoad(rng *rand.Rand, seed int64) (req server.LoadRequest, m int) {
 	}
 	p := problems[seed%4]
 	req = server.LoadRequest{Problem: p, Dataset: datasets[p][rng.Intn(2)], Seed: 1 + rng.Int63n(1000)}
+	// Graph corpora stay small: every candidate costs an exact GED.
 	maxN := map[string]int{"hamming": 150, "set": 300, "string": 250, "graph": 40}[p]
 	if req.Dataset == "protein" {
 		maxN = 16 // three vertex labels leave most pairs to exact GED
@@ -143,6 +136,12 @@ func drawLoad(rng *rand.Rand, seed int64) (req server.LoadRequest, m int) {
 		m = req.M
 	case "string":
 		req.Tau, req.Kappa = tau(float64(rng.Intn(4))), 1+rng.Intn(3)
+		if seed%16 == 2 {
+			// IMDB names shorter than κ(τ+1) = 12 characters are too
+			// short for the signature scheme: verification reaches
+			// them by fallback.
+			req.Dataset, req.Tau, req.Kappa = "imdb", tau(3), 3
+		}
 		m = int(*req.Tau) + 1
 	case "graph":
 		req.Tau = tau(float64(rng.Intn(4)))
@@ -160,25 +159,19 @@ func drawLoad(rng *rand.Rand, seed int64) (req server.LoadRequest, m int) {
 func newExactCase(t *testing.T, seed int64) *exactCase {
 	rng := rand.New(rand.NewSource(seed))
 	req, m := drawLoad(rng, seed)
-	c := &exactCase{t: t, seed: seed, rng: rng, req: req, m: m, n: req.N, ctx: context.Background()}
-	c.problem = engine.Problem(req.Problem)
-	build := func(shards, workers int) engine.Index {
-		r := req
+	c := &exactCase{t: t, ctx: context.Background(), seed: seed, rng: rng, req: req,
+		problem: engine.Problem(req.Problem), n: req.N, m: m, op: "build"}
+	build := func(r server.LoadRequest, shards, workers int) engine.Index {
 		r.Shards = shards
 		ix, _, err := server.Build(r, workers)
 		c.must(err)
 		return ix
 	}
-
-	c.op = "build"
 	// 0, 1 and AutoShards all resolve to one shard below 50 000 objects.
-	plain := build([]int{0, 1, engine.AutoShards}[rng.Intn(3)], 0)
-	if _, ok := plain.(*engine.Sharded); ok {
-		c.fatalf("one-shard build returned a *Sharded")
-	}
+	plain := build(req, []int{0, 1, engine.AutoShards}[rng.Intn(3)], 0)
 	shards := 2 + rng.Intn(7)
 	c.shards = min(shards, c.n)
-	serial, pooled := build(shards, 1), build(shards, 0)
+	serial, pooled := build(req, shards, 1), build(req, shards, 0)
 	var buf bytes.Buffer
 	written, err := engine.WriteSnapshot(pooled, &buf, nil)
 	c.must(err)
@@ -188,49 +181,55 @@ func newExactCase(t *testing.T, seed int64) *exactCase {
 	reopened, err := engine.OpenSnapshot(bytes.NewReader(buf.Bytes()), 0, nil)
 	c.must(err)
 	c.configs = []config{
-		{"plain", plain, false},
-		{"sharded/serial", serial, true},
-		{"sharded/pool", pooled, true},
-		{"reopened", reopened, true},
+		{"plain", plain, false}, {"sharded/serial", serial, true},
+		{"sharded/pool", pooled, true}, {"reopened", reopened, true},
 	}
 	for _, cf := range c.configs {
 		c.checkIdentity(cf)
 	}
-
 	c.startCluster(req, shards)
 	c.model = newModel(c, plain)
+
 	for _, id := range []int{0, c.n - 1, rng.Intn(c.n), rng.Intn(c.n)} {
-		q, err := engine.Object(plain, id)
-		c.must(err)
-		c.queries, c.queryIDs = append(c.queries, q), append(c.queryIDs, id)
+		c.queries, c.queryIDs = append(c.queries, c.model.objs[id]), append(c.queryIDs, id)
 	}
-	// Objects of a corpus drawn from another seed: queries that are
-	// not in the index.
+	// Objects of a corpus drawn from another seed are not in the index.
 	far := req
-	far.Seed, far.N, far.Shards = req.Seed+1000, 3, 1
-	fix, _, err := server.Build(far, 0)
-	c.must(err)
+	far.Seed, far.N = req.Seed+1000, 3
+	fix := build(far, 1, 0)
 	for id := 0; id < fix.Len(); id++ {
 		q, err := engine.Object(fix, id)
 		c.must(err)
 		c.queries, c.queryIDs = append(c.queries, q), append(c.queryIDs, -1)
 	}
+	// And a degenerate query: the zero vector, a one-token set, the
+	// empty string, one vertex with a label no corpus uses.
+	lone := graph.New(1)
+	lone.SetVertexLabel(0, 999)
+	odd := map[engine.Problem]engine.Query{
+		engine.Set: engine.SetQuery(tokenset.Set{0}), engine.String: engine.StringQuery(""),
+		engine.Graph: engine.GraphQuery(lone),
+	}[c.problem]
+	if c.problem == engine.Hamming {
+		odd = engine.VectorQuery(bitvec.New(c.queries[0].Vector().Dim()))
+	}
+	c.queries, c.queryIDs = append(c.queries, odd), append(c.queryIDs, -1)
 	return c
 }
 
 // checkIdentity checks what a configuration reports about itself and
 // its query-by-id replay.
 func (c *exactCase) checkIdentity(cf config) {
-	ix := cf.ix
-	if ix.Problem() != c.problem || ix.Len() != c.n || ix.Tau() != *c.req.Tau {
-		c.fatalf("%s: identity %v/%d/%v, want %v/%d/%v", cf.name, ix.Problem(), ix.Len(), ix.Tau(), c.problem, c.n, *c.req.Tau)
-	}
-	got := 1
+	ix, shards, want := cf.ix, 1, 1
 	if sh, ok := ix.(*engine.Sharded); ok {
-		got = sh.Shards()
+		shards = sh.Shards()
 	}
-	if want := map[bool]int{false: 1, true: c.shards}[cf.sharded]; got != want {
-		c.fatalf("%s: %d shards, want %d", cf.name, got, want)
+	if cf.sharded {
+		want = c.shards
+	}
+	if ix.Problem() != c.problem || ix.Len() != c.n || ix.Tau() != *c.req.Tau || shards != want {
+		c.fatalf("%s: %v/%d/τ=%v with %d shards, want %v/%d/τ=%v with %d",
+			cf.name, ix.Problem(), ix.Len(), ix.Tau(), shards, c.problem, c.n, *c.req.Tau, want)
 	}
 	for _, id := range []int{-1, c.n} {
 		if _, err := engine.Object(ix, id); err == nil {
@@ -243,7 +242,7 @@ func (c *exactCase) checkIdentity(cf config) {
 }
 
 // startCluster boots three daemons holding the sharded corpus and a
-// coordinator over them.
+// coordinator over them, each behind its HTTP handler.
 func (c *exactCase) startCluster(req server.LoadRequest, shards int) {
 	req.Shards = shards
 	var urls []string
@@ -260,7 +259,7 @@ func (c *exactCase) startCluster(req server.LoadRequest, shards int) {
 	c.must(coord.Attach(c.ctx))
 	front := httptest.NewServer(coord.Handler())
 	c.t.Cleanup(front.Close)
-	c.coord, c.front = coord, front.URL
+	c.front, c.replica = front.URL, urls[0]
 }
 
 func (c *exactCase) post(url string, in, out any) int {
@@ -277,9 +276,36 @@ func (c *exactCase) post(url string, in, out any) int {
 }
 
 // query draws a query; id ≥ 0 names the corpus object it replays.
-func (c *exactCase) query() (q engine.Query, id int) {
+func (c *exactCase) query() (engine.Query, int) {
 	i := c.rng.Intn(len(c.queries))
 	return c.queries[i], c.queryIDs[i]
+}
+
+// request addresses q to a daemon: by id when it replays corpus object
+// id, inline otherwise.
+func (c *exactCase) request(q engine.Query, id int) server.SearchRequest {
+	req := server.SearchRequest{Problem: c.req.Problem}
+	switch {
+	case id >= 0:
+		req.QueryID = &id
+	case c.problem == engine.Hamming:
+		req.Vector = q.Vector().String()
+	case c.problem == engine.Set:
+		req.Set = q.Set()
+	case c.problem == engine.String:
+		s := q.Text()
+		req.String = &s
+	case c.problem == engine.Graph:
+		g := q.Graph()
+		req.Graph = &server.GraphSpec{N: g.N()}
+		for v := 0; v < g.N(); v++ {
+			req.Graph.VertexLabels = append(req.Graph.VertexLabels, g.VertexLabel(v))
+		}
+		for _, e := range g.Edges() {
+			req.Graph.Edges = append(req.Graph.Edges, [3]int{e.U, e.V, int(e.Label)})
+		}
+	}
+	return req
 }
 
 // ls are the chain lengths every search runs at: the paper's default,
@@ -287,18 +313,27 @@ func (c *exactCase) query() (q engine.Query, id int) {
 // past it.
 func (c *exactCase) ls() []int { return []int{0, 1, 2, c.m, c.m + 1} }
 
-// l draws one of ls.
 func (c *exactCase) l() int { return c.ls()[c.rng.Intn(5)] }
 
-// tau draws a per-search threshold override: hamming indexes accept
-// one, the other problems keep their built τ.
+// tau draws a threshold override or top-k cap: only hamming indexes
+// take one, the other problems answer at their built τ.
 func (c *exactCase) tau() *float64 {
-	if c.problem != engine.Hamming || c.rng.Intn(3) > 0 {
+	if c.problem != engine.Hamming || c.rng.Intn(2) == 0 {
 		return nil
 	}
 	return engine.Tau(float64(c.rng.Intn(49)))
 }
 
+// work is the machine-independent part of a Stats.
+type work [4]int
+
+func workOf(st engine.Stats) work { return work{st.Candidates, st.Results, st.Probes, st.BoxChecks} }
+
+func (w work) plus(o work) work { return work{w[0] + o[0], w[1] + o[1], w[2] + o[2], w[3] + o[3]} }
+
+// search runs one query at every chain length through Search with and
+// without SkipVerify or a Limit, SearchSeq with an early break, and on
+// the plain index Timings.
 func (c *exactCase) search() {
 	q, id := c.query()
 	tau := c.tau()
@@ -306,28 +341,91 @@ func (c *exactCase) search() {
 	if id >= 0 && !slices.Contains(want, int64(id)) {
 		c.fatalf("linear scan of object %d misses the object itself", id)
 	}
+	cands := make([]map[int]int, len(c.configs)) // [config][l ≥ 1] → candidates
 	for _, l := range c.ls() {
 		opt := engine.Options{ChainLength: l, Tau: tau}
-		var shardedWork []int
-		for _, cf := range c.configs {
+		skip, limit, timed := opt, opt, opt
+		skip.SkipVerify, timed.Timings = true, true
+		limit.Limit = 1 + c.rng.Intn(len(want)+2)
+		prefix, cut := want[:min(limit.Limit, len(want))], limit.Limit < len(want)
+		_, backend := c.model.window(q, l, false, tau, 0, c.n, nil)
+		_, backendSkip := c.model.window(q, l, true, tau, 0, c.n, nil)
+		var sharded []work
+		for ci, cf := range c.configs {
+			what := fmt.Sprintf("%s l=%d", cf.name, l)
 			ids, st, err := cf.ix.Search(c.ctx, q, opt)
 			c.must(err)
-			c.sameIDs(fmt.Sprintf("%s l=%d", cf.name, l), ids, want)
+			c.sameIDs(what, ids, want)
 			c.checkStats(cf, st, len(want))
+			seq, err := drain(cf.ix.SearchSeq(c.ctx, q, opt), -1)
+			c.must(err)
+			c.sameIDs(what+" SearchSeq", seq, want)
+			seq, err = drain(cf.ix.SearchSeq(c.ctx, q, opt), len(prefix))
+			c.must(err)
+			c.sameIDs(fmt.Sprintf("%s SearchSeq break@%d", what, len(prefix)), seq, prefix)
+			ids, lst, err := cf.ix.Search(c.ctx, q, limit)
+			c.must(err)
+			c.sameIDs(fmt.Sprintf("%s limit %d", what, limit.Limit), ids, prefix)
+			// A sharded search that reaches the limit may stop before
+			// learning whether more results exist, so only a cut must
+			// say so.
+			if cut && (!lst.Limited || lst.Results != limit.Limit) {
+				c.fatalf("%s limit %d: Limited %v Results %d, want a cut", what, limit.Limit, lst.Limited, lst.Results)
+			}
+			ids, skipSt, err := cf.ix.Search(c.ctx, q, skip)
+			c.must(err)
+			// By completeness the candidates include every result.
+			if len(ids) != 0 || skipSt.Candidates < len(want) {
+				c.fatalf("%s SkipVerify: %d ids and %d candidates for %d results", what, len(ids), skipSt.Candidates, len(want))
+			}
 			if cf.sharded {
-				work := []int{st.Candidates, st.Results, st.Probes, st.BoxChecks}
-				if shardedWork != nil && !slices.Equal(work, shardedWork) {
-					c.fatalf("%s l=%d: counters %v, other sharded layouts %v", cf.name, l, work, shardedWork)
+				got := []work{workOf(st), workOf(skipSt)}
+				if sharded != nil && !slices.Equal(got, sharded) {
+					c.fatalf("%s: counters %v, other sharded layouts %v", what, got, sharded)
 				}
-				shardedWork = work
+				sharded = got
+			} else {
+				ids, tst, err := cf.ix.Search(c.ctx, q, timed)
+				c.must(err)
+				c.sameIDs(what+" Timings", ids, want)
+				if workOf(st) != backend || workOf(tst) != backend || workOf(skipSt) != backendSkip {
+					c.fatalf("%s: counters %v, Timings %v, SkipVerify %v; the backend's %v and %v",
+						what, workOf(st), workOf(tst), workOf(skipSt), backend, backendSkip)
+				}
+			}
+			if cands[ci] == nil {
+				cands[ci] = map[int]int{}
+			}
+			if l > 0 {
+				cands[ci][l] = st.Candidates
 			}
 		}
-		if id >= 0 {
-			ids, st, err := c.coord.Search(c.ctx, server.SearchRequest{Problem: c.req.Problem, QueryID: &id, L: l, Tau: tau})
-			c.must(err)
-			c.sameIDs(fmt.Sprintf("cluster l=%d", l), ids, want)
-			if st.Results != len(ids) {
-				c.fatalf("cluster l=%d: Results %d for %d ids", l, st.Results, len(ids))
+		perShard := 0 // a one-shard replica reports none
+		if c.shards > 1 {
+			perShard = c.shards
+		}
+		for _, lim := range []int{0, limit.Limit} {
+			var resp server.SearchResponse
+			req := c.request(q, id)
+			req.L, req.Tau, req.Limit = l, tau, lim
+			code := c.post(c.front+"/v1/search", req, &resp)
+			ids, st := resp.IDs, resp.Stats
+			if code != http.StatusOK || lim == 0 && (!slices.Equal(ids, want) || st.Results != len(ids) || len(st.PerShard) != perShard) ||
+				lim > 0 && (!slices.Equal(ids, prefix) || cut && !st.Limited) {
+				c.fatalf("cluster l=%d limit %d: status %d ids %v (Results %d, Limited %v, %d per-shard entries), want %v",
+					l, lim, code, ids, st.Results, st.Limited, len(st.PerShard), want)
+			}
+		}
+	}
+	// A longer chain is a stronger filter: candidates never grow with l.
+	// The string baseline at l = 1 is Pivotal, a different filter.
+	lo := map[bool]int{false: 1, true: 2}[c.problem == engine.String]
+	for ci, byL := range cands {
+		for l1, n1 := range byL {
+			for l2, n2 := range byL {
+				if lo <= l1 && l1 < l2 && n2 > n1 {
+					c.fatalf("%s: %d candidates at l=%d, %d at l=%d", c.configs[ci].name, n2, l2, n1, l1)
+				}
 			}
 		}
 	}
@@ -343,77 +441,12 @@ func (c *exactCase) checkStats(cf config, st engine.Stats, want int) {
 	if !cf.sharded || c.shards == 1 {
 		return
 	}
-	var sum engine.Stats
+	var sum work
 	for _, ps := range st.PerShard {
-		sum.Candidates += ps.Candidates
-		sum.Results += ps.Results
-		sum.Probes += ps.Probes
-		sum.BoxChecks += ps.BoxChecks
+		sum = sum.plus(workOf(ps))
 	}
-	if len(st.PerShard) != c.shards || sum.Candidates != st.Candidates || sum.Results != st.Results ||
-		sum.Probes != st.Probes || sum.BoxChecks != st.BoxChecks {
-		c.fatalf("%s: %d per-shard entries summing to %+v, want %d summing to %+v", cf.name, len(st.PerShard), sum, c.shards, st)
-	}
-}
-
-func (c *exactCase) limit() {
-	q, id := c.query()
-	full := c.model.linear(q, nil)
-	for _, k := range []int{1, (len(full) + 1) / 2, len(full), len(full) + 3} {
-		if k < 1 {
-			continue
-		}
-		want, cut := full[:min(k, len(full))], k < len(full)
-		l := c.l()
-		for _, cf := range c.configs {
-			ids, st, err := cf.ix.Search(c.ctx, q, engine.Options{ChainLength: l, Limit: k})
-			c.must(err)
-			c.sameIDs(fmt.Sprintf("%s limit %d", cf.name, k), ids, want)
-			// A sharded search that reaches k may stop before learning
-			// whether more results exist, so only a cut must say so.
-			if cut && (!st.Limited || st.Results != k) {
-				c.fatalf("%s limit %d: Limited %v Results %d, want a cut to %d", cf.name, k, st.Limited, st.Results, k)
-			}
-		}
-		if id >= 0 {
-			ids, st, err := c.coord.Search(c.ctx, server.SearchRequest{Problem: c.req.Problem, QueryID: &id, L: l, Limit: k})
-			c.must(err)
-			c.sameIDs(fmt.Sprintf("cluster limit %d", k), ids, want)
-			if cut && !st.Limited {
-				c.fatalf("cluster limit %d: Limited unset on a cut", k)
-			}
-		}
-	}
-}
-
-// skipVerify: candidate generation alone returns no ids, and by
-// completeness its candidates include every result.
-func (c *exactCase) skipVerify() {
-	q, _ := c.query()
-	want := len(c.model.linear(q, nil))
-	for _, l := range c.ls() {
-		for _, cf := range c.configs {
-			ids, st, err := cf.ix.Search(c.ctx, q, engine.Options{ChainLength: l, SkipVerify: true})
-			c.must(err)
-			if len(ids) != 0 || st.Candidates < want {
-				c.fatalf("%s l=%d: %d ids and %d candidates for %d results", cf.name, l, len(ids), st.Candidates, want)
-			}
-		}
-	}
-}
-
-func (c *exactCase) searchSeq() {
-	q, _ := c.query()
-	want := c.model.linear(q, nil)
-	k := (len(want) + 1) / 2
-	for _, cf := range c.configs {
-		opt := engine.Options{ChainLength: c.l()}
-		got, err := drain(cf.ix.SearchSeq(c.ctx, q, opt), -1)
-		c.must(err)
-		c.sameIDs(cf.name+" SearchSeq", got, want)
-		got, err = drain(cf.ix.SearchSeq(c.ctx, q, opt), k)
-		c.must(err)
-		c.sameIDs(fmt.Sprintf("%s SearchSeq break@%d", cf.name, k), got, want[:k])
+	if len(st.PerShard) != c.shards || sum != workOf(st) {
+		c.fatalf("%s: %d per-shard entries summing to %v, want %d summing to %v", cf.name, len(st.PerShard), sum, c.shards, workOf(st))
 	}
 }
 
@@ -439,33 +472,29 @@ func (c *exactCase) batch() {
 	for i := range qs {
 		qs[i], _ = c.query()
 	}
-	l, k, workers, ceil := c.l(), 1+c.rng.Intn(4), 1+c.rng.Intn(3), c.topKCap()
+	l, k, workers, ceil := c.l(), 1+c.rng.Intn(4), 1+c.rng.Intn(3), c.tau()
 	for _, cf := range c.configs {
-		for i, br := range engine.SearchBatch(c.ctx, cf.ix, qs, engine.Options{ChainLength: l}, workers) {
-			c.must(br.Err)
-			c.sameIDs(fmt.Sprintf("%s batch query %d", cf.name, i), br.IDs, c.model.linear(qs[i], nil))
+		batch := engine.SearchBatch(c.ctx, cf.ix, qs, engine.Options{ChainLength: l}, workers)
+		topk := engine.SearchBatch(c.ctx, cf.ix, qs, engine.Options{ChainLength: l, TopK: k, Tau: ceil}, workers)
+		if len(batch) != len(qs) || len(topk) != len(qs) {
+			c.fatalf("%s: %d and %d batch results for %d queries", cf.name, len(batch), len(topk), len(qs))
 		}
-		for i, br := range engine.SearchBatch(c.ctx, cf.ix, qs, engine.Options{ChainLength: l, TopK: k, Tau: ceil}, workers) {
-			c.must(br.Err)
-			if want := c.model.topK(qs[i], k, ceil); br.IDs != nil || !slices.Equal(br.TopK, want) {
-				c.fatalf("%s top-%d batch query %d: ids %v results %v, want %v", cf.name, k, i, br.IDs, br.TopK, want)
+		for i := range qs {
+			c.must(batch[i].Err)
+			c.must(topk[i].Err)
+			c.sameIDs(fmt.Sprintf("%s batch query %d", cf.name, i), batch[i].IDs, c.model.linear(qs[i], nil))
+			if want := c.model.topK(qs[i], k, ceil); topk[i].IDs != nil || !slices.Equal(topk[i].TopK, want) {
+				c.fatalf("%s top-%d batch query %d: ids %v results %v, want %v", cf.name, k, i, topk[i].IDs, topk[i].TopK, want)
 			}
 		}
 	}
 }
 
-// topKCap draws a hamming top-k τ cap, which keeps results within
-// that radius; the other problems answer at their built τ.
-func (c *exactCase) topKCap() *float64 {
-	if c.problem != engine.Hamming || c.rng.Intn(2) == 0 {
-		return nil
-	}
-	return engine.Tau(float64(c.rng.Intn(49)))
-}
-
+// topK checks SearchTopK against the brute-force oracle; a hamming τ
+// cap keeps results within that radius.
 func (c *exactCase) topK() {
 	q, id := c.query()
-	tau := c.topKCap()
+	tau := c.tau()
 	for _, k := range []int{1, 3, c.n + 2} {
 		l := c.l()
 		want := c.model.topK(q, k, tau)
@@ -475,23 +504,26 @@ func (c *exactCase) topK() {
 			if !slices.Equal(got, want) {
 				c.fatalf("%s top-%d l=%d:\n got %v\nwant %v", cf.name, k, l, got, want)
 			}
-			rungs := 1
+			rungs, perShard := 1, 0
 			if cf.sharded && c.shards > 1 {
-				rungs = c.shards
-				if len(st.PerShard) != c.shards {
-					c.fatalf("%s top-%d: %d per-shard entries, want %d", cf.name, k, len(st.PerShard), c.shards)
-				}
+				rungs, perShard = c.shards, c.shards
 			}
-			if st.Results != len(got) || st.Rungs < rungs {
-				c.fatalf("%s top-%d: Results %d Rungs %d for %d results, want ≥ %d rungs", cf.name, k, st.Results, st.Rungs, len(got), rungs)
+			if st.Results != len(got) || st.Rungs < rungs || len(st.PerShard) != perShard {
+				c.fatalf("%s top-%d: Results %d, Rungs %d, %d per-shard entries for %d results", cf.name, k, st.Results, st.Rungs, len(st.PerShard), len(got))
+			}
+			// A plain index climbs the backend's own ladder.
+			if w, n := c.model.ladder(q, l, k, tau); !cf.sharded && (workOf(st) != w || st.Rungs != n) {
+				c.fatalf("%s top-%d l=%d: counters %v over %d rungs, the backend's %v over %d", cf.name, k, l, workOf(st), st.Rungs, w, n)
 			}
 		}
-		if id >= 0 {
-			var resp server.TopKResponse
-			req := server.SearchRequest{Problem: c.req.Problem, QueryID: &id, K: k, L: l, Tau: tau}
-			if code := c.post(c.front+"/v1/search", req, &resp); code != http.StatusOK || !slices.Equal(resp.Results, want) {
-				c.fatalf("cluster top-%d: status %d results %v, want %v", k, code, resp.Results, want)
-			}
+		var resp server.TopKResponse
+		req := c.request(q, id)
+		req.K, req.L, req.Tau = k, l, tau
+		code := c.post(c.front+"/v1/search", req, &resp)
+		if code != http.StatusOK || resp.Problem != c.req.Problem || !slices.Equal(resp.Results, want) ||
+			resp.Stats.Results != len(want) || resp.Stats.Rungs < 1 {
+			c.fatalf("cluster top-%d: status %d results %v (Results %d, Rungs %d), want %v",
+				k, code, resp.Results, resp.Stats.Results, resp.Stats.Rungs, want)
 		}
 	}
 }
@@ -507,80 +539,75 @@ func (c *exactCase) tileSize() int {
 	return sizes[c.rng.Intn(len(sizes))]
 }
 
-// clusterTileSize keeps a scattered join to a few dozen tiles, one
-// HTTP round trip each; finer tilings run in process only.
-func (c *exactCase) clusterTileSize(ts int) int {
-	if len(engine.EnumerateTiles(c.n, ts, 4)) > 64 {
-		return 0
-	}
-	return ts
-}
-
+// join runs Join, JoinSeq with an early break, a Limit prefix and a
+// skip-verify join on every configuration, then a join scattered by
+// the coordinator and one run by a replica daemon.
 func (c *exactCase) join() {
 	want := c.model.join()
-	l, ts := c.l(), c.tileSize()
+	l, ts, k := c.l(), c.tileSize(), c.rng.Intn(len(want)+2)
+	prefix, cut := want[:min(k, len(want))], k < len(want)
+	opt := engine.JoinOptions{ChainLength: l, TileSize: ts}
 	for _, cf := range c.configs {
-		got, st, err := cf.ix.Join(c.ctx, engine.JoinOptions{ChainLength: l, TileSize: ts})
+		what := fmt.Sprintf("%s l=%d tileSize=%d", cf.name, l, ts)
+		got, st, err := cf.ix.Join(c.ctx, opt)
 		c.must(err)
-		c.samePairs(fmt.Sprintf("%s l=%d tileSize=%d", cf.name, l, ts), got, want)
+		c.samePairs(what, got, want)
 		if st.Pairs != len(want) || st.Results != len(want) || st.JoinTiles < 1 || st.Limited {
-			c.fatalf("%s join: Pairs %d Results %d JoinTiles %d Limited %v for %d pairs", cf.name, st.Pairs, st.Results, st.JoinTiles, st.Limited, len(want))
+			c.fatalf("%s: Pairs %d Results %d JoinTiles %d Limited %v for %d pairs", what, st.Pairs, st.Results, st.JoinTiles, st.Limited, len(want))
 		}
 		// A plain index tiles exactly as EnumerateTiles lists.
-		if !cf.sharded && ts > 0 && st.JoinTiles != len(engine.EnumerateTiles(c.n, ts, 1)) {
-			c.fatalf("%s tileSize=%d: %d tiles, EnumerateTiles lists %d", cf.name, ts, st.JoinTiles, len(engine.EnumerateTiles(c.n, ts, 1)))
+		if tiles := len(engine.EnumerateTiles(c.n, ts, 1)); !cf.sharded && ts > 0 && st.JoinTiles != tiles {
+			c.fatalf("%s: %d tiles, EnumerateTiles lists %d", what, st.JoinTiles, tiles)
 		}
-	}
-	ts = c.clusterTileSize(ts)
-	got, st, err := c.coord.Join(c.ctx, server.JoinRequest{Problem: c.req.Problem, L: l, TileSize: ts})
-	c.must(err)
-	wire := make([][2]int64, len(want))
-	for i, p := range want {
-		wire[i] = [2]int64{p.I, p.J}
-	}
-	if !slices.Equal(got, wire) || st.Pairs != len(got) || st.JoinTiles < 1 {
-		c.fatalf("cluster join tileSize=%d: %d pairs (Pairs %d, JoinTiles %d), want %d", ts, len(got), st.Pairs, st.JoinTiles, len(want))
-	}
-}
-
-// joinSeq covers the streaming join, an early break, Limit prefixes
-// and a join that stops after candidate generation.
-func (c *exactCase) joinSeq() {
-	want := c.model.join()
-	k := c.rng.Intn(len(want) + 2)
-	opt := engine.JoinOptions{ChainLength: c.l(), TileSize: c.tileSize()}
-	for _, cf := range c.configs {
-		got, err := drain(cf.ix.JoinSeq(c.ctx, opt), -1)
+		got, err = drain(cf.ix.JoinSeq(c.ctx, opt), -1)
 		c.must(err)
-		c.samePairs(cf.name+" JoinSeq", got, want)
-		got, err = drain(cf.ix.JoinSeq(c.ctx, opt), min(k, len(want)))
+		c.samePairs(what+" JoinSeq", got, want)
+		got, err = drain(cf.ix.JoinSeq(c.ctx, opt), len(prefix))
 		c.must(err)
-		c.samePairs(fmt.Sprintf("%s JoinSeq break@%d", cf.name, k), got, want[:min(k, len(want))])
-
+		c.samePairs(fmt.Sprintf("%s JoinSeq break@%d", what, len(prefix)), got, prefix)
 		if k > 0 {
 			lim := opt
 			lim.Limit = k
 			got, st, err := cf.ix.Join(c.ctx, lim)
 			c.must(err)
-			c.samePairs(fmt.Sprintf("%s limit %d", cf.name, k), got, want[:min(k, len(want))])
-			if cut := k < len(want); st.Limited != cut || st.Pairs != len(got) {
-				c.fatalf("%s limit %d: Limited %v Pairs %d, want %v", cf.name, k, st.Limited, st.Pairs, cut)
+			c.samePairs(fmt.Sprintf("%s limit %d", what, k), got, prefix)
+			if st.Limited != cut || st.Pairs != len(got) {
+				c.fatalf("%s limit %d: Limited %v Pairs %d, want %v", what, k, st.Limited, st.Pairs, cut)
 			}
 		}
-
 		skip := opt
 		skip.SkipVerify = true
-		got, st, err := cf.ix.Join(c.ctx, skip)
+		got, st, err = cf.ix.Join(c.ctx, skip)
 		c.must(err)
 		if len(got) != 0 || st.Candidates < len(want) {
-			c.fatalf("%s skip-verify join: %d pairs, %d candidates for %d pairs", cf.name, len(got), st.Candidates, len(want))
+			c.fatalf("%s SkipVerify: %d pairs, %d candidates for %d pairs", what, len(got), st.Candidates, len(want))
 		}
 	}
-	if k > 0 {
-		got, st, err := c.coord.Join(c.ctx, server.JoinRequest{Problem: c.req.Problem, Limit: k, TileSize: c.clusterTileSize(opt.TileSize)})
-		c.must(err)
-		if len(got) != min(k, len(want)) || st.Limited != (k < len(want)) {
-			c.fatalf("cluster join limit %d: %d pairs Limited %v, want %d", k, len(got), st.Limited, min(k, len(want)))
+	wire := make([][2]int64, len(want))
+	for i, p := range want {
+		wire[i] = [2]int64{p.I, p.J}
+	}
+	// The coordinator scatters tiles, one HTTP round trip each, so
+	// finer tilings run in process only; a replica joins on its own.
+	scatterTS := ts
+	if len(engine.EnumerateTiles(c.n, ts, 4)) > 64 {
+		scatterTS = 0
+	}
+	for _, to := range []struct {
+		url string
+		ts  int
+	}{{c.front, scatterTS}, {c.replica, ts}} {
+		for _, lim := range []int{0, k} {
+			var resp server.JoinResponse
+			code := c.post(to.url+"/v1/join", server.JoinRequest{Problem: c.req.Problem, L: l, TileSize: to.ts, Limit: lim}, &resp)
+			got, st, w := resp.Pairs, resp.Stats, wire
+			if lim > 0 {
+				w = wire[:len(prefix)]
+			}
+			if code != http.StatusOK || !slices.Equal(got, w) || st.Pairs != len(got) || st.JoinTiles < 1 || lim > 0 && cut && !st.Limited {
+				c.fatalf("%s join tileSize=%d limit %d: status %d, %d pairs (Pairs %d, JoinTiles %d, Limited %v), want %d",
+					to.url, to.ts, lim, code, len(got), st.Pairs, st.JoinTiles, st.Limited, len(w))
+			}
 		}
 	}
 }
@@ -608,34 +635,51 @@ func (c *exactCase) tiles() {
 	}
 }
 
-// window runs the backend's own range probe over a random partition
-// of [0, n), appending to a non-empty dst, plus a window clamped from
-// beyond both ends and an inverted one.
+// window runs the backend's own range probe over a random partition of
+// [0, n), appending to a non-empty dst, with counters that sum to the
+// full range's; over a window clamped from beyond both ends; and over
+// an inverted one. A one-row tile then probes one window through the
+// plain index, which must report the backend's ids and counters.
 func (c *exactCase) window() {
 	q, _ := c.query()
-	want := c.model.linear(q, nil)
-	l := 1 + c.rng.Intn(c.m+1)
+	want, l := c.model.linear(q, nil), c.l()
 	cuts := []int{0, c.n}
 	for i := c.rng.Intn(6); i > 0; i-- {
 		cuts = append(cuts, c.rng.Intn(c.n+1))
 	}
 	slices.Sort(cuts)
-	got := []int64{-7}
+	got, sum := []int64{-7}, work{}
 	for i := 0; i+1 < len(cuts); i++ {
-		var err error
-		got, err = c.model.window(q, l, cuts[i], cuts[i+1], got)
-		c.must(err)
+		var w work
+		got, w = c.model.window(q, l, false, nil, cuts[i], cuts[i+1], got)
+		sum = sum.plus(w)
 	}
-	if got[0] != -7 {
-		c.fatalf("windows %v overwrote dst", cuts)
+	clamped, full := c.model.window(q, l, false, nil, -3, c.n+3, nil)
+	inverted, _ := c.model.window(q, l, false, nil, c.n, c.n/2, nil)
+	if got[0] != -7 || !slices.Equal(got[1:], want) || sum != full || !slices.Equal(clamped, want) || len(inverted) != 0 {
+		c.fatalf("l=%d windows %v: %v with counters %v; [-3, n+3): %v with %v; inverted: %v; want %v",
+			l, cuts, got, sum, clamped, full, inverted, want)
 	}
-	c.sameIDs(fmt.Sprintf("l=%d windows %v", l, cuts), got[1:], want)
-	clamped, err := c.model.window(q, l, -3, c.n+3, nil)
+
+	if c.n < 2 {
+		return
+	}
+	// Row r probes the columns [lo, hi) below it.
+	r := 1 + c.rng.Intn(c.n-1)
+	lo := c.rng.Intn(r)
+	hi := lo + 1 + c.rng.Intn(r-lo)
+	ids, w := c.model.window(c.model.objs[r], l, false, nil, lo, hi, nil)
+	tile := engine.TileSpec{RowLo: r, RowHi: r + 1, ColLo: lo, ColHi: hi}
+	ps, st, err := engine.JoinTileRange(c.ctx, c.configs[0].ix, tile, engine.JoinOptions{ChainLength: l})
 	c.must(err)
-	c.sameIDs(fmt.Sprintf("l=%d window [-3, n+3)", l), clamped, want)
-	inverted, err := c.model.window(q, l, c.n, c.n/2, nil)
-	c.must(err)
-	c.sameIDs(fmt.Sprintf("l=%d inverted window", l), inverted, nil)
+	wantPairs := make([]engine.Pair, len(ids))
+	for i, id := range ids {
+		wantPairs[i] = engine.Pair{I: id, J: int64(r)}
+	}
+	c.samePairs(fmt.Sprintf("plain l=%d tile %+v", l, tile), ps, wantPairs)
+	if workOf(st) != w {
+		c.fatalf("plain l=%d tile %+v: counters %v, the backend's %v", l, tile, workOf(st), w)
+	}
 }
 
 func (c *exactCase) sameIDs(what string, got, want []int64) {
@@ -653,26 +697,33 @@ func (c *exactCase) samePairs(what string, got, want []engine.Pair) {
 }
 
 // model is one problem's reference: the backend built directly over
-// the replayed corpus, its linear scans, and brute-force top-k.
+// the replayed corpus, its linear scans, its own range probe and top-k
+// rungs at the chain length the engine resolves, and brute-force top-k.
 type model struct {
-	// linear is the backend's linear scan at the built τ or tau.
+	objs []engine.Query
+	def  int // the paper's §8 chain length, which the engine picks for l = 0
+	// linear is the backend's linear scan at the built τ or tau, join
+	// its quadratic JoinLinear.
 	linear func(q engine.Query, tau *float64) []int64
-	// join is the backend's quadratic JoinLinear.
-	join func() []engine.Pair
+	join   func() []engine.Pair
 	// dist is q's distance to object i in the engine's top-k order,
 	// and whether i lies within the top-k ceiling: the built τ, or on
 	// hamming tau when set and the dimension otherwise.
 	dist func(i int, q engine.Query, tau *float64) (float64, bool)
-	// window is the backend's own SearchRangeAppend at chain length l.
-	window func(q engine.Query, l, lo, hi int, dst []int64) ([]int64, error)
-	n      int
+	// window is the backend's SearchRangeAppend; rung is one top-k
+	// ladder rung at bound: its verified hit count and work.
+	window func(q engine.Query, l int, skip bool, tau *float64, lo, hi int, dst []int64) ([]int64, work)
+	rung   func(q engine.Query, l int, bound float64) (int, work)
+	// bounds is the top-k ladder: doubling rungs up to the ceiling on
+	// hamming, the built τ alone elsewhere.
+	bounds func(tau *float64) []float64
 }
 
 // topK is the brute-force oracle: every object within the ceiling,
 // ordered by (Distance, ID), cut to k.
 func (md model) topK(q engine.Query, k int, tau *float64) []engine.Result {
 	var all []engine.Result
-	for i := 0; i < md.n; i++ {
+	for i := range md.objs {
 		if d, ok := md.dist(i, q, tau); ok {
 			all = append(all, engine.Result{ID: int64(i), Distance: d})
 		}
@@ -683,112 +734,190 @@ func (md model) topK(q engine.Query, k int, tau *float64) []engine.Result {
 	return all[:min(k, len(all))]
 }
 
+// ladder climbs the rungs until one verifies k hits or the last is
+// done, returning the work summed over the rungs, with Results the k
+// nearest returned, and the rung count.
+func (md model) ladder(q engine.Query, l, k int, tau *float64) (work, int) {
+	var sum work
+	bounds := md.bounds(tau)
+	for i, b := range bounds {
+		hits, w := md.rung(q, l, b)
+		sum = sum.plus(work{w[0], 0, w[2], w[3]})
+		if hits >= k || i == len(bounds)-1 {
+			sum[1] = min(k, hits)
+			return sum, i + 1
+		}
+	}
+	panic("empty ladder")
+}
+
 func newModel(c *exactCase, ix engine.Index) model {
-	objs := make([]engine.Query, c.n)
-	for i := range objs {
+	md := model{objs: make([]engine.Query, c.n)}
+	for i := range md.objs {
 		var err error
-		objs[i], err = engine.Object(ix, i)
+		md.objs[i], err = engine.Object(ix, i)
 		c.must(err)
 	}
 	tau := int(*c.req.Tau)
-	md := model{n: c.n}
+	md.bounds = func(*float64) []float64 { return []float64{*c.req.Tau} }
+	// chain resolves l as the engine does; l = 1 selects each
+	// problem's pigeonhole baseline.
+	chain := func(l int) int {
+		if l > 0 {
+			return l
+		}
+		return md.def
+	}
 	switch c.problem {
 	case engine.Hamming:
 		vecs := make([]bitvec.Vector, c.n)
-		for i, o := range objs {
+		for i, o := range md.objs {
 			vecs[i] = o.Vector()
 		}
 		db, err := hamming.NewDB(vecs, c.req.M)
 		c.must(err)
+		md.def = 6
 		at := func(t *float64) int {
 			if t != nil {
 				return int(*t)
 			}
 			return tau
 		}
-		md.linear = func(q engine.Query, t *float64) []int64 { return ids64(db.SearchLinear(q.Vector(), at(t))) }
+		opts := func(l int, skip bool) hamming.Options {
+			o := hamming.RingOptions(chain(l))
+			o.SkipVerify = skip
+			return o
+		}
+		hw := func(st hamming.Stats) work { return work{st.Candidates, st.Results, st.Probes, st.BoxChecks} }
+		md.linear = func(q engine.Query, t *float64) []int64 { return pairs.SortedIDs64(db.SearchLinear(q.Vector(), at(t))) }
 		md.join = func() []engine.Pair { return enginePairs(db.JoinLinear(tau)) }
 		md.dist = func(i int, q engine.Query, t *float64) (float64, bool) {
 			d := bitvec.Hamming(vecs[i], q.Vector())
 			return float64(d), t == nil || d <= int(*t)
 		}
-		md.window = func(q engine.Query, l, lo, hi int, dst []int64) ([]int64, error) {
+		md.window = func(q engine.Query, l int, skip bool, t *float64, lo, hi int, dst []int64) ([]int64, work) {
 			var st hamming.Stats
-			return db.SearchRangeAppend(q.Vector(), tau, hamming.RingOptions(l), lo, hi, dst, &st)
+			dst, err := db.SearchRangeAppend(q.Vector(), at(t), opts(l, skip), lo, hi, dst, &st)
+			c.must(err)
+			return dst, hw(st)
+		}
+		md.rung = func(q engine.Query, l int, bound float64) (int, work) {
+			ids, _, st, err := db.SearchDist(q.Vector(), int(bound), opts(l, false))
+			c.must(err)
+			return len(ids), hw(st)
+		}
+		md.bounds = func(t *float64) []float64 {
+			ceil, bs := db.Dim(), []float64{}
+			if t != nil {
+				ceil = int(*t)
+			}
+			for b := 1; b < ceil; b *= 2 {
+				bs = append(bs, float64(b))
+			}
+			return append(bs, float64(ceil))
 		}
 	case engine.Set:
 		sets := make([]tokenset.Set, c.n)
-		for i, o := range objs {
+		for i, o := range md.objs {
 			sets[i] = o.Set()
 		}
 		cfg := setsim.Config{Measure: setsim.Jaccard, Tau: *c.req.Tau, M: c.req.M}
 		db, err := setsim.NewPKWiseDB(sets, cfg)
 		c.must(err)
-		md.linear = func(q engine.Query, _ *float64) []int64 { return ids64(setsim.SearchLinear(sets, q.Set(), cfg)) }
+		md.def = 2
+		sw := func(st setsim.Stats) work { return work{st.Candidates, st.Results, st.Probes, st.BoxChecks} }
+		md.linear = func(q engine.Query, _ *float64) []int64 {
+			return pairs.SortedIDs64(setsim.SearchLinear(sets, q.Set(), cfg))
+		}
 		md.join = func() []engine.Pair { return enginePairs(db.JoinLinear()) }
 		md.dist = func(i int, q engine.Query, _ *float64) (float64, bool) {
 			x, y := sets[i], q.Set()
 			o := tokenset.Overlap(x, y)
 			return 1 - float64(o)/float64(len(x)+len(y)-o), o >= tokenset.RequiredOverlap(len(x), len(y), cfg.Tau)
 		}
-		md.window = func(q engine.Query, l, lo, hi int, dst []int64) ([]int64, error) {
+		md.window = func(q engine.Query, l int, skip bool, _ *float64, lo, hi int, dst []int64) ([]int64, work) {
 			var st setsim.Stats
-			return db.SearchRangeAppend(q.Set(), l, false, lo, hi, dst, &st)
+			dst, err := db.SearchRangeAppend(q.Set(), chain(l), skip, lo, hi, dst, &st)
+			c.must(err)
+			return dst, sw(st)
+		}
+		md.rung = func(q engine.Query, l int, _ float64) (int, work) {
+			ids, _, st, err := db.SearchSim(q.Set(), chain(l))
+			c.must(err)
+			return len(ids), sw(st)
 		}
 	case engine.String:
 		strs := make([]string, c.n)
-		for i, o := range objs {
+		for i, o := range md.objs {
 			strs[i] = o.Text()
 		}
 		dict, err := strdist.BuildGramDict(strs, c.req.Kappa)
 		c.must(err)
 		db, err := strdist.NewDB(strs, dict, tau)
 		c.must(err)
-		md.linear = func(q engine.Query, _ *float64) []int64 { return ids64(db.SearchLinear(q.Text())) }
+		md.def = min(3, tau+1)
+		opts := func(l int, skip bool) strdist.Options {
+			o := strdist.RingOptions(chain(l))
+			if chain(l) == 1 {
+				o = strdist.PivotalOptions()
+			}
+			o.SkipVerify = skip
+			return o
+		}
+		tw := func(st strdist.Stats) work { return work{st.Cand2 + st.Fallback, st.Results, st.Probes, st.BoxChecks} }
+		md.linear = func(q engine.Query, _ *float64) []int64 { return pairs.SortedIDs64(db.SearchLinear(q.Text())) }
 		md.join = func() []engine.Pair { return enginePairs(db.JoinLinear()) }
 		md.dist = func(i int, q engine.Query, _ *float64) (float64, bool) {
 			d := strdist.EditDistanceWithin(strs[i], q.Text(), tau)
 			return float64(d), d >= 0
 		}
-		md.window = func(q engine.Query, l, lo, hi int, dst []int64) ([]int64, error) {
-			opt := strdist.RingOptions(l)
-			if l == 1 {
-				opt = strdist.PivotalOptions()
-			}
+		md.window = func(q engine.Query, l int, skip bool, _ *float64, lo, hi int, dst []int64) ([]int64, work) {
 			var st strdist.Stats
-			return db.SearchRangeAppend(q.Text(), opt, lo, hi, dst, &st)
+			dst, err := db.SearchRangeAppend(q.Text(), opts(l, skip), lo, hi, dst, &st)
+			c.must(err)
+			return dst, tw(st)
+		}
+		md.rung = func(q engine.Query, l int, _ float64) (int, work) {
+			ids, _, st, err := db.SearchDist(q.Text(), opts(l, false))
+			c.must(err)
+			return len(ids), tw(st)
 		}
 	case engine.Graph:
 		graphs := make([]*graph.Graph, c.n)
-		for i, o := range objs {
+		for i, o := range md.objs {
 			graphs[i] = o.Graph()
 		}
 		db, err := graph.NewDB(graphs, tau)
 		c.must(err)
-		md.linear = func(q engine.Query, _ *float64) []int64 { return ids64(db.SearchLinear(q.Graph())) }
+		md.def = max(1, tau-1)
+		opts := func(l int, skip bool) graph.Options {
+			o := graph.RingOptions(chain(l))
+			if chain(l) == 1 {
+				o = graph.ParsOptions()
+			}
+			o.SkipVerify = skip
+			return o
+		}
+		gw := func(st graph.Stats) work { return work{st.Candidates, st.Results, st.Probes, st.BoxChecks} }
+		md.linear = func(q engine.Query, _ *float64) []int64 { return pairs.SortedIDs64(db.SearchLinear(q.Graph())) }
 		md.join = func() []engine.Pair { return enginePairs(db.JoinLinear()) }
 		md.dist = func(i int, q engine.Query, _ *float64) (float64, bool) {
 			d := graph.GEDWithin(graphs[i], q.Graph(), tau)
 			return float64(d), d >= 0
 		}
-		md.window = func(q engine.Query, l, lo, hi int, dst []int64) ([]int64, error) {
-			opt := graph.RingOptions(l)
-			if l == 1 {
-				opt = graph.ParsOptions()
-			}
+		md.window = func(q engine.Query, l int, skip bool, _ *float64, lo, hi int, dst []int64) ([]int64, work) {
 			var st graph.Stats
-			return db.SearchRangeAppend(q.Graph(), opt, lo, hi, dst, &st)
+			dst, err := db.SearchRangeAppend(q.Graph(), opts(l, skip), lo, hi, dst, &st)
+			c.must(err)
+			return dst, gw(st)
+		}
+		md.rung = func(q engine.Query, l int, _ float64) (int, work) {
+			ids, _, st, err := db.SearchDist(q.Graph(), opts(l, false))
+			c.must(err)
+			return len(ids), gw(st)
 		}
 	}
 	return md
-}
-
-func ids64(ids []int) []int64 {
-	out := make([]int64, len(ids))
-	for i, id := range ids {
-		out[i] = int64(id)
-	}
-	return out
 }
 
 // enginePairs widens a backend pair list into the engine id space.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"iter"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,76 +33,6 @@ func collect(seq iter.Seq2[int64, error]) ([]int64, error) {
 	return ids, nil
 }
 
-// TestLimitReturnsPrefix: Options.Limit=k returns exactly the first k
-// ascending ids of the unlimited search, on the plain adapters and on
-// the sharded composite.
-func TestLimitReturnsPrefix(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range buildCases(t, 4, 0) {
-		t.Run(tc.name, func(t *testing.T) {
-			for qi, q := range tc.queries {
-				full, _, err := tc.unsharded.Search(ctx, q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{1, 2, len(full), len(full) + 7} {
-					if k < 1 {
-						continue
-					}
-					want := full
-					if k < len(full) {
-						want = full[:k]
-					}
-					for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded": tc.sharded} {
-						got, st, err := ix.Search(ctx, q, Options{Limit: k})
-						if err != nil {
-							t.Fatalf("%s query %d limit %d: %v", name, qi, k, err)
-						}
-						if !sameIDs(got, want) {
-							t.Fatalf("%s query %d limit %d: ids %v, want %v", name, qi, k, got, want)
-						}
-						if k < len(full) {
-							if !st.Limited {
-								t.Fatalf("%s query %d limit %d: Limited not set", name, qi, k)
-							}
-							if st.Results != k {
-								t.Fatalf("%s query %d limit %d: Results=%d, want %d", name, qi, k, st.Results, k)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSearchSeqMatchesSearch: SearchSeq yields id-for-id the same
-// results as the slice Search on all four backends, unsharded and
-// sharded with a serial and a pooled fan-out.
-func TestSearchSeqMatchesSearch(t *testing.T) {
-	ctx := context.Background()
-	serial, pooled := buildCases(t, 3, 1), buildCases(t, 3, 3)
-	for ci, tc := range serial {
-		t.Run(tc.name, func(t *testing.T) {
-			for qi, q := range tc.queries {
-				want, _, err := tc.unsharded.Search(ctx, q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
-					got, err := collect(ix.SearchSeq(ctx, q, Options{}))
-					if err != nil {
-						t.Fatalf("%s query %d: %v", name, qi, err)
-					}
-					if !sameIDs(got, want) {
-						t.Fatalf("%s query %d: seq ids %v, want %v", name, qi, got, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // settleGoroutines waits up to five seconds for the goroutine count to
 // fall back to before and fails the test if it does not.
 func settleGoroutines(t *testing.T, before int) {
@@ -125,13 +56,13 @@ func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 	serial, pooled := buildCases(t, 4, 1), buildCases(t, 4, 4)
 	for ci, tc := range serial {
 		t.Run(tc.name, func(t *testing.T) {
-			q := tc.queries[0]
+			q := tc.query
 			full, _, err := tc.unsharded.Search(ctx, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(full) == 0 {
-				t.Fatalf("query 0 has no results; pick a better test query")
+				t.Fatalf("the sample query has no results; pick a better one")
 			}
 			k := (len(full) + 1) / 2
 			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
@@ -146,7 +77,7 @@ func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 						break
 					}
 				}
-				if !sameIDs(got, full[:k]) {
+				if !slices.Equal(got, full[:k]) {
 					t.Fatalf("%s break@%d: ids %v, want %v", name, k, got, full[:k])
 				}
 				settleGoroutines(t, before)
@@ -154,7 +85,7 @@ func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !sameIDs(got, full[:k]) {
+				if !slices.Equal(got, full[:k]) {
 					t.Fatalf("%s limit %d: ids %v, want %v", name, k, got, full[:k])
 				}
 			}
@@ -270,7 +201,7 @@ func TestSearchBatchCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(br.IDs, want) {
+		if !slices.Equal(br.IDs, want) {
 			t.Fatalf("query %d diverged from single search", i)
 		}
 	}
@@ -370,7 +301,7 @@ func TestShardedLimitedFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(ids, []int64{0, 1, 2, 3, 4}) || !st.Limited {
+	if !slices.Equal(ids, []int64{0, 1, 2, 3, 4}) || !st.Limited {
 		t.Errorf("ids=%v Limited=%v, want the first five ids and Limited (10 matches cut to 5)", ids, st.Limited)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,93 +34,6 @@ func roundTrip(t *testing.T, ix Index, workers int, hooks *Hooks) Index {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
 	return out
-}
-
-// TestSnapshotRoundTrip is the tentpole acceptance test: for every
-// problem, both unsharded and sharded, a written-then-opened index
-// answers every query with the exact ids and stats of the original.
-func TestSnapshotRoundTrip(t *testing.T) {
-	for _, tc := range buildCases(t, 3, 0) {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, ix := range []Index{tc.unsharded, tc.sharded} {
-				re := roundTrip(t, ix, 0, nil)
-				if re.Problem() != ix.Problem() || re.Len() != ix.Len() || re.Tau() != ix.Tau() {
-					t.Fatalf("identity differs: %v/%d/%v, want %v/%d/%v",
-						re.Problem(), re.Len(), re.Tau(), ix.Problem(), ix.Len(), ix.Tau())
-				}
-				if _, wasSharded := ix.(*Sharded); wasSharded {
-					if sh, ok := re.(*Sharded); !ok {
-						t.Fatalf("sharded index reopened as %T", re)
-					} else if sh.Shards() != ix.(*Sharded).Shards() {
-						t.Fatalf("reopened with %d shards, want %d", sh.Shards(), ix.(*Sharded).Shards())
-					}
-				}
-				for qi, q := range tc.queries {
-					want, wantStats, err := ix.Search(context.Background(), q, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, gotStats, err := re.Search(context.Background(), q, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameIDs(got, want) {
-						t.Fatalf("query %d: ids %v after round trip, want %v", qi, got, want)
-					}
-					if gotStats.Candidates != wantStats.Candidates || gotStats.Results != wantStats.Results {
-						t.Fatalf("query %d: stats %d/%d after round trip, want %d/%d",
-							qi, gotStats.Candidates, gotStats.Results, wantStats.Candidates, wantStats.Results)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestObject verifies the query-by-id capability: Object(id) must
-// return a query that searches identically to the original raw object,
-// on a plain index, a sharded one and a sharded one reopened from a
-// snapshot alike.
-func TestObject(t *testing.T) {
-	for _, tc := range buildCases(t, 3, 0) {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, ix := range []struct {
-				name string
-				ix   Index
-			}{{"unsharded", tc.unsharded}, {"sharded", tc.sharded}, {"reopened", roundTrip(t, tc.sharded, 0, nil)}} {
-				re := ix.ix
-				for _, id := range []int{0, re.Len() / 2, re.Len() - 1} {
-					q, err := Object(re, id)
-					if err != nil {
-						t.Fatalf("%s: Object(%d): %v", ix.name, id, err)
-					}
-					if q.Kind() != re.Problem() {
-						t.Fatalf("%s: Object(%d) kind %v, want %v", ix.name, id, q.Kind(), re.Problem())
-					}
-					got, _, err := re.Search(context.Background(), q, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, _, err := tc.unsharded.Search(context.Background(), q, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameIDs(got, want) {
-						t.Fatalf("%s: Object(%d) search ids %v, want %v", ix.name, id, got, want)
-					}
-					if !slices.Contains(got, int64(id)) {
-						t.Fatalf("%s: Object(%d) search %v does not contain the object itself", ix.name, id, got)
-					}
-				}
-				if _, err := Object(re, -1); err == nil {
-					t.Fatalf("%s: negative id accepted", ix.name)
-				}
-				if _, err := Object(re, re.Len()); err == nil {
-					t.Fatalf("%s: out-of-range id accepted", ix.name)
-				}
-			}
-		})
-	}
 }
 
 // TestSnapshotFileHelpers covers the atomic write + open-by-path pair,

@@ -11,8 +11,9 @@ import (
 
 // Tests for the 2-D tile decomposition: planner edge cases (corpora
 // smaller than one tile, tile size 1, row counts that don't divide
-// evenly, shard-bound cuts) and the schedule-independence guarantee —
-// the same pairs at every TileSize, with Limit and cancellation intact.
+// evenly, shard-bound cuts) and cancellation mid-tile. That every
+// TileSize gives the same pairs, Limit included, is TestExactness's
+// join step.
 
 // TestResolveTileSize pins the auto-sizing contract: explicit sizes
 // win verbatim, tiny corpora stay a single tile, and the range count
@@ -104,68 +105,6 @@ func TestTileRanges(t *testing.T) {
 	checkRanges(t, rs, 1, nil)
 	if len(rs) != 1 {
 		t.Fatalf("n=1 tileSize=0: %d ranges, want 1", len(rs))
-	}
-}
-
-// TestJoinTileSizeParity is the schedule-independence criterion: for
-// every backend, sharded and not, the join's pairs are identical at
-// tile size 1 (one row per range), a prime that doesn't divide n, the
-// default auto size, exactly n (a single tile), and far beyond n.
-func TestJoinTileSizeParity(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range buildJoinCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			for name, ix := range map[string]Index{"shards=1": tc.unsharded, "shards=4": tc.sharded} {
-				n := ix.Len()
-				for _, size := range []int{1, 7, 0, n, n + 100} {
-					got, st, err := ix.Join(ctx, JoinOptions{TileSize: size})
-					if err != nil {
-						t.Fatalf("%s tileSize=%d: %v", name, size, err)
-					}
-					if !samePairs(got, tc.want) {
-						t.Fatalf("%s tileSize=%d: %d pairs, want %d", name, size, len(got), len(tc.want))
-					}
-					if st.JoinTiles < 1 {
-						t.Fatalf("%s tileSize=%d: JoinTiles=%d, want ≥ 1", name, size, st.JoinTiles)
-					}
-					if size == 1 && name == "shards=1" && st.JoinTiles != n*(n+1)/2 {
-						t.Fatalf("tileSize=1: JoinTiles=%d, want the full triangle %d", st.JoinTiles, n*(n+1)/2)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestJoinLimitPrefixTiled: Limit composes with an explicit TileSize —
-// the first k pairs of the (I, J) order, regardless of which tile
-// produced them.
-func TestJoinLimitPrefixTiled(t *testing.T) {
-	ctx := context.Background()
-	vecs := dataset.GIST(300, 11)
-	for _, shards := range []int{1, 4} {
-		ix, err := BuildHamming(vecs, 16, 24, shards, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, _, err := ix.Join(ctx, JoinOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full) < 2 {
-			t.Fatalf("corpus yields only %d pairs; test needs ≥ 2", len(full))
-		}
-		k := len(full) / 2
-		got, st, err := ix.Join(ctx, JoinOptions{Limit: k, TileSize: 17})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePairs(got, full[:k]) {
-			t.Fatalf("shards=%d: limited tiled join %v, want prefix %v", shards, got, full[:k])
-		}
-		if !st.Limited {
-			t.Fatalf("shards=%d: Limited unset on a cut join", shards)
-		}
 	}
 }
 

@@ -6,19 +6,18 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/setsim"
-	"repro/internal/strdist"
 	"repro/internal/tokenset"
 )
 
-// The top-k oracle tests: per problem, a brute-force k-NN over the raw
-// data — every object within the backend's ceiling, sorted by
-// (Distance, ID) ascending — is compared exactly (ids and distances)
-// against SearchTopK on both the unsharded and the sharded index, and
-// the two indexes are additionally required to agree byte for byte.
+// The top-k oracle test below covers the Overlap measure, which no
+// /v1/load corpus uses: a brute-force k-NN over the raw data — every
+// object within the backend's ceiling, sorted by (Distance, ID)
+// ascending — is compared exactly (ids and distances) against
+// SearchTopK on both the unsharded and the sharded index, and the two
+// indexes are additionally required to agree byte for byte. Every
+// other top-k oracle check is TestExactness's.
 
 // oracleTopK truncates a full (Distance, ID)-sorted candidate list to
 // the k best.
@@ -76,81 +75,6 @@ func checkTopK(t *testing.T, unsharded, sharded Index, q Query, opt Options, wan
 	}
 }
 
-func TestTopKOracleHamming(t *testing.T) {
-	vecs := dataset.GIST(500, 21)
-	unsharded, err := BuildHamming(vecs, 16, 24, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := BuildHamming(vecs, 16, 24, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := func(q bitvec.Vector, cap int) []Result {
-		var all []Result
-		for id, v := range vecs {
-			d := bitvec.Hamming(v, q)
-			if cap < 0 || d <= cap {
-				all = append(all, Result{ID: int64(id), Distance: float64(d)})
-			}
-		}
-		slices.SortFunc(all, compareResult)
-		return all
-	}
-	for _, qi := range dataset.SampleQueries(len(vecs), 5, 22) {
-		q := vecs[qi]
-		// Default options: the ladder's ceiling is the vector dimension
-		// (the index default τ is a threshold-search default, not a
-		// top-k cap), so this is the full k-NN.
-		full := oracle(q, -1)
-		for _, k := range []int{1, 3, 10, len(vecs) + 5} {
-			checkTopK(t, unsharded, sharded, VectorQuery(q), Options{TopK: k}, oracleTopK(full, k))
-		}
-		// An explicit Options.Tau caps the ladder: results stay within
-		// that radius, even when fewer than k exist.
-		capped := oracle(q, 10)
-		for _, k := range []int{2, len(capped) + 3} {
-			checkTopK(t, unsharded, sharded, VectorQuery(q),
-				Options{TopK: k, Tau: Tau(10)}, oracleTopK(capped, k))
-		}
-		// The pigeonhole baseline (l=1) must return the same answer.
-		checkTopK(t, unsharded, sharded, VectorQuery(q),
-			Options{TopK: 5, ChainLength: 1}, oracleTopK(full, 5))
-	}
-}
-
-func TestTopKOracleSetJaccard(t *testing.T) {
-	sets := dataset.DBLP(600, 23)
-	cfg := setsim.Config{Measure: setsim.Jaccard, Tau: 0.7, M: 5}
-	unsharded, err := BuildSet(sets, cfg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := BuildSet(sets, cfg, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := func(q tokenset.Set) []Result {
-		var all []Result
-		for id, x := range sets {
-			o := tokenset.Overlap(x, q)
-			if o >= tokenset.RequiredOverlap(len(x), len(q), cfg.Tau) {
-				sim := float64(o) / float64(len(x)+len(q)-o)
-				all = append(all, Result{ID: int64(id), Distance: 1 - sim})
-			}
-		}
-		slices.SortFunc(all, compareResult)
-		return all
-	}
-	for _, qi := range dataset.SampleQueries(len(sets), 5, 24) {
-		q := sets[qi]
-		full := oracle(q)
-		for _, k := range []int{1, 4, len(sets) + 1} {
-			checkTopK(t, unsharded, sharded, SetQuery(q), Options{TopK: k}, oracleTopK(full, k))
-		}
-	}
-}
-
 func TestTopKOracleSetOverlap(t *testing.T) {
 	sets := dataset.DBLP(400, 25)
 	cfg := setsim.Config{Measure: setsim.Overlap, Tau: 3, M: 4}
@@ -179,84 +103,6 @@ func TestTopKOracleSetOverlap(t *testing.T) {
 		full := oracle(q)
 		for _, k := range []int{1, 5, len(sets) + 1} {
 			checkTopK(t, unsharded, sharded, SetQuery(q), Options{TopK: k}, oracleTopK(full, k))
-		}
-	}
-}
-
-func TestTopKOracleString(t *testing.T) {
-	strs := dataset.IMDB(600, 27)
-	unsharded, err := BuildString(strs, 2, 3, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A serial (one worker) and a pooled (one worker per shard) fan-out.
-	var shardeds []Index
-	for _, workers := range []int{1, 4} {
-		sharded, err := BuildString(strs, 2, 3, 4, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardeds = append(shardeds, sharded)
-	}
-	oracle := func(q string) []Result {
-		var all []Result
-		for id, s := range strs {
-			// Ceiling = the built τ: an index built for τ=3 cannot see
-			// objects further away.
-			if d := strdist.EditDistanceWithin(s, q, 3); d >= 0 {
-				all = append(all, Result{ID: int64(id), Distance: float64(d)})
-			}
-		}
-		slices.SortFunc(all, compareResult)
-		return all
-	}
-	for _, qi := range dataset.SampleQueries(len(strs), 5, 28) {
-		q := strs[qi]
-		full := oracle(q)
-		for _, sharded := range shardeds {
-			for _, k := range []int{1, 3, len(strs) + 1} {
-				checkTopK(t, unsharded, sharded, StringQuery(q), Options{TopK: k}, oracleTopK(full, k))
-			}
-			checkTopK(t, unsharded, sharded, StringQuery(q),
-				Options{TopK: 2, ChainLength: 1}, oracleTopK(full, 2))
-		}
-	}
-}
-
-func TestTopKOracleGraph(t *testing.T) {
-	graphs := dataset.AIDS(90, 29)
-	unsharded, err := BuildGraph(graphs, 3, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A serial (one worker) and a pooled (one worker per shard) fan-out.
-	var shardeds []Index
-	for _, workers := range []int{1, 3} {
-		sharded, err := BuildGraph(graphs, 3, 3, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardeds = append(shardeds, sharded)
-	}
-	oracle := func(q *graph.Graph) []Result {
-		var all []Result
-		for id, g := range graphs {
-			if d := graph.GEDWithin(g, q, 3); d >= 0 {
-				all = append(all, Result{ID: int64(id), Distance: float64(d)})
-			}
-		}
-		slices.SortFunc(all, compareResult)
-		return all
-	}
-	for _, qi := range dataset.SampleQueries(len(graphs), 4, 30) {
-		q := graphs[qi]
-		full := oracle(q)
-		for _, sharded := range shardeds {
-			for _, k := range []int{1, 3, len(graphs) + 1} {
-				checkTopK(t, unsharded, sharded, GraphQuery(q), Options{TopK: k}, oracleTopK(full, k))
-			}
-			checkTopK(t, unsharded, sharded, GraphQuery(q),
-				Options{TopK: 2, ChainLength: 1}, oracleTopK(full, 2))
 		}
 	}
 }
@@ -354,38 +200,6 @@ func TestTopKValidation(t *testing.T) {
 		// Kind mismatch still wins over option validation.
 		if _, _, err := ix.SearchTopK(ctx, StringQuery("x"), Options{TopK: 3}); err == nil {
 			t.Fatal("string query against hamming index accepted")
-		}
-	}
-}
-
-func TestSearchBatchTopK(t *testing.T) {
-	vecs := dataset.GIST(400, 34)
-	ix, err := BuildHamming(vecs, 16, 24, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var queries []Query
-	for _, qi := range dataset.SampleQueries(len(vecs), 8, 35) {
-		queries = append(queries, VectorQuery(vecs[qi]))
-	}
-	opt := Options{TopK: 6}
-	batch := SearchBatch(context.Background(), ix, queries, opt, 4)
-	if len(batch) != len(queries) {
-		t.Fatalf("batch returned %d results for %d queries", len(batch), len(queries))
-	}
-	for i, r := range batch {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if r.IDs != nil {
-			t.Fatalf("result %d: top-k batch filled IDs: %v", i, r.IDs)
-		}
-		want, _, err := ix.SearchTopK(context.Background(), queries[i], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(r.TopK, want) {
-			t.Fatalf("result %d: batch top-k %v, want %v", i, r.TopK, want)
 		}
 	}
 }

@@ -44,58 +44,6 @@ func openSnapshot(data []byte) (*DB, error) {
 	return OpenSnapshotAt(rd, "")
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	graphs := moleculeCorpus(rng, 100, 5, 10, 6, 2)
-	for _, tau := range []int{1, 3} {
-		db, err := NewDB(graphs, tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db2, err := openSnapshot(writeSnapshot(t, db))
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		if db2.Len() != db.Len() || db2.Tau() != db.Tau() {
-			t.Fatalf("geometry differs")
-		}
-		for id := range graphs {
-			g, g2 := db.Graph(id), db2.Graph(id)
-			if g2.N() != g.N() || !reflect.DeepEqual(g2.Edges(), g.Edges()) {
-				t.Fatalf("graph %d differs after round trip", id)
-			}
-			for v := 0; v < g.N(); v++ {
-				if g.VertexLabel(v) != g2.VertexLabel(v) {
-					t.Fatalf("graph %d vertex %d label differs", id, v)
-				}
-			}
-			for i, p := range db.parts[id] {
-				p2 := db2.parts[id][i]
-				if p2.N() != p.N() || !reflect.DeepEqual(p2.Edges(), p.Edges()) ||
-					!reflect.DeepEqual(p2.vlab, p.vlab) {
-					t.Fatalf("graph %d part %d differs after round trip", id, i)
-				}
-			}
-		}
-		for trial := 0; trial < 8; trial++ {
-			q := graphs[rng.Intn(len(graphs))]
-			for _, opt := range []Options{ParsOptions(), RingOptions(tau)} {
-				got, gst, err := db2.Search(q, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wst, err := db.Search(q, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gst, wst) {
-					t.Fatalf("τ=%d opt=%+v: (%v,%+v) want (%v,%+v)", tau, opt, got, gst, want, wst)
-				}
-			}
-		}
-	}
-}
-
 // resnap rewrites a snapshot section by section with fresh checksums:
 // edit returns a section's new payload, or false to drop it. It forges
 // what the checksum layer cannot catch — a well-formed container whose

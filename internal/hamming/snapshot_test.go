@@ -45,61 +45,6 @@ func openSnapshot(data []byte) (*DB, error) {
 	return OpenSnapshotAt(rd, "")
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n, d, m = 400, 128, 8
-	vecs := make([]bitvec.Vector, n)
-	for i := range vecs {
-		vecs[i] = bitvec.Random(rng, d)
-	}
-	db, err := NewDB(vecs, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := openSnapshot(writeSnapshot(t, db))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if db2.Len() != db.Len() || db2.Dim() != db.Dim() || db2.M() != db.M() {
-		t.Fatalf("geometry: got (%d,%d,%d), want (%d,%d,%d)",
-			db2.Len(), db2.Dim(), db2.M(), db.Len(), db.Dim(), db.M())
-	}
-	for id := 0; id < n; id++ {
-		if !db.Vector(id).Equal(db2.Vector(id)) {
-			t.Fatalf("vector %d differs after round trip", id)
-		}
-	}
-
-	opts := []Options{GPHOptions(), RingOptions(4), RingOptions(6),
-		{ChainLength: 5, Alloc: AllocUniform},
-		{ChainLength: 5, Alloc: AllocCostModel, NoIntegerReduction: true}}
-	for qi := 0; qi < 20; qi++ {
-		q := bitvec.Random(rng, d)
-		for _, tau := range []int{8, 24, 40} {
-			for _, opt := range opts {
-				got, gst, err := db2.Search(q, tau, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wst, err := db.Search(q, tau, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("q%d tau=%d opt=%+v: results %v, want %v", qi, tau, opt, got, want)
-				}
-				// The cost model must see identical sample values, so the
-				// whole search trajectory — thresholds, probes, box checks,
-				// candidates — matches, not just the result set.
-				if !reflect.DeepEqual(gst, wst) {
-					t.Fatalf("q%d tau=%d opt=%+v: stats %+v, want %+v", qi, tau, opt, gst, wst)
-				}
-			}
-		}
-	}
-}
-
 // snapshotFixture builds a DB over n clustered d-bit vectors in m parts,
 // requiring every part to come out direct-addressed (or every part
 // hashed), and returns it with its snapshot bytes.

@@ -2,17 +2,14 @@ package server
 
 import (
 	"net/http"
-	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 // Tests for the serving surface a cluster coordinator depends on:
 // corpus hashes as cross-process identity, the corpus_mismatch guard
-// on forwarded searches, and the /v1/join/tile fragment endpoint with
-// the same guard.
+// on forwarded searches, and the /v1/join/tile fragment endpoint's
+// validation.
 
 // TestCorpusHashIdentity: the hash must agree between two processes
 // that built the identical corpus (that is the whole point — attach-
@@ -73,57 +70,13 @@ func TestCorpusHashIdentity(t *testing.T) {
 	}
 }
 
-// TestJoinTileUnion: executing every enumerated tile through
-// POST /v1/join/tile and merging must reproduce POST /v1/join — the
-// HTTP half of the scatter contract (the engine half lives in
-// engine/remote_test.go).
-func TestJoinTileUnion(t *testing.T) {
+// TestJoinTileValidation: POST /v1/join/tile refuses a stale corpus
+// hash and a tile out of range. That the union of the tiles is the
+// join is internal/engine's TestExactness, whose coordinator scatters
+// every join over this endpoint.
+func TestJoinTileValidation(t *testing.T) {
 	h := newHarness(t)
-	resp := h.load(LoadRequest{Problem: "hamming", N: 300, Shards: 2})
-	var hr HealthResponse
-	h.get("/v1/healthz", &hr)
-	hash := hr.Corpora["hamming"]
-
-	var want JoinResponse
-	if code, body := h.post("/v1/join", JoinRequest{Problem: "hamming"}, &want); code != http.StatusOK {
-		t.Fatalf("join: status %d body %s", code, body)
-	}
-	if len(want.Pairs) == 0 {
-		t.Fatal("join produced no pairs; corpus too sparse for the test")
-	}
-
-	var union [][2]int64
-	for _, tl := range engine.EnumerateTiles(resp.N, 70, 4) {
-		var tr JoinResponse
-		code, body := h.post("/v1/join/tile", TileRequest{
-			Problem: "hamming",
-			RowLo:   tl.RowLo, RowHi: tl.RowHi, ColLo: tl.ColLo, ColHi: tl.ColHi,
-			CorpusHash: hash,
-		}, &tr)
-		if code != http.StatusOK {
-			t.Fatalf("tile %+v: status %d body %s", tl, code, body)
-		}
-		union = append(union, tr.Pairs...)
-	}
-	slices.SortFunc(union, func(a, b [2]int64) int {
-		if a[0] != b[0] {
-			if a[0] < b[0] {
-				return -1
-			}
-			return 1
-		}
-		if a[1] != b[1] {
-			if a[1] < b[1] {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	if !slices.Equal(union, want.Pairs) {
-		t.Fatalf("tile union (%d pairs) != join (%d pairs)", len(union), len(want.Pairs))
-	}
-
+	h.load(LoadRequest{Problem: "hamming", N: 300, Shards: 2})
 	if code, body := h.post("/v1/join/tile", TileRequest{
 		Problem: "hamming", RowLo: 0, RowHi: 10, ColLo: 0, ColHi: 10,
 		CorpusHash: "feedfacefeedface",

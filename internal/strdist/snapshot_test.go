@@ -71,48 +71,6 @@ func snapshotFixture(t testing.TB) (*DB, []byte, *rand.Rand) {
 	return db, writeSnapshot(t, db), rng
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	db, snap, rng := snapshotFixture(t)
-	strs := db.strs
-	db2, err := openSnapshot(snap)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if db2.Len() != db.Len() || db2.Tau() != db.Tau() {
-		t.Fatalf("geometry differs: (%d,%d) want (%d,%d)", db2.Len(), db2.Tau(), db.Len(), db.Tau())
-	}
-	for id := range strs {
-		if db2.String(id) != db.String(id) {
-			t.Fatalf("string %d differs", id)
-		}
-		if isShort(db, id) != isShort(db2, id) {
-			t.Fatalf("string %d: indexed/short differs after round trip", id)
-		}
-	}
-
-	opts := []Options{PivotalOptions(), RingOptions(2), RingOptions(3),
-		{Ring: true, ChainLength: 3, SkipVerify: true}}
-	for qi := 0; qi < 30; qi++ {
-		q := strs[rng.Intn(len(strs))]
-		if qi%3 == 0 {
-			q = randString(rng, 25, 4) // out-of-corpus queries too
-		}
-		for _, opt := range opts {
-			got, gst, err := db2.Search(q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wst, err := db.Search(q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gst, wst) {
-				t.Fatalf("q%d opt=%+v: (%v,%+v) want (%v,%+v)", qi, opt, got, gst, want, wst)
-			}
-		}
-	}
-}
-
 // isShort reports whether db routes string id around the signature
 // scheme (the short list) rather than indexing it.
 func isShort(db *DB, id int) bool {
