@@ -407,7 +407,7 @@ func (c *exactCase) search() {
 		for _, lim := range []int{0, limit.Limit} {
 			var resp server.SearchResponse
 			req := c.request(q, id)
-			req.L, req.Tau, req.Limit = l, tau, lim
+			req.L, req.Tau, req.Limit, req.Timings = l, tau, lim, lim == 0
 			code := c.post(c.front+"/v1/search", req, &resp)
 			ids, st := resp.IDs, resp.Stats
 			if code != http.StatusOK || lim == 0 && (!slices.Equal(ids, want) || st.Results != len(ids) || len(st.PerShard) != perShard) ||
