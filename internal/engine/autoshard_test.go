@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -37,20 +40,42 @@ func TestAutoShardCountDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutoShardsBuild: AutoShards resolves through AutoShardCount, so a
-// corpus past the 50 000-object threshold builds several shards. The
-// vectors are 64-bit and one part, which builds in milliseconds.
-func TestAutoShardsBuild(t *testing.T) {
+// TestAutoShardSearchPairIdentity: AutoShards resolves through
+// AutoShardCount, so a corpus past the 50 000-object threshold builds
+// several shards, and that index answers id-for-id like a forced
+// single shard. The vectors are 64-bit in four parts, which builds in
+// well under a second.
+func TestAutoShardSearchPairIdentity(t *testing.T) {
 	const n = 60_000
+	rng := rand.New(rand.NewSource(17))
 	vecs := make([]bitvec.Vector, n)
 	for i := range vecs {
-		vecs[i] = bitvec.New(64)
+		vecs[i] = bitvec.Random(rng, 64)
 	}
-	ix, err := BuildHamming(vecs, 1, 0, AutoShards, 0)
+	// Plant near-duplicates of vecs[0] so its search crosses shards.
+	for i := 1; i < n; i += n / 7 {
+		vecs[i] = vecs[0].Clone()
+		vecs[i].Flip(i % 64)
+	}
+	auto, err := BuildHamming(vecs, 4, 3, AutoShards, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh, ok := ix.(*Sharded); !ok || sh.Shards() != AutoShardCount(n) {
-		t.Fatalf("AutoShards at n=%d built %T, want a *Sharded with AutoShardCount(%d) = %d shards", n, ix, n, AutoShardCount(n))
+	if sh, ok := auto.(*Sharded); !ok || sh.Shards() != AutoShardCount(n) {
+		t.Fatalf("AutoShards at n=%d built %T, want a *Sharded with AutoShardCount(%d) = %d shards", n, auto, n, AutoShardCount(n))
+	}
+	forced1, err := BuildHamming(vecs, 4, 3, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qi := range []int{0, 1, rng.Intn(n)} {
+		want, _, err := forced1.Search(context.Background(), VectorQuery(vecs[qi]), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := auto.Search(context.Background(), VectorQuery(vecs[qi]), Options{})
+		if err != nil || !slices.Equal(got, want) || qi == 0 && len(want) < 8 {
+			t.Fatalf("query %d: auto ids %v (%v), forced single shard %v", qi, got, err, want)
+		}
 	}
 }

@@ -171,3 +171,68 @@ func TestBuildersClampShards(t *testing.T) {
 		t.Fatal("default τ beyond the vector dimension accepted")
 	}
 }
+
+// TestShardedMatchesUnsharded: for every problem, a 4-way sharded index
+// returns the unsharded index's ids, whether its shards fan out
+// serially (one worker) or on a pool of one worker per shard, with one
+// per-shard entry per shard summing to the aggregate candidates.
+func TestShardedMatchesUnsharded(t *testing.T) {
+	ctx := context.Background()
+	serial, pooled := buildCases(t, 4, 1), buildCases(t, 4, 4)
+	for ci, tc := range serial {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, ix := range []Index{tc.sharded, pooled[ci].sharded} {
+				sh, ok := ix.(*Sharded)
+				if !ok || sh.Shards() != 4 || sh.Len() != tc.unsharded.Len() {
+					t.Fatalf("%T: want a 4-shard *Sharded over %d objects", ix, tc.unsharded.Len())
+				}
+				for _, opt := range []Options{{}, {ChainLength: 1}} {
+					want, _, err := tc.unsharded.Search(ctx, tc.query, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st, err := sh.Search(ctx, tc.query, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := 0
+					for _, ps := range st.PerShard {
+						sum += ps.Candidates
+					}
+					if !slices.Equal(got, want) || st.Results != len(want) || len(st.PerShard) != 4 || sum != st.Candidates {
+						t.Fatalf("workers=%d l=%d: ids %v (Results %d, %d per-shard entries summing to %d of %d candidates), want %v",
+							sh.workers, opt.ChainLength, got, st.Results, len(st.PerShard), sum, st.Candidates, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSearchBatchAlignsWithSingle: SearchBatch over a sharded index
+// answers each query at its own position with the unsharded ids.
+func TestSearchBatchAlignsWithSingle(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range buildCases(t, 3, 0) {
+		t.Run(tc.name, func(t *testing.T) {
+			queries := []Query{tc.query}
+			for _, id := range []int{0, tc.unsharded.Len() - 1} {
+				q, err := Object(tc.unsharded, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries, q)
+			}
+			batch := SearchBatch(ctx, tc.sharded, queries, Options{}, 4)
+			if len(batch) != len(queries) {
+				t.Fatalf("batch returned %d results for %d queries", len(batch), len(queries))
+			}
+			for i, r := range batch {
+				want, _, err := tc.unsharded.Search(ctx, queries[i], Options{})
+				if r.Err != nil || err != nil || !slices.Equal(r.IDs, want) {
+					t.Fatalf("batch result %d: ids %v (%v), want %v (%v)", i, r.IDs, r.Err, want, err)
+				}
+			}
+		})
+	}
+}

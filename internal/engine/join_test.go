@@ -5,6 +5,7 @@ import (
 	"errors"
 	"iter"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,9 +13,10 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Tests for the join API's cancellation paths. Join and JoinSeq
-// output, Limit prefixes, skip-verify joins and every tiling against
-// the backends' JoinLinear are TestExactness's join steps.
+// Tests for the join API's cancellation paths, a skip-verify join and a
+// tiled Limit prefix. Join and JoinSeq output, Limit prefixes and every
+// tiling against the backends' JoinLinear are TestExactness's join
+// steps.
 
 // collectPairs drains a JoinSeq iterator, returning the yielded error
 // if any.
@@ -27,6 +29,52 @@ func collectPairs(seq iter.Seq2[Pair, error]) ([]Pair, error) {
 		ps = append(ps, p)
 	}
 	return ps, nil
+}
+
+// TestJoinSkipVerify: a skip-verify join fills the work counters but
+// returns no pairs.
+func TestJoinSkipVerify(t *testing.T) {
+	vecs := dataset.GIST(200, 15)
+	ix, err := BuildHamming(vecs, 16, 24, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, st, err := ix.Join(context.Background(), JoinOptions{SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 0 || st.Candidates == 0 {
+		t.Fatalf("skip-verify join returned %d pairs and %d candidates", len(ps), st.Candidates)
+	}
+}
+
+// TestJoinLimitPrefixTiled: Limit composes with an explicit TileSize —
+// the first k pairs of the (I, J) order, regardless of which tile
+// produced them.
+func TestJoinLimitPrefixTiled(t *testing.T) {
+	ctx := context.Background()
+	vecs := dataset.GIST(300, 11)
+	for _, shards := range []int{1, 4} {
+		ix, err := BuildHamming(vecs, 16, 24, shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := ix.Join(ctx, JoinOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) < 2 {
+			t.Fatalf("corpus yields only %d pairs; test needs ≥ 2", len(full))
+		}
+		k := len(full) / 2
+		got, st, err := ix.Join(ctx, JoinOptions{Limit: k, TileSize: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, full[:k]) || !st.Limited {
+			t.Fatalf("shards=%d: limited tiled join %v (Limited %v), want the cut prefix %v", shards, got, st.Limited, full[:k])
+		}
+	}
 }
 
 // blockingBackend is a backend whose range probes block until release

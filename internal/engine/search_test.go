@@ -33,6 +33,54 @@ func collect(seq iter.Seq2[int64, error]) ([]int64, error) {
 	return ids, nil
 }
 
+// TestLimitReturnsPrefix: Options.Limit=k returns exactly the first k
+// ascending ids of the unlimited search, on the plain adapters and on
+// the sharded composite, with Limited and Results set on a cut.
+func TestLimitReturnsPrefix(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range buildCases(t, 4, 0) {
+		t.Run(tc.name, func(t *testing.T) {
+			full, _, err := tc.unsharded.Search(ctx, tc.query, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, len(full), len(full) + 7} {
+				want := full[:min(k, len(full))]
+				for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded": tc.sharded} {
+					got, st, err := ix.Search(ctx, tc.query, Options{Limit: k})
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("%s limit %d: ids %v (%v), want %v", name, k, got, err, want)
+					}
+					if k < len(full) && (!st.Limited || st.Results != k) {
+						t.Fatalf("%s limit %d: Limited %v Results %d, want a cut at %d", name, k, st.Limited, st.Results, k)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSearchSeqMatchesSearch: SearchSeq yields id-for-id the slice
+// Search's output on plain and sharded indexes, serial and pooled.
+func TestSearchSeqMatchesSearch(t *testing.T) {
+	ctx := context.Background()
+	serial, pooled := buildCases(t, 3, 1), buildCases(t, 3, 3)
+	for ci, tc := range serial {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _, err := tc.unsharded.Search(ctx, tc.query, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
+				got, err := collect(ix.SearchSeq(ctx, tc.query, Options{}))
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s: seq ids %v (%v), want %v", name, got, err, want)
+				}
+			}
+		})
+	}
+}
+
 // settleGoroutines waits up to five seconds for the goroutine count to
 // fall back to before and fails the test if it does not.
 func settleGoroutines(t *testing.T, before int) {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +35,73 @@ func roundTrip(t *testing.T, ix Index, workers int, hooks *Hooks) Index {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
 	return out
+}
+
+// TestSnapshotRoundTrip: for every problem, unsharded and sharded, a
+// written-then-opened index keeps its identity and shard count and
+// answers with the original's ids and Candidates/Results.
+func TestSnapshotRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range buildCases(t, 3, 0) {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, ix := range []Index{tc.unsharded, tc.sharded} {
+				re := roundTrip(t, ix, 0, nil)
+				sh, wasSharded := ix.(*Sharded)
+				resh, isSharded := re.(*Sharded)
+				if re.Problem() != ix.Problem() || re.Len() != ix.Len() || re.Tau() != ix.Tau() ||
+					isSharded != wasSharded || wasSharded && resh.Shards() != sh.Shards() {
+					t.Fatalf("reopened as %T %v/%d/%v, want %T %v/%d/%v", re, re.Problem(), re.Len(), re.Tau(), ix, ix.Problem(), ix.Len(), ix.Tau())
+				}
+				want, wantSt, err := ix.Search(ctx, tc.query, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotSt, err := re.Search(ctx, tc.query, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) || gotSt.Candidates != wantSt.Candidates || gotSt.Results != wantSt.Results {
+					t.Fatalf("ids %v with %d/%d after the round trip, want %v with %d/%d",
+						got, gotSt.Candidates, gotSt.Results, want, wantSt.Candidates, wantSt.Results)
+				}
+			}
+		})
+	}
+}
+
+// TestObject: Object(id) returns a query of the index's kind that finds
+// the object itself, and searches like on the plain index, on a plain
+// index, a sharded one and a sharded one reopened from a snapshot.
+func TestObject(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range buildCases(t, 3, 0) {
+		t.Run(tc.name, func(t *testing.T) {
+			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded": tc.sharded, "reopened": roundTrip(t, tc.sharded, 0, nil)} {
+				for _, id := range []int{0, ix.Len() / 2, ix.Len() - 1} {
+					q, err := Object(ix, id)
+					if err != nil || q.Kind() != ix.Problem() {
+						t.Fatalf("%s: Object(%d) kind %v (%v), want %v", name, id, q.Kind(), err, ix.Problem())
+					}
+					got, _, err := ix.Search(ctx, q, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := tc.unsharded.Search(ctx, q, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) || !slices.Contains(got, int64(id)) {
+						t.Fatalf("%s: Object(%d) search ids %v, want %v with the object itself", name, id, got, want)
+					}
+				}
+				for _, id := range []int{-1, ix.Len()} {
+					if _, err := Object(ix, id); err == nil {
+						t.Fatalf("%s: Object(%d) accepted", name, id)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestSnapshotFileHelpers covers the atomic write + open-by-path pair,

@@ -203,3 +203,28 @@ func TestTopKValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchBatchTopK: a top-k SearchBatch capped at the built τ fills
+// TopK with each query's SearchTopK answer and leaves IDs nil.
+func TestSearchBatchTopK(t *testing.T) {
+	vecs := dataset.GIST(400, 34)
+	ix, err := BuildHamming(vecs, 16, 24, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []Query
+	for _, qi := range dataset.SampleQueries(len(vecs), 8, 35) {
+		queries = append(queries, VectorQuery(vecs[qi]))
+	}
+	opt := Options{TopK: 6, Tau: Tau(24)}
+	batch := SearchBatch(context.Background(), ix, queries, opt, 4)
+	if len(batch) != len(queries) {
+		t.Fatalf("batch returned %d results for %d queries", len(batch), len(queries))
+	}
+	for i, r := range batch {
+		want, _, err := ix.SearchTopK(context.Background(), queries[i], opt)
+		if r.Err != nil || err != nil || r.IDs != nil || !slices.Equal(r.TopK, want) {
+			t.Fatalf("result %d: ids %v top-k %v (%v), want top-k %v (%v)", i, r.IDs, r.TopK, r.Err, want, err)
+		}
+	}
+}
