@@ -30,23 +30,22 @@
 //
 // Above the four problem packages sits engine, the unified serving
 // layer: one Index interface with typed queries over every backend —
-// Search(ctx, q, opt) plus the streaming SearchSeq, both
-// context-cancellable with Options.Limit early termination — a
-// sharded composite that fans queries out across a worker pool and
-// abandons shards on cancellation or a satisfied limit, and a batch
-// API parallelizing across queries. Every Index also answers Join(ctx,
-// opt) and the streaming JoinSeq — the all-pairs self-join behind
-// dedup and entity resolution, answered by a 2-D upper-triangle tile
+// Search(ctx, q, opt), context-cancellable with Options.Limit early
+// termination — a sharded composite that fans queries out across a
+// worker pool and abandons shards on cancellation or a satisfied
+// limit, and a batch API parallelizing across queries. Every Index
+// also answers Join(ctx, opt) — the all-pairs self-join behind dedup
+// and entity resolution, answered by a 2-D upper-triangle tile
 // decomposition over the same pool with sharded output pair-identical
 // to unsharded — and SearchTopK(ctx, q, opt), which with Options.TopK
-// answers "the k nearest"
-// instead of "everything within τ" — Hamming by climbing an expanding
-// τ ladder until k results verify, string, graph and set in one pass
-// at the built τ — returning ranked (id, distance) Results,
-// byte-identical sharded versus plain. server exposes that layer over
-// HTTP/JSON (request-scoped contexts, limit/timeout_ms, "k" top-k
-// mode, cancelled and limited counters, /v1/join with join and pair
-// totals); cmd/pigeonringd is the daemon serving it.
+// answers "the k nearest" instead of "everything within τ" — Hamming
+// by climbing an expanding τ ladder until k results verify, string,
+// graph and set in one pass at the built τ — returning ranked (id,
+// distance) Results, byte-identical sharded versus plain. server
+// exposes that layer over HTTP/JSON (request-scoped contexts,
+// limit/timeout_ms, "k" top-k mode, cancelled and limited counters,
+// /v1/join with join and pair totals); cmd/pigeonringd is the daemon
+// serving it.
 //
 // See README.md for a tour. The benchmarks in bench_test.go regenerate each figure under
 // `go test -bench`.

@@ -12,7 +12,6 @@
 //   - JoinOptions.ChainLength contrasts the pkwise baseline (l = 1)
 //     against the pigeonring filter: same pairs, fewer candidates.
 //   - JoinOptions.Limit trims the join to its first k pairs.
-//   - JoinSeq streams pairs one at a time once the join completes.
 //   - A context deadline abandons a join mid-fan-out.
 //
 // Run with:
@@ -73,20 +72,6 @@ func main() {
 	fmt.Printf("first %d pairs (limited=%v):\n", len(first), st.Limited)
 	for _, p := range first {
 		fmt.Printf("  records %d and %d are near-duplicates\n", p.I, p.J)
-	}
-
-	// Or stream them: JoinSeq yields pairs one at a time; breaking out
-	// stops the iteration.
-	fmt.Printf("\nstreaming the first 3:\n")
-	count := 0
-	for p, err := range ix.JoinSeq(ctx, engine.JoinOptions{}) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  (%d, %d)\n", p.I, p.J)
-		if count++; count == 3 {
-			break
-		}
 	}
 
 	// A deadline abandons the join mid-fan-out, between row searches.

@@ -36,17 +36,6 @@ func Random(rng *rand.Rand, d int) Vector {
 	return v
 }
 
-// FromBits returns a vector whose bit i equals bits[i].
-func FromBits(bitvals []bool) Vector {
-	v := New(len(bitvals))
-	for i, b := range bitvals {
-		if b {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // FromString parses a vector from a string of '0' and '1' characters,
 // most significant (index 0) first. Whitespace is ignored, matching the
 // paper's "0000 0011 1111" notation.
@@ -63,7 +52,13 @@ func FromString(s string) (Vector, error) {
 			return Vector{}, fmt.Errorf("bitvec: invalid character %q", c)
 		}
 	}
-	return FromBits(bitvals), nil
+	v := New(len(bitvals))
+	for i, b := range bitvals {
+		if b {
+			v.Set(i)
+		}
+	}
+	return v, nil
 }
 
 // maskTail zeroes the unused bits of the last word. It writes only when

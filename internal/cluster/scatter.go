@@ -16,20 +16,6 @@ import (
 // requested problem.
 var ErrNotLoaded = errors.New("cluster: no index loaded on the replicas")
 
-// mergeWork folds one tile's engine statistics into the join's
-// aggregate: the work counters add up across replicas exactly as they
-// do across shards; wall-clock totals are replaced by the join's own
-// elapsed time by the caller.
-func mergeWork(dst *engine.Stats, s engine.Stats) {
-	dst.Candidates += s.Candidates
-	dst.Probes += s.Probes
-	dst.BoxChecks += s.BoxChecks
-	dst.FilterNS += s.FilterNS
-	dst.VerifyNS += s.VerifyNS
-	dst.TotalNS += s.TotalNS
-	dst.Limited = dst.Limited || s.Limited
-}
-
 // Search answers one threshold search through the coordinator's one
 // search path (see search): the ids are exactly a single node's, the
 // statistics the answering replica's. A top-k request belongs on
@@ -116,7 +102,7 @@ func (c *Coordinator) Join(ctx context.Context, req server.JoinRequest) ([][2]in
 	var agg engine.Stats
 	total := 0
 	for t := range tiles {
-		mergeWork(&agg, tileStats[t])
+		agg.Merge(tileStats[t])
 		total += len(tilePairs[t])
 	}
 	out := make([][2]int64, 0, total)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math"
 	"time"
 
@@ -102,10 +101,6 @@ func (a *adapter) Search(ctx context.Context, q Query, opt Options) ([]int64, St
 	})
 }
 
-func (a *adapter) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return collectSeq(ctx, func() ([]int64, Stats, error) { return a.Search(ctx, q, opt) })
-}
-
 // SearchTopK returns the Options.TopK nearest objects by climbing the
 // backend's τ ladder (see topk.go for each backend's shape).
 func (a *adapter) SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error) {
@@ -144,7 +139,7 @@ func (a *adapter) searchRange(ctx context.Context, q Query, opt Options, lo, hi 
 	if err != nil {
 		return dst, err
 	}
-	st.merge(bst)
+	st.Merge(bst)
 	return out, nil
 }
 

@@ -17,20 +17,16 @@
 // The layer adds what the single-problem packages deliberately leave
 // out:
 //
-//   - Context-aware search: every Search and SearchSeq takes a
-//     context.Context, so a serving system can abandon wasted
-//     verification work when a client disconnects or a deadline
-//     expires. Cancellation is checked between search passes and, on a
-//     sharded index, between shard dispatches; a single backend pass is
-//     the unit of non-interruptible work, so deployments wanting prompt
+//   - Context-aware search: every Search takes a context.Context, so
+//     a serving system can abandon wasted verification work when a
+//     client disconnects or a deadline expires. Cancellation is
+//     checked between search passes and, on a sharded index, between
+//     shard dispatches; a single backend pass is the unit of
+//     non-interruptible work, so deployments wanting prompt
 //     cancellation shard their indexes.
 //   - Early termination: Options.Limit stops a search after the first
 //     k ascending ids; a sharded index abandons shards that can no
 //     longer contribute to the first k.
-//   - Streaming: SearchSeq yields ids one at a time as an
-//     iter.Seq2[int64, error]; a sharded index streams each shard's
-//     results as soon as the shard (and all before it) completes, and
-//     breaking out of the loop cancels the remaining shards.
 //   - Sharded: a composite Index that partitions the database into N
 //     contiguous shards, fans every query out across a worker pool
 //     (parallel.ForEachCtx), and merges per-shard Stats into an
@@ -44,9 +40,8 @@
 //     decomposition of the pair space over the same worker pool (each
 //     tile probes one id range against another through reusable
 //     per-tile scratch),
-//     context-cancellable and limit-aware like a search, with a
-//     streaming JoinSeq. Sharded joins are pair-for-pair identical to
-//     unsharded ones.
+//     context-cancellable and limit-aware like a search. Sharded joins
+//     are pair-for-pair identical to unsharded ones.
 //   - Stats: a common work/timing report with per-shard breakdown,
 //     join counters (Pairs, JoinTiles) and optional filter/verify
 //     time split.
@@ -59,7 +54,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"iter"
 	"strings"
 
 	"repro/internal/bitvec"
@@ -164,9 +158,8 @@ type Options struct {
 	// ascending. A Hamming index runs the ring filter at an expanding τ
 	// ladder, and Tau caps the ladder: results stay within that radius.
 	// The string, graph and set indexes answer in one pass at their
-	// built τ. Search and SearchSeq reject a TopK option, and TopK is
-	// mutually exclusive with Limit, SkipVerify and Timings
-	// (validateTopK).
+	// built τ. Search rejects a TopK option, and TopK is mutually
+	// exclusive with Limit, SkipVerify and Timings (validateTopK).
 	TopK int
 	// SkipVerify stops after candidate generation; Stats are filled
 	// but no results are returned.
@@ -203,13 +196,6 @@ type Index interface {
 	// plain adapter checks the context between passes while a sharded
 	// index additionally stops dispatching shards.
 	Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error)
-	// SearchSeq is the streaming variant of Search: it yields result
-	// ids in ascending order, then stops. A non-nil error is yielded
-	// exactly once, as the final pair, with an undefined id. Breaking
-	// out of the loop abandons the remaining work (a sharded index
-	// cancels its in-flight shard fan-out). No Stats are produced;
-	// use Search when counters matter.
-	SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error]
 	TopKSearcher
 	Joiner
 
@@ -235,24 +221,4 @@ func checkKind(q Query, p Problem) error {
 		return fmt.Errorf("engine: %s query sent to %s index", q.kind, p)
 	}
 	return nil
-}
-
-// collectSeq adapts a blocking call into the SearchSeq / JoinSeq
-// contract: run completes first (one backend pass is not
-// interruptible, and a join's (I, J) order is known only at the end),
-// then its items are yielded one at a time with the context checked
-// between yields. An error is yielded once, last, with a zero item.
-func collectSeq[T any](ctx context.Context, run func() ([]T, Stats, error)) iter.Seq2[T, error] {
-	return func(yield func(T, error) bool) {
-		items, _, err := run()
-		for i := 0; err == nil && i < len(items); i++ {
-			if err = ctx.Err(); err == nil && !yield(items[i], nil) {
-				return
-			}
-		}
-		if err != nil {
-			var zero T
-			yield(zero, err)
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"iter"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +38,11 @@ import (
 // sequence from its seed alone. A failure names the seed and the step;
 // `go test ./internal/engine -run 'TestExactness/seed=N$'` replays it.
 func TestExactness(t *testing.T) {
+	seeds := make([]int64, 0, 32+len(regressionSeeds))
 	for seed := int64(1); seed <= 32; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range append(seeds, regressionSeeds...) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			c := newExactCase(t, seed)
 			// Every operation once, in a random order, then two more.
@@ -51,6 +54,12 @@ func TestExactness(t *testing.T) {
 		})
 	}
 }
+
+// regressionSeeds are seeds past the 32-seed sweep that once failed.
+// 327 and 491 draw 14- and 15-graph protein corpora whose sharded Limit
+// cut falls inside the last delivered shard, where Stats.Limited was
+// lost.
+var regressionSeeds = []int64{327, 491}
 
 var exactOps = []struct {
 	name string
@@ -332,8 +341,7 @@ func workOf(st engine.Stats) work { return work{st.Candidates, st.Results, st.Pr
 func (w work) plus(o work) work { return work{w[0] + o[0], w[1] + o[1], w[2] + o[2], w[3] + o[3]} }
 
 // search runs one query at every chain length through Search with and
-// without SkipVerify or a Limit, SearchSeq with an early break, and on
-// the plain index Timings.
+// without SkipVerify or a Limit, and on the plain index Timings.
 func (c *exactCase) search() {
 	q, id := c.query()
 	tau := c.tau()
@@ -357,12 +365,6 @@ func (c *exactCase) search() {
 			c.must(err)
 			c.sameIDs(what, ids, want)
 			c.checkStats(cf, st, len(want))
-			seq, err := drain(cf.ix.SearchSeq(c.ctx, q, opt), -1)
-			c.must(err)
-			c.sameIDs(what+" SearchSeq", seq, want)
-			seq, err = drain(cf.ix.SearchSeq(c.ctx, q, opt), len(prefix))
-			c.must(err)
-			c.sameIDs(fmt.Sprintf("%s SearchSeq break@%d", what, len(prefix)), seq, prefix)
 			ids, lst, err := cf.ix.Search(c.ctx, q, limit)
 			c.must(err)
 			c.sameIDs(fmt.Sprintf("%s limit %d", what, limit.Limit), ids, prefix)
@@ -450,23 +452,6 @@ func (c *exactCase) checkStats(cf config, st engine.Stats, want int) {
 	}
 }
 
-// drain collects a sequence, breaking after k items when k ≥ 0.
-func drain[T any](seq iter.Seq2[T, error], k int) ([]T, error) {
-	var out []T
-	if k == 0 {
-		return out, nil
-	}
-	for v, err := range seq {
-		if err != nil {
-			return out, err
-		}
-		if out = append(out, v); len(out) == k {
-			break
-		}
-	}
-	return out, nil
-}
-
 func (c *exactCase) batch() {
 	qs := make([]engine.Query, 1+c.rng.Intn(5))
 	for i := range qs {
@@ -539,9 +524,9 @@ func (c *exactCase) tileSize() int {
 	return sizes[c.rng.Intn(len(sizes))]
 }
 
-// join runs Join, JoinSeq with an early break, a Limit prefix and a
-// skip-verify join on every configuration, then a join scattered by
-// the coordinator and one run by a replica daemon.
+// join runs Join, a Limit prefix and a skip-verify join on every
+// configuration, then a join scattered by the coordinator and one run
+// by a replica daemon.
 func (c *exactCase) join() {
 	want := c.model.join()
 	l, ts, k := c.l(), c.tileSize(), c.rng.Intn(len(want)+2)
@@ -559,12 +544,6 @@ func (c *exactCase) join() {
 		if tiles := len(engine.EnumerateTiles(c.n, ts, 1)); !cf.sharded && ts > 0 && st.JoinTiles != tiles {
 			c.fatalf("%s: %d tiles, EnumerateTiles lists %d", what, st.JoinTiles, tiles)
 		}
-		got, err = drain(cf.ix.JoinSeq(c.ctx, opt), -1)
-		c.must(err)
-		c.samePairs(what+" JoinSeq", got, want)
-		got, err = drain(cf.ix.JoinSeq(c.ctx, opt), len(prefix))
-		c.must(err)
-		c.samePairs(fmt.Sprintf("%s JoinSeq break@%d", what, len(prefix)), got, prefix)
 		if k > 0 {
 			lim := opt
 			lim.Limit = k

@@ -1,15 +1,11 @@
 package engine
 
-import (
-	"context"
-	"iter"
-)
+import "context"
 
 // The join API makes the paper's second headline workload — the
 // all-pairs self-join behind dedup, entity resolution and record
 // matching — first-class in the engine, mirroring the Search
-// contract: context-cancellable, limit-aware, with a streaming
-// variant.
+// contract: context-cancellable and limit-aware.
 //
 // Every implementation runs the 2-D tile decomposition of tiles.go:
 // the id range [0, n) splits into contiguous ranges, the pair space
@@ -87,14 +83,6 @@ type Joiner interface {
 	// completes; cancellation is honored between row probes, so one
 	// backend pass is the unit of non-interruptible work.
 	Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error)
-	// JoinSeq is the streaming variant of Join: it yields pairs in
-	// ascending (I, J) order, then stops. A non-nil error is yielded
-	// exactly once, as the final element, with a zero pair. The (I, J)
-	// order is only known once every row has been searched, so the
-	// join runs to completion before the first yield; breaking out of
-	// the loop stops the remaining yields. No Stats are produced; use
-	// Join when counters matter.
-	JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error]
 }
 
 // searchOptions maps join options onto the per-row search options.
@@ -117,10 +105,6 @@ func (a *adapter) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, err
 	return joinTiles(ctx, a, 0, opt, ranges)
 }
 
-func (a *adapter) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectSeq(ctx, func() ([]Pair, Stats, error) { return a.Join(ctx, opt) })
-}
-
 // --- Sharded join ------------------------------------------------------------
 
 // Join self-joins the whole sharded database: the tile ranges are cut
@@ -133,10 +117,4 @@ func (a *adapter) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, 
 func (s *Sharded) Join(ctx context.Context, opt JoinOptions) ([]Pair, Stats, error) {
 	ranges := tileRanges(s.total, resolveTileSize(s.total, opt.TileSize, s.workers), s.offsets[1:])
 	return joinTiles(ctx, s, s.workers, opt, ranges)
-}
-
-// JoinSeq streams the sharded join's pairs; see Joiner.JoinSeq for the
-// contract.
-func (s *Sharded) JoinSeq(ctx context.Context, opt JoinOptions) iter.Seq2[Pair, error] {
-	return collectSeq(ctx, func() ([]Pair, Stats, error) { return s.Join(ctx, opt) })
 }

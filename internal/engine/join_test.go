@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"iter"
 	"runtime"
 	"slices"
 	"testing"
@@ -14,22 +13,9 @@ import (
 )
 
 // Tests for the join API's cancellation paths, a skip-verify join and a
-// tiled Limit prefix. Join and JoinSeq output, Limit prefixes and every
+// tiled Limit prefix. Join output, Limit prefixes and every
 // tiling against the backends' JoinLinear are TestExactness's join
 // steps.
-
-// collectPairs drains a JoinSeq iterator, returning the yielded error
-// if any.
-func collectPairs(seq iter.Seq2[Pair, error]) ([]Pair, error) {
-	var ps []Pair
-	for p, err := range seq {
-		if err != nil {
-			return ps, err
-		}
-		ps = append(ps, p)
-	}
-	return ps, nil
-}
 
 // TestJoinSkipVerify: a skip-verify join fills the work counters but
 // returns no pairs.
@@ -156,25 +142,5 @@ func TestJoinCancelPrompt(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
-	}
-}
-
-// TestJoinSeqCancelled: the streaming join surfaces a mid-run
-// cancellation as its final yielded error.
-func TestJoinSeqCancelled(t *testing.T) {
-	release := make(chan struct{})
-	sh, err := newSharded(blockingShards(4, release), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		close(release)
-	}()
-	_, err = collectPairs(sh.JoinSeq(ctx, JoinOptions{}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("seq err = %v, want context.Canceled", err)
 	}
 }

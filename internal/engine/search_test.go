@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"iter"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,22 +15,8 @@ import (
 )
 
 // Tests for the Search contract every Index shares: context
-// cancellation, Options.Limit early termination, and the SearchSeq
-// streaming variant, on plain and sharded indexes. They run under
-// -race in CI.
-
-// collect drains a SearchSeq iterator into a slice, returning the
-// yielded error if any.
-func collect(seq iter.Seq2[int64, error]) ([]int64, error) {
-	var ids []int64
-	for id, err := range seq {
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
+// cancellation and Options.Limit early termination, on plain and
+// sharded indexes. They run under -race in CI.
 
 // TestLimitReturnsPrefix: Options.Limit=k returns exactly the first k
 // ascending ids of the unlimited search, on the plain adapters and on
@@ -60,27 +45,6 @@ func TestLimitReturnsPrefix(t *testing.T) {
 	}
 }
 
-// TestSearchSeqMatchesSearch: SearchSeq yields id-for-id the slice
-// Search's output on plain and sharded indexes, serial and pooled.
-func TestSearchSeqMatchesSearch(t *testing.T) {
-	ctx := context.Background()
-	serial, pooled := buildCases(t, 3, 1), buildCases(t, 3, 3)
-	for ci, tc := range serial {
-		t.Run(tc.name, func(t *testing.T) {
-			want, _, err := tc.unsharded.Search(ctx, tc.query, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
-				got, err := collect(ix.SearchSeq(ctx, tc.query, Options{}))
-				if err != nil || !slices.Equal(got, want) {
-					t.Fatalf("%s: seq ids %v (%v), want %v", name, got, err, want)
-				}
-			}
-		})
-	}
-}
-
 // settleGoroutines waits up to five seconds for the goroutine count to
 // fall back to before and fails the test if it does not.
 func settleGoroutines(t *testing.T, before int) {
@@ -92,52 +56,6 @@ func settleGoroutines(t *testing.T, before int) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
-	}
-}
-
-// TestSearchSeqEarlyBreakAndLimit checks the streaming early-exit
-// paths: breaking after k ids gives the k-prefix, and Options.Limit
-// bounds the stream the same way. No goroutine outlives an early
-// break on a sharded index, serial or pooled.
-func TestSearchSeqEarlyBreakAndLimit(t *testing.T) {
-	ctx := context.Background()
-	serial, pooled := buildCases(t, 4, 1), buildCases(t, 4, 4)
-	for ci, tc := range serial {
-		t.Run(tc.name, func(t *testing.T) {
-			q := tc.query
-			full, _, err := tc.unsharded.Search(ctx, q, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(full) == 0 {
-				t.Fatalf("the sample query has no results; pick a better one")
-			}
-			k := (len(full) + 1) / 2
-			for name, ix := range map[string]Index{"unsharded": tc.unsharded, "sharded serial": tc.sharded, "sharded pooled": pooled[ci].sharded} {
-				before := runtime.NumGoroutine()
-				var got []int64
-				for id, err := range ix.SearchSeq(ctx, q, Options{}) {
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					got = append(got, id)
-					if len(got) == k {
-						break
-					}
-				}
-				if !slices.Equal(got, full[:k]) {
-					t.Fatalf("%s break@%d: ids %v, want %v", name, k, got, full[:k])
-				}
-				settleGoroutines(t, before)
-				got, err := collect(ix.SearchSeq(ctx, q, Options{Limit: k}))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !slices.Equal(got, full[:k]) {
-					t.Fatalf("%s limit %d: ids %v, want %v", name, k, got, full[:k])
-				}
-			}
-		})
 	}
 }
 
@@ -186,26 +104,6 @@ func TestShardedCancelPrompt(t *testing.T) {
 	// All fan-out goroutines must have drained; allow the runtime a
 	// moment to reap them.
 	settleGoroutines(t, before)
-}
-
-// TestSearchSeqCancelledSharded checks the streaming path surfaces
-// cancellation and drains its fan-out.
-func TestSearchSeqCancelledSharded(t *testing.T) {
-	release := make(chan struct{})
-	sh, err := newSharded(blockingShards(4, release), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		close(release)
-	}()
-	_, err = collect(sh.SearchSeq(ctx, VectorQuery(dataset.GIST(1, 1)[0]), Options{}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("seq err = %v, want context.Canceled", err)
-	}
 }
 
 // TestSearchBatchCancellation: a failed context aborts the batch —
@@ -335,22 +233,34 @@ func (stubBackend) topkRung(Query, Options, float64, *resultHeap, *Stats) error 
 func (stubBackend) object(int) Query                                            { return Query{kind: Hamming} }
 func (stubBackend) AppendSnapshot(*snapshot.Builder, string) error              { return nil }
 
-// TestShardedLimitedFlag: shard 0 holds ten matches and shard 1 none,
-// so Limit 5 cuts the true result set and Stats.Limited must say so
-// even though the last shard searched was not itself cut.
+// TestShardedLimitedFlag: one of two stub shards holds ten matches and
+// the other none, so Limit 5 cuts the true result set and Stats.Limited
+// must say so. With the matches first, the last shard searched was not
+// itself cut; with them last, the only cut is that shard's own, made
+// in the last delivered shard.
 func TestShardedLimitedFlag(t *testing.T) {
-	sh0 := &adapter{Hamming, 20, 1, stubBackend{ids: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}}
-	sh1 := &adapter{Hamming, 20, 1, stubBackend{}}
-	s, err := newSharded([]*adapter{sh0, sh1}, 1) // 1 worker: both shards run, in order
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, st, err := s.Search(context.Background(), Query{kind: Hamming}, Options{Limit: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ids, []int64{0, 1, 2, 3, 4}) || !st.Limited {
-		t.Errorf("ids=%v Limited=%v, want the first five ids and Limited (10 matches cut to 5)", ids, st.Limited)
+	ten := stubBackend{ids: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}
+	for _, tc := range []struct {
+		name   string
+		b0, b1 stubBackend
+		want   []int64
+	}{
+		{"matches in first shard", ten, stubBackend{}, []int64{0, 1, 2, 3, 4}},
+		{"matches in last shard", stubBackend{}, ten, []int64{20, 21, 22, 23, 24}},
+	} {
+		sh0 := &adapter{Hamming, 20, 1, tc.b0}
+		sh1 := &adapter{Hamming, 20, 1, tc.b1}
+		s, err := newSharded([]*adapter{sh0, sh1}, 1) // 1 worker: both shards run, in order
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, st, err := s.Search(context.Background(), Query{kind: Hamming}, Options{Limit: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ids, tc.want) || !st.Limited || st.Results != 5 {
+			t.Errorf("%s: ids=%v Limited=%v Results=%d, want %v, Limited and Results 5 (10 matches cut to 5)", tc.name, ids, st.Limited, st.Results, tc.want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sort"
 	"sync"
@@ -112,14 +111,14 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // so it is the lowest-indexed error and the one ForEachCtx returns.
 var errEnough = errors.New("engine: shard fan-out stopped early")
 
-// fanOut is the one shard fan-out behind Search, SearchSeq and
-// SearchTopK, running on f, a fan the caller holds until it has read
-// the answers. leg(ctx, i) runs the query on shard i on the worker
-// pool and returns the shard's Stats; its duration goes to hooks.Shard
-// and its error comes back wrapped as "shard i: …". As soon as shard i
-// and every shard before it are done, deliver(i) is called — in shard
-// order, one call at a time, under f's lock, so it must not block —
-// and f.delivered counts the calls. When deliver answers false
+// fanOut is the one shard fan-out behind Search and SearchTopK,
+// running on f, a fan the caller holds until it has read the answers.
+// leg(ctx, i) runs the query on shard i on the worker pool and returns
+// the shard's Stats; its duration goes to hooks.Shard and its error
+// comes back wrapped as "shard i: …". As soon as shard i and every
+// shard before it are done, deliver(i) is called — in shard order, one
+// call at a time, under f's lock, so it must not block — and
+// f.delivered counts the calls. When deliver answers false
 // ("enough"), the remaining legs are abandoned — undispatched ones
 // never start, in-flight ones finish their backend pass but are never
 // delivered — and fanOut succeeds. The returned Stats aggregate every
@@ -162,23 +161,10 @@ func (s *Sharded) fanOut(ctx context.Context, f *fan, hooks *Hooks, leg func(ctx
 	}
 	var agg Stats
 	for _, st := range perShard {
-		agg.merge(st)
+		agg.Merge(st)
 	}
 	agg.PerShard = perShard
 	return agg, nil
-}
-
-// searchLeg is the threshold-search leg Search and SearchSeq fan out:
-// shard i's ids, rebased to global ids, land in ids[i].
-func (s *Sharded) searchLeg(q Query, opt Options, ids [][]int64) func(context.Context, int) (Stats, error) {
-	return func(ctx context.Context, i int) (Stats, error) {
-		shardIDs, st, err := s.shards[i].Search(ctx, q, opt)
-		for j := range shardIDs {
-			shardIDs[j] += s.offsets[i]
-		}
-		ids[i] = shardIDs
-		return st, err
-	}
 }
 
 // Search fans q out to every shard and concatenates the results in
@@ -187,8 +173,9 @@ func (s *Sharded) searchLeg(q Query, opt Options, ids [][]int64) func(context.Co
 // carry the per-shard breakdown in PerShard. When ctx fails
 // mid-search, undispatched shards are skipped, in-flight ones drained,
 // and ctx's error returned. With Options.Limit, shards past a
-// delivered prefix that already holds Limit ids are abandoned and
-// Stats.Limited is set.
+// delivered prefix that already holds Limit ids are abandoned, and
+// Stats.Limited is set whenever ids were cut, including by one shard's
+// own Limit.
 func (s *Sharded) Search(ctx context.Context, q Query, opt Options) ([]int64, Stats, error) {
 	if err := checkKind(q, s.problem); err != nil {
 		return nil, Stats{}, err
@@ -206,7 +193,14 @@ func (s *Sharded) Search(ctx context.Context, q Query, opt Options) ([]int64, St
 	defer s.putFan(f)
 	// Shard order is ascending id order: once the delivered prefix
 	// holds Limit ids, later shards can only add ids past the cut.
-	agg, err := s.fanOut(ctx, f, hooks, s.searchLeg(q, opt, f.ids), func(i int) bool {
+	agg, err := s.fanOut(ctx, f, hooks, func(ctx context.Context, i int) (Stats, error) {
+		ids, st, err := s.shards[i].Search(ctx, q, opt)
+		for j := range ids {
+			ids[j] += s.offsets[i]
+		}
+		f.ids[i] = ids
+		return st, err
+	}, func(i int) bool {
 		f.count += len(f.ids[i])
 		return opt.Limit <= 0 || f.count < opt.Limit
 	})
@@ -313,62 +307,4 @@ func (s *Sharded) object(i int) Query {
 // shardOf returns the index of the shard holding global id i.
 func (s *Sharded) shardOf(i int64) int {
 	return sort.Search(len(s.offsets), func(k int) bool { return s.offsets[k] > i }) - 1
-}
-
-// SearchSeq streams q's results in ascending id order. Shards run
-// concurrently, but shard i's ids are yielded only after shards 0..i-1
-// have been fully yielded, preserving global order. Breaking out of
-// the loop (or a failing ctx) cancels the fan-out: undispatched shards
-// never run and in-flight ones are drained in the background. A
-// non-nil error — the context's or a shard's — is yielded exactly once
-// as the final pair.
-func (s *Sharded) SearchSeq(ctx context.Context, q Query, opt Options) iter.Seq2[int64, error] {
-	return func(yield func(int64, error) bool) {
-		if err := checkKind(q, s.problem); err != nil {
-			yield(0, err)
-			return
-		}
-		if opt.TopK > 0 {
-			yield(0, errTopKViaSearch)
-			return
-		}
-		seqCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		// As in Search: shard legs report through the Shard hook, the
-		// per-shard searches run hook-free. No query-level StageSearch
-		// is emitted — a stream has no single completion instant.
-		hooks := opt.Hooks
-		opt.Hooks = nil
-		// Buffered for every shard, so a delivery never blocks on a
-		// consumer that has moved on.
-		ready := make(chan []int64, len(s.shards))
-		var fanErr error
-		go func() {
-			f := s.fans.Get().(*fan)
-			defer s.putFan(f)
-			// fanErr is written before ready closes, and the consumer
-			// reads it only after observing the close, so the handoff
-			// is ordered.
-			_, fanErr = s.fanOut(seqCtx, f, hooks, s.searchLeg(q, opt, f.ids), func(i int) bool {
-				ready <- f.ids[i]
-				return true
-			})
-			close(ready)
-		}()
-		yielded := 0
-		for shardIDs := range ready {
-			for _, id := range shardIDs {
-				if !yield(id, nil) {
-					return
-				}
-				yielded++
-				if opt.Limit > 0 && yielded >= opt.Limit {
-					return
-				}
-			}
-		}
-		if fanErr != nil {
-			yield(0, fanErr)
-		}
-	}
 }

@@ -54,10 +54,13 @@ type Stats struct {
 	PerShard []Stats `json:"perShard,omitempty"`
 }
 
-// merge accumulates o's counters and CPU times into s. Wall time and
-// the per-shard breakdown are left to the caller: summing wall clocks
-// across parallel shards would be meaningless.
-func (s *Stats) merge(o Stats) {
+// Merge accumulates o's counters and CPU times into s, and keeps any
+// Limit cut o reports: the one aggregation rule for shards, join tiles
+// and a coordinator's replica tiles. Wall time, the per-shard
+// breakdown and the join counters (Pairs, JoinTiles) are left to the
+// caller: summing wall clocks across parallel shards would be
+// meaningless.
+func (s *Stats) Merge(o Stats) {
 	s.Candidates += o.Candidates
 	s.Results += o.Results
 	s.Probes += o.Probes
@@ -66,4 +69,5 @@ func (s *Stats) merge(o Stats) {
 	s.VerifyNS += o.VerifyNS
 	s.TotalNS += o.TotalNS
 	s.Rungs += o.Rungs
+	s.Limited = s.Limited || o.Limited
 }

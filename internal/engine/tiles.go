@@ -190,7 +190,7 @@ func joinTiles(ctx context.Context, ix Index, workers int, opt JoinOptions, rang
 	var agg Stats
 	nOut := 0
 	for t := range tiles {
-		agg.merge(tileStats[t])
+		agg.Merge(tileStats[t])
 		nOut += len(tilePairs[t])
 	}
 	out := make([]Pair, 0, nOut)

@@ -85,7 +85,7 @@ func validateTopK(opt Options) error {
 
 // errTopKViaSearch rejects Options.TopK on the threshold-search entry
 // points, where silently ignoring k would return an unranked id list.
-var errTopKViaSearch = fmt.Errorf("engine: Options.TopK is answered by SearchTopK, not Search/SearchSeq")
+var errTopKViaSearch = fmt.Errorf("engine: Options.TopK is answered by SearchTopK, not Search")
 
 // resultHeap is a bounded max-heap over (Distance, ID): it keeps the k
 // smallest entries pushed, with the largest at the root for O(log k)

@@ -185,17 +185,10 @@ func TestTopKValidation(t *testing.T) {
 				t.Fatalf("shards=%d: SearchTopK accepted %s", shards, name)
 			}
 		}
-		// The threshold entry points reject TopK instead of silently
+		// The threshold entry point rejects TopK instead of silently
 		// ignoring it.
 		if _, _, err := ix.Search(ctx, q, Options{TopK: 3}); !errors.Is(err, errTopKViaSearch) {
 			t.Fatalf("shards=%d: Search with TopK: err = %v", shards, err)
-		}
-		var seqErr error
-		for _, err := range ix.SearchSeq(ctx, q, Options{TopK: 3}) {
-			seqErr = err
-		}
-		if !errors.Is(seqErr, errTopKViaSearch) {
-			t.Fatalf("shards=%d: SearchSeq with TopK: err = %v", shards, seqErr)
 		}
 		// Kind mismatch still wins over option validation.
 		if _, _, err := ix.SearchTopK(ctx, StringQuery("x"), Options{TopK: 3}); err == nil {

@@ -115,12 +115,13 @@ func FuzzSearchRequest(f *testing.F) {
 // snapshot loads reach the file-opening path.
 func FuzzLoadRequest(f *testing.F) {
 	h := NewFromConfig(Config{Workers: 1, SnapshotDir: f.TempDir()}).Handler()
-	for path, body := range map[string]string{
-		"/v1/load":     `{"problem":"hamming","n":5}`,
-		"/v1/snapshot": `{"problem":"hamming"}`,
+	// In order: the snapshot writes the index the load built.
+	for _, req := range [][2]string{
+		{"/v1/load", `{"problem":"hamming","n":5}`},
+		{"/v1/snapshot", `{"problem":"hamming"}`},
 	} {
-		if code, resp := serve(h, path, []byte(body)); code != http.StatusOK {
-			f.Fatalf("%s %s: status %d body %s", path, body, code, resp)
+		if code, resp := serve(h, req[0], []byte(req[1])); code != http.StatusOK {
+			f.Fatalf("%s %s: status %d body %s", req[0], req[1], code, resp)
 		}
 	}
 	for _, p := range []string{"hamming", "set", "string", "graph"} {
