@@ -197,12 +197,42 @@ func (db *DB) Graph(id int) *Graph { return db.graphs[id] }
 // budget+1 ("more than budget"). Each call counts one BoxCheck.
 func (db *DB) box(s *searchScratch, id, i, budget int, q *Graph, st *Stats) int {
 	st.BoxChecks++
-	part := db.parts[id][i]
-	v := db.sigs.bound(id*(db.tau+1)+i, part.n, q.n, s.qv, s.qe)
-	if budget == 0 && v == 0 && !s.ks.subgraphIsomorphic(part, q) {
+	p := id*(db.tau+1) + i
+	v := db.sigs.bound(p, db.part(p).n, q.n, s.qv, s.qe)
+	if budget == 0 && v == 0 && !db.embeds(s.ks, p, q) {
 		v = 1
 	}
 	return min(v, budget+1)
+}
+
+// part returns part p = id·m + i.
+func (db *DB) part(p int) *Graph {
+	m := db.tau + 1
+	return db.parts[p/m][p%m]
+}
+
+// embeds reports whether part p embeds into q.
+func (db *DB) embeds(ks *kernelScratch, p int, q *Graph) bool {
+	return ks.subgraphIsomorphic(db.part(p), q)
+}
+
+// prepare returns a pooled scratch holding q's label counts and, when
+// the search verifies, its label multisets.
+func (db *DB) prepare(q *Graph, verify bool) *searchScratch {
+	s := db.scratch.Get().(*searchScratch)
+	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
+	if verify {
+		labelsInto(q, &s.qLabels)
+	}
+	return s
+}
+
+// labelBound is GED's label bound between graph id and the query s was
+// prepared for.
+func (db *DB) labelBound(s *searchScratch, id int, q *Graph) int {
+	x := db.graphs[id]
+	labelsInto(x, &s.ks.ged.la)
+	return LabelLowerBound(s.ks.ged.la, s.qLabels, x.n, q.n, x.e, q.e)
 }
 
 // Search returns the ids of all graphs with ged(x, q) ≤ τ, ascending.
@@ -286,11 +316,7 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 		l = m
 	}
 
-	s := db.scratch.Get().(*searchScratch)
-	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
-	if !opt.SkipVerify {
-		labelsInto(q, &s.qLabels)
-	}
+	s := db.prepare(q, !opt.SkipVerify)
 	plo := lo * m
 	s.marks = growUint64sClear(s.marks, ((hi-lo)*m+63)/64)
 	st.Probes = db.heads.mark(s.qv, plo, hi*m, s.marks)
