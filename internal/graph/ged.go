@@ -11,9 +11,18 @@ import "slices"
 // vertices to b's vertices or ε (deletion), ordered by descending
 // degree, pruned with the remaining-label-multiset lower bound.
 func GEDWithin(a, b *Graph, tau int) int {
+	if tau < 0 {
+		return -1
+	}
 	ks := getKernel()
-	labelsInto(b, &ks.ged.lb)
-	d := ks.gedWithin(a, b, &ks.ged.lb, tau)
+	s := &ks.ged
+	labelsInto(a, &s.la)
+	labelsInto(b, &s.lb)
+	d := -1
+	// Cheap global bound first.
+	if LabelLowerBound(s.la, s.lb, a.n, b.n, a.e, b.e) <= tau {
+		d = ks.gedExact(a, b, tau)
+	}
 	putKernel(ks)
 	return d
 }
@@ -45,22 +54,15 @@ type gedState struct {
 	dict       []int32
 	aLab, bLab []int
 	remA, remB []int
-	la, lb     LabelVector
+	// la and lb hold GEDWithin's label multisets of a and b.
+	la, lb LabelVector
 }
 
-// gedWithin is the pooled kernel behind GEDWithin. bl holds b's label
-// multisets, so a search verifying many graphs against one query
-// counts the query's labels once.
-func (ks *kernelScratch) gedWithin(a, b *Graph, bl *LabelVector, tau int) int {
-	if tau < 0 {
-		return -1
-	}
+// gedExact is the branch-and-bound behind GEDWithin, run once the label
+// bound has let the pair through: a DB search takes that bound from
+// its stored label runs, GEDWithin from freshly built multisets.
+func (ks *kernelScratch) gedExact(a, b *Graph, tau int) int {
 	s := &ks.ged
-	// Cheap global bound first.
-	labelsInto(a, &s.la)
-	if LabelLowerBound(s.la, *bl, a.n, b.n, a.e, b.e) > tau {
-		return -1
-	}
 	s.a, s.b, s.tau, s.best = a, b, tau, tau+1
 	s.order = degreeOrderInto(a, s.order)
 	s.bEdges = b.appendEdges(s.bEdges[:0])
@@ -69,7 +71,7 @@ func (ks *kernelScratch) gedWithin(a, b *Graph, bl *LabelVector, tau int) int {
 		s.phi[i] = -1
 	}
 	s.usedB = growBoolsClear(s.usedB, b.n)
-	s.dict = append(append(s.dict[:0], s.la.vlabels...), bl.vlabels...)
+	s.dict = append(append(s.dict[:0], a.vlab...), b.vlab...)
 	slices.Sort(s.dict)
 	s.dict = slices.Compact(s.dict)
 	s.remA = growIntsZero(s.remA, len(s.dict))

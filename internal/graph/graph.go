@@ -47,6 +47,16 @@
 // out sorted and a graph stops being tried once it is a candidate.
 // Stats.Probes counts the postings read.
 //
+// Everything a search reads that does not depend on the query is
+// prepared in NewDB. The parts are held flat, one Graph per part id,
+// their slices carved out of three arenas, and each part's vertices are
+// written in the order the sub-isomorphism test matches them, so a box
+// test starts matching at once. Beside the part signatures the arena
+// holds each whole graph's label runs, Wildcard counted as a label; a
+// candidate's GED label bound (LabelLowerBound) is summed from those
+// runs against the query's counts, and only a candidate that bound lets
+// through reaches the exact branch-and-bound.
+//
 // Two substitutions versus Pars: parts are vertex-induced subgraphs
 // (no half-edges), under which every edit operation still touches at
 // most one part, so the pigeonhole and pigeonring filters remain
@@ -184,18 +194,33 @@ func (g *Graph) Clone() *Graph {
 // InducedSubgraph returns the subgraph induced by the given vertices
 // (in the given order) — the part shape used by the partition filter.
 func (g *Graph) InducedSubgraph(vs []int) *Graph {
-	s := New(len(vs))
-	for i, v := range vs {
-		s.vlab[i] = g.vlab[v]
-	}
+	n := len(vs)
+	s := &Graph{n: n, vlab: make([]int32, n), elab: make([]int32, n*n), deg: make([]int, n)}
+	g.induceInto(s, vs)
+	return s
+}
+
+// induceInto writes the subgraph of g induced by vs into s, vertex k
+// being vs[k]. s.n must be len(vs), and s's vlab, elab and deg slices
+// must have length n, n·n and n; their contents are overwritten.
+func (g *Graph) induceInto(s *Graph, vs []int) {
+	n := len(vs)
+	s.e = 0
 	for i, u := range vs {
+		s.vlab[i] = g.vlab[u]
+		row := g.elab[u*g.n : (u+1)*g.n]
+		d := 0
 		for j, v := range vs {
-			if i < j && g.HasEdge(u, v) {
-				s.AddEdge(i, j, g.EdgeLabel(u, v))
+			l := row[v]
+			s.elab[i*n+j] = l
+			if l >= 0 {
+				d++
 			}
 		}
+		s.deg[i] = d
+		s.e += d
 	}
-	return s
+	s.e /= 2
 }
 
 // String renders a compact description for debugging.

@@ -59,11 +59,13 @@ func buildHeadIndex(s *partSigs, nparts int) headIndex {
 }
 
 // mark sets bit p − plo of marks for every part p in [plo, phi) on the
-// lists of q's labels (the labels qv counts) and on the last list, and
-// returns the number of postings it read.
+// lists of q's labels (the labels qv counts; its Wildcard count is not
+// a list) and on the last list, and returns the number of postings it
+// read.
 func (h *headIndex) mark(qv []int32, plo, phi int, marks []uint64) int {
-	probes := h.markList(len(h.off)-2, plo, phi, marks)
-	for k, c := range qv {
+	none := len(h.off) - 2
+	probes := h.markList(none, plo, phi, marks)
+	for k, c := range qv[:none] {
 		if c > 0 {
 			probes += h.markList(k, plo, phi, marks)
 		}

@@ -80,7 +80,8 @@ func TestHeadIndexCoversHeads(t *testing.T) {
 				t.Fatalf("τ %d: %d probes set %d bits", tau, probes, set)
 			}
 			for id := lo; id < hi; id++ {
-				for i, part := range db.parts[id] {
+				for i := range m {
+					part := &db.parts[id*m+i]
 					b := (id-lo)*m + i
 					marked := marks[b>>6]&(1<<(b&63)) != 0
 					if !marked && db.sigs.bound(id*m+i, part.n, q.n, qv, qe) == 0 {

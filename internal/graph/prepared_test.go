@@ -33,7 +33,7 @@ func boundGraph(next func() byte, maxN, vlabels, elabels int) *Graph {
 // graph of db to equal LabelLowerBound over freshly built multisets.
 func checkStoredBound(t *testing.T, db *DB, q *Graph) {
 	t.Helper()
-	s := db.prepare(q, true)
+	s := db.prepare(q)
 	defer db.putScratch(s)
 	ql := Labels(q)
 	for id, x := range db.graphs {
@@ -50,7 +50,7 @@ func checkStoredBound(t *testing.T, db *DB, q *Graph) {
 func crossOnlyEdgeLabel(db *DB) bool {
 	var inParts, all []int32
 	for p := range len(db.graphs) * (db.tau + 1) {
-		inParts = db.part(p).appendEdgeLabels(inParts)
+		inParts = db.parts[p].appendEdgeLabels(inParts)
 	}
 	for _, x := range db.graphs {
 		all = x.appendEdgeLabels(all)
@@ -188,7 +188,7 @@ func TestStoredPartsEmbed(t *testing.T) {
 			for id, x := range graphs {
 				for i, vs := range BFSPartitioner(x, m) {
 					p := id*m + i
-					fresh, part := x.InducedSubgraph(vs), db.part(p)
+					fresh, part := x.InducedSubgraph(vs), &db.parts[p]
 					if part.n != fresh.n || part.e != fresh.e ||
 						!slices.Equal(Labels(part).vlabels, Labels(fresh).vlabels) ||
 						!slices.Equal(Labels(part).elabels, Labels(fresh).elabels) {
@@ -199,7 +199,7 @@ func TestStoredPartsEmbed(t *testing.T) {
 					if got := SubgraphIsomorphic(part, q); got != want {
 						t.Fatalf("τ %d: SubgraphIsomorphic says stored part %d of graph %d embeds %v, brute force %v", tau, i, id, got, want)
 					}
-					if got := db.embeds(ks, p, q); got != want {
+					if got := ks.embeds(part, q); got != want {
 						t.Fatalf("τ %d: part %d of graph %d: box entry says %v, SubgraphIsomorphic %v\npart %v %v\nquery %v %v",
 							tau, i, id, got, want, part.vlab, part.Edges(), q.vlab, q.Edges())
 					}

@@ -34,7 +34,7 @@ func screenGraph(next func() byte, maxN, labels, maxE int) *Graph {
 // that budget makes MinDeletionOps exact.
 func checkScreen(t *testing.T, part, other, q *Graph) int {
 	t.Helper()
-	s := buildPartSigs([][]*Graph{{part, other}})
+	s := buildPartSigs(nil, []Graph{*part, *other})
 	qv, qe := s.countQuery(q, nil, nil)
 	lb := s.bound(0, part.n, q.n, qv, qe)
 	if exact := MinDeletionOps(part, q, part.n+part.e); lb > exact {
@@ -70,15 +70,15 @@ func TestBoxScreenAdmissible(t *testing.T) {
 		x := screenGraph(next, 6, 3, 7)
 		q := screenGraph(next, 6, 5, 8)
 		m := 1 + rng.Intn(4)
-		var parts []*Graph
+		var parts []Graph
 		for _, vs := range BFSPartitioner(x, m) {
-			parts = append(parts, x.InducedSubgraph(vs))
+			parts = append(parts, *x.InducedSubgraph(vs))
 		}
-		s := buildPartSigs([][]*Graph{parts})
+		s := buildPartSigs([]*Graph{x}, parts)
 		qv, qe := s.countQuery(q, nil, nil)
 		sum, nonzero := 0, 0
-		for i, p := range parts {
-			if b := s.bound(i, p.n, q.n, qv, qe); b > 0 {
+		for i := range parts {
+			if b := s.bound(i, parts[i].n, q.n, qv, qe); b > 0 {
 				sum += b
 				nonzero++
 			}
@@ -118,8 +118,8 @@ func FuzzBoxScreen(f *testing.F) {
 }
 
 // TestDenseIDs: over label spans from one value to the whole int32
-// range, denseIDs returns the sorted distinct labels and each label's
-// index among them.
+// range, through both the table and the sort path, denseIDs returns
+// the sorted distinct labels and each label's index among them.
 func TestDenseIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, span := range []int64{1, 5, 40, 1 << 20, 1 << 32} {

@@ -55,22 +55,22 @@ type partitioner func(g *Graph, m int) [][]int
 // appended) sliced into m nearly equal contiguous chunks, which keeps
 // parts as connected as the graph allows.
 func BFSPartitioner(g *Graph, m int) [][]int {
+	// order doubles as the BFS queue: vertices leave it in the order
+	// they entered.
 	order := make([]int, 0, g.n)
 	seen := make([]bool, g.n)
 	for start := 0; start < g.n; start++ {
 		if seen[start] {
 			continue
 		}
-		queue := []int{start}
 		seen[start] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for u := 0; u < g.n; u++ {
-				if !seen[u] && g.HasEdge(v, u) {
+		order = append(order, start)
+		for head := len(order) - 1; head < len(order); head++ {
+			v := order[head]
+			for u, l := range g.elab[v*g.n : (v+1)*g.n] {
+				if l >= 0 && !seen[u] {
 					seen[u] = true
-					queue = append(queue, u)
+					order = append(order, u)
 				}
 			}
 		}
@@ -90,11 +90,15 @@ func BFSPartitioner(g *Graph, m int) [][]int {
 }
 
 // DB is a GED search index built for a fixed threshold τ: every data
-// graph is pre-partitioned into m = τ+1 vertex-induced parts.
+// graph is pre-partitioned into m = τ+1 vertex-induced parts. Part
+// p = id·m + i is parts[p], its vertices stored in match order so the
+// box screen's sub-isomorphism test starts without ordering them; the
+// parts' label, adjacency and degree slices are carved out of three
+// arenas.
 type DB struct {
 	tau    int
 	graphs []*Graph
-	parts  [][]*Graph
+	parts  []Graph
 	sigs   partSigs
 	heads  headIndex
 	// scratch pools per-search kernel state and result buffers so a
@@ -105,17 +109,16 @@ type DB struct {
 // searchScratch is the per-search working memory a DB hands out from
 // its pool: the result buffer, one kernel scratch that serves every
 // sub-isomorphism test and GED verification of the query, and the
-// query's label counts over the DB's label dictionaries.
+// query's label counts over the DB's label dictionaries, which both
+// the box screen and GED's label bound read.
 type searchScratch struct {
 	results []int
 	// dists holds the verified GED of each entry of results, populated
 	// only on the SearchDist path.
 	dists []int
 	ks    *kernelScratch
-	qv    []int32 // query vertex-label counts, indexed by dictionary id
+	qv    []int32 // query vertex-label counts by dictionary id, then Wildcards
 	qe    []int32 // query edge-label counts, indexed by dictionary id
-	// qLabels is the query's label multisets, GED's global bound.
-	qLabels LabelVector
 	// marks holds one bit per part of the searched id window, set for
 	// the parts the head index lists under q's labels.
 	marks []uint64
@@ -153,28 +156,42 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 	db := &DB{
 		tau:    tau,
 		graphs: graphs,
-		parts:  make([][]*Graph, len(graphs)),
+		parts:  make([]Graph, len(graphs)*m),
 	}
+	// Partition every graph first, so the part arenas are sized exactly.
+	groups := make([][][]int, len(graphs))
+	nv, cells := 0, 0
 	for id, g := range graphs {
 		if g.n > MaxVertices {
 			return nil, fmt.Errorf("graph: graph %d has %d vertices, more than %d", id, g.n, MaxVertices)
 		}
-		groups := part(g, m)
-		if len(groups) != m {
-			return nil, fmt.Errorf("graph: partitioner returned %d groups, want %d", len(groups), m)
+		gs := part(g, m)
+		if len(gs) != m {
+			return nil, fmt.Errorf("graph: partitioner returned %d groups, want %d", len(gs), m)
 		}
+		groups[id] = gs
 		covered := 0
-		ps := make([]*Graph, m)
-		for i, vs := range groups {
-			ps[i] = g.InducedSubgraph(vs)
+		for _, vs := range gs {
 			covered += len(vs)
+			cells += len(vs) * len(vs)
 		}
 		if covered != g.N() {
 			return nil, fmt.Errorf("graph: partition of graph %d covers %d of %d vertices", id, covered, g.N())
 		}
-		db.parts[id] = ps
+		nv += covered
 	}
-	db.sigs = buildPartSigs(db.parts)
+	vlab, elab, deg := make([]int32, nv), make([]int32, cells), make([]int, nv)
+	ks := new(kernelScratch)
+	for id, g := range graphs {
+		for i, vs := range groups[id] {
+			n := len(vs)
+			p := &db.parts[id*m+i]
+			*p = Graph{n: n, vlab: vlab[:n:n], elab: elab[: n*n : n*n], deg: deg[:n:n]}
+			vlab, elab, deg = vlab[n:], elab[n*n:], deg[n:]
+			g.induceInto(p, ks.matchOrder(g, vs))
+		}
+	}
+	db.sigs = buildPartSigs(graphs, db.parts)
 	db.heads = buildHeadIndex(&db.sigs, len(graphs)*m)
 	db.scratch.New = func() any {
 		return &searchScratch{ks: new(kernelScratch)}
@@ -198,41 +215,26 @@ func (db *DB) Graph(id int) *Graph { return db.graphs[id] }
 func (db *DB) box(s *searchScratch, id, i, budget int, q *Graph, st *Stats) int {
 	st.BoxChecks++
 	p := id*(db.tau+1) + i
-	v := db.sigs.bound(p, db.part(p).n, q.n, s.qv, s.qe)
-	if budget == 0 && v == 0 && !db.embeds(s.ks, p, q) {
+	part := &db.parts[p]
+	v := db.sigs.bound(p, part.n, q.n, s.qv, s.qe)
+	if budget == 0 && v == 0 && !s.ks.embeds(part, q) {
 		v = 1
 	}
 	return min(v, budget+1)
 }
 
-// part returns part p = id·m + i.
-func (db *DB) part(p int) *Graph {
-	m := db.tau + 1
-	return db.parts[p/m][p%m]
-}
-
-// embeds reports whether part p embeds into q.
-func (db *DB) embeds(ks *kernelScratch, p int, q *Graph) bool {
-	return ks.subgraphIsomorphic(db.part(p), q)
-}
-
-// prepare returns a pooled scratch holding q's label counts and, when
-// the search verifies, its label multisets.
-func (db *DB) prepare(q *Graph, verify bool) *searchScratch {
+// prepare returns a pooled scratch holding q's label counts.
+func (db *DB) prepare(q *Graph) *searchScratch {
 	s := db.scratch.Get().(*searchScratch)
 	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
-	if verify {
-		labelsInto(q, &s.qLabels)
-	}
 	return s
 }
 
 // labelBound is GED's label bound between graph id and the query s was
-// prepared for.
+// prepared for, read from the graph's stored label runs.
 func (db *DB) labelBound(s *searchScratch, id int, q *Graph) int {
 	x := db.graphs[id]
-	labelsInto(x, &s.ks.ged.la)
-	return LabelLowerBound(s.ks.ged.la, s.qLabels, x.n, q.n, x.e, q.e)
+	return db.sigs.gedBound(id, x.n, x.e, q.n, q.e, s.qv, s.qe)
 }
 
 // Search returns the ids of all graphs with ged(x, q) ≤ τ, ascending.
@@ -316,7 +318,7 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 		l = m
 	}
 
-	s := db.prepare(q, !opt.SkipVerify)
+	s := db.prepare(q)
 	plo := lo * m
 	s.marks = growUint64sClear(s.marks, ((hi-lo)*m+63)/64)
 	st.Probes = db.heads.mark(s.qv, plo, hi*m, s.marks)
@@ -333,8 +335,8 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 			}
 			last = id
 			st.Candidates++
-			if !opt.SkipVerify {
-				if d := s.ks.gedWithin(db.graphs[id], q, &s.qLabels, tau); d >= 0 {
+			if !opt.SkipVerify && db.labelBound(s, id, q) <= tau {
+				if d := s.ks.gedExact(db.graphs[id], q, tau); d >= 0 {
 					results = append(results, id)
 					if wantDist {
 						dists = append(dists, d)

@@ -8,9 +8,10 @@ import (
 )
 
 // AppendSnapshot adds the DB's sections to b under the given name
-// prefix: τ and the graphs. The parts, label vectors and edge counts
-// are derived data that OpenSnapshotAt rebuilds, so a file cannot carry
-// a partition that disagrees with its graphs.
+// prefix: τ and the graphs. The parts, the label runs of parts and
+// graphs, and the head index are derived data that OpenSnapshotAt
+// rebuilds, so a file cannot carry a partition or a signature that
+// disagrees with its graphs.
 func (db *DB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
 	b.AddU64s(prefix+"meta", []uint64{uint64(db.tau), uint64(len(db.graphs))})
 	appendGraphs(b, prefix+"g.", db.graphs)

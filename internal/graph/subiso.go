@@ -5,38 +5,49 @@ package graph
 // the pattern matches anything), and maps every pattern edge to a
 // g-edge with the same label. Extra edges in g are allowed (non-induced
 // embedding), which is the notion the partition filter needs.
+//
+// p is copied into match order and run through the kernel the box
+// screen calls on a DB's stored parts.
 func SubgraphIsomorphic(p, g *Graph) bool {
+	if p.n > g.n || p.e > g.e {
+		return false
+	}
 	ks := getKernel()
-	ok := ks.subgraphIsomorphic(p, g)
+	n := p.n
+	ks.all = growInts(ks.all, n)
+	for v := range ks.all {
+		ks.all[v] = v
+	}
+	ks.pat = Graph{n: n, vlab: growInt32s(ks.pat.vlab, n), elab: growInt32s(ks.pat.elab, n*n),
+		deg: growInts(ks.pat.deg, n)}
+	p.induceInto(&ks.pat, ks.matchOrder(p, ks.all))
+	ok := ks.embeds(&ks.pat, g)
 	putKernel(ks)
 	return ok
 }
 
-// subgraphIsomorphic is the pooled kernel behind SubgraphIsomorphic.
-func (ks *kernelScratch) subgraphIsomorphic(p, g *Graph) bool {
-	if p.n == 0 {
-		return true
-	}
+// embeds reports whether p embeds into g, matching p's vertices in
+// their stored order; a DB stores its parts in match order, so the box
+// screen calls it directly.
+func (ks *kernelScratch) embeds(p, g *Graph) bool {
 	if p.n > g.n || p.e > g.e {
 		return false
 	}
-	ks.matchOrder(p)
 	ks.phi = growInts(ks.phi, p.n)
-	for i := range ks.phi {
-		ks.phi[i] = -1
-	}
 	ks.used = growBoolsClear(ks.used, g.n)
 	return ks.match(p, g, 0)
 }
 
-// match is the backtracking step over ks.order.
+// match is the backtracking step: pattern vertex step goes next, and
+// vertices 0…step−1 are mapped (ks.phi).
 func (ks *kernelScratch) match(p, g *Graph, step int) bool {
 	if step == p.n {
 		return true
 	}
-	u := ks.order[step]
+	u := step
 	ul := p.vlab[u]
 	ud := p.deg[u]
+	back := p.elab[u*p.n : u*p.n+u] // u's edges to the mapped vertices
 	for v := 0; v < g.n; v++ {
 		if ks.used[v] {
 			continue
@@ -47,13 +58,10 @@ func (ks *kernelScratch) match(p, g *Graph, step int) bool {
 		if ud > g.deg[v] {
 			continue
 		}
+		row := g.elab[v*g.n : (v+1)*g.n]
 		ok := true
-		for w := 0; w < p.n; w++ {
-			el := p.elab[u*p.n+w]
-			if el < 0 || ks.phi[w] < 0 {
-				continue
-			}
-			if g.elab[v*g.n+ks.phi[w]] != el {
+		for w, el := range back {
+			if el >= 0 && row[ks.phi[w]] != el {
 				ok = false
 				break
 			}
@@ -66,40 +74,48 @@ func (ks *kernelScratch) match(p, g *Graph, step int) bool {
 		if ks.match(p, g, step+1) {
 			return true
 		}
-		ks.phi[u] = -1
 		ks.used[v] = false
 	}
 	return false
 }
 
-// matchOrder fills ks.order with a vertex order that maps connected,
-// high-degree vertices early: start from the max-degree vertex, then
-// repeatedly pick the unmapped vertex with the most mapped neighbours
-// (ties by degree).
-func (ks *kernelScratch) matchOrder(p *Graph) {
-	n := p.n
+// matchOrder returns the vertices vs of g in an order that maps
+// connected, high-degree vertices early, degrees counted in the
+// subgraph vs induces: start from the max-degree vertex, then
+// repeatedly pick the unplaced vertex with the most placed neighbours
+// (ties by degree, then by position in vs). The result is ks.order.
+func (ks *kernelScratch) matchOrder(g *Graph, vs []int) []int {
+	n := len(vs)
+	deg := growInts(ks.deg, n)
+	for k, u := range vs {
+		deg[k] = 0
+		for _, v := range vs {
+			if g.HasEdge(u, v) {
+				deg[k]++
+			}
+		}
+	}
 	order := growInts(ks.order, n)[:0]
 	placed := growBoolsClear(ks.placed, n)
 	for len(order) < n {
 		best, bestConn, bestDeg := -1, -1, -1
-		for u := 0; u < n; u++ {
-			if placed[u] {
+		for k, u := range vs {
+			if placed[k] {
 				continue
 			}
 			conn := 0
 			for _, v := range order {
-				if p.HasEdge(u, v) {
+				if g.HasEdge(u, v) {
 					conn++
 				}
 			}
-			d := p.deg[u]
-			if conn > bestConn || (conn == bestConn && d > bestDeg) {
-				best, bestConn, bestDeg = u, conn, d
+			if conn > bestConn || (conn == bestConn && deg[k] > bestDeg) {
+				best, bestConn, bestDeg = k, conn, deg[k]
 			}
 		}
-		order = append(order, best)
+		order = append(order, vs[best])
 		placed[best] = true
 	}
-	ks.order = order
-	ks.placed = placed
+	ks.order, ks.placed, ks.deg = order, placed, deg
+	return order
 }
