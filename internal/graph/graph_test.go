@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -154,6 +155,45 @@ func TestSubgraphIsomorphicAgainstBruteForce(t *testing.T) {
 		g := randomGraph(rng, 1+rng.Intn(6), 3, 2, 0.5)
 		if got, want := SubgraphIsomorphic(p, g), refSubIso(p, g); got != want {
 			t.Fatalf("sub-iso mismatch: got %v want %v\np=%v g=%v", got, want, p.Edges(), g.Edges())
+		}
+	}
+}
+
+// TestMatchOrder: matchOrder's incremental placed-neighbour counts
+// give the order of the plain rule — the unplaced vertex with the most
+// placed neighbours, ties by induced degree, then by position — on
+// random graphs and vertex subsets.
+func TestMatchOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	ks := new(kernelScratch)
+	for trial := 0; trial < 300; trial++ {
+		g := randomGraph(rng, 1+rng.Intn(12), 2, 2, rng.Float64())
+		vs := rng.Perm(g.n)[:rng.Intn(g.n+1)]
+		count := func(u int, ws []int) int {
+			c := 0
+			for _, w := range ws {
+				if g.HasEdge(u, w) {
+					c++
+				}
+			}
+			return c
+		}
+		var want []int
+		for len(want) < len(vs) {
+			best := -1
+			for _, u := range vs {
+				if slices.Contains(want, u) {
+					continue
+				}
+				if best < 0 || count(u, want) > count(best, want) ||
+					count(u, want) == count(best, want) && count(u, vs) > count(best, vs) {
+					best = u
+				}
+			}
+			want = append(want, best)
+		}
+		if got := ks.matchOrder(g, vs); !slices.Equal(got, want) {
+			t.Fatalf("matchOrder(%v) = %v, want %v\nedges %v", vs, got, want, g.Edges())
 		}
 	}
 }

@@ -9,16 +9,17 @@ import "sync"
 // exported entry points (SubgraphIsomorphic, GEDWithin) draw from a
 // package pool instead.
 type kernelScratch struct {
-	// Subgraph isomorphism state: the match order (order, placed and
-	// the induced degrees deg), the pattern copied into it (pat, with
-	// all its vertex list), and the backtracking mapping.
-	order  []int
-	placed []bool
-	deg    []int
-	all    []int
-	pat    Graph
-	phi    []int
-	used   []bool
+	// Subgraph isomorphism state: the match order (order, the
+	// placed-neighbour counts conn and the induced degrees deg), the
+	// pattern copied into it (pat, with all its vertex list), and the
+	// backtracking mapping.
+	order []int
+	conn  []int
+	deg   []int
+	all   []int
+	pat   Graph
+	phi   []int
+	used  []bool
 	// GED branch-and-bound state.
 	ged gedState
 }

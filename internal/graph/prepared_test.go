@@ -33,12 +33,11 @@ func boundGraph(next func() byte, maxN, vlabels, elabels int) *Graph {
 // graph of db to equal LabelLowerBound over freshly built multisets.
 func checkStoredBound(t *testing.T, db *DB, q *Graph) {
 	t.Helper()
-	s := db.prepare(q)
-	defer db.putScratch(s)
+	qv, qe := db.sigs.countQuery(q, nil, nil)
 	ql := Labels(q)
 	for id, x := range db.graphs {
 		want := LabelLowerBound(Labels(x), ql, x.n, q.n, x.e, q.e)
-		if got := db.labelBound(s, id, q); got != want {
+		if got := db.sigs.gedBound(id, x.n, x.e, q.n, q.e, qv, qe); got != want {
 			t.Fatalf("graph %d: stored bound %d, LabelLowerBound %d\nx %v %v\nquery %v %v",
 				id, got, want, x.vlab, x.Edges(), q.vlab, q.Edges())
 		}

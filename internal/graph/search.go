@@ -223,20 +223,6 @@ func (db *DB) box(s *searchScratch, id, i, budget int, q *Graph, st *Stats) int 
 	return min(v, budget+1)
 }
 
-// prepare returns a pooled scratch holding q's label counts.
-func (db *DB) prepare(q *Graph) *searchScratch {
-	s := db.scratch.Get().(*searchScratch)
-	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
-	return s
-}
-
-// labelBound is GED's label bound between graph id and the query s was
-// prepared for, read from the graph's stored label runs.
-func (db *DB) labelBound(s *searchScratch, id int, q *Graph) int {
-	x := db.graphs[id]
-	return db.sigs.gedBound(id, x.n, x.e, q.n, q.e, s.qv, s.qe)
-}
-
 // Search returns the ids of all graphs with ged(x, q) ≤ τ, ascending.
 //
 // The ring filter follows §6.4 and Example 12 of the paper: every
@@ -318,7 +304,8 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 		l = m
 	}
 
-	s := db.prepare(q)
+	s := db.scratch.Get().(*searchScratch)
+	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
 	plo := lo * m
 	s.marks = growUint64sClear(s.marks, ((hi-lo)*m+63)/64)
 	st.Probes = db.heads.mark(s.qv, plo, hi*m, s.marks)
@@ -335,12 +322,18 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 			}
 			last = id
 			st.Candidates++
-			if !opt.SkipVerify && db.labelBound(s, id, q) <= tau {
-				if d := s.ks.gedExact(db.graphs[id], q, tau); d >= 0 {
-					results = append(results, id)
-					if wantDist {
-						dists = append(dists, d)
-					}
+			if opt.SkipVerify {
+				continue
+			}
+			// GED's label bound, read from the graph's stored runs.
+			x := db.graphs[id]
+			if db.sigs.gedBound(id, x.n, x.e, q.n, q.e, s.qv, s.qe) > tau {
+				continue
+			}
+			if d := s.ks.gedExact(x, q, tau); d >= 0 {
+				results = append(results, id)
+				if wantDist {
+					dists = append(dists, d)
 				}
 			}
 		}

@@ -226,6 +226,11 @@ func TestDBValidation(t *testing.T) {
 	if _, err := NewDB([]*Graph{New(3), New(MaxVertices + 1)}, 1); err == nil {
 		t.Error("a graph above MaxVertices should fail")
 	}
+	// At τ 0 the whole edgeless graph is one part, the largest match
+	// order a build computes.
+	if _, err := NewDB([]*Graph{New(MaxVertices)}, 0); err != nil {
+		t.Errorf("a graph of MaxVertices vertices should load: %v", err)
+	}
 	bad := func(g *Graph, m int) [][]int { return make([][]int, m+1) }
 	if _, err := newDBWithPartitioner([]*Graph{New(3)}, 1, bad); err == nil {
 		t.Error("wrong group count should fail")

@@ -83,7 +83,9 @@ func (ks *kernelScratch) match(p, g *Graph, step int) bool {
 // connected, high-degree vertices early, degrees counted in the
 // subgraph vs induces: start from the max-degree vertex, then
 // repeatedly pick the unplaced vertex with the most placed neighbours
-// (ties by degree, then by position in vs). The result is ks.order.
+// (ties by degree, then by position in vs). conn keeps each unplaced
+// vertex's placed-neighbour count, −1 once it is placed, so the order
+// costs O(len(vs)²) edge tests. The result is ks.order.
 func (ks *kernelScratch) matchOrder(g *Graph, vs []int) []int {
 	n := len(vs)
 	deg := growInts(ks.deg, n)
@@ -96,26 +98,24 @@ func (ks *kernelScratch) matchOrder(g *Graph, vs []int) []int {
 		}
 	}
 	order := growInts(ks.order, n)[:0]
-	placed := growBoolsClear(ks.placed, n)
+	conn := growIntsZero(ks.conn, n)
 	for len(order) < n {
-		best, bestConn, bestDeg := -1, -1, -1
-		for k, u := range vs {
-			if placed[k] {
-				continue
-			}
-			conn := 0
-			for _, v := range order {
-				if g.HasEdge(u, v) {
-					conn++
-				}
-			}
-			if conn > bestConn || (conn == bestConn && deg[k] > bestDeg) {
-				best, bestConn, bestDeg = k, conn, deg[k]
+		best := -1
+		for k := range vs {
+			if conn[k] >= 0 && (best < 0 || conn[k] > conn[best] ||
+				(conn[k] == conn[best] && deg[k] > deg[best])) {
+				best = k
 			}
 		}
-		order = append(order, vs[best])
-		placed[best] = true
+		u := vs[best]
+		order = append(order, u)
+		conn[best] = -1
+		for k, v := range vs {
+			if conn[k] >= 0 && g.HasEdge(v, u) {
+				conn[k]++
+			}
+		}
 	}
-	ks.order, ks.placed, ks.deg = order, placed, deg
+	ks.order, ks.conn, ks.deg = order, conn, deg
 	return order
 }
