@@ -503,7 +503,7 @@ const (
 
 // BenchmarkJoin measures the engine's parallel all-pairs self-join per
 // backend at the paper's recommended chain length, seeding the perf
-// trajectory of the v3 join API. Each iteration joins the whole
+// trajectory of the join API. Each iteration joins the whole
 // corpus; pairs/op reports the (constant) result size.
 func BenchmarkJoin(b *testing.B) {
 	ctx := context.Background()

@@ -21,7 +21,9 @@
 //	curl -s -X POST localhost:8080/v1/load \
 //	    -d '{"snapshot":"hamming.snap"}'
 //	curl -s -X POST localhost:8080/v1/search \
-//	    -d '{"problem":"hamming","queryId":17,"l":6,"timings":true}'
+//	    -d '{"problem":"hamming","queryId":17,"l":6}'
+//	curl -s -X POST localhost:8080/v1/search \
+//	    -d '{"problem":"hamming","queryId":17,"l":6,"skipVerify":true}'
 //	curl -s -X POST localhost:8080/v1/search \
 //	    -d '{"problem":"hamming","queryId":17,"limit":10,"timeout_ms":50}'
 //	curl -s -X POST localhost:8080/v1/search \

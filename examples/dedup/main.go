@@ -1,11 +1,11 @@
-// Dedup: all-pairs self-join with the engine's v3 Join API.
+// Dedup: all-pairs self-join with the engine's Join API.
 //
 // Near-duplicate detection is the paper's second headline workload:
 // instead of answering one query, find every pair of records in the
 // database that are similar enough to be the same real-world entity.
 // This example runs it on a synthetic DBLP-like corpus of token sets
 // (publication titles as sorted token ids) at Jaccard τ = 0.8 and
-// demonstrates the v3 primitives on a sharded index:
+// demonstrates the join primitives on a sharded index:
 //
 //   - Join returns every duplicate pair (i, j) with i < j, ascending
 //     by (i, j), pair-identical whether the index is sharded or not.

@@ -4,7 +4,7 @@
 // alternative spellings — al-Qaeda, al-Qaida, al-Qa'ida — and an edit
 // distance search with τ = 2 captures them. This example indexes a
 // name dictionary with planted spelling variants through the engine's
-// v2 Search API and compares the Pivotal baseline (chain length 1)
+// Search API and compares the Pivotal baseline (chain length 1)
 // against the Ring filter.
 //
 // Run with:

@@ -6,8 +6,8 @@
 // Every replica holds the whole corpus, and the engine's filters are
 // exact, so:
 //
-//   - A search — threshold, top-k or timings — is forwarded whole to
-//     one replica, which answers exactly what a single node does.
+//   - A search — threshold or top-k — is forwarded whole to one
+//     replica, which answers exactly what a single node does.
 //   - A join scatters as 2-D tiles — (rowLo,rowHi)×(colLo,colHi)
 //     fragments of the upper-triangle pair space (engine.TileSpec,
 //     POST /v1/join/tile), dispatched over a bounded in-flight window

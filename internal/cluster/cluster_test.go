@@ -344,28 +344,32 @@ func TestHandlerEndToEnd(t *testing.T) {
 
 // TestHandlerRejectsUnknownFields: a misspelled option is a 400
 // invalid_argument from the coordinator exactly as from a daemon,
-// never dropped into a full, unlimited answer.
+// never dropped into a full, unlimited answer. So is "timings": the
+// filter/verify split is a skipVerify search, not a request field,
+// and a join carrying it is refused, not scattered.
 func TestHandlerRejectsUnknownFields(t *testing.T) {
 	rs := newReplicaSet(t, 2, testLoad)
 	front := httptest.NewServer(newCoordinator(t, rs.urls).Handler())
 	t.Cleanup(front.Close)
-	for path, body := range map[string]string{
-		"/v1/search": `{"problem":"hamming","queryId":3,"limt":1}`,
-		"/v1/join":   `{"problem":"hamming","limt":1}`,
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/search", `{"problem":"hamming","queryId":3,"limt":1}`, "limt"},
+		{"/v1/join", `{"problem":"hamming","limt":1}`, "limt"},
+		{"/v1/search", `{"problem":"hamming","queryId":3,"timings":true}`, "timings"},
+		{"/v1/join", `{"problem":"hamming","timings":true}`, "timings"},
 	} {
 		for _, base := range []string{rs.urls[0], front.URL} {
-			resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+			resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var eb map[string]string
 			json.NewDecoder(resp.Body).Decode(&eb)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb["error"], "limt") {
-				t.Fatalf("%s%s: status %d body %v, want 400 naming the unknown field", base, path, resp.StatusCode, eb)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb["error"], tc.field) {
+				t.Fatalf("%s%s: status %d body %v, want 400 naming %s", base, tc.path, resp.StatusCode, eb, tc.field)
 			}
 			if base == front.URL && eb["code"] != "invalid_argument" {
-				t.Fatalf("coordinator %s: code %q, want invalid_argument", path, eb["code"])
+				t.Fatalf("coordinator %s: code %q, want invalid_argument", tc.path, eb["code"])
 			}
 		}
 	}

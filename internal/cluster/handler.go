@@ -16,8 +16,8 @@ import (
 // The coordinator's outward HTTP surface: the same /v1/* endpoints a
 // single daemon serves, so clients (and the CLI, and the smoke
 // scripts) need no cluster awareness. Joins scatter as tiles; searches,
-// batches, tiles and timings joins forward whole to one replica with
-// the same failover a tile gets; load and snapshot broadcast to every
+// batches and single tiles forward whole to one replica with the same
+// failover a tile gets; load and snapshot broadcast to every
 // replica — a cluster where only some replicas loaded the new corpus
 // must not exist, so a partial broadcast is an error.
 
@@ -211,10 +211,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	var req server.JoinRequest
 	if !decodeBody(w, body, &req) {
-		return
-	}
-	if req.Timings {
-		c.forward(w, r, body)
 		return
 	}
 	pairs, st, err := c.Join(r.Context(), req)

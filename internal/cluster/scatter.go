@@ -31,8 +31,8 @@ func (c *Coordinator) Search(ctx context.Context, req server.SearchRequest) ([]i
 	return resp.IDs, resp.Stats, nil
 }
 
-// search forwards one search — threshold, top-k or timings — whole to
-// one replica with failover, decoding the answer into out. Unless the
+// search forwards one search — threshold or top-k — whole to one
+// replica with failover, decoding the answer into out. Unless the
 // caller brought a corpus hash, the request carries the attached one,
 // so a replica that reloaded another corpus answers 409 and the search
 // moves on to the next replica.
@@ -62,9 +62,6 @@ func (c *Coordinator) search(ctx context.Context, req server.SearchRequest, out 
 // byte-identical to the single-node join whatever the replica count,
 // tile size, or mid-join deaths.
 func (c *Coordinator) Join(ctx context.Context, req server.JoinRequest) ([][2]int64, engine.Stats, error) {
-	if req.Timings {
-		return nil, engine.Stats{}, fmt.Errorf("cluster: a timings join cannot be scattered; forward it to one replica")
-	}
 	info, ok, err := c.corpus(ctx, req.Problem)
 	if err != nil {
 		return nil, engine.Stats{}, err

@@ -32,11 +32,10 @@ import (
 //   - object and AppendSnapshot: replay an indexed object as a query,
 //     persist the index.
 //
-// A backend pass is uninterruptible, so an adapter's cancellation
-// points are the pass boundaries: on entry and between the Timings
-// pre-pass and the main pass. Finer-grained cancellation comes from
-// sharding, which turns one big pass into many small ones with a
-// context check between dispatches.
+// A backend pass is uninterruptible, so an adapter's one cancellation
+// point is on entry. Finer-grained cancellation comes from sharding,
+// which turns one big pass into many small ones with a context check
+// between dispatches.
 
 // backend is one problem's index as the adapter sees it. Every method
 // but checkTau may assume the query's kind and opt.Tau have already
@@ -90,13 +89,7 @@ func (a *adapter) Search(ctx context.Context, q Query, opt Options) ([]int64, St
 	if err := a.check(q, opt); err != nil {
 		return nil, Stats{}, err
 	}
-	filterOnly := func() error {
-		skip := opt
-		skip.SkipVerify = true
-		_, _, err := a.b.searchRange(q, skip, 0, a.n, nil)
-		return err
-	}
-	return timed(ctx, opt, filterOnly, func() ([]int64, Stats, error) {
+	return timed(ctx, opt, func() ([]int64, Stats, error) {
 		return a.b.searchRange(q, opt, 0, a.n, nil)
 	})
 }
@@ -178,11 +171,9 @@ func pushDists(h *resultHeap, ids, dists []int) {
 
 // timed runs the full search via fn with wall-clock measurement and
 // applies the cross-cutting Options the backends know nothing about:
-// the context is checked at every pass boundary, and Limit truncates
-// the ascending result list. When timings are requested it first
-// re-runs candidate generation alone via filterOnly to observe the
-// filter/verify split the backends interleave.
-func timed(ctx context.Context, opt Options, filterOnly func() error, fn func() ([]int64, Stats, error)) ([]int64, Stats, error) {
+// the context is checked before the pass, and Limit truncates the
+// ascending result list.
+func timed(ctx context.Context, opt Options, fn func() ([]int64, Stats, error)) ([]int64, Stats, error) {
 	if opt.TopK > 0 {
 		// Silently ignoring k would hand back an unranked, unbounded id
 		// list where the caller asked for the k nearest.
@@ -191,47 +182,20 @@ func timed(ctx context.Context, opt Options, filterOnly func() error, fn func() 
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	wallStart := time.Now()
-	var filterNS int64
-	if opt.Timings && !opt.SkipVerify {
-		start := time.Now()
-		if err := filterOnly(); err != nil {
-			return nil, Stats{}, err
-		}
-		filterNS = time.Since(start).Nanoseconds()
-		if err := ctx.Err(); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	fullStart := time.Now()
+	start := time.Now()
 	ids, st, err := fn()
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	full := time.Since(fullStart).Nanoseconds()
 	if opt.Limit > 0 && len(ids) > opt.Limit {
 		ids = ids[:opt.Limit]
 		st.Limited = true
 		st.Results = len(ids)
 	}
-	// Wall/total cover the whole call, measurement pre-pass included,
-	// so the reported times match what a caller actually waited.
-	wall := time.Since(wallStart).Nanoseconds()
-	st.TotalNS, st.WallNS = wall, wall
-	if opt.Timings {
-		// The filter share is measured in a separate pass, so clock
-		// noise can push it past the full pass; clamp to keep the
-		// reported split internally consistent.
-		if opt.SkipVerify || filterNS > full {
-			filterNS = full
-		}
-		st.FilterNS = filterNS
-		st.VerifyNS = full - filterNS
-		opt.Hooks.stage(StageFilter, time.Duration(st.FilterNS))
-		opt.Hooks.stage(StageVerify, time.Duration(st.VerifyNS))
-	}
-	opt.Hooks.stage(StageSearch, time.Duration(full))
-	return ids, st, err
+	wall := time.Since(start)
+	st.TotalNS, st.WallNS = wall.Nanoseconds(), wall.Nanoseconds()
+	opt.Hooks.stage(StageSearch, wall)
+	return ids, st, nil
 }
 
 // --- Hamming -----------------------------------------------------------------
@@ -471,13 +435,10 @@ func (b *graphBackend) checkTau(requested *float64) error {
 // options resolves the graph options of one search. The paper finds l
 // in [τ−2, τ] best for GED (§8.5); l = 1 is the Pars baseline.
 func (b *graphBackend) options(opt Options) graph.Options {
-	l := chain(opt.ChainLength, max(1, b.db.Tau()-1))
-	gopt := graph.RingOptions(l)
-	if l == 1 {
-		gopt = graph.ParsOptions()
+	return graph.Options{
+		ChainLength: chain(opt.ChainLength, max(1, b.db.Tau()-1)),
+		SkipVerify:  opt.SkipVerify,
 	}
-	gopt.SkipVerify = opt.SkipVerify
-	return gopt
 }
 
 func (b *graphBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error) {

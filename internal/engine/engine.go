@@ -159,17 +159,11 @@ type Options struct {
 	// ladder, and Tau caps the ladder: results stay within that radius.
 	// The string, graph and set indexes answer in one pass at their
 	// built τ. Search rejects a TopK option, and TopK is mutually
-	// exclusive with Limit, SkipVerify and Timings (validateTopK).
+	// exclusive with Limit and SkipVerify (validateTopK).
 	TopK int
 	// SkipVerify stops after candidate generation; Stats are filled
 	// but no results are returned.
 	SkipVerify bool
-	// Timings additionally measures the filter/verify time split by
-	// running candidate generation once more with verification off
-	// (the backends interleave filtering and verification, so the
-	// split cannot be observed in a single pass). It roughly doubles
-	// the filtering cost of the query; leave it off on hot paths.
-	Timings bool
 	// Hooks, when non-nil, receives span notifications as the search
 	// progresses: per-query stage durations and, on a sharded index,
 	// per-shard fan-out legs. The nil default costs one pointer check;

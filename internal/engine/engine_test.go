@@ -130,24 +130,6 @@ func TestTauOverride(t *testing.T) {
 	}
 }
 
-func TestTimings(t *testing.T) {
-	vecs := dataset.GIST(400, 14)
-	ix, err := BuildHamming(vecs, 16, 24, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := ix.Search(context.Background(), VectorQuery(vecs[3]), Options{Timings: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TotalNS <= 0 || st.WallNS <= 0 {
-		t.Fatalf("timings not recorded: total=%d wall=%d", st.TotalNS, st.WallNS)
-	}
-	if st.FilterNS < 0 || st.VerifyNS < 0 || st.FilterNS+st.VerifyNS > st.TotalNS {
-		t.Fatalf("inconsistent split: filter=%d verify=%d total=%d", st.FilterNS, st.VerifyNS, st.TotalNS)
-	}
-}
-
 func TestBuildersClampShards(t *testing.T) {
 	vecs := dataset.GIST(5, 15)
 	ix, err := BuildHamming(vecs, 4, 8, 64, 0)

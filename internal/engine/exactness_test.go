@@ -341,7 +341,7 @@ func workOf(st engine.Stats) work { return work{st.Candidates, st.Results, st.Pr
 func (w work) plus(o work) work { return work{w[0] + o[0], w[1] + o[1], w[2] + o[2], w[3] + o[3]} }
 
 // search runs one query at every chain length through Search with and
-// without SkipVerify or a Limit, and on the plain index Timings.
+// without SkipVerify or a Limit.
 func (c *exactCase) search() {
 	q, id := c.query()
 	tau := c.tau()
@@ -352,8 +352,8 @@ func (c *exactCase) search() {
 	cands := make([]map[int]int, len(c.configs)) // [config][l ≥ 1] → candidates
 	for _, l := range c.ls() {
 		opt := engine.Options{ChainLength: l, Tau: tau}
-		skip, limit, timed := opt, opt, opt
-		skip.SkipVerify, timed.Timings = true, true
+		skip, limit := opt, opt
+		skip.SkipVerify = true
 		limit.Limit = 1 + c.rng.Intn(len(want)+2)
 		prefix, cut := want[:min(limit.Limit, len(want))], limit.Limit < len(want)
 		_, backend := c.model.window(q, l, false, tau, 0, c.n, nil)
@@ -386,14 +386,9 @@ func (c *exactCase) search() {
 					c.fatalf("%s: counters %v, other sharded layouts %v", what, got, sharded)
 				}
 				sharded = got
-			} else {
-				ids, tst, err := cf.ix.Search(c.ctx, q, timed)
-				c.must(err)
-				c.sameIDs(what+" Timings", ids, want)
-				if workOf(st) != backend || workOf(tst) != backend || workOf(skipSt) != backendSkip {
-					c.fatalf("%s: counters %v, Timings %v, SkipVerify %v; the backend's %v and %v",
-						what, workOf(st), workOf(tst), workOf(skipSt), backend, backendSkip)
-				}
+			} else if workOf(st) != backend || workOf(skipSt) != backendSkip {
+				c.fatalf("%s: counters %v, SkipVerify %v; the backend's %v and %v",
+					what, workOf(st), workOf(skipSt), backend, backendSkip)
 			}
 			if cands[ci] == nil {
 				cands[ci] = map[int]int{}
@@ -409,7 +404,7 @@ func (c *exactCase) search() {
 		for _, lim := range []int{0, limit.Limit} {
 			var resp server.SearchResponse
 			req := c.request(q, id)
-			req.L, req.Tau, req.Limit, req.Timings = l, tau, lim, lim == 0
+			req.L, req.Tau, req.Limit = l, tau, lim
 			code := c.post(c.front+"/v1/search", req, &resp)
 			ids, st := resp.IDs, resp.Stats
 			if code != http.StatusOK || lim == 0 && (!slices.Equal(ids, want) || st.Results != len(ids) || len(st.PerShard) != perShard) ||
@@ -870,12 +865,7 @@ func newModel(c *exactCase, ix engine.Index) model {
 		c.must(err)
 		md.def = max(1, tau-1)
 		opts := func(l int, skip bool) graph.Options {
-			o := graph.RingOptions(chain(l))
-			if chain(l) == 1 {
-				o = graph.ParsOptions()
-			}
-			o.SkipVerify = skip
-			return o
+			return graph.Options{ChainLength: chain(l), SkipVerify: skip}
 		}
 		gw := func(st graph.Stats) work { return work{st.Candidates, st.Results, st.Probes, st.BoxChecks} }
 		md.linear = func(q engine.Query, _ *float64) []int64 { return pairs.SortedIDs64(db.SearchLinear(q.Graph())) }

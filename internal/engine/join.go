@@ -56,11 +56,6 @@ type JoinOptions struct {
 	// SkipVerify stops every row's search after candidate generation;
 	// Stats are filled but no pairs are returned.
 	SkipVerify bool
-	// Timings measures the aggregate filter/verify time split by
-	// running each row's candidate generation once more with
-	// verification off. It roughly doubles the join's filtering cost;
-	// leave it off on hot paths.
-	Timings bool
 	// Hooks, when non-nil, receives span notifications as the join
 	// progresses: one Tile callback per completed tile and a
 	// StageSort span for the final pair ordering. Hooks never
@@ -92,7 +87,6 @@ func (opt JoinOptions) searchOptions() Options {
 	return Options{
 		ChainLength: opt.ChainLength,
 		SkipVerify:  opt.SkipVerify,
-		Timings:     opt.Timings,
 	}
 }
 

@@ -63,8 +63,8 @@ func EnumerateTiles(n, tileSize, workers int) []TileSpec {
 // answer byte-identically to a single node. The tile runs on the
 // calling goroutine (a replica daemon gets its parallelism from
 // serving many tiles concurrently); cancellation is honored between
-// row probes. JoinOptions.Limit and Timings do not apply to a single
-// tile and are ignored.
+// row probes. JoinOptions.Limit does not apply to a single tile and
+// is ignored.
 func JoinTileRange(ctx context.Context, ix Index, t TileSpec, opt JoinOptions) ([]Pair, Stats, error) {
 	n := ix.Len()
 	if t.RowLo < 0 || t.RowHi > n || t.RowLo > t.RowHi ||
@@ -73,7 +73,6 @@ func JoinTileRange(ctx context.Context, ix Index, t TileSpec, opt JoinOptions) (
 			t.RowLo, t.RowHi, t.ColLo, t.ColHi, n)
 	}
 	start := time.Now()
-	opt.Timings = false // no filter/verify split for one tile
 	out, st, err := runTile(ctx, ix, opt, idRange{t.RowLo, t.RowHi}, idRange{t.ColLo, t.ColHi}, new(tileScratch))
 	if err != nil {
 		return nil, Stats{}, err

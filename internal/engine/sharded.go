@@ -214,10 +214,6 @@ func (s *Sharded) Search(ctx context.Context, q Query, opt Options) ([]int64, St
 		agg.Results = len(out)
 	}
 	agg.WallNS = time.Since(start).Nanoseconds()
-	if opt.Timings {
-		hooks.stage(StageFilter, time.Duration(agg.FilterNS))
-		hooks.stage(StageVerify, time.Duration(agg.VerifyNS))
-	}
 	hooks.stage(StageSearch, time.Duration(agg.WallNS))
 	return out, agg, nil
 }

@@ -14,22 +14,13 @@ type Stats struct {
 	Probes int `json:"probes"`
 	// BoxChecks is the number of box evaluations performed.
 	BoxChecks int `json:"boxChecks"`
-	// FilterNS is the candidate-generation time in nanoseconds,
-	// measured only when Options.Timings is set (0 otherwise).
-	FilterNS int64 `json:"filterNs"`
-	// VerifyNS is the verification share of the search pass (its
-	// elapsed time minus FilterNS); only meaningful when
-	// Options.Timings is set. FilterNS + VerifyNS is the search pass
-	// alone, which is less than TotalNS because measuring the split
-	// costs an extra filter pass.
-	VerifyNS int64 `json:"verifyNs"`
-	// TotalNS is the CPU time spent serving the call, including the
-	// extra filter pass when Timings is set: for a sharded index the
-	// sum over shards, which exceeds the wall clock when shards run in
-	// parallel.
+	// TotalNS is the CPU time spent serving the call: for a sharded
+	// index the sum over shards, which exceeds the wall clock when
+	// shards run in parallel.
 	TotalNS int64 `json:"totalNs"`
-	// WallNS is the end-to-end wall-clock time of the call, the
-	// Timings pre-pass included.
+	// WallNS is the end-to-end wall-clock time of the call. The
+	// filter share of a search is the WallNS of the same call with
+	// SkipVerify set.
 	WallNS int64 `json:"wallNs"`
 	// Limited reports that Options.Limit (or JoinOptions.Limit) cut
 	// the call short: results beyond the limit were dropped, and on a
@@ -65,8 +56,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Results += o.Results
 	s.Probes += o.Probes
 	s.BoxChecks += o.BoxChecks
-	s.FilterNS += o.FilterNS
-	s.VerifyNS += o.VerifyNS
 	s.TotalNS += o.TotalNS
 	s.Rungs += o.Rungs
 	s.Limited = s.Limited || o.Limited

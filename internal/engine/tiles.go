@@ -215,15 +215,11 @@ func joinTiles(ctx context.Context, ix Index, workers int, opt JoinOptions, rang
 // rows replays ix's object r and probes the columns of cols below r
 // through ix.searchRange. It returns the tile's pairs (I, J), in row
 // order, in s's reusable pair buffer, with the probes' counters.
-// Cancellation is checked between rows. Under opt.Timings each row's
-// candidate generation runs once more with verification off, and the
-// returned FilterNS / VerifyNS carry the split.
+// Cancellation is checked between rows.
 func runTile(ctx context.Context, ix Index, opt JoinOptions, rows, cols idRange, s *tileScratch) ([]Pair, Stats, error) {
 	sopt := opt.searchOptions()
-	measure := opt.Timings && !opt.SkipVerify
 	ps := s.pairs[:0]
-	var agg, preStats Stats
-	var filterNS, fullNS int64
+	var agg Stats
 	for r := rows.lo; r < rows.hi; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, Stats{}, err
@@ -232,45 +228,15 @@ func runTile(ctx context.Context, ix Index, opt JoinOptions, rows, cols idRange,
 		if hi <= cols.lo {
 			continue
 		}
-		q := ix.object(r)
-		if measure {
-			// Candidate generation alone, timed, to observe the
-			// filter/verify split the probes interleave — the same
-			// extra pass Options.Timings costs on a search.
-			fopt := sopt
-			fopt.SkipVerify = true
-			fstart := time.Now()
-			if _, err := ix.searchRange(ctx, q, fopt, cols.lo, hi, s.ids[:0], &preStats); err != nil {
-				return nil, Stats{}, fmt.Errorf("engine: join row %d: %w", r, err)
-			}
-			filterNS += time.Since(fstart).Nanoseconds()
-		}
-		var fstart time.Time
-		if opt.Timings {
-			fstart = time.Now()
-		}
-		ids, err := ix.searchRange(ctx, q, sopt, cols.lo, hi, s.ids[:0], &agg)
+		ids, err := ix.searchRange(ctx, ix.object(r), sopt, cols.lo, hi, s.ids[:0], &agg)
 		s.ids = ids
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("engine: join row %d: %w", r, err)
-		}
-		if opt.Timings {
-			fullNS += time.Since(fstart).Nanoseconds()
 		}
 		for _, j := range ids {
 			ps = append(ps, Pair{I: j, J: int64(r)})
 		}
 	}
 	s.pairs = ps
-	if opt.Timings {
-		if opt.SkipVerify || filterNS > fullNS {
-			// The filter share is measured in a separate pass, so
-			// clock noise can push it past the full pass; and with
-			// SkipVerify the full pass is all filter.
-			filterNS = fullNS
-		}
-		agg.FilterNS = filterNS
-		agg.VerifyNS = fullNS - filterNS
-	}
 	return ps, agg, nil
 }

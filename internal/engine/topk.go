@@ -61,7 +61,7 @@ func resultLess(a, b Result) bool { return compareResult(a, b) < 0 }
 // directly: ix.SearchTopK(ctx, q, opt). SearchTopK returns the
 // Options.TopK nearest objects ordered by (Distance, ID) ascending;
 // fewer when the backend's ceiling contains fewer. Options.TopK must be > 0 and
-// Limit, SkipVerify and Timings must be unset (validateTopK).
+// Limit and SkipVerify must be unset (validateTopK).
 type TopKSearcher interface {
 	SearchTopK(ctx context.Context, q Query, opt Options) ([]Result, Stats, error)
 }
@@ -76,9 +76,6 @@ func validateTopK(opt Options) error {
 	}
 	if opt.SkipVerify {
 		return fmt.Errorf("engine: TopK requires verification (distances come from the verifier), SkipVerify is not supported")
-	}
-	if opt.Timings {
-		return fmt.Errorf("engine: Timings is not supported with TopK (the filter/verify split needs a second, SkipVerify pass, and top-k distances come from the verifier)")
 	}
 	return nil
 }

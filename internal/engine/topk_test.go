@@ -179,7 +179,6 @@ func TestTopKValidation(t *testing.T) {
 			"k<0":        {TopK: -2},
 			"limit":      {TopK: 3, Limit: 5},
 			"skipVerify": {TopK: 3, SkipVerify: true},
-			"timings":    {TopK: 3, Timings: true},
 		} {
 			if _, _, err := ix.SearchTopK(ctx, q, opt); err == nil {
 				t.Fatalf("shards=%d: SearchTopK accepted %s", shards, name)

@@ -18,12 +18,6 @@ import "time"
 type Stage string
 
 const (
-	// StageFilter is candidate generation, reported when
-	// Options.Timings measures the filter/verify split.
-	StageFilter Stage = "filter"
-	// StageVerify is the verification share of the search pass,
-	// reported alongside StageFilter under Options.Timings.
-	StageVerify Stage = "verify"
 	// StageSearch is the full search pass (filter and verification
 	// interleaved), emitted once per query on every index — a sharded
 	// index emits it for the whole fan-out, not per shard.

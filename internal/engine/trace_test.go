@@ -59,8 +59,7 @@ func (l *spanLog) stageCount(s Stage) int {
 	return l.stages[s]
 }
 
-// TestHooksPlainAdapter: one StageSearch per query; filter/verify
-// spans appear exactly when Timings measures the split.
+// TestHooksPlainAdapter: one StageSearch per query.
 func TestHooksPlainAdapter(t *testing.T) {
 	vecs := dataset.GIST(200, 21)
 	ix, err := BuildHamming(vecs, 16, 24, 1, 0)
@@ -75,19 +74,6 @@ func TestHooksPlainAdapter(t *testing.T) {
 	}
 	if got := l.stageCount(StageSearch); got != 1 {
 		t.Fatalf("search spans = %d, want 1", got)
-	}
-	if got := l.stageCount(StageFilter) + l.stageCount(StageVerify); got != 0 {
-		t.Fatalf("filter/verify spans without Timings = %d, want 0", got)
-	}
-
-	l = newSpanLog()
-	if _, _, err := ix.Search(ctx, VectorQuery(vecs[0]), Options{Timings: true, Hooks: l.hooks()}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Stage{StageSearch, StageFilter, StageVerify} {
-		if got := l.stageCount(s); got != 1 {
-			t.Fatalf("%s spans = %d, want 1", s, got)
-		}
 	}
 
 	// Nil hooks (and nil callbacks) must be no-ops, not panics.

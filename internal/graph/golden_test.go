@@ -57,7 +57,7 @@ func goldenLines(t testing.TB) []string {
 						t.Fatal(err)
 					}
 					name := "pars"
-					if opt.Ring {
+					if opt.ChainLength > 0 {
 						name = fmt.Sprintf("ring%d", opt.ChainLength)
 					}
 					out = append(out, fmt.Sprintf("%s tau=%d q=%d %s cand=%d box=%d res=%d ids=%s",

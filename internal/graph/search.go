@@ -12,11 +12,9 @@ import (
 
 // Options configure a GED search.
 type Options struct {
-	// Ring enables the pigeonring filter; false reproduces the Pars
-	// partition filter (some part must embed into the query).
-	Ring bool
-	// ChainLength is the pigeonring chain length l (used when Ring is
-	// true). The paper finds l in [τ−2, τ] best.
+	// ChainLength is the pigeonring chain length l, clamped into
+	// [1, τ+1]. l = 1 (or 0) is the Pars partition filter: some part
+	// must embed into the query. The paper finds l in [τ−2, τ] best.
 	ChainLength int
 	// SkipVerify stops after the partition/ring filter: candidates are
 	// counted but not verified and no results are returned (the
@@ -28,7 +26,7 @@ type Options struct {
 func ParsOptions() Options { return Options{} }
 
 // RingOptions returns the pigeonring configuration with chain length l.
-func RingOptions(l int) Options { return Options{Ring: true, ChainLength: l} }
+func RingOptions(l int) Options { return Options{ChainLength: l} }
 
 // Stats reports the work a search performed.
 type Stats struct {
@@ -294,9 +292,6 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	tau := db.tau
 	m := tau + 1
 	l := opt.ChainLength
-	if !opt.Ring {
-		l = 1
-	}
 	if l < 1 {
 		l = 1
 	}

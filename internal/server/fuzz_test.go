@@ -49,7 +49,7 @@ func FuzzSearchRequest(f *testing.F) {
 	for _, req := range []any{
 		SearchRequest{Problem: "hamming", QueryID: &qid},
 		SearchRequest{Problem: "set", QueryID: &qid, Limit: 1},
-		SearchRequest{Problem: "string", QueryID: &qid, Timings: true},
+		SearchRequest{Problem: "string", QueryID: &qid, L: 2},
 		SearchRequest{Problem: "graph", QueryID: &qid, SkipVerify: true, L: 1},
 		SearchRequest{Problem: "hamming", Vector: vec, Tau: &tau, K: 3},
 		SearchRequest{Problem: "hamming", Vector: "0101"},

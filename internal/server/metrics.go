@@ -40,8 +40,6 @@ type problemMetrics struct {
 	results    *telemetry.Counter
 	joins      *telemetry.Counter
 	joinPairs  *telemetry.Counter
-	filterNS   *telemetry.Counter
-	verifyNS   *telemetry.Counter
 	wallNS     *telemetry.Counter
 
 	topkRungs *telemetry.Counter
@@ -88,8 +86,6 @@ func (m *serverMetrics) problem(p engine.Problem) *problemMetrics {
 		results:    m.reg.Counter("pigeonring_results_total", "Result ids returned across all searches.", l),
 		joins:      m.reg.Counter("pigeonring_joins_total", "Completed self-joins.", l),
 		joinPairs:  m.reg.Counter("pigeonring_join_pairs_total", "Result pairs returned across all joins.", l),
-		filterNS:   m.reg.Counter("pigeonring_filter_ns_total", "Candidate-generation nanoseconds (Timings requests only).", l),
-		verifyNS:   m.reg.Counter("pigeonring_verify_ns_total", "Verification nanoseconds (Timings requests only).", l),
 		wallNS:     m.reg.Counter("pigeonring_wall_ns_total", "End-to-end engine wall-clock nanoseconds.", l),
 
 		topkRungs: m.reg.Counter("pigeonring_topk_rungs_total", "τ-ladder rungs climbed across all top-k searches (per shard on a sharded index).", l),

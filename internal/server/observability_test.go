@@ -147,7 +147,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	h := newHarness(t)
 	h.load(LoadRequest{Problem: "hamming", N: 300, Shards: 2})
 	h.search(SearchRequest{Problem: "hamming", QueryID: intp(0)})
-	h.search(SearchRequest{Problem: "hamming", QueryID: intp(1), Timings: true})
+	h.search(SearchRequest{Problem: "hamming", QueryID: intp(1)})
 
 	resp, err := http.Get(h.srv.URL + "/metrics")
 	if err != nil {
@@ -169,8 +169,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`pigeonring_searches_total{problem="hamming"} 2`,
 		`pigeonring_candidates_total{problem="hamming"}`,
 		`pigeonring_results_total{problem="hamming"}`,
-		`pigeonring_filter_ns_total{problem="hamming"}`,
-		`pigeonring_verify_ns_total{problem="hamming"}`,
 		`pigeonring_search_seconds_bucket{problem="hamming",le="+Inf"} 2`,
 		`pigeonring_search_seconds_count{problem="hamming"} 2`,
 		`pigeonring_shard_seconds_count{problem="hamming"} 4`,
@@ -229,7 +227,7 @@ func TestStatsSurvivesReload(t *testing.T) {
 }
 
 // TestSlowQueryLog: a threshold of one nanosecond logs every search as
-// a JSON line carrying the request id and stage timings.
+// a JSON line carrying the request id, τ and the wall time.
 func TestSlowQueryLog(t *testing.T) {
 	var sink syncBuffer
 	h := newHarnessServer(t, NewFromConfig(Config{
@@ -238,7 +236,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}))
 	h.load(LoadRequest{Problem: "hamming", N: 200})
 
-	req, _ := http.NewRequest("POST", h.srv.URL+"/v1/search", strings.NewReader(`{"problem":"hamming","queryId":3,"timings":true}`))
+	req, _ := http.NewRequest("POST", h.srv.URL+"/v1/search", strings.NewReader(`{"problem":"hamming","queryId":3}`))
 	req.Header.Set("X-Request-ID", "slow-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -268,9 +266,6 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if q.WallMS <= 0 || q.Tau != 24 {
 		t.Fatalf("slow-query line %+v, want wallMs > 0 and the index default τ=24", q)
-	}
-	if q.FilterMS <= 0 {
-		t.Fatalf("slow-query line %+v, want filterMs > 0 under timings", q)
 	}
 }
 

@@ -52,11 +52,11 @@
 // /v1/search/batch into top-k mode — the k nearest objects as
 // [{id, distance}] pairs ordered by (distance, id) ascending, answered
 // by the engine's top-k search (TopKResponse). "k" is mutually
-// exclusive with "limit", "skipVerify" and "timings"; conflicts are
-// answered 400 with a machine-readable {"code":"invalid_argument"}
-// payload. /v1/join self-joins the loaded dataset —
-// every pair of distinct objects within the threshold, ascending by
-// (i, j) — under the same context, timeout and limit machinery.
+// exclusive with "limit" and "skipVerify"; conflicts are answered 400
+// with a machine-readable {"code":"invalid_argument"} payload.
+// /v1/join self-joins the loaded dataset — every pair of distinct
+// objects within the threshold, ascending by (i, j) — under the same
+// context, timeout and limit machinery.
 // /v1/stats surfaces cancelled and limited query counts plus join and
 // pair totals per problem.
 //
@@ -849,8 +849,8 @@ type SearchRequest struct {
 	// K switches the request into top-k mode: instead of every id
 	// within τ, the response carries the K nearest objects as
 	// [{id, distance}] pairs ordered by (distance, id) ascending. K is
-	// mutually exclusive with limit, skipVerify and timings (400 with
-	// code "invalid_argument"); on a hamming index tau caps the search
+	// mutually exclusive with limit and skipVerify (400 with code
+	// "invalid_argument"); on a hamming index tau caps the search
 	// radius, on the other problems the built τ is the ceiling.
 	K int `json:"k,omitempty"`
 	// TimeoutMS puts a deadline on the search, in milliseconds; an
@@ -858,11 +858,9 @@ type SearchRequest struct {
 	// 0 falls back to the server's default timeout (if configured);
 	// the effective deadline is never longer than that default.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// SkipVerify stops after candidate generation.
+	// SkipVerify stops after candidate generation; the stats' wallNs
+	// is then the filter share of the same search without it.
 	SkipVerify bool `json:"skipVerify,omitempty"`
-	// Timings measures the filter/verify time split (runs candidate
-	// generation twice).
-	Timings bool `json:"timings,omitempty"`
 	// CorpusHash, when present, must match the loaded index's corpus
 	// hash (see /v1/healthz "corpora"); a mismatch answers 409 with
 	// code "corpus_mismatch". A coordinator stamps it on the searches
@@ -978,7 +976,7 @@ func writeInvalidArgument(w http.ResponseWriter, r *http.Request, format string,
 
 // validateSearch checks the limit, timeout_ms and top-k fields a
 // search and a batch share, answering the error itself.
-func (s *Server) validateSearch(w http.ResponseWriter, r *http.Request, limit, timeoutMS, k int, skipVerify, timings bool) bool {
+func (s *Server) validateSearch(w http.ResponseWriter, r *http.Request, limit, timeoutMS, k int, skipVerify bool) bool {
 	switch {
 	case limit < 0 || timeoutMS < 0:
 		writeError(w, r, http.StatusBadRequest, "limit and timeout_ms must be non-negative")
@@ -992,8 +990,6 @@ func (s *Server) validateSearch(w http.ResponseWriter, r *http.Request, limit, t
 		writeInvalidArgument(w, r, "k and limit are mutually exclusive — a top-k search is already bounded by k")
 	case skipVerify:
 		writeInvalidArgument(w, r, "k requires verification (distances come from the verifier); drop skipVerify")
-	case timings:
-		writeInvalidArgument(w, r, "timings is not supported with k")
 	default:
 		return true
 	}
@@ -1011,8 +1007,6 @@ func (e *entry) record(st engine.Stats, topk bool) {
 	}
 	e.met.candidates.Add(int64(st.Candidates))
 	e.met.results.Add(int64(st.Results))
-	e.met.filterNS.Add(st.FilterNS)
-	e.met.verifyNS.Add(st.VerifyNS)
 	e.met.wallNS.Add(st.WallNS)
 	e.met.searchSeconds.Observe(float64(st.WallNS) / 1e9)
 	if topk {
@@ -1074,7 +1068,7 @@ func writeSearchError(w http.ResponseWriter, r *http.Request, e *entry, err erro
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !decode(w, r, &req) || !s.validateSearch(w, r, req.Limit, req.TimeoutMS, req.K, req.SkipVerify, req.Timings) {
+	if !decode(w, r, &req) || !s.validateSearch(w, r, req.Limit, req.TimeoutMS, req.K, req.SkipVerify) {
 		return
 	}
 	e, p, ok := s.lookup(w, r, req.Problem)
@@ -1088,7 +1082,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.searchContext(r, req.TimeoutMS)
 	defer cancel()
-	opt := engine.Options{Tau: req.Tau, ChainLength: req.L, Limit: req.Limit, TopK: req.K, SkipVerify: req.SkipVerify, Timings: req.Timings, Hooks: e.hooks}
+	opt := engine.Options{Tau: req.Tau, ChainLength: req.L, Limit: req.Limit, TopK: req.K, SkipVerify: req.SkipVerify, Hooks: e.hooks}
 	var ids []int64
 	var res []engine.Result
 	var st engine.Stats
@@ -1129,7 +1123,6 @@ type BatchRequest struct {
 	K          int  `json:"k,omitempty"`
 	TimeoutMS  int  `json:"timeout_ms,omitempty"`
 	SkipVerify bool `json:"skipVerify,omitempty"`
-	Timings    bool `json:"timings,omitempty"`
 }
 
 // BatchItem is one query's outcome within a batch. Threshold batches
@@ -1152,7 +1145,7 @@ type BatchResponse struct {
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decode(w, r, &req) || !s.validateSearch(w, r, req.Limit, req.TimeoutMS, req.K, req.SkipVerify, req.Timings) {
+	if !decode(w, r, &req) || !s.validateSearch(w, r, req.Limit, req.TimeoutMS, req.K, req.SkipVerify) {
 		return
 	}
 	e, p, ok := s.lookup(w, r, req.Problem)
@@ -1178,7 +1171,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.searchContext(r, req.TimeoutMS)
 	defer cancel()
-	opt := engine.Options{Tau: req.Tau, ChainLength: req.L, Limit: req.Limit, TopK: req.K, SkipVerify: req.SkipVerify, Timings: req.Timings, Hooks: e.hooks}
+	opt := engine.Options{Tau: req.Tau, ChainLength: req.L, Limit: req.Limit, TopK: req.K, SkipVerify: req.SkipVerify, Hooks: e.hooks}
 	batch := engine.SearchBatch(ctx, e.index, queries, opt, s.workers)
 	resp := BatchResponse{Problem: string(p), Results: make([]BatchItem, len(batch))}
 	rid := requestID(r.Context())
@@ -1242,9 +1235,6 @@ type JoinRequest struct {
 	// SkipVerify stops every row's search after candidate generation;
 	// statistics are reported but no pairs.
 	SkipVerify bool `json:"skipVerify,omitempty"`
-	// Timings measures the aggregate filter/verify time split (runs
-	// candidate generation twice per row).
-	Timings bool `json:"timings,omitempty"`
 	// TileSize fixes the edge length (in rows) of the join's 2-D tile
 	// decomposition; 0 lets the engine auto-size. Tiling never changes
 	// the result pairs, only the schedule.
@@ -1267,8 +1257,6 @@ func (e *entry) recordJoin(st engine.Stats) {
 	}
 	e.met.joinPairs.Add(int64(st.Pairs))
 	e.met.candidates.Add(int64(st.Candidates))
-	e.met.filterNS.Add(st.FilterNS)
-	e.met.verifyNS.Add(st.VerifyNS)
 	e.met.wallNS.Add(st.WallNS)
 	e.met.joinSeconds.Observe(float64(st.WallNS) / 1e9)
 }
@@ -1292,7 +1280,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		ChainLength: req.L,
 		Limit:       req.Limit,
 		SkipVerify:  req.SkipVerify,
-		Timings:     req.Timings,
 		TileSize:    req.TileSize,
 		Hooks:       e.hooks,
 	})
@@ -1435,8 +1422,6 @@ type ProblemStats struct {
 	Results      int64   `json:"results"`
 	Joins        int64   `json:"joins"`
 	JoinPairs    int64   `json:"joinPairs"`
-	FilterMS     float64 `json:"filterMs"`
-	VerifyMS     float64 `json:"verifyMs"`
 	WallMS       float64 `json:"wallMs"`
 }
 
@@ -1477,8 +1462,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Results:      m.results.Value(),
 			Joins:        m.joins.Value(),
 			JoinPairs:    m.joinPairs.Value(),
-			FilterMS:     float64(m.filterNS.Value()) / 1e6,
-			VerifyMS:     float64(m.verifyNS.Value()) / 1e6,
 			WallMS:       float64(m.wallNS.Value()) / 1e6,
 		}
 	}

@@ -109,7 +109,7 @@ func TestServesAllFourProblems(t *testing.T) {
 			t.Fatalf("%s: loaded %d shards of n=%d, want 3 of 60", problem, resp.Shards, resp.N)
 		}
 		for qi := 0; qi < 3; qi++ {
-			h.search(SearchRequest{Problem: problem, QueryID: &qi, Timings: true})
+			h.search(SearchRequest{Problem: problem, QueryID: &qi})
 		}
 	}
 	var st StatsResponse
@@ -276,6 +276,16 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if code, _ := h.post("/v1/load", LoadRequest{Problem: "hamming", N: 100, Shards: 10000}, nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized shards: status %d, want 400", code)
+	}
+	// The filter/verify split is a skipVerify search, not a request
+	// field: a body still carrying "timings" is an unknown field.
+	for path, body := range map[string]string{
+		"/v1/search":       `{"problem":"hamming","queryId":0,"timings":true}`,
+		"/v1/search/batch": `{"problem":"hamming","queryIds":[0],"timings":true}`,
+	} {
+		if code, resp := h.post(path, json.RawMessage(body), nil); code != http.StatusBadRequest || !strings.Contains(resp, `unknown field \"timings\"`) {
+			t.Fatalf("%s with timings: status %d body %s, want 400 naming the field", path, code, resp)
+		}
 	}
 	// Method not allowed.
 	resp, err := http.Get(h.srv.URL + "/v1/load")
@@ -467,6 +477,9 @@ func TestJoinErrorPaths(t *testing.T) {
 	}
 	if code, _ := h.post("/v1/join", JoinRequest{Problem: "nope"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("unknown problem: status %d, want 400", code)
+	}
+	if code, body := h.post("/v1/join", json.RawMessage(`{"problem":"set","timings":true}`), nil); code != http.StatusBadRequest || !strings.Contains(body, `unknown field \"timings\"`) {
+		t.Fatalf("join with timings: status %d body %s, want 400 naming the field", code, body)
 	}
 }
 

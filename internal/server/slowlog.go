@@ -36,11 +36,8 @@ type SlowQuery struct {
 	Candidates int `json:"candidates"`
 	Results    int `json:"results"`
 	Pairs      int `json:"pairs,omitempty"`
-	// FilterMS/VerifyMS are the stage split when the call measured it
-	// (Timings), WallMS the engine wall clock that tripped the log.
-	FilterMS float64 `json:"filterMs,omitempty"`
-	VerifyMS float64 `json:"verifyMs,omitempty"`
-	WallMS   float64 `json:"wallMs"`
+	// WallMS is the engine wall clock that tripped the log.
+	WallMS float64 `json:"wallMs"`
 }
 
 // slowLog serializes slow-query lines onto one writer.
@@ -74,8 +71,6 @@ func (l *slowLog) maybe(rid, endpoint string, p engine.Problem, tau float64, cha
 		Candidates: st.Candidates,
 		Results:    st.Results,
 		Pairs:      st.Pairs,
-		FilterMS:   float64(st.FilterNS) / 1e6,
-		VerifyMS:   float64(st.VerifyNS) / 1e6,
 		WallMS:     float64(st.WallNS) / 1e6,
 	})
 	if err != nil {

@@ -57,7 +57,6 @@ func TestSearchTopKValidation(t *testing.T) {
 		"negative k":   {Problem: "hamming", QueryID: &qid, K: -1},
 		"k and limit":  {Problem: "hamming", QueryID: &qid, K: 3, Limit: 5},
 		"k skipVerify": {Problem: "hamming", QueryID: &qid, K: 3, SkipVerify: true},
-		"k timings":    {Problem: "hamming", QueryID: &qid, K: 3, Timings: true},
 		"k over MaxK":  {Problem: "hamming", QueryID: &qid, K: 11},
 	} {
 		code, body := h.post("/v1/search", req, nil)

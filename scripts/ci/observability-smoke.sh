@@ -20,7 +20,7 @@ scrape)
     -d '{"problem":"hamming","n":500,"shards":2}' >/dev/null
   curl -sf "http://$addr/v1/readyz" >/dev/null
   curl -sf -X POST "http://$addr/v1/search" \
-    -d '{"problem":"hamming","queryId":3,"timings":true}' >/dev/null
+    -d '{"problem":"hamming","queryId":3}' >/dev/null
   curl -sf -X POST "http://$addr/v1/search/batch" \
     -d '{"problem":"hamming","queryIds":[1,2,3]}' >/dev/null
   # Top-k mode: ranked results plus the τ-ladder telemetry. The exact
@@ -37,8 +37,6 @@ scrape)
     'pigeonring_searches_total{problem="hamming"} 5' \
     'pigeonring_candidates_total{problem="hamming"}' \
     'pigeonring_results_total{problem="hamming"}' \
-    'pigeonring_filter_ns_total{problem="hamming"}' \
-    'pigeonring_verify_ns_total{problem="hamming"}' \
     'pigeonring_topk_rungs_total{problem="hamming"}' \
     'pigeonring_topk_rungs_per_query_count{problem="hamming"} 1' \
     'pigeonring_search_seconds_count{problem="hamming"} 5' \
