@@ -1,24 +1,21 @@
 package repro
 
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§8), one benchmark function per figure, plus ablation
-// benchmarks for the implementation's design choices. Run with:
+// Benchmarks for the implementation's design choices: integer
+// reduction, threshold allocation and the string content filter, the
+// engine's self-join, and the raw verification kernels. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// Each sub-benchmark measures one parameter setting and reports the
-// average candidate count per query alongside the timing;
-// cmd/experiments produces the full figure sweeps with the same
-// harness.
+// The paper's figures are regenerated by cmd/experiments
+// (internal/bench). The chain-filter ablations (strong versus basic
+// form, the Corollary 2 skip) are internal/core's own benchmarks.
 
 import (
 	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/bitvec"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -28,58 +25,27 @@ import (
 	"repro/internal/tokenset"
 )
 
-// Benchmark workload sizes: a quarter of the laptop-scale defaults so
-// that the full `go test -bench=.` run stays in minutes.
 const (
 	benchSeed    = 42
 	benchVecN    = 5000
-	benchEnronN  = 1500
-	benchDBLPN   = 5000
-	benchIMDBN   = 5000
 	benchPubMedN = 1500
-	benchAIDSN   = 300
-	benchProtN   = 150
 	benchQueries = 10
 )
 
-// --- Figure 2: analytical filtering power -----------------------------------
+// --- Shared workloads --------------------------------------------------------
 
-func BenchmarkFig2Analysis(b *testing.B) {
-	settings := []struct {
-		tau float64
-		m   int
-	}{{96, 16}, {64, 16}, {48, 8}, {32, 8}}
-	for _, s := range settings {
-		b.Run(fmt.Sprintf("tau=%g,m=%d", s.tau, s.m), func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				mod := analysis.NewUniformBoxModel(256, s.m, s.tau)
-				for l := 1; l <= 7; l++ {
-					last = mod.FalsePositiveRatio(l)
-				}
-			}
-			b.ReportMetric(last, "fp-ratio-l7")
-		})
-	}
-}
-
-// --- Hamming distance search (Figures 5 and 9) ------------------------------
-
+// hammingBenchEnv is GIST (d = 256) indexed at m = d/16 with sampled
+// queries.
 type hammingBenchEnv struct {
 	db   *hamming.DB
 	vecs []bitvec.Vector
 	qs   []int
 }
 
-func newHammingEnv(b *testing.B, d int) hammingBenchEnv {
+func newHammingEnv(b *testing.B) hammingBenchEnv {
 	b.Helper()
-	var vecs []bitvec.Vector
-	if d == 256 {
-		vecs = dataset.GIST(benchVecN, benchSeed)
-	} else {
-		vecs = dataset.SIFT(benchVecN, benchSeed)
-	}
-	db, err := hamming.NewDB(vecs, d/16)
+	vecs := dataset.GIST(benchVecN, benchSeed)
+	db, err := hamming.NewDB(vecs, vecs[0].Dim()/16)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,156 +69,12 @@ func (e hammingBenchEnv) run(b *testing.B, tau int, opt hamming.Options) {
 	b.ReportMetric(float64(res)/float64(b.N), "results/query")
 }
 
-func BenchmarkFig5ChainLengthHamming(b *testing.B) {
-	gist := newHammingEnv(b, 256)
-	for _, l := range []int{1, 2, 4, 6, 8} {
-		b.Run(fmt.Sprintf("GIST/tau=64/l=%d", l), func(b *testing.B) {
-			gist.run(b, 64, hamming.RingOptions(l))
-		})
-	}
-	sift := newHammingEnv(b, 512)
-	for _, l := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("SIFT/tau=96/l=%d", l), func(b *testing.B) {
-			sift.run(b, 96, hamming.RingOptions(l))
-		})
-	}
-}
-
-func BenchmarkFig9HammingComparison(b *testing.B) {
-	gist := newHammingEnv(b, 256)
-	for _, tau := range []int{16, 32, 48, 64} {
-		b.Run(fmt.Sprintf("GIST/GPH/tau=%d", tau), func(b *testing.B) {
-			gist.run(b, tau, hamming.GPHOptions())
-		})
-		b.Run(fmt.Sprintf("GIST/Ring/tau=%d", tau), func(b *testing.B) {
-			gist.run(b, tau, hamming.RingOptions(6))
-		})
-	}
-	sift := newHammingEnv(b, 512)
-	for _, tau := range []int{64, 128} {
-		b.Run(fmt.Sprintf("SIFT/GPH/tau=%d", tau), func(b *testing.B) {
-			sift.run(b, tau, hamming.GPHOptions())
-		})
-		b.Run(fmt.Sprintf("SIFT/Ring/tau=%d", tau), func(b *testing.B) {
-			sift.run(b, tau, hamming.RingOptions(6))
-		})
-	}
-}
-
-// --- Set similarity search (Figures 6 and 10) -------------------------------
-
-func setData(name string) []tokenset.Set {
-	if name == "Enron" {
-		return dataset.Enron(benchEnronN, benchSeed)
-	}
-	return dataset.DBLP(benchDBLPN, benchSeed)
-}
-
-func benchSetSearch(b *testing.B, sets []tokenset.Set, search func(q tokenset.Set) (setsim.Stats, error)) {
+// pubMedEnv indexes PubMed at τ with the paper's gram length κ = 6
+// (τ 6–8) and samples queries.
+func pubMedEnv(b *testing.B, tau int) (*strdist.DB, []string, []int) {
 	b.Helper()
-	qs := dataset.SampleQueries(len(sets), benchQueries, benchSeed)
-	var cand int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := search(sets[qs[i%len(qs)]])
-		if err != nil {
-			b.Fatal(err)
-		}
-		cand += st.Candidates
-	}
-	b.ReportMetric(float64(cand)/float64(b.N), "cand/query")
-}
-
-func BenchmarkFig6ChainLengthSetSim(b *testing.B) {
-	for _, name := range []string{"Enron", "DBLP"} {
-		sets := setData(name)
-		for _, tau := range []float64{0.7, 0.8} {
-			pk, err := setsim.NewPKWiseDB(sets, setsim.Config{Measure: setsim.Jaccard, Tau: tau, M: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for l := 1; l <= 3; l++ {
-				b.Run(fmt.Sprintf("%s/tau=%g/l=%d", name, tau, l), func(b *testing.B) {
-					benchSetSearch(b, sets, func(q tokenset.Set) (setsim.Stats, error) {
-						_, st, err := pk.Search(q, l)
-						return st, err
-					})
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkFig10SetSimComparison(b *testing.B) {
-	for _, name := range []string{"Enron", "DBLP"} {
-		sets := setData(name)
-		for _, tau := range []float64{0.7, 0.8, 0.9} {
-			cfg := setsim.Config{Measure: setsim.Jaccard, Tau: tau, M: 5}
-			pk, err := setsim.NewPKWiseDB(sets, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ap, err := setsim.NewAllPairsDB(sets, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pa, err := setsim.NewPartAllocDB(sets, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			algos := []struct {
-				algo   string
-				search func(q tokenset.Set) (setsim.Stats, error)
-			}{
-				{"AdaptSearch", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := ap.Search(q)
-					return st, err
-				}},
-				{"PartAlloc", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := pa.Search(q)
-					return st, err
-				}},
-				{"pkwise", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := pk.Search(q, 1)
-					return st, err
-				}},
-				{"Ring", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := pk.Search(q, 2)
-					return st, err
-				}},
-			}
-			for _, a := range algos {
-				b.Run(fmt.Sprintf("%s/%s/tau=%g", name, a.algo, tau), func(b *testing.B) {
-					benchSetSearch(b, sets, a.search)
-				})
-			}
-		}
-	}
-}
-
-// --- String edit distance search (Figures 7 and 11) -------------------------
-
-func strEnv(b *testing.B, name string, tau int) (*strdist.DB, []string, []int) {
-	b.Helper()
-	var strs []string
-	kappa := 2
-	if name == "IMDB" {
-		strs = dataset.IMDB(benchIMDBN, benchSeed)
-		if tau <= 1 {
-			kappa = 3
-		}
-	} else {
-		strs = dataset.PubMed(benchPubMedN, benchSeed)
-		switch {
-		case tau <= 4:
-			kappa = 8
-		case tau <= 8:
-			kappa = 6
-		default:
-			kappa = 4
-		}
-	}
-	dict, err := strdist.BuildGramDict(strs, kappa)
+	strs := dataset.PubMed(benchPubMedN, benchSeed)
+	dict, err := strdist.BuildGramDict(strs, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,186 +99,12 @@ func benchStrSearch(b *testing.B, db *strdist.DB, strs []string, qs []int, opt s
 	b.ReportMetric(float64(cand)/float64(b.N), "cand/query")
 }
 
-func BenchmarkFig7ChainLengthEditDist(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		tau  int
-	}{{"IMDB", 2}, {"IMDB", 4}, {"PubMed", 6}, {"PubMed", 12}} {
-		db, strs, qs := strEnv(b, w.name, w.tau)
-		maxL := 4
-		if w.tau+1 < maxL {
-			maxL = w.tau + 1
-		}
-		for l := 1; l <= maxL; l++ {
-			b.Run(fmt.Sprintf("%s/tau=%d/l=%d", w.name, w.tau, l), func(b *testing.B) {
-				benchStrSearch(b, db, strs, qs, strdist.RingOptions(l))
-			})
-		}
-	}
-}
-
-func BenchmarkFig11EditDistComparison(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		taus []int
-	}{{"IMDB", []int{2, 4}}, {"PubMed", []int{6, 12}}} {
-		for _, tau := range w.taus {
-			db, strs, qs := strEnv(b, w.name, tau)
-			ringL := 3
-			if tau+1 < ringL {
-				ringL = tau + 1
-			}
-			b.Run(fmt.Sprintf("%s/Pivotal/tau=%d", w.name, tau), func(b *testing.B) {
-				benchStrSearch(b, db, strs, qs, strdist.PivotalOptions())
-			})
-			b.Run(fmt.Sprintf("%s/Ring/tau=%d", w.name, tau), func(b *testing.B) {
-				benchStrSearch(b, db, strs, qs, strdist.RingOptions(ringL))
-			})
-		}
-	}
-}
-
-// --- Graph edit distance search (Figures 8 and 12) --------------------------
-
-func graphEnv(b *testing.B, name string, tau int) (*graph.DB, []*graph.Graph, []int) {
-	b.Helper()
-	var gs []*graph.Graph
-	if name == "AIDS" {
-		gs = dataset.AIDS(benchAIDSN, benchSeed)
-	} else {
-		gs = dataset.Protein(benchProtN, benchSeed)
-	}
-	db, err := graph.NewDB(gs, tau)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return db, gs, dataset.SampleQueries(len(gs), 5, benchSeed)
-}
-
-func benchGraphSearch(b *testing.B, db *graph.DB, gs []*graph.Graph, qs []int, opt graph.Options) {
-	b.Helper()
-	var cand int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := db.Search(gs[qs[i%len(qs)]], opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cand += st.Candidates
-	}
-	b.ReportMetric(float64(cand)/float64(b.N), "cand/query")
-}
-
-func BenchmarkFig8ChainLengthGED(b *testing.B) {
-	for _, name := range []string{"AIDS", "Protein"} {
-		for _, tau := range []int{4} {
-			db, gs, qs := graphEnv(b, name, tau)
-			for _, l := range []int{1, 3, 5} {
-				b.Run(fmt.Sprintf("%s/tau=%d/l=%d", name, tau, l), func(b *testing.B) {
-					benchGraphSearch(b, db, gs, qs, graph.RingOptions(l))
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkFig12GEDComparison(b *testing.B) {
-	for _, name := range []string{"AIDS", "Protein"} {
-		for _, tau := range []int{2, 4} {
-			db, gs, qs := graphEnv(b, name, tau)
-			l := tau - 1
-			if l < 1 {
-				l = 1
-			}
-			b.Run(fmt.Sprintf("%s/Pars/tau=%d", name, tau), func(b *testing.B) {
-				benchGraphSearch(b, db, gs, qs, graph.ParsOptions())
-			})
-			b.Run(fmt.Sprintf("%s/Ring/tau=%d", name, tau), func(b *testing.B) {
-				benchGraphSearch(b, db, gs, qs, graph.RingOptions(l))
-			})
-		}
-	}
-}
-
 // --- Ablation benchmarks -----------------------------------------------------
-
-// BenchmarkAblationStrongVsBasic compares the strong form (prefix-viable
-// chains, Theorem 3) against the basic form (chain sums only, Theorem
-// 2) at equal chain length on the raw filter.
-func BenchmarkAblationStrongVsBasic(b *testing.B) {
-	boxes := makeAblationBoxes()
-	f := core.NewUniform(64, 16, 6, core.LE)
-	b.Run("strong", func(b *testing.B) {
-		kept := 0
-		for i := 0; i < b.N; i++ {
-			if f.HasPrefixViableChain(boxes[i%len(boxes)]) {
-				kept++
-			}
-		}
-		b.ReportMetric(float64(kept)/float64(b.N), "pass-rate")
-	})
-	b.Run("basic", func(b *testing.B) {
-		kept := 0
-		for i := 0; i < b.N; i++ {
-			if f.HasViableChain(boxes[i%len(boxes)]) {
-				kept++
-			}
-		}
-		b.ReportMetric(float64(kept)/float64(b.N), "pass-rate")
-	})
-	b.Run("pigeonhole", func(b *testing.B) {
-		f1 := core.NewUniform(64, 16, 1, core.LE)
-		kept := 0
-		for i := 0; i < b.N; i++ {
-			if f1.HasPrefixViableChain(boxes[i%len(boxes)]) {
-				kept++
-			}
-		}
-		b.ReportMetric(float64(kept)/float64(b.N), "pass-rate")
-	})
-}
-
-// BenchmarkAblationSkip measures the Corollary 2 start-skipping
-// optimization of HasPrefixViableChain.
-func BenchmarkAblationSkip(b *testing.B) {
-	boxes := makeAblationBoxes()
-	f := core.NewUniform(64, 16, 6, core.LE)
-	b.Run("with-skip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.HasPrefixViableChain(boxes[i%len(boxes)])
-		}
-	})
-	b.Run("no-skip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.HasPrefixViableChainNoSkip(boxes[i%len(boxes)])
-		}
-	})
-}
-
-func makeAblationBoxes() []core.Boxes {
-	// Deterministic pseudo-random box layouts around the threshold.
-	out := make([]core.Boxes, 512)
-	state := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	for i := range out {
-		bx := make(core.Boxes, 16)
-		for j := range bx {
-			bx[j] = float64(next() % 9)
-		}
-		out[i] = bx
-	}
-	return out
-}
 
 // BenchmarkAblationIntReduction compares integer reduction (Theorem 7)
 // against plain variable allocation (Theorem 6) for Hamming search.
 func BenchmarkAblationIntReduction(b *testing.B) {
-	env := newHammingEnv(b, 256)
+	env := newHammingEnv(b)
 	b.Run("integer-reduction", func(b *testing.B) {
 		env.run(b, 32, hamming.Options{ChainLength: 6, Alloc: hamming.AllocCostModel})
 	})
@@ -468,7 +116,7 @@ func BenchmarkAblationIntReduction(b *testing.B) {
 // BenchmarkAblationAllocation compares the GPH cost-model threshold
 // allocation against uniform spreading.
 func BenchmarkAblationAllocation(b *testing.B) {
-	env := newHammingEnv(b, 256)
+	env := newHammingEnv(b)
 	b.Run("cost-model", func(b *testing.B) {
 		env.run(b, 32, hamming.Options{ChainLength: 6, Alloc: hamming.AllocCostModel})
 	})
@@ -481,7 +129,7 @@ func BenchmarkAblationAllocation(b *testing.B) {
 // bounds against the Pivotal exact alignment boxes (§6.3 remark: the
 // content bound reduces a box check from O(κ²+κτ) to O(κ+τ)).
 func BenchmarkAblationContentFilter(b *testing.B) {
-	db, strs, qs := strEnv(b, "PubMed", 6)
+	db, strs, qs := pubMedEnv(b, 6)
 	b.Run("bitvector-bounds", func(b *testing.B) {
 		benchStrSearch(b, db, strs, qs, strdist.RingOptions(3))
 	})

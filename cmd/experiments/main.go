@@ -6,16 +6,18 @@
 //
 //	experiments [flags] [fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|all]...
 //
-// With no arguments it runs everything. Dataset sizes honour the
-// -scale and -queries flags (or the REPRO_SCALE / REPRO_QUERIES
-// environment variables).
+// With no arguments it runs everything. -scale multiplies every dataset
+// size, -queries sets the sampled queries per setting, -seed the
+// generation seed, and -csv also writes one fig<ID>.csv per figure
+// into a directory.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bench"
@@ -60,12 +62,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: experiments [flags] [experiment]...")
 	fmt.Fprintln(os.Stderr, "experiments:")
-	var names []string
-	for n := range bench.Runners {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(bench.Runners)) {
 		fmt.Fprintf(os.Stderr, "  %s\n", n)
 	}
 	flag.PrintDefaults()

@@ -47,6 +47,7 @@
 // /v1/join with join and pair totals); cmd/pigeonringd is the daemon
 // serving it.
 //
-// See README.md for a tour. The benchmarks in bench_test.go regenerate each figure under
-// `go test -bench`.
+// See README.md for a tour. cmd/experiments regenerates each figure of
+// the paper's evaluation; bench_test.go holds the design-choice, join
+// and verifier benchmarks.
 package repro

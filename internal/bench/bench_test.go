@@ -2,30 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 )
 
 // tiny returns a configuration small enough for unit tests.
 func tiny() Config { return Config{Scale: 0.02, Queries: 4, Seed: 7} }
-
-func TestDefaultConfigEnvOverrides(t *testing.T) {
-	os.Setenv("REPRO_SCALE", "2.5")
-	os.Setenv("REPRO_QUERIES", "9")
-	defer os.Unsetenv("REPRO_SCALE")
-	defer os.Unsetenv("REPRO_QUERIES")
-	c := DefaultConfig()
-	if c.Scale != 2.5 || c.Queries != 9 {
-		t.Errorf("env overrides not applied: %+v", c)
-	}
-	os.Setenv("REPRO_SCALE", "bogus")
-	os.Setenv("REPRO_QUERIES", "-3")
-	c = DefaultConfig()
-	if c.Scale != 1 || c.Queries != 50 {
-		t.Errorf("invalid env not ignored: %+v", c)
-	}
-}
 
 func TestFig2Shape(t *testing.T) {
 	fig := Fig2()

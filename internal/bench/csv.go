@@ -20,20 +20,10 @@ func (f Figure) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	for _, x := range xs {
+	for _, x := range f.xs() {
 		row := []string{strconv.FormatFloat(x, 'g', -1, 64)}
 		for _, s := range f.Series {
-			if y, ok := s.at(x); ok {
+			if y, ok := s.At(x); ok {
 				row = append(row, strconv.FormatFloat(y, 'g', -1, 64))
 			} else {
 				row = append(row, "")

@@ -7,134 +7,66 @@ import (
 	"repro/internal/graph"
 )
 
-type graphWorkload struct {
-	name   string
-	graphs []*graph.Graph
-	qs     []*graph.Graph
+// graphs is a graph corpus with its sampled queries.
+type graphs struct {
+	graphs, qs []*graph.Graph
 }
 
-func graphWorkloads(c Config) []graphWorkload {
-	aids := dataset.AIDS(c.n(800), c.Seed)
-	protein := dataset.Protein(c.n(400), c.Seed)
-	mk := func(name string, gs []*graph.Graph, queries int) graphWorkload {
-		var qs []*graph.Graph
-		for _, i := range dataset.SampleQueries(len(gs), queries, c.Seed) {
-			qs = append(qs, gs[i])
-		}
-		return graphWorkload{name, gs, qs}
-	}
-	// GED verification is the most expensive in the suite; cap queries
-	// tighter than the other problems.
-	return []graphWorkload{
-		mk("AIDS", aids, c.queries(20)),
-		mk("Protein", protein, c.queries(20)),
-	}
+// aidsProtein caps queries tighter than the other problems: GED
+// verification is the most expensive in the suite.
+func aidsProtein(c Config) (aids, protein graphs) {
+	mk := func(gs []*graph.Graph) graphs { return graphs{gs, sample(gs, c.queries(20), c.Seed)} }
+	return mk(dataset.AIDS(c.n(800), c.Seed)), mk(dataset.Protein(c.n(400), c.Seed))
 }
 
-func runGraph(db *graph.DB, qs []*graph.Graph, opt graph.Options) accum {
-	var a accum
-	for _, q := range qs {
-		var st graph.Stats
-		ms := timed(func() {
-			var err error
-			_, st, err = db.Search(q, opt)
-			if err != nil {
-				panic(err)
-			}
-		})
-		a.add(st.Candidates, st.Results, ms)
-	}
-	return a
+func (g graphs) db(tau float64) *graph.DB {
+	db, err := graph.NewDB(g.graphs, int(tau))
+	check(err)
+	return db
+}
+
+func (g graphs) method(name string, db *graph.DB, opt graph.Options) method {
+	return method{name: name, probe: func(i int, verify bool) (int, int, int) {
+		opt.SkipVerify = !verify
+		_, st, err := db.Search(g.qs[i], opt)
+		check(err)
+		return st.Candidates, st.Results, 0
+	}}
 }
 
 // Fig8 reproduces Figure 8: the effect of chain length on graph edit
 // distance search — candidates and time versus l ∈ [1..5] for AIDS and
 // Protein at τ ∈ {4, 5}.
 func Fig8(c Config) []Figure {
-	ws := graphWorkloads(c)
-	ids := map[string][2]string{"AIDS": {"8a", "8b"}, "Protein": {"8c", "8d"}}
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: w.name + ", Candidate",
-			XLabel: "chain len", YLabel: "avg #candidates",
+	ring := func(g graphs, tau float64) []method {
+		db := g.db(tau)
+		var ms []method
+		for l := 1; l <= 5; l++ {
+			ms = append(ms, g.method(fmt.Sprintf("Ring(%d)", l), db, graph.RingOptions(l)))
 		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: w.name + ", Time",
-			XLabel: "chain len", YLabel: "avg search time (ms)",
-		}
-		for _, tau := range []int{4, 5} {
-			db, err := graph.NewDB(w.graphs, tau)
-			if err != nil {
-				panic(err)
-			}
-			cand := Series{Name: fmt.Sprintf("tau=%d Cand.", tau)}
-			res := Series{Name: fmt.Sprintf("tau=%d Res.", tau)}
-			tot := Series{Name: fmt.Sprintf("tau=%d Total", tau)}
-			ctime := Series{Name: fmt.Sprintf("tau=%d Cand.", tau)}
-			for l := 1; l <= 5; l++ {
-				a := runGraph(db, w.qs, graph.RingOptions(l))
-				opt := graph.RingOptions(l)
-				opt.SkipVerify = true
-				ac := runGraph(db, w.qs, opt)
-				x := float64(l)
-				cand.X, cand.Y = append(cand.X, x), append(cand.Y, a.avgCand())
-				res.X, res.Y = append(res.X, x), append(res.Y, a.avgRes())
-				tot.X, tot.Y = append(tot.X, x), append(tot.Y, a.avgMS())
-				ctime.X, ctime.Y = append(ctime.X, x), append(ctime.Y, ac.avgMS())
-			}
-			candFig.Series = append(candFig.Series, cand, res)
-			timeFig.Series = append(timeFig.Series, tot, ctime)
-		}
-		figs = append(figs, candFig, timeFig)
+		return ms
 	}
-	return figs
+	aids, protein := aidsProtein(c)
+	taus := []float64{4, 5}
+	return append(chain(corpus{"AIDS", [2]string{"8a", "8b"}, len(aids.qs), on(aids, ring)}, taus, taus),
+		chain(corpus{"Protein", [2]string{"8c", "8d"}, len(protein.qs), on(protein, ring)}, taus, taus)...)
 }
 
 // Fig12 reproduces Figure 12: Pars versus Ring over the threshold
-// sweep τ ∈ [1..5] on AIDS and Protein. Ring uses the paper's tuned
-// chain length l ∈ [τ−2, τ] (here max(1, τ−1)).
+// sweep τ ∈ [1..5] on AIDS and Protein. §8.2 tunes Ring's chain length
+// within [τ−2, τ]; small thresholds need the full chain to have any
+// effect, so Ring uses l = τ below τ = 4 and l = τ−1 from τ = 4.
 func Fig12(c Config) []Figure {
-	ws := graphWorkloads(c)
-	ids := map[string][2]string{"AIDS": {"12a", "12b"}, "Protein": {"12c", "12d"}}
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: "Candidate, " + w.name,
-			XLabel: "threshold", YLabel: "avg #candidates",
+	parsRing := func(g graphs, tau float64) []method {
+		l := int(tau)
+		if l >= 4 {
+			l--
 		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: "Time, " + w.name,
-			XLabel: "threshold", YLabel: "avg search time (ms)",
-		}
-		parsC := Series{Name: "Pars"}
-		ringC := Series{Name: "Ring"}
-		resC := Series{Name: "#Results"}
-		parsT := Series{Name: "Pars"}
-		ringT := Series{Name: "Ring"}
-		for tau := 1; tau <= 5; tau++ {
-			db, err := graph.NewDB(w.graphs, tau)
-			if err != nil {
-				panic(err)
-			}
-			// §8.2 tunes l within [τ−2, τ]; small thresholds need the
-			// full chain to have any effect.
-			l := tau
-			if tau >= 4 {
-				l = tau - 1
-			}
-			ap := runGraph(db, w.qs, graph.ParsOptions())
-			ar := runGraph(db, w.qs, graph.RingOptions(l))
-			x := float64(tau)
-			parsC.X, parsC.Y = append(parsC.X, x), append(parsC.Y, ap.avgCand())
-			ringC.X, ringC.Y = append(ringC.X, x), append(ringC.Y, ar.avgCand())
-			resC.X, resC.Y = append(resC.X, x), append(resC.Y, ar.avgRes())
-			parsT.X, parsT.Y = append(parsT.X, x), append(parsT.Y, ap.avgMS())
-			ringT.X, ringT.Y = append(ringT.X, x), append(ringT.Y, ar.avgMS())
-		}
-		candFig.Series = []Series{parsC, ringC, resC}
-		timeFig.Series = []Series{parsT, ringT}
-		figs = append(figs, candFig, timeFig)
+		db := g.db(tau)
+		return []method{g.method("Pars", db, graph.ParsOptions()), g.method("Ring", db, graph.RingOptions(l))}
 	}
-	return figs
+	aids, protein := aidsProtein(c)
+	taus := []float64{1, 2, 3, 4, 5}
+	return append(compare(corpus{"AIDS", [2]string{"12a", "12b"}, len(aids.qs), on(aids, parsRing)}, taus),
+		compare(corpus{"Protein", [2]string{"12c", "12d"}, len(protein.qs), on(protein, parsRing)}, taus)...)
 }

@@ -8,50 +8,30 @@ import (
 	"repro/internal/hamming"
 )
 
-// hammingWorkload bundles an indexed dataset with its sampled queries.
-type hammingWorkload struct {
-	name string
-	db   *hamming.DB
-	qs   []bitvec.Vector
+// vectors is an indexed Hamming corpus with its sampled queries.
+type vectors struct {
+	db *hamming.DB
+	qs []bitvec.Vector
 }
 
-func hammingWorkloads(c Config) []hammingWorkload {
-	gist := dataset.GIST(c.n(20000), c.Seed)
-	sift := dataset.SIFT(c.n(20000), c.Seed)
-	var out []hammingWorkload
-	for _, w := range []struct {
-		name string
-		vecs []bitvec.Vector
-	}{{"GIST", gist}, {"SIFT", sift}} {
-		// The paper sets m = ⌊d/16⌋ for the best overall time.
-		db, err := hamming.NewDB(w.vecs, w.vecs[0].Dim()/16)
-		if err != nil {
-			panic(err)
-		}
-		var qs []bitvec.Vector
-		for _, i := range dataset.SampleQueries(len(w.vecs), c.queries(200), c.Seed) {
-			qs = append(qs, w.vecs[i])
-		}
-		out = append(out, hammingWorkload{w.name, db, qs})
+// gistSift builds GIST and SIFT, indexed at the paper's m = ⌊d/16⌋,
+// which it sets for the best overall time.
+func gistSift(c Config) (gist, sift vectors) {
+	build := func(vecs []bitvec.Vector) vectors {
+		db, err := hamming.NewDB(vecs, vecs[0].Dim()/16)
+		check(err)
+		return vectors{db, sample(vecs, c.queries(200), c.Seed)}
 	}
-	return out
+	return build(dataset.GIST(c.n(20000), c.Seed)), build(dataset.SIFT(c.n(20000), c.Seed))
 }
 
-func runHamming(w hammingWorkload, tau int, opt hamming.Options) accum {
-	var a accum
-	for _, q := range w.qs {
-		var res []int
-		var st hamming.Stats
-		ms := timed(func() {
-			var err error
-			res, st, err = w.db.Search(q, tau, opt)
-			if err != nil {
-				panic(err)
-			}
-		})
-		a.add(st.Candidates, len(res), ms)
-	}
-	return a
+func (v vectors) method(name string, tau float64, opt hamming.Options) method {
+	return method{name: name, probe: func(i int, verify bool) (int, int, int) {
+		opt.SkipVerify = !verify
+		res, st, err := v.db.Search(v.qs[i], int(tau), opt)
+		check(err)
+		return st.Candidates, len(res), 0
+	}}
 }
 
 // Fig5 reproduces Figure 5: the effect of chain length on Hamming
@@ -64,98 +44,27 @@ func runHamming(w hammingWorkload, tau int, opt hamming.Options) accum {
 // τ ∈ {64, 96}, which exercises the same regimes (all results in
 // clusters / results plus distance tail).
 func Fig5(c Config) []Figure {
-	ws := hammingWorkloads(c)
-	taus := map[string]struct{ cand, time []int }{
-		"GIST": {cand: []int{64, 96}, time: []int{48, 64}},
-		"SIFT": {cand: []int{96, 128}, time: []int{96, 128}},
+	ring := func(v vectors, tau float64) []method {
+		var ms []method
+		for l := 1; l <= 8; l++ {
+			ms = append(ms, v.method(fmt.Sprintf("Ring(%d)", l), tau, hamming.RingOptions(l)))
+		}
+		return ms
 	}
-	ids := map[string][2]string{"GIST": {"5a", "5b"}, "SIFT": {"5c", "5d"}}
-	var figs []Figure
-	for _, w := range ws {
-		t := taus[w.name]
-		candFig := Figure{
-			ID: ids[w.name][0], Title: w.name + ", Candidate",
-			XLabel: "chain len", YLabel: "avg #candidates",
-		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: w.name + ", Time",
-			XLabel: "chain len", YLabel: "avg search time (ms)",
-		}
-		if w.name == "GIST" {
-			candFig.Notes = append(candFig.Notes,
-				"paper uses tau in {96,128}; shifted to {64,96} for the uniform-background stand-in")
-		}
-		for _, tau := range t.cand {
-			cand := Series{Name: fmt.Sprintf("tau=%d Cand.", tau)}
-			res := Series{Name: fmt.Sprintf("tau=%d Res.", tau)}
-			for l := 1; l <= 8; l++ {
-				a := runHamming(w, tau, hamming.RingOptions(l))
-				cand.X = append(cand.X, float64(l))
-				cand.Y = append(cand.Y, a.avgCand())
-				res.X = append(res.X, float64(l))
-				res.Y = append(res.Y, a.avgRes())
-			}
-			candFig.Series = append(candFig.Series, cand, res)
-		}
-		for _, tau := range t.time {
-			tot := Series{Name: fmt.Sprintf("tau=%d Total", tau)}
-			cand := Series{Name: fmt.Sprintf("tau=%d Cand.", tau)}
-			for l := 1; l <= 8; l++ {
-				a := runHamming(w, tau, hamming.RingOptions(l))
-				tot.X = append(tot.X, float64(l))
-				tot.Y = append(tot.Y, a.avgMS())
-				opt := hamming.RingOptions(l)
-				opt.SkipVerify = true
-				ac := runHamming(w, tau, opt)
-				cand.X = append(cand.X, float64(l))
-				cand.Y = append(cand.Y, ac.avgMS())
-			}
-			timeFig.Series = append(timeFig.Series, tot, cand)
-		}
-		figs = append(figs, candFig, timeFig)
-	}
-	return figs
+	gist, sift := gistSift(c)
+	figs := chain(corpus{"GIST", [2]string{"5a", "5b"}, len(gist.qs), on(gist, ring)}, []float64{64, 96}, []float64{48, 64})
+	figs[0].Notes = []string{"paper uses tau in {96,128}; shifted to {64,96} for the uniform-background stand-in"}
+	return append(figs, chain(corpus{"SIFT", [2]string{"5c", "5d"}, len(sift.qs), on(sift, ring)}, []float64{96, 128}, []float64{96, 128})...)
 }
 
 // Fig9 reproduces Figure 9: GPH versus Ring over a threshold sweep —
 // average candidates and search time on GIST (τ ∈ [8..64]) and SIFT
 // (τ ∈ [16..128]). Ring uses the paper's tuned chain length l = 6.
 func Fig9(c Config) []Figure {
-	ws := hammingWorkloads(c)
-	sweeps := map[string][]int{
-		"GIST": {8, 16, 24, 32, 40, 48, 56, 64},
-		"SIFT": {16, 32, 48, 64, 80, 96, 112, 128},
+	gphRing := func(v vectors, tau float64) []method {
+		return []method{v.method("GPH", tau, hamming.GPHOptions()), v.method("Ring", tau, hamming.RingOptions(6))}
 	}
-	ids := map[string][2]string{"GIST": {"9a", "9b"}, "SIFT": {"9c", "9d"}}
-	const ringL = 6
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: "Candidate, " + w.name,
-			XLabel: "threshold", YLabel: "avg #candidates",
-		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: "Time, " + w.name,
-			XLabel: "threshold", YLabel: "avg search time (ms)",
-		}
-		gphC := Series{Name: "GPH"}
-		ringC := Series{Name: "Ring"}
-		resC := Series{Name: "#Results"}
-		gphT := Series{Name: "GPH"}
-		ringT := Series{Name: "Ring"}
-		for _, tau := range sweeps[w.name] {
-			ag := runHamming(w, tau, hamming.GPHOptions())
-			ar := runHamming(w, tau, hamming.RingOptions(ringL))
-			x := float64(tau)
-			gphC.X, gphC.Y = append(gphC.X, x), append(gphC.Y, ag.avgCand())
-			ringC.X, ringC.Y = append(ringC.X, x), append(ringC.Y, ar.avgCand())
-			resC.X, resC.Y = append(resC.X, x), append(resC.Y, ar.avgRes())
-			gphT.X, gphT.Y = append(gphT.X, x), append(gphT.Y, ag.avgMS())
-			ringT.X, ringT.Y = append(ringT.X, x), append(ringT.Y, ar.avgMS())
-		}
-		candFig.Series = []Series{gphC, ringC, resC}
-		timeFig.Series = []Series{gphT, ringT}
-		figs = append(figs, candFig, timeFig)
-	}
-	return figs
+	gist, sift := gistSift(c)
+	return append(compare(corpus{"GIST", [2]string{"9a", "9b"}, len(gist.qs), on(gist, gphRing)}, []float64{8, 16, 24, 32, 40, 48, 56, 64}),
+		compare(corpus{"SIFT", [2]string{"9c", "9d"}, len(sift.qs), on(sift, gphRing)}, []float64{16, 32, 48, 64, 80, 96, 112, 128})...)
 }

@@ -1,34 +1,19 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/setsim"
 	"repro/internal/tokenset"
 )
 
-type setWorkload struct {
-	name string
-	sets []tokenset.Set
-	qs   []tokenset.Set
+// sets is a set corpus with its sampled queries.
+type sets struct {
+	sets, qs []tokenset.Set
 }
 
-func setWorkloads(c Config) []setWorkload {
-	enron := dataset.Enron(c.n(5000), c.Seed)
-	dblp := dataset.DBLP(c.n(20000), c.Seed)
-	var out []setWorkload
-	for _, w := range []struct {
-		name string
-		sets []tokenset.Set
-	}{{"Enron", enron}, {"DBLP", dblp}} {
-		var qs []tokenset.Set
-		for _, i := range dataset.SampleQueries(len(w.sets), c.queries(200), c.Seed) {
-			qs = append(qs, w.sets[i])
-		}
-		out = append(out, setWorkload{w.name, w.sets, qs})
-	}
-	return out
+func enronDBLP(c Config) (enron, dblp sets) {
+	mk := func(ss []tokenset.Set) sets { return sets{ss, sample(ss, c.queries(200), c.Seed)} }
+	return mk(dataset.Enron(c.n(5000), c.Seed)), mk(dataset.DBLP(c.n(20000), c.Seed))
 }
 
 func setCfg(tau float64) setsim.Config {
@@ -36,158 +21,63 @@ func setCfg(tau float64) setsim.Config {
 	return setsim.Config{Measure: setsim.Jaccard, Tau: tau, M: 5}
 }
 
+// pkwise is the pkwise index searched at chain length l; its
+// filter-only pass counts candidates without verifying them.
+func (s sets) pkwise(name string, db *setsim.PKWiseDB, l int) method {
+	return method{name: name, probe: func(i int, verify bool) (int, int, int) {
+		var st setsim.Stats
+		var err error
+		if verify {
+			_, st, err = db.Search(s.qs[i], l)
+		} else {
+			st, err = db.CountCandidates(s.qs[i], l)
+		}
+		check(err)
+		return st.Candidates, st.Results, 0
+	}}
+}
+
+// competitor is a Figure 10 baseline. It always verifies: only compare
+// runs it, and compare makes no filter-only pass.
+func (s sets) competitor(name string, search func(tokenset.Set) ([]int, setsim.Stats, error)) method {
+	return method{name: name, probe: func(i int, _ bool) (int, int, int) {
+		_, st, err := search(s.qs[i])
+		check(err)
+		return st.Candidates, st.Results, 0
+	}}
+}
+
 // Fig6 reproduces Figure 6: the effect of chain length on set
 // similarity search — candidates and time versus l ∈ [1..3] for Enron
 // and DBLP at Jaccard τ ∈ {0.7, 0.8}. l = 1 is exactly pkwise.
 func Fig6(c Config) []Figure {
-	ws := setWorkloads(c)
-	ids := map[string][2]string{"Enron": {"6a", "6b"}, "DBLP": {"6c", "6d"}}
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: w.name + ", Candidate",
-			XLabel: "chain len", YLabel: "avg #candidates",
-		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: w.name + ", Time",
-			XLabel: "chain len", YLabel: "avg search time (ms)",
-		}
-		for _, tau := range []float64{0.8, 0.7} {
-			db, err := setsim.NewPKWiseDB(w.sets, setCfg(tau))
-			if err != nil {
-				panic(err)
-			}
-			cand := Series{Name: fmt.Sprintf("tau=%g Cand.", tau)}
-			res := Series{Name: fmt.Sprintf("tau=%g Res.", tau)}
-			tot := Series{Name: fmt.Sprintf("tau=%g Total", tau)}
-			ctime := Series{Name: fmt.Sprintf("tau=%g Cand.", tau)}
-			for l := 1; l <= 3; l++ {
-				var a accum
-				for _, q := range w.qs {
-					var st setsim.Stats
-					ms := timed(func() {
-						var err error
-						_, st, err = db.Search(q, l)
-						if err != nil {
-							panic(err)
-						}
-					})
-					a.add(st.Candidates, st.Results, ms)
-				}
-				var ac accum
-				for _, q := range w.qs {
-					var st setsim.Stats
-					ms := timed(func() {
-						var err error
-						st, err = db.CountCandidates(q, l)
-						if err != nil {
-							panic(err)
-						}
-					})
-					ac.add(st.Candidates, 0, ms)
-				}
-				x := float64(l)
-				cand.X, cand.Y = append(cand.X, x), append(cand.Y, a.avgCand())
-				res.X, res.Y = append(res.X, x), append(res.Y, a.avgRes())
-				tot.X, tot.Y = append(tot.X, x), append(tot.Y, a.avgMS())
-				ctime.X, ctime.Y = append(ctime.X, x), append(ctime.Y, ac.avgMS())
-			}
-			candFig.Series = append(candFig.Series, cand, res)
-			timeFig.Series = append(timeFig.Series, tot, ctime)
-		}
-		figs = append(figs, candFig, timeFig)
+	ring := func(s sets, tau float64) []method {
+		db, err := setsim.NewPKWiseDB(s.sets, setCfg(tau))
+		check(err)
+		return []method{s.pkwise("Ring(1)", db, 1), s.pkwise("Ring(2)", db, 2), s.pkwise("Ring(3)", db, 3)}
 	}
-	return figs
+	enron, dblp := enronDBLP(c)
+	taus := []float64{0.8, 0.7}
+	return append(chain(corpus{"Enron", [2]string{"6a", "6b"}, len(enron.qs), on(enron, ring)}, taus, taus),
+		chain(corpus{"DBLP", [2]string{"6c", "6d"}, len(dblp.qs), on(dblp, ring)}, taus, taus)...)
 }
 
 // Fig10 reproduces Figure 10: AdaptSearch vs PartAlloc vs pkwise vs
 // Ring over the Jaccard threshold sweep τ ∈ [0.7..0.95] on Enron and
 // DBLP. Ring uses the paper's tuned chain length l = 2.
 func Fig10(c Config) []Figure {
-	ws := setWorkloads(c)
-	ids := map[string][2]string{"Enron": {"10a", "10b"}, "DBLP": {"10c", "10d"}}
-	taus := []float64{0.95, 0.9, 0.85, 0.8, 0.75, 0.7}
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: "Candidate, " + w.name,
-			XLabel: "threshold", YLabel: "avg #candidates",
-		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: "Time, " + w.name,
-			XLabel: "threshold", YLabel: "avg search time (ms)",
-		}
-		series := map[string]*Series{}
-		for _, n := range []string{"AdaptSearch", "PartAlloc", "pkwise", "Ring", "#Results"} {
-			series[n+"/c"] = &Series{Name: n}
-			if n != "#Results" {
-				series[n+"/t"] = &Series{Name: n}
-			}
-		}
-		for _, tau := range taus {
-			cfg := setCfg(tau)
-			pk, err := setsim.NewPKWiseDB(w.sets, cfg)
-			if err != nil {
-				panic(err)
-			}
-			ap, err := setsim.NewAllPairsDB(w.sets, cfg)
-			if err != nil {
-				panic(err)
-			}
-			pa, err := setsim.NewPartAllocDB(w.sets, cfg)
-			if err != nil {
-				panic(err)
-			}
-			run := func(name string, search func(q tokenset.Set) (setsim.Stats, error)) accum {
-				var a accum
-				for _, q := range w.qs {
-					var st setsim.Stats
-					ms := timed(func() {
-						var err error
-						st, err = search(q)
-						if err != nil {
-							panic(err)
-						}
-					})
-					a.add(st.Candidates, st.Results, ms)
-				}
-				return a
-			}
-			results := map[string]accum{
-				"AdaptSearch": run("AdaptSearch", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := ap.Search(q)
-					return st, err
-				}),
-				"PartAlloc": run("PartAlloc", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := pa.Search(q)
-					return st, err
-				}),
-				"pkwise": run("pkwise", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := pk.Search(q, 1)
-					return st, err
-				}),
-				"Ring": run("Ring", func(q tokenset.Set) (setsim.Stats, error) {
-					_, st, err := pk.Search(q, 2)
-					return st, err
-				}),
-			}
-			for name, a := range results {
-				sc := series[name+"/c"]
-				sc.X, sc.Y = append(sc.X, tau), append(sc.Y, a.avgCand())
-				st := series[name+"/t"]
-				st.X, st.Y = append(st.X, tau), append(st.Y, a.avgMS())
-			}
-			r := series["#Results/c"]
-			ringAcc := results["Ring"]
-			r.X, r.Y = append(r.X, tau), append(r.Y, ringAcc.avgRes())
-		}
-		for _, n := range []string{"AdaptSearch", "PartAlloc", "pkwise", "Ring", "#Results"} {
-			candFig.Series = append(candFig.Series, *series[n+"/c"])
-			if n != "#Results" {
-				timeFig.Series = append(timeFig.Series, *series[n+"/t"])
-			}
-		}
-		figs = append(figs, candFig, timeFig)
+	all := func(s sets, tau float64) []method {
+		pk, err := setsim.NewPKWiseDB(s.sets, setCfg(tau))
+		check(err)
+		ap, err := setsim.NewAllPairsDB(s.sets, setCfg(tau))
+		check(err)
+		pa, err := setsim.NewPartAllocDB(s.sets, setCfg(tau))
+		check(err)
+		return []method{s.competitor("AdaptSearch", ap.Search), s.competitor("PartAlloc", pa.Search),
+			s.pkwise("pkwise", pk, 1), s.pkwise("Ring", pk, 2)}
 	}
-	return figs
+	enron, dblp := enronDBLP(c)
+	taus := []float64{0.95, 0.9, 0.85, 0.8, 0.75, 0.7}
+	return append(compare(corpus{"Enron", [2]string{"10a", "10b"}, len(enron.qs), on(enron, all)}, taus),
+		compare(corpus{"DBLP", [2]string{"10c", "10d"}, len(dblp.qs), on(dblp, all)}, taus)...)
 }

@@ -7,170 +7,87 @@ import (
 	"repro/internal/strdist"
 )
 
-type strWorkload struct {
-	name string
-	strs []string
-	qs   []string
-	// kappaFor returns the paper's gram length for a threshold.
-	kappaFor func(tau int) int
+// strs is a string corpus with its sampled queries and the paper's
+// gram length for each threshold.
+type strs struct {
+	strs, qs []string
+	kappa    func(tau int) int
 }
 
-func strWorkloads(c Config) []strWorkload {
-	imdb := dataset.IMDB(c.n(20000), c.Seed)
-	pubmed := dataset.PubMed(c.n(5000), c.Seed)
-	mk := func(name string, strs []string, kappaFor func(int) int) strWorkload {
-		var qs []string
-		for _, i := range dataset.SampleQueries(len(strs), c.queries(200), c.Seed) {
-			qs = append(qs, strs[i])
+func imdbPubMed(c Config) (imdb, pubmed strs) {
+	mk := func(ss []string, kappa func(int) int) strs {
+		return strs{ss, sample(ss, c.queries(200), c.Seed), kappa}
+	}
+	// §8.1: κ = 3, 2, 2, 2 for τ = 1..4 on IMDB.
+	imdb = mk(dataset.IMDB(c.n(20000), c.Seed), func(tau int) int {
+		if tau <= 1 {
+			return 3
 		}
-		return strWorkload{name, strs, qs, kappaFor}
-	}
-	return []strWorkload{
-		// §8.1: κ = 3, 2, 2, 2 for τ = 1..4 on IMDB.
-		mk("IMDB", imdb, func(tau int) int {
-			if tau <= 1 {
-				return 3
-			}
-			return 2
-		}),
-		// §8.1: κ = 8, 6, 6, 4, 4 for τ = 4, 6, 8, 10, 12 on PubMed.
-		mk("PubMed", pubmed, func(tau int) int {
-			switch {
-			case tau <= 4:
-				return 8
-			case tau <= 8:
-				return 6
-			default:
-				return 4
-			}
-		}),
-	}
+		return 2
+	})
+	// §8.1: κ = 8, 6, 6, 4, 4 for τ = 4, 6, 8, 10, 12 on PubMed.
+	pubmed = mk(dataset.PubMed(c.n(5000), c.Seed), func(tau int) int {
+		switch {
+		case tau <= 4:
+			return 8
+		case tau <= 8:
+			return 6
+		default:
+			return 4
+		}
+	})
+	return imdb, pubmed
 }
 
-func strDB(w strWorkload, tau int) *strdist.DB {
-	dict, err := strdist.BuildGramDict(w.strs, w.kappaFor(tau))
-	if err != nil {
-		panic(err)
-	}
-	db, err := strdist.NewDB(w.strs, dict, tau)
-	if err != nil {
-		panic(err)
-	}
+func (s strs) db(tau int) *strdist.DB {
+	dict, err := strdist.BuildGramDict(s.strs, s.kappa(tau))
+	check(err)
+	db, err := strdist.NewDB(s.strs, dict, tau)
+	check(err)
 	return db
 }
 
-func runStr(db *strdist.DB, qs []string, opt strdist.Options) (accum, float64) {
-	var a accum
-	var cand1 float64
-	for _, q := range qs {
-		var st strdist.Stats
-		ms := timed(func() {
-			var err error
-			_, st, err = db.Search(q, opt)
-			if err != nil {
-				panic(err)
-			}
-		})
-		a.add(st.Cand2+st.Fallback, st.Results, ms)
-		cand1 += float64(st.Cand1 + st.Fallback)
-	}
-	return a, cand1 / float64(len(qs))
-}
-
-// ringChainLen is the paper's tuned chain length for edit distance:
-// l = min(3, τ+1).
-func ringChainLen(tau int) int {
-	if tau+1 < 3 {
-		return tau + 1
-	}
-	return 3
+// method runs db with opt. Pivotal is two-stage: the pivotal prefix
+// filter's survivors are its Cand-1, the alignment filter's its Cand-2.
+// Fallback strings, which skip the filters, count in both stages.
+func (s strs) method(name string, db *strdist.DB, opt strdist.Options) method {
+	return method{name: name, twoStage: !opt.Ring, probe: func(i int, verify bool) (int, int, int) {
+		opt.SkipVerify = !verify
+		_, st, err := db.Search(s.qs[i], opt)
+		check(err)
+		return st.Cand2 + st.Fallback, st.Results, st.Cand1 + st.Fallback
+	}}
 }
 
 // Fig7 reproduces Figure 7: the effect of chain length on string edit
-// distance search — candidates and time versus l for IMDB (τ ∈ {2, 4})
-// and PubMed (τ ∈ {6, 12}).
+// distance search — candidates and time versus l ∈ [1..min(4, τ+1)] for
+// IMDB (τ ∈ {2, 4}) and PubMed (τ ∈ {6, 12}).
 func Fig7(c Config) []Figure {
-	ws := strWorkloads(c)
-	taus := map[string][]int{"IMDB": {2, 4}, "PubMed": {6, 12}}
-	ids := map[string][2]string{"IMDB": {"7a", "7b"}, "PubMed": {"7c", "7d"}}
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: w.name + ", Candidate",
-			XLabel: "chain len", YLabel: "avg #candidates",
+	ring := func(s strs, tau float64) []method {
+		db := s.db(int(tau))
+		var ms []method
+		for l := 1; l <= min(4, int(tau)+1); l++ {
+			ms = append(ms, s.method(fmt.Sprintf("Ring(%d)", l), db, strdist.RingOptions(l)))
 		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: w.name + ", Time",
-			XLabel: "chain len", YLabel: "avg search time (ms)",
-		}
-		for _, tau := range taus[w.name] {
-			db := strDB(w, tau)
-			cand := Series{Name: fmt.Sprintf("tau=%d Cand.", tau)}
-			res := Series{Name: fmt.Sprintf("tau=%d Res.", tau)}
-			tot := Series{Name: fmt.Sprintf("tau=%d Total", tau)}
-			ctime := Series{Name: fmt.Sprintf("tau=%d Cand.", tau)}
-			maxL := 4
-			if tau+1 < maxL {
-				maxL = tau + 1
-			}
-			for l := 1; l <= maxL; l++ {
-				a, _ := runStr(db, w.qs, strdist.RingOptions(l))
-				opt := strdist.RingOptions(l)
-				opt.SkipVerify = true
-				ac, _ := runStr(db, w.qs, opt)
-				x := float64(l)
-				cand.X, cand.Y = append(cand.X, x), append(cand.Y, a.avgCand())
-				res.X, res.Y = append(res.X, x), append(res.Y, a.avgRes())
-				tot.X, tot.Y = append(tot.X, x), append(tot.Y, a.avgMS())
-				ctime.X, ctime.Y = append(ctime.X, x), append(ctime.Y, ac.avgMS())
-			}
-			candFig.Series = append(candFig.Series, cand, res)
-			timeFig.Series = append(timeFig.Series, tot, ctime)
-		}
-		figs = append(figs, candFig, timeFig)
+		return ms
 	}
-	return figs
+	imdb, pubmed := imdbPubMed(c)
+	return append(chain(corpus{"IMDB", [2]string{"7a", "7b"}, len(imdb.qs), on(imdb, ring)}, []float64{2, 4}, []float64{2, 4}),
+		chain(corpus{"PubMed", [2]string{"7c", "7d"}, len(pubmed.qs), on(pubmed, ring)}, []float64{6, 12}, []float64{6, 12})...)
 }
 
 // Fig11 reproduces Figure 11: Pivotal versus Ring over the threshold
 // sweep — IMDB τ ∈ [1..4], PubMed τ ∈ [4..12]. Pivotal's candidates
 // are split into Cand-1 (pivotal prefix filter) and Cand-2 (alignment
-// filter); Ring's candidate count is its chain-filter survivors.
+// filter); Ring's candidate count is its chain-filter survivors. Ring
+// uses the paper's tuned chain length l = min(3, τ+1).
 func Fig11(c Config) []Figure {
-	ws := strWorkloads(c)
-	sweeps := map[string][]int{"IMDB": {1, 2, 3, 4}, "PubMed": {4, 6, 8, 10, 12}}
-	ids := map[string][2]string{"IMDB": {"11a", "11b"}, "PubMed": {"11c", "11d"}}
-	var figs []Figure
-	for _, w := range ws {
-		candFig := Figure{
-			ID: ids[w.name][0], Title: "Candidate, " + w.name,
-			XLabel: "threshold", YLabel: "avg #candidates",
-		}
-		timeFig := Figure{
-			ID: ids[w.name][1], Title: "Time, " + w.name,
-			XLabel: "threshold", YLabel: "avg search time (ms)",
-		}
-		c1 := Series{Name: "Pivotal Cand-1"}
-		c2 := Series{Name: "Pivotal Cand-2"}
-		rc := Series{Name: "Ring"}
-		res := Series{Name: "#Results"}
-		pt := Series{Name: "Pivotal"}
-		rt := Series{Name: "Ring"}
-		for _, tau := range sweeps[w.name] {
-			db := strDB(w, tau)
-			ap, cand1 := runStr(db, w.qs, strdist.PivotalOptions())
-			ar, _ := runStr(db, w.qs, strdist.RingOptions(ringChainLen(tau)))
-			x := float64(tau)
-			c1.X, c1.Y = append(c1.X, x), append(c1.Y, cand1)
-			c2.X, c2.Y = append(c2.X, x), append(c2.Y, ap.avgCand())
-			rc.X, rc.Y = append(rc.X, x), append(rc.Y, ar.avgCand())
-			res.X, res.Y = append(res.X, x), append(res.Y, ar.avgRes())
-			pt.X, pt.Y = append(pt.X, x), append(pt.Y, ap.avgMS())
-			rt.X, rt.Y = append(rt.X, x), append(rt.Y, ar.avgMS())
-		}
-		candFig.Series = []Series{c1, c2, rc, res}
-		timeFig.Series = []Series{pt, rt}
-		figs = append(figs, candFig, timeFig)
+	pivotalRing := func(s strs, tau float64) []method {
+		db := s.db(int(tau))
+		return []method{s.method("Pivotal", db, strdist.PivotalOptions()),
+			s.method("Ring", db, strdist.RingOptions(min(3, int(tau)+1)))}
 	}
-	return figs
+	imdb, pubmed := imdbPubMed(c)
+	return append(compare(corpus{"IMDB", [2]string{"11a", "11b"}, len(imdb.qs), on(imdb, pivotalRing)}, []float64{1, 2, 3, 4}),
+		compare(corpus{"PubMed", [2]string{"11c", "11d"}, len(pubmed.qs), on(pubmed, pivotalRing)}, []float64{4, 6, 8, 10, 12})...)
 }

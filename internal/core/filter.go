@@ -202,18 +202,6 @@ func (f *Filter) HasPrefixViableChain(b BoxValues) bool {
 	return false
 }
 
-// HasPrefixViableChainNoSkip is HasPrefixViableChain without the
-// Corollary 2 skip. It exists to ablate the skip optimization; the two
-// always agree.
-func (f *Filter) HasPrefixViableChainNoSkip(b BoxValues) bool {
-	for i := 0; i < f.m; i++ {
-		if f.PrefixViableFrom(b, i) {
-			return true
-		}
-	}
-	return false
-}
-
 // HasViableChain reports whether any chain of length ChainLength is
 // viable under the basic form (Theorem 2). The strong form implies the
 // basic form, so HasPrefixViableChain ⇒ HasViableChain.

@@ -31,7 +31,7 @@ func FuzzFilterSoundness(f *testing.F) {
 		if !filter.HasPrefixViableChain(b) {
 			t.Fatalf("sound filter rejected: b=%v n=%v l=%d dir=%v intRed=%v", b, n, l, dir, intRed)
 		}
-		if filter.HasPrefixViableChain(b) != filter.HasPrefixViableChainNoSkip(b) {
+		if filter.HasPrefixViableChain(b) != filter.hasPrefixViableChainNoSkip(b) {
 			t.Fatal("skip changed the decision")
 		}
 	})

@@ -311,11 +311,11 @@ func TestSkipEquivalence(t *testing.T) {
 		} else {
 			f = NewVariable(tvals, l, dir)
 		}
-		if f.HasPrefixViableChain(b) != f.HasPrefixViableChainNoSkip(b) {
+		if f.HasPrefixViableChain(b) != f.hasPrefixViableChainNoSkip(b) {
 			return false
 		}
 		fu := NewUniform(float64(nRaw%64), m, l, dir)
-		return fu.HasPrefixViableChain(b) == fu.HasPrefixViableChainNoSkip(b)
+		return fu.HasPrefixViableChain(b) == fu.hasPrefixViableChainNoSkip(b)
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Error(err)
