@@ -30,16 +30,22 @@ func boundGraph(next func() byte, maxN, vlabels, elabels int) *Graph {
 }
 
 // checkStoredBound requires the label bound a search computes for each
-// graph of db to equal LabelLowerBound over freshly built multisets.
+// graph of db to equal LabelLowerBound over freshly built multisets,
+// and the size bound the screen tries first never to exceed it.
 func checkStoredBound(t *testing.T, db *DB, q *Graph) {
 	t.Helper()
 	qv, qe := db.sigs.countQuery(q, nil, nil)
 	ql := Labels(q)
 	for id, x := range db.graphs {
 		want := LabelLowerBound(Labels(x), ql, x.n, q.n, x.e, q.e)
-		if got := db.sigs.gedBound(id, x.n, x.e, q.n, q.e, qv, qe); got != want {
+		got := db.sigs.gedBound(id, x.n, x.e, q.n, q.e, qv, qe)
+		if got != want {
 			t.Fatalf("graph %d: stored bound %d, LabelLowerBound %d\nx %v %v\nquery %v %v",
 				id, got, want, x.vlab, x.Edges(), q.vlab, q.Edges())
+		}
+		if sb := db.sizeBound(id, q); sb > got {
+			t.Fatalf("graph %d: size bound %d exceeds the label bound %d\nx %v %v\nquery %v %v",
+				id, sb, got, x.vlab, x.Edges(), q.vlab, q.Edges())
 		}
 	}
 }
@@ -62,16 +68,15 @@ func crossOnlyEdgeLabel(db *DB) bool {
 	return false
 }
 
-// TestStoredLabelBound: over random corpora — Wildcard vertices, an
-// edge label that is rare enough to sit only between parts, the empty
-// graph and a single vertex — and queries with labels no graph carries,
-// the label bound a search computes for every graph equals
-// LabelLowerBound(Labels(x), Labels(q), …), so verification runs the
-// exact branch-and-bound on the same candidates.
-func TestStoredLabelBound(t *testing.T) {
+// labelBoundCases calls visit on 120 random corpora — Wildcard
+// vertices, an edge label that is rare enough to sit only between
+// parts, the empty graph and a single vertex — with each of 16 queries
+// per corpus, half of them carrying labels no graph has, then with the
+// empty graph and a one-vertex Wildcard graph as queries.
+func labelBoundCases(t *testing.T, visit func(db *DB, q *Graph)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(74))
 	next := func() byte { return byte(rng.Intn(256)) }
-	crossOnly, positive := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		tau := trial % 4
 		graphs := make([]*Graph, 24)
@@ -96,9 +101,6 @@ func TestStoredLabelBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if crossOnlyEdgeLabel(db) {
-			crossOnly++
-		}
 		for qi := 0; qi < 16; qi++ {
 			var q *Graph
 			if qi%2 == 0 {
@@ -118,19 +120,69 @@ func TestStoredLabelBound(t *testing.T) {
 					}
 				}
 			}
-			checkStoredBound(t, db, q)
-			for _, x := range graphs {
-				if LabelLowerBound(Labels(x), Labels(q), x.n, q.n, x.e, q.e) > tau {
-					positive++
-				}
+			visit(db, q)
+		}
+		visit(db, New(0))
+		visit(db, graphs[6])
+	}
+}
+
+// TestStoredLabelBound: over labelBoundCases's corpora and queries, the
+// label bound a search computes for every graph equals
+// LabelLowerBound(Labels(x), Labels(q), …), so verification runs the
+// exact branch-and-bound on the same candidates.
+func TestStoredLabelBound(t *testing.T) {
+	crossOnly, positive := 0, 0
+	var last *DB
+	labelBoundCases(t, func(db *DB, q *Graph) {
+		if db != last {
+			last = db
+			if crossOnlyEdgeLabel(db) {
+				crossOnly++
 			}
 		}
-		checkStoredBound(t, db, New(0))
-		checkStoredBound(t, db, graphs[6])
-	}
+		checkStoredBound(t, db, q)
+		for _, x := range db.graphs {
+			if LabelLowerBound(Labels(x), Labels(q), x.n, q.n, x.e, q.e) > db.tau {
+				positive++
+			}
+		}
+	})
 	if crossOnly < 15 || positive < 20000 {
 		t.Fatalf("%d corpora with an edge label only between parts, %d bounds above τ; the property is barely exercised",
 			crossOnly, positive)
+	}
+}
+
+// TestScreenMatchesLabelBound: over labelBoundCases's corpora and
+// queries, the whole-graph screen drops graph x for query q exactly
+// when LabelLowerBound(Labels(x), Labels(q), …) > τ, so it never drops
+// a result and keeps no graph the label bound rules out.
+func TestScreenMatchesLabelBound(t *testing.T) {
+	kept, bySize, byLabels := 0, 0, 0
+	labelBoundCases(t, func(db *DB, q *Graph) {
+		s := &searchScratch{}
+		s.qv, s.qe = db.sigs.countQuery(q, nil, nil)
+		ql := Labels(q)
+		for id, x := range db.graphs {
+			lb := LabelLowerBound(Labels(x), ql, x.n, q.n, x.e, q.e)
+			if dropped := !db.screened(s, id, q); dropped != (lb > db.tau) {
+				t.Fatalf("τ %d, graph %d: screen drops it: %v, LabelLowerBound %d\nx %v %v\nquery %v %v",
+					db.tau, id, dropped, lb, x.vlab, x.Edges(), q.vlab, q.Edges())
+			}
+			switch {
+			case lb <= db.tau:
+				kept++
+			case db.sizeBound(id, q) > db.tau:
+				bySize++
+			default:
+				byLabels++
+			}
+		}
+	})
+	if kept < 4000 || bySize < 20000 || byLabels < 2000 {
+		t.Fatalf("%d graphs kept, %d dropped by size, %d only by labels; the screen is barely exercised",
+			kept, bySize, byLabels)
 	}
 }
 

@@ -320,12 +320,10 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 			if opt.SkipVerify {
 				continue
 			}
-			// GED's label bound, read from the graph's stored runs.
-			x := db.graphs[id]
-			if db.sigs.gedBound(id, x.n, x.e, q.n, q.e, s.qv, s.qe) > tau {
+			if !db.screened(s, id, q) {
 				continue
 			}
-			if d := s.ks.gedExact(x, q, tau); d >= 0 {
+			if d := s.ks.gedExact(db.graphs[id], q, tau); d >= 0 {
 				results = append(results, id)
 				if wantDist {
 					dists = append(dists, d)
@@ -336,6 +334,21 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	s.results = results
 	s.dists = dists
 	return s, st
+}
+
+// sizeBound is |nx − nq| + |ex − eq|, the lower bound on GED that
+// graph id's vertex and edge counts give against q's.
+func (db *DB) sizeBound(id int, q *Graph) int {
+	x := db.graphs[id]
+	return max(x.n-q.n, q.n-x.n) + max(x.e-q.e, q.e-x.e)
+}
+
+// screened reports whether graph id passes the whole-graph screen:
+// GED's label bound, read from the graph's stored runs against the
+// query counts in s, is at most τ.
+func (db *DB) screened(s *searchScratch, id int, q *Graph) bool {
+	x := db.graphs[id]
+	return db.sigs.gedBound(id, x.n, x.e, q.n, q.e, s.qv, s.qe) <= db.tau
 }
 
 // chain reports whether the chain of l boxes that graph id heads at
