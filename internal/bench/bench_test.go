@@ -3,11 +3,24 @@ package bench
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // tiny returns a configuration small enough for unit tests.
 func tiny() Config { return Config{Scale: 0.02, Queries: 4, Seed: 7} }
+
+// tinySweep runs every figure runner once per test binary at tiny():
+// entry k is figures[k]'s output, so their concatenation is
+// All(tiny()). TestFigureRunnersSmoke, TestComparisonSubset and
+// TestFiguresGolden all check this one sweep.
+var tinySweep = sync.OnceValue(func() [][]Figure {
+	out := make([][]Figure, len(figures))
+	for k, f := range figures {
+		out[k] = f.run(tiny())
+	}
+	return out
+})
 
 func TestFig2Shape(t *testing.T) {
 	fig := Fig2()
@@ -26,20 +39,22 @@ func TestFig2Shape(t *testing.T) {
 	}
 }
 
-// TestFigureRunnersSmoke runs every experiment at tiny scale and checks
-// structural invariants: candidates ≥ results, candidate curves
-// non-increasing in chain length, Ring candidates within baseline
-// candidates on the comparison figures.
+// TestFigureRunnersSmoke checks every experiment of tinySweep, each
+// reachable through Runners, for structural invariants: candidates ≥
+// results, candidate curves non-increasing in chain length, Ring
+// candidates within baseline candidates on the comparison figures.
 func TestFigureRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in -short")
 	}
-	c := tiny()
-	for name, run := range Runners {
-		if name == "all" {
-			continue
+	if Runners["all"] == nil {
+		t.Fatal("Runners lacks all")
+	}
+	for k, fig := range figures {
+		name, figs := fig.name, tinySweep()[k]
+		if Runners[name] == nil {
+			t.Fatalf("Runners lacks %s", name)
 		}
-		figs := run(c)
 		if len(figs) == 0 {
 			t.Fatalf("%s produced no figures", name)
 		}
@@ -75,32 +90,35 @@ func TestFigureRunnersSmoke(t *testing.T) {
 }
 
 // TestComparisonSubset: on the GPH-vs-Ring and Pars-vs-Ring candidate
-// figures, Ring stays within the baseline (Lemma 4 materialized in the
-// harness).
+// figures of tinySweep, Ring stays within the baseline (Lemma 4
+// materialized in the harness).
 func TestComparisonSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	c := tiny()
-	for _, figs := range [][]Figure{Fig9(c), Fig12(c)} {
-		for _, f := range figs {
-			if !strings.Contains(f.Title, "Candidate") {
+	var figs []Figure
+	for k, f := range figures {
+		if f.name == "fig9" || f.name == "fig12" {
+			figs = append(figs, tinySweep()[k]...)
+		}
+	}
+	for _, f := range figs {
+		if !strings.Contains(f.Title, "Candidate") {
+			continue
+		}
+		base := f.Series[0]
+		ring, ok := f.FindSeries("Ring")
+		if !ok {
+			t.Fatalf("%s: no Ring series", f.ID)
+		}
+		for i := range ring.X {
+			b, ok := base.At(ring.X[i])
+			if !ok {
 				continue
 			}
-			base := f.Series[0]
-			ring, ok := f.FindSeries("Ring")
-			if !ok {
-				t.Fatalf("%s: no Ring series", f.ID)
-			}
-			for i := range ring.X {
-				b, ok := base.At(ring.X[i])
-				if !ok {
-					continue
-				}
-				if ring.Y[i] > b+1e-9 {
-					t.Errorf("%s: Ring candidates %v exceed %s %v at x=%g",
-						f.ID, ring.Y[i], base.Name, b, ring.X[i])
-				}
+			if ring.Y[i] > b+1e-9 {
+				t.Errorf("%s: Ring candidates %v exceed %s %v at x=%g",
+					f.ID, ring.Y[i], base.Name, b, ring.X[i])
 			}
 		}
 	}

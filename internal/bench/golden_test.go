@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,10 +15,9 @@ import (
 // to full precision, of every panel that is not a time panel. The
 // candidate and result counts are a pure function of the seed and the
 // filter code, so a refactor of the harness leaves every line
-// identical. A change that moves filter counts (a whole-graph screen,
-// say) regenerates this file from goldenLines and commits it beside its
-// counts-gate diff. There is no update flag: rewrite it with a
-// throwaway test in this package.
+// identical. A change that moves filter counts regenerates this file
+// from goldenLines and commits it beside its counts-gate diff. There is
+// no update flag: rewrite it with a throwaway test in this package.
 const goldenPath = "testdata/figures-golden.txt"
 
 // goldenLines renders figs one line per figure header, note and series.
@@ -47,7 +47,8 @@ func goldenLines(figs []Figure) []string {
 	return lines
 }
 
-// TestFiguresGolden: every figure at tiny() renders the recorded lines.
+// TestFiguresGolden: every figure at tiny(), as tinySweep ran them in
+// All's order, renders the recorded lines.
 func TestFiguresGolden(t *testing.T) {
 	f, err := os.Open(goldenPath)
 	if err != nil {
@@ -62,7 +63,7 @@ func TestFiguresGolden(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got := goldenLines(All(tiny()))
+	got := goldenLines(slices.Concat(tinySweep()...))
 	if len(got) != len(want) {
 		t.Fatalf("%d lines, golden file has %d", len(got), len(want))
 	}

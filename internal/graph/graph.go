@@ -30,9 +30,21 @@
 // and every chain starts at a part that embeds. Chain boxes with budget
 // left keep the bound, which can be below the exact deletion count:
 // Ring admits more candidates than an exact box would, never fewer.
-// On graphs with few labels (dataset.Protein: 3 vertex and 5 edge
-// labels) the bound is almost always 0, so Ring's candidates there come
-// close to Pars's. Stats.BoxChecks counts every box evaluation.
+// Stats.BoxChecks counts every box evaluation.
+//
+// Before any chain, a search screens each whole graph once, the first
+// time one of its parts comes up as a head, with the cheapest
+// admissible GED bound first: the size bound |nx − nq| + |ex − eq|,
+// read from a flat per-graph (vertex, edge) count array, then the label
+// bound (LabelLowerBound) from the graph's stored runs. A graph either
+// bound puts above τ is skipped with all its parts, so box checks run
+// only for screened-in graphs, and a candidate (Stats.Candidates) is a
+// graph that passes the screen and then a chain, and so reaches exact
+// GED. The size bound never exceeds the label bound, so the screen
+// drops exactly the graphs whose label bound exceeds τ, whatever the
+// chain length, Pars included. On graphs with few labels
+// (dataset.Protein) the label bound is weak, the screen drops fewer
+// graphs and the chains do more of the filtering.
 //
 // Heads come from an inverted index, not a scan of every part. NewDB
 // puts each part on exactly one list, keyed by its rarest non-Wildcard
@@ -52,10 +64,9 @@
 // their slices carved out of three arenas, and each part's vertices are
 // written in the order the sub-isomorphism test matches them, so a box
 // test starts matching at once. Beside the part signatures the arena
-// holds each whole graph's label runs, Wildcard counted as a label; a
-// candidate's GED label bound (LabelLowerBound) is summed from those
-// runs against the query's counts, and only a candidate that bound lets
-// through reaches the exact branch-and-bound.
+// holds each whole graph's label runs, Wildcard counted as a label;
+// the screen's label bound is summed from those runs against the
+// query's counts.
 //
 // Two substitutions versus Pars: parts are vertex-induced subgraphs
 // (no half-edges), under which every edit operation still touches at

@@ -30,7 +30,8 @@ func RingOptions(l int) Options { return Options{ChainLength: l} }
 
 // Stats reports the work a search performed.
 type Stats struct {
-	// Candidates is the number of graphs that reached GED verification.
+	// Candidates is the number of graphs that reached GED verification:
+	// graphs that pass the whole-graph screen and then a chain.
 	Candidates int
 	// Results is the number of graphs with ged(x, q) ≤ τ.
 	Results int
@@ -39,7 +40,8 @@ type Stats struct {
 	Probes int
 	// BoxChecks counts box evaluations: one label-screen bound each,
 	// plus a sub-isomorphism test for a budget-0 box the bound
-	// leaves at 0. Only parts the head index marks are tried as heads.
+	// leaves at 0. Only parts the head index marks are tried as heads,
+	// and only those of graphs that pass the whole-graph screen.
 	BoxChecks int
 }
 
@@ -96,9 +98,13 @@ func BFSPartitioner(g *Graph, m int) [][]int {
 type DB struct {
 	tau    int
 	graphs []*Graph
-	parts  []Graph
-	sigs   partSigs
-	heads  headIndex
+	// sizes holds graph id's vertex and edge counts at 2·id and
+	// 2·id+1, so the screen's size bound reads 8 B per graph and never
+	// dereferences the *Graph.
+	sizes []int32
+	parts []Graph
+	sigs  partSigs
+	heads headIndex
 	// scratch pools per-search kernel state and result buffers so a
 	// search stays allocation-free across calls.
 	scratch sync.Pool
@@ -154,6 +160,7 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 	db := &DB{
 		tau:    tau,
 		graphs: graphs,
+		sizes:  make([]int32, 2*len(graphs)),
 		parts:  make([]Graph, len(graphs)*m),
 	}
 	// Partition every graph first, so the part arenas are sized exactly.
@@ -177,6 +184,7 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 			return nil, fmt.Errorf("graph: partition of graph %d covers %d of %d vertices", id, covered, g.N())
 		}
 		nv += covered
+		db.sizes[2*id], db.sizes[2*id+1] = int32(g.n), int32(g.e)
 	}
 	vlab, elab, deg := make([]int32, nv), make([]int32, cells), make([]int, nv)
 	ks := new(kernelScratch)
@@ -285,8 +293,10 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 // search answers ids in [lo, hi) (the full corpus for the public
 // Search wrappers, one tile's range on the join path). It marks the
 // parts the head index lists under q's labels, then walks them in
-// ascending order: a marked part whose box is 0 heads a chain, and the
-// first chain that passes makes its graph a candidate.
+// ascending order. The first marked part of a graph screens the whole
+// graph; a graph that fails is skipped with all its parts. Past the
+// screen, a marked part whose box is 0 heads a chain, and the first
+// chain that passes makes its graph a candidate.
 func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchScratch, Stats) {
 	var st Stats
 	tau := db.tau
@@ -306,21 +316,24 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 	st.Probes = db.heads.mark(s.qv, plo, hi*m, s.marks)
 	results := s.results
 	dists := s.dists
-	last := -1 // the latest candidate; its other heads are skipped
+	// cur is the graph of the latest marked part; its remaining heads
+	// are tried only while live, which the screen sets and a passing
+	// chain clears.
+	cur, live := -1, false
 	for w, word := range s.marks {
 		for word != 0 {
 			p := plo + w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
 			id, i := p/m, p%m
-			if id == last || !db.chain(s, id, i, l, q, &st) {
+			if id != cur {
+				cur, live = id, db.screened(s, id, q)
+			}
+			if !live || !db.chain(s, id, i, l, q, &st) {
 				continue
 			}
-			last = id
+			live = false
 			st.Candidates++
 			if opt.SkipVerify {
-				continue
-			}
-			if !db.screened(s, id, q) {
 				continue
 			}
 			if d := s.ks.gedExact(db.graphs[id], q, tau); d >= 0 {
@@ -337,18 +350,24 @@ func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchS
 }
 
 // sizeBound is |nx − nq| + |ex − eq|, the lower bound on GED that
-// graph id's vertex and edge counts give against q's.
+// graph id's vertex and edge counts give against q's, read from the
+// flat size array.
 func (db *DB) sizeBound(id int, q *Graph) int {
-	x := db.graphs[id]
-	return max(x.n-q.n, q.n-x.n) + max(x.e-q.e, q.e-x.e)
+	nx, ex := int(db.sizes[2*id]), int(db.sizes[2*id+1])
+	return max(nx-q.n, q.n-nx) + max(ex-q.e, q.e-ex)
 }
 
-// screened reports whether graph id passes the whole-graph screen:
-// GED's label bound, read from the graph's stored runs against the
-// query counts in s, is at most τ.
+// screened reports whether graph id passes the whole-graph screen,
+// cheapest bound first: the O(1) size bound, then GED's label bound
+// from the graph's stored runs against the query counts in s, must
+// both be at most τ. The size bound never exceeds the label bound, so
+// the screen drops exactly the graphs whose label bound exceeds τ.
 func (db *DB) screened(s *searchScratch, id int, q *Graph) bool {
-	x := db.graphs[id]
-	return db.sigs.gedBound(id, x.n, x.e, q.n, q.e, s.qv, s.qe) <= db.tau
+	if db.sizeBound(id, q) > db.tau {
+		return false
+	}
+	nx, ex := int(db.sizes[2*id]), int(db.sizes[2*id+1])
+	return db.sigs.gedBound(id, nx, ex, q.n, q.e, s.qv, s.qe) <= db.tau
 }
 
 // chain reports whether the chain of l boxes that graph id heads at

@@ -105,10 +105,13 @@ func TestRingCandidateSubset(t *testing.T) {
 
 // TestPaperExample12Scenario captures the behaviour of §6.4 Example 12:
 // a molecule-like data graph whose first part embeds into the query
-// (so Pars admits it) but whose ged exceeds τ = 2. Against q the second
-// part's label bound is 1, within the l = 2 chain's budget, so Ring(2)
-// keeps the false positive; against q2, which also lacks the S, that
-// bound is 2 and Ring(2) filters it.
+// (so Pars's partition filter admits it) but whose ged exceeds τ = 2.
+// Against q the second part's label bound is 1, within the l = 2
+// chain's budget, so Ring(2)'s chain keeps the false positive; against
+// q2, which also lacks the S, that bound is 2 and the chain filters it.
+// The chains are checked on db.chain directly: a search screens the
+// whole graph first, and x's GED label bound, 3 against q and 4
+// against q2, drops it there, before any chain.
 func TestPaperExample12Scenario(t *testing.T) {
 	const (
 		lS int32 = 0
@@ -162,32 +165,56 @@ func TestPaperExample12Scenario(t *testing.T) {
 		name     string
 		q        *Graph
 		ringCand int
+		bound    int
 	}{
-		{"q", q, 1},
-		{"q2", q2, 0},
+		{"q", q, 1, 3},
+		{"q2", q2, 0, 4},
 	} {
 		// Part 0 embeds: Pars keeps x as a candidate.
 		if !SubgraphIsomorphic(x.InducedSubgraph([]int{0, 1}), c.q) {
 			t.Fatalf("%s: part 0 should embed", c.name)
 		}
-		res, stPars, err := db.Search(c.q, ParsOptions())
-		if err != nil {
-			t.Fatal(err)
+		if got := chainCandidates(db, c.q, 1); got != 1 {
+			t.Errorf("%s: Pars candidates = %d, want 1 (false positive)", c.name, got)
 		}
-		if stPars.Candidates != 1 {
-			t.Errorf("%s: Pars candidates = %d, want 1 (false positive)", c.name, stPars.Candidates)
+		if got := chainCandidates(db, c.q, 2); got != c.ringCand {
+			t.Errorf("%s: Ring(2) candidates = %d, want %d", c.name, got, c.ringCand)
 		}
-		if len(res) != 0 {
-			t.Errorf("%s: x must not be a result: %v", c.name, res)
+		// The screen drops x before any chain runs.
+		if lb := LabelLowerBound(Labels(x), Labels(c.q), x.n, c.q.n, x.e, c.q.e); lb != c.bound {
+			t.Errorf("%s: label bound %d, want %d", c.name, lb, c.bound)
 		}
-		_, stRing, err := db.Search(c.q, RingOptions(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stRing.Candidates != c.ringCand {
-			t.Errorf("%s: Ring(2) candidates = %d, want %d", c.name, stRing.Candidates, c.ringCand)
+		for _, opt := range []Options{ParsOptions(), RingOptions(2)} {
+			res, st, err := db.Search(c.q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 0 || st.Candidates != 0 || st.BoxChecks != 0 {
+				t.Errorf("%s %+v: %v, %d candidates, %d box checks; want x dropped at the screen",
+					c.name, opt, res, st.Candidates, st.BoxChecks)
+			}
 		}
 	}
+}
+
+// chainCandidates counts the graphs of db with a passing chain of
+// length l against q — the filter a search applies past its
+// whole-graph screen. It tries every part as a head: a head's box must
+// be 0, so the head index marks every part that can head a chain.
+func chainCandidates(db *DB, q *Graph, l int) int {
+	s := &searchScratch{ks: new(kernelScratch)}
+	s.qv, s.qe = db.sigs.countQuery(q, nil, nil)
+	var st Stats
+	n := 0
+	for id := range db.graphs {
+		for i := 0; i <= db.tau; i++ {
+			if db.chain(s, id, i, l, q, &st) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 func TestBFSPartitioner(t *testing.T) {

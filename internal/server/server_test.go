@@ -371,15 +371,25 @@ func TestSearchLimit(t *testing.T) {
 // distinguishable deadline_exceeded code and bumps the cancelled
 // counter. The server runs with one fan-out worker, so its 64 graph
 // shards are searched strictly in sequence with a context check
-// before each. The corpus is sized so the full search takes well over
-// 50 ms of CPU-bound GED work: on a GOMAXPROCS=1 runner the context's
-// 1 ms timer only runs once async preemption interrupts the search
-// goroutine (observed 10–20 ms late), so the search must comfortably
-// outlast that worst case or the test races the scheduler — it did at
-// N=4000 once the PR-4 allocation pass sped graph search up.
+// before each, and the loaded entry's Shard hook sleeps 5 ms after
+// every shard. A fan-out then takes at least 320 ms whatever the
+// filter's speed, far past the 1 ms deadline even on a GOMAXPROCS=1
+// runner, where the context's timer has been seen to fire 10–20 ms
+// late.
 func TestSearchDeadline(t *testing.T) {
-	h := newHarnessServer(t, New(1, 0))
-	h.load(LoadRequest{Problem: "graph", N: 20000, Seed: 9, Shards: 64})
+	s := New(1, 0)
+	h := newHarnessServer(t, s)
+	h.load(LoadRequest{Problem: "graph", N: 640, Seed: 9, Shards: 64})
+	s.mu.Lock()
+	e := s.entries[engine.Graph]
+	slow := *e.hooks
+	observe := slow.Shard
+	slow.Shard = func(i int, d time.Duration, st engine.Stats) {
+		observe(i, d, st)
+		time.Sleep(5 * time.Millisecond)
+	}
+	e.hooks = &slow
+	s.mu.Unlock()
 
 	qi := 1
 	code, body := h.post("/v1/search", SearchRequest{Problem: "graph", QueryID: &qi, TimeoutMS: 1}, nil)

@@ -18,10 +18,13 @@ declares.
 
 Standard output is one markdown table: for every workload and end-to-end
 metric, the parent's and the change's median [Q1–Q3] over the pairs, the
-ratio of the medians (change / parent), and in how many pairs the change
-read better (ties count for neither side). A metric whose change median
-is worse than the parent median by more than its BENCHMARK.json bound is
-marked WORSE; that is a reading to re-run, not an exit status. The exit
+ratio of the medians (change / parent), a seeded 95 % pair-bootstrap
+interval of that ratio, and in how many pairs the change read better
+(ties count for neither side). A metric whose change median is worse
+than the parent median by more than its BENCHMARK.json bound is marked
+WORSE; one whose whole interval lies past the bound is marked PAST BOUND
+in the interval column. Both are readings to re-run, not an exit
+status. The exit
 status is 1 when any run fails: "correct" false, "failed" > 0, a non-zero
 exit or no JSON result line. Progress goes to standard error. Nothing is
 written inside the repository, and git state is only read.
@@ -29,6 +32,7 @@ written inside the repository, and git state is only read.
 import io
 import json
 import os
+import random
 import signal
 import statistics
 import subprocess
@@ -37,6 +41,8 @@ import tarfile
 import tempfile
 
 SEED = 42
+# Resamples per bootstrap interval.
+BOOTSTRAP = 2000
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
@@ -93,6 +99,24 @@ def spread(xs):
     return med, q1, q3
 
 
+def interval(pairs, key):
+    """The 95 % pair-bootstrap interval of the median ratio (change /
+    parent): pairs are drawn with replacement, so the two runs of a pair,
+    taken back to back, stay together. The generator is seeded with key,
+    so a table reads the same on every print of the same runs."""
+    rng = random.Random(key)
+    ratios = []
+    for _ in range(BOOTSTRAP):
+        sample = [rng.choice(pairs) for _ in pairs]
+        pm = statistics.median(p for p, _ in sample)
+        if pm:
+            ratios.append(statistics.median(c for _, c in sample) / pm)
+    if len(ratios) < 2:
+        return float("nan"), float("nan")
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def fmt(v):
     return f"{v:.4g}"
 
@@ -114,8 +138,13 @@ def rows(workload, metrics, parent, change):
         if (lower and cm > pm * (1 + m["bound"])) or (not lower and cm < pm * (1 - m["bound"])):
             flag = f" **WORSE** (bound {m['bound']:g})"
             worse.append(m["name"])
+        lo, hi = interval(pairs, f"{workload} {m['name']}")
+        past = ""
+        if (lower and lo > 1 + m["bound"]) or (not lower and hi < 1 - m["bound"]):
+            past = " **PAST BOUND**"
         out.append(f"| {workload} | {m['name']} | {fmt(pm)} [{fmt(p1)}–{fmt(p3)}] | "
-                   f"{fmt(cm)} [{fmt(c1)}–{fmt(c3)}] | {ratio:.3f}{flag} | {wins}/{len(pairs)} |")
+                   f"{fmt(cm)} [{fmt(c1)}–{fmt(c3)}] | {ratio:.3f}{flag} | {lo:.3f}–{hi:.3f}{past} | "
+                   f"{wins}/{len(pairs)} |")
     return out, worse
 
 
@@ -162,8 +191,8 @@ def main(args):
                 for side in got:
                     results[w][side].append(got[side])
 
-    lines = [f"| workload | metric | parent {commit} median [Q1–Q3] | change median [Q1–Q3] | ratio | change better |",
-             "|---|---|---:|---:|---:|---:|"]
+    lines = [f"| workload | metric | parent {commit} median [Q1–Q3] | change median [Q1–Q3] | ratio | ratio 95 % CI | change better |",
+             "|---|---|---:|---:|---:|---:|---:|"]
     worse = []
     for w in workloads:
         r, bad = rows(w, spec["end_to_end"], results[w]["parent"], results[w]["change"])
