@@ -28,7 +28,11 @@ import (
 //     to the paper's per-problem recommendation (§8), 1 to the
 //     pigeonhole baseline and ≥ 2 to the ring filter, honors
 //     SkipVerify, and clamps l into [1, m] as the backends do.
-//   - topkBounds and topkRung: the top-k ladder (topk.go).
+//   - ladder: the top-k ladder for one query (topk.go) — its rung
+//     bounds and the rung that searches at one of them. A backend
+//     prepares the query for its own index here, once per ladder: the
+//     rung closure holds what it prepared, so no prepared state
+//     reaches another shard's index.
 //   - object and AppendSnapshot: replay an indexed object as a query,
 //     persist the index.
 //
@@ -50,17 +54,20 @@ type backend interface {
 	// a pointer through the interface would move every caller's Stats
 	// to the heap.
 	searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error)
-	// topkBounds returns the ascending rung bounds of the top-k
-	// ladder, ending at the backend's ceiling.
-	topkBounds(opt Options) []float64
-	// topkRung answers {x : d(x, q) ≤ bound}, pushing every verified
-	// hit into h and adding the work counters to st.
-	topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error
+	// ladder returns q's top-k ladder: the ascending rung bounds,
+	// ending at the backend's ceiling, and rung, which answers
+	// {x : d(x, q) ≤ bound}, pushing every verified hit into h and
+	// adding the Candidates, Probes and BoxChecks counters to st.
+	ladder(q Query, opt Options) (bounds []float64, rung rungFunc, err error)
 	// object returns indexed object i as a query.
 	object(i int) Query
 	// AppendSnapshot adds the index's sections to b under prefix.
 	AppendSnapshot(b *snapshot.Builder, prefix string) error
 }
+
+// rungFunc is one rung of a top-k ladder: it answers
+// {x : d(x, q) ≤ bound} for the query its ladder was built for.
+type rungFunc func(bound float64, h *resultHeap, st *Stats) error
 
 // adapter is the one plain Index: a backend plus the immutable facts
 // every search needs. The exported New* constructors return one; the
@@ -261,28 +268,38 @@ func (b *hammingBackend) searchRange(q Query, opt Options, lo, hi int, dst []int
 	return dst, Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-// topkBounds climbs a real τ ladder — the index is threshold-
-// independent — up to the vector dimension, or Options.Tau when set
-// (results then stay within that radius). The index's default τ
-// deliberately does not cap the ladder: a top-k query asks for the k
-// nearest, not the k nearest within the threshold-search default.
-func (b *hammingBackend) topkBounds(opt Options) []float64 {
-	if opt.Tau != nil {
-		return intLadder(int(*opt.Tau))
-	}
-	return intLadder(b.db.Dim())
-}
-
-func (b *hammingBackend) topkRung(q Query, opt Options, bound float64, h *resultHeap, st *Stats) error {
-	ids, dists, bst, err := b.db.SearchDist(q.vec, int(bound), b.options(opt))
+// ladder climbs a real τ ladder — the index is threshold-independent —
+// up to the vector dimension, or Options.Tau when set (results then
+// stay within that radius). The index's default τ deliberately does
+// not cap the ladder: a top-k query asks for the k nearest, not the k
+// nearest within the threshold-search default. The query is prepared
+// once: its part values and cost-model histograms do not depend on τ,
+// so every rung reuses them, and the rungs share one pair of result
+// buffers.
+func (b *hammingBackend) ladder(q Query, opt Options) ([]float64, rungFunc, error) {
+	pq, err := b.db.Prepare(q.vec)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	st.Candidates += bst.Candidates
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	pushDists(h, ids, dists)
-	return nil
+	hopt := b.options(opt)
+	var ids, dists []int
+	rung := func(bound float64, h *resultHeap, st *Stats) error {
+		var bst hamming.Stats
+		var err error
+		if ids, dists, err = pq.SearchDistAppend(int(bound), hopt, ids[:0], dists[:0], &bst); err != nil {
+			return err
+		}
+		st.Candidates += bst.Candidates
+		st.Probes += bst.Probes
+		st.BoxChecks += bst.BoxChecks
+		pushDists(h, ids, dists)
+		return nil
+	}
+	ceil := b.db.Dim()
+	if opt.Tau != nil {
+		ceil = int(*opt.Tau)
+	}
+	return intLadder(ceil), rung, nil
 }
 
 func (b *hammingBackend) object(i int) Query { return VectorQuery(b.db.Vector(i)) }
@@ -321,30 +338,30 @@ func (b *setBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) 
 	return dst, Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-// topkBounds is a single rung at the built τ: the pkwise index cannot
-// see below its similarity threshold, and verification (one exact
-// overlap count) costs the same at any threshold.
-func (b *setBackend) topkBounds(Options) []float64 { return []float64{b.db.Config().Tau} }
-
-// topkRung maps similarity onto a distance so "nearest" is always
-// "smallest": 1−J(x,q) under the Jaccard measure, −|x∩q| under Overlap.
-func (b *setBackend) topkRung(q Query, opt Options, _ float64, h *resultHeap, st *Stats) error {
-	ids, sims, bst, err := b.db.SearchSim(q.set, b.chainLength(opt))
-	if err != nil {
-		return err
-	}
-	st.Candidates += bst.Candidates
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	jaccard := b.db.Config().Measure == setsim.Jaccard
-	for i, id := range ids {
-		d := -sims[i]
-		if jaccard {
-			d = 1 - sims[i]
+// ladder is a single rung at the built τ: the pkwise index cannot see
+// below its similarity threshold, and verification (one exact overlap
+// count) costs the same at any threshold. The rung maps similarity
+// onto a distance so "nearest" is always "smallest": 1−J(x,q) under
+// the Jaccard measure, −|x∩q| under Overlap.
+func (b *setBackend) ladder(q Query, opt Options) ([]float64, rungFunc, error) {
+	return []float64{b.db.Config().Tau}, func(_ float64, h *resultHeap, st *Stats) error {
+		ids, sims, bst, err := b.db.SearchSim(q.set, b.chainLength(opt))
+		if err != nil {
+			return err
 		}
-		h.push(int64(id), d)
-	}
-	return nil
+		st.Candidates += bst.Candidates
+		st.Probes += bst.Probes
+		st.BoxChecks += bst.BoxChecks
+		jaccard := b.db.Config().Measure == setsim.Jaccard
+		for i, id := range ids {
+			d := -sims[i]
+			if jaccard {
+				d = 1 - sims[i]
+			}
+			h.push(int64(id), d)
+		}
+		return nil
+	}, nil
 }
 
 func (b *setBackend) object(i int) Query { return SetQuery(b.db.Set(i)) }
@@ -391,21 +408,21 @@ func (b *stringBackend) searchRange(q Query, opt Options, lo, hi int, dst []int6
 	return dst, Stats{Candidates: st.Cand2 + st.Fallback, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-// topkBounds is a single rung at the built τ: a Pivotal index cannot
-// see further, and its candidates at τ are a superset for any smaller
+// ladder is a single rung at the built τ: a Pivotal index cannot see
+// further, and its candidates at τ are a superset for any smaller
 // threshold, so the k nearest are the k smallest verified distances.
-func (b *stringBackend) topkBounds(Options) []float64 { return []float64{float64(b.db.Tau())} }
-
-func (b *stringBackend) topkRung(q Query, opt Options, _ float64, h *resultHeap, st *Stats) error {
-	ids, dists, bst, err := b.db.SearchDist(q.str, b.options(opt))
-	if err != nil {
-		return err
-	}
-	st.Candidates += bst.Cand2 + bst.Fallback
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	pushDists(h, ids, dists)
-	return nil
+func (b *stringBackend) ladder(q Query, opt Options) ([]float64, rungFunc, error) {
+	return []float64{float64(b.db.Tau())}, func(_ float64, h *resultHeap, st *Stats) error {
+		ids, dists, bst, err := b.db.SearchDist(q.str, b.options(opt))
+		if err != nil {
+			return err
+		}
+		st.Candidates += bst.Cand2 + bst.Fallback
+		st.Probes += bst.Probes
+		st.BoxChecks += bst.BoxChecks
+		pushDists(h, ids, dists)
+		return nil
+	}, nil
 }
 
 func (b *stringBackend) object(i int) Query { return StringQuery(b.db.String(i)) }
@@ -447,21 +464,20 @@ func (b *graphBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64
 	return dst, Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
 }
 
-// topkBounds is a single rung at the built τ, as for strings: a Pars
-// index cannot see further, and one filter pass at τ holds the k
-// nearest.
-func (b *graphBackend) topkBounds(Options) []float64 { return []float64{float64(b.db.Tau())} }
-
-func (b *graphBackend) topkRung(q Query, opt Options, _ float64, h *resultHeap, st *Stats) error {
-	ids, dists, bst, err := b.db.SearchDist(q.g, b.options(opt))
-	if err != nil {
-		return err
-	}
-	st.Candidates += bst.Candidates
-	st.Probes += bst.Probes
-	st.BoxChecks += bst.BoxChecks
-	pushDists(h, ids, dists)
-	return nil
+// ladder is a single rung at the built τ, as for strings: a Pars index
+// cannot see further, and one filter pass at τ holds the k nearest.
+func (b *graphBackend) ladder(q Query, opt Options) ([]float64, rungFunc, error) {
+	return []float64{float64(b.db.Tau())}, func(_ float64, h *resultHeap, st *Stats) error {
+		ids, dists, bst, err := b.db.SearchDist(q.g, b.options(opt))
+		if err != nil {
+			return err
+		}
+		st.Candidates += bst.Candidates
+		st.Probes += bst.Probes
+		st.BoxChecks += bst.BoxChecks
+		pushDists(h, ids, dists)
+		return nil
+	}, nil
 }
 
 func (b *graphBackend) object(i int) Query { return GraphQuery(b.db.Graph(i)) }

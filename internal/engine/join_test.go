@@ -73,10 +73,9 @@ func (b blockingBackend) searchRange(_ Query, _ Options, _, _ int, dst []int64) 
 	<-b.release
 	return dst, Stats{}, nil
 }
-func (blockingBackend) topkBounds(Options) []float64                                { return nil }
-func (blockingBackend) topkRung(Query, Options, float64, *resultHeap, *Stats) error { return nil }
-func (blockingBackend) object(int) Query                                            { return VectorQuery(dataset.GIST(1, 1)[0]) }
-func (blockingBackend) AppendSnapshot(*snapshot.Builder, string) error              { return nil }
+func (blockingBackend) ladder(Query, Options) ([]float64, rungFunc, error) { return nil, nil, nil }
+func (blockingBackend) object(int) Query                                   { return VectorQuery(dataset.GIST(1, 1)[0]) }
+func (blockingBackend) AppendSnapshot(*snapshot.Builder, string) error     { return nil }
 
 // blockingShards returns n ten-object adapters over one blockingBackend.
 func blockingShards(n int, release chan struct{}) []*adapter {

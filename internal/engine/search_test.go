@@ -228,10 +228,9 @@ func (stubBackend) checkTau(*float64) error { return nil }
 func (b stubBackend) searchRange(_ Query, _ Options, _, _ int, dst []int64) ([]int64, Stats, error) {
 	return append(dst, b.ids...), Stats{Results: len(b.ids)}, nil
 }
-func (stubBackend) topkBounds(Options) []float64                                { return nil }
-func (stubBackend) topkRung(Query, Options, float64, *resultHeap, *Stats) error { return nil }
-func (stubBackend) object(int) Query                                            { return Query{kind: Hamming} }
-func (stubBackend) AppendSnapshot(*snapshot.Builder, string) error              { return nil }
+func (stubBackend) ladder(Query, Options) ([]float64, rungFunc, error) { return nil, nil, nil }
+func (stubBackend) object(int) Query                                   { return Query{kind: Hamming} }
+func (stubBackend) AppendSnapshot(*snapshot.Builder, string) error     { return nil }
 
 // TestShardedLimitedFlag: one of two stub shards holds ten matches and
 // the other none, so Limit 5 cuts the true result set and Stats.Limited

@@ -21,7 +21,9 @@ import (
 //     that verifies at least k results. Each rung's result set
 //     contains every previous rung's, so that rung already holds the k
 //     nearest overall, and the doubling schedule bounds the total work
-//     at roughly twice the final rung's.
+//     at roughly twice the final rung's. The query is prepared once per
+//     ladder — its part values and the cost model's histograms do not
+//     depend on τ — and every rung searches the prepared query.
 //   - string, graph, set: the filter is built for one τ and its
 //     candidates at τ are a superset for every smaller threshold, so
 //     top-k is one filter-and-verify pass at the built τ: the k nearest
@@ -165,8 +167,8 @@ func intLadder(ceil int) []float64 {
 	return append(bounds, float64(ceil))
 }
 
-// runLadder climbs be's ladder for q — topkBounds, the last being the
-// ceiling, each rung one full filter+verify pass by topkRung — until a
+// runLadder climbs be's ladder for q — its bounds, the last being the
+// ceiling, each rung one full filter+verify pass — until a
 // rung verifies at least k results (they then include the k nearest;
 // see the package-section comment) or the ceiling rung completes, and
 // returns the k best ordered by (Distance, ID). The context is checked
@@ -183,8 +185,12 @@ func runLadder(ctx context.Context, be backend, q Query, opt Options, cut *topkC
 		h.items = h.items[:0]
 		topkPool.Put(h)
 	}()
+	bounds, rung, err := be.ladder(q, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	var st Stats
-	for _, b := range be.topkBounds(opt) {
+	for _, b := range bounds {
 		if err := ctx.Err(); err != nil {
 			return nil, Stats{}, err
 		}
@@ -193,7 +199,7 @@ func runLadder(ctx context.Context, be backend, q Query, opt Options, cut *topkC
 		// deduplicating against earlier rungs.
 		h.reset(k)
 		candBefore := st.Candidates
-		if err := be.topkRung(q, opt, b, h, &st); err != nil {
+		if err := rung(b, h, &st); err != nil {
 			return nil, Stats{}, err
 		}
 		st.Rungs++

@@ -69,9 +69,9 @@ func refAllocate(db *DB, q bitvec.Vector, total int, mode Allocation) []int {
 	return t
 }
 
-// testShapes are the (d, m) partitionings the allocator and the
-// search are checked on: parts that straddle a word boundary (d = 100,
-// 128 and 256 at m = 7, 10, 3 and 5), parts one bit wide (m = d) and
+// testShapes are the (d, m) partitionings the allocator is checked on:
+// parts that straddle a word boundary (m = 7 at d = 100, m = 3 and 10
+// at d = 128, m = 5 and 20 at d = 256), parts one bit wide (m = d) and
 // parts 64 bits wide (m = d/64).
 var testShapes = []struct{ d, m int }{
 	{64, 64}, {64, 1}, {64, 5},
@@ -80,46 +80,22 @@ var testShapes = []struct{ d, m int }{
 	{256, 20}, {256, 4}, {256, 5},
 }
 
-// clustered draws n d-bit vectors, most of them near a few random
-// centers, so that queries have neighbours at small distances.
-func clustered(rng *rand.Rand, n, d int) []bitvec.Vector {
-	centers := make([]bitvec.Vector, 3)
-	for i := range centers {
-		centers[i] = bitvec.Random(rng, d)
-	}
-	vecs := make([]bitvec.Vector, n)
-	for i := range vecs {
-		if rng.Intn(4) == 0 {
-			vecs[i] = bitvec.Random(rng, d)
-			continue
-		}
-		v := centers[rng.Intn(len(centers))].Clone()
-		for b := 0; b < d; b++ {
-			if rng.Intn(16) == 0 {
-				v.Flip(b)
-			}
-		}
-		vecs[i] = v
-	}
-	return vecs
+// allocMode is one way a search calls the allocator.
+type allocMode struct {
+	name        string
+	total       int
+	mode        Allocation
+	noReduction bool
 }
 
 // allocateModes lists, for threshold tau over m parts, the three ways a
 // search calls the allocator: the cost model with and without integer
 // reduction, and uniform.
-func allocateModes(tau, m int) []struct {
-	name  string
-	total int
-	mode  Allocation
-} {
-	return []struct {
-		name  string
-		total int
-		mode  Allocation
-	}{
-		{"cost-model/integer-reduction", tau - m + 1, AllocCostModel},
-		{"cost-model/no-reduction", tau, AllocCostModel},
-		{"uniform", tau - m + 1, AllocUniform},
+func allocateModes(tau, m int) []allocMode {
+	return []allocMode{
+		{"cost-model/integer-reduction", tau - m + 1, AllocCostModel, false},
+		{"cost-model/no-reduction", tau, AllocCostModel, true},
+		{"uniform", tau - m + 1, AllocUniform, false},
 	}
 }
 
@@ -127,12 +103,12 @@ func allocateModes(tau, m int) []struct {
 // identical to the full sample scan of refAllocate, in every Allocation
 // mode, over every test shape and over corpora of 1, 3 and 5 vectors,
 // whose samples hold fewer distinct part values than the histogram
-// loop unrolls by.
+// loop unrolls by. The prepared histograms must equal the scan's too.
 func TestAllocateMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sh := range testShapes {
 		for _, n := range []int{1, 3, 5, 300} {
-			vecs := clustered(rng, n, sh.d)
+			vecs := clusteredVectors(rng, n, sh.d)
 			db, err := NewDB(vecs, sh.m)
 			if err != nil {
 				t.Fatal(err)
@@ -142,6 +118,7 @@ func TestAllocateMatchesScan(t *testing.T) {
 				if qi%2 == 0 {
 					q = vecs[rng.Intn(n)]
 				}
+				checkHists(t, db, q)
 				for _, tau := range []int{0, sh.m - 1, sh.m + 3, sh.d / 2, sh.d} {
 					for _, tc := range allocateModes(tau, sh.m) {
 						want := refAllocate(db, q, tc.total, tc.mode)
@@ -160,51 +137,99 @@ func TestAllocateMatchesScan(t *testing.T) {
 	}
 }
 
+// checkHists requires q's prepared histograms to equal a PartDistance
+// scan over the sample vectors.
+func checkHists(t *testing.T, db *DB, q bitvec.Vector) {
+	t.Helper()
+	pq, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < db.M(); i++ {
+		want := make([]int32, db.part.Width(i)+1)
+		for _, id := range db.sample {
+			want[db.part.PartDistance(db.Vector(int(id)), q, i)]++
+		}
+		if got := db.hist(pq, i); !slices.Equal(got, want) {
+			t.Fatalf("d=%d m=%d n=%d part %d: histogram %v, scan %v", db.Dim(), db.M(), db.Len(), i, got, want)
+		}
+	}
+}
+
 // allocateFor runs the allocator for q on pooled scratch and returns a
 // copy of its thresholds.
 func allocateFor(t *testing.T, db *DB, q bitvec.Vector, total int, mode Allocation) []int {
 	t.Helper()
-	s := db.getScratch()
-	defer db.putScratch(s)
-	qParts := make([]uint64, db.M())
-	for i := range qParts {
-		qParts[i] = db.part.Extract(q, i)
-	}
-	return slices.Clone(db.allocate(qParts, total, mode, s))
-}
-
-// TestPartHistCapFallback: past histCacheCap entries the allocator
-// computes into scratch instead of growing the cache, with identical
-// histograms.
-func TestPartHistCapFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const d, m = 64, 4
-	vecs := make([]bitvec.Vector, 100)
-	for i := range vecs {
-		vecs[i] = bitvec.Random(rng, d)
-	}
-	db, err := NewDB(vecs, m)
+	pq, err := db.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force the over-cap path.
-	db.histEntries.Store(histCacheCap)
-	buf := make([]int32, db.part.Width(0)+1)
-	for trial := 0; trial < 20; trial++ {
-		q := bitvec.Random(rng, d)
-		qv := db.part.Extract(q, 0)
-		got := db.partHist(0, qv, buf)
-		want := make([]int32, db.part.Width(0)+1)
-		for _, id := range db.sample {
-			want[db.part.PartDistance(db.Vector(int(id)), q, 0)]++
+	s := db.getScratch()
+	defer db.putScratch(s)
+	return slices.Clone(db.allocate(pq, total, mode, s))
+}
+
+// maxFuzzBall bounds the ball values one fuzzed search may enumerate
+// across its parts; searches past it check only the allocation.
+const maxFuzzBall = 1 << 17
+
+// FuzzAllocate draws a corpus (seed, dimension d ≤ 256, part count m,
+// n ≤ 300 vectors) and a threshold τ ≤ d, and requires allocate to
+// equal refAllocate in all three allocation modes and the SearchDist
+// ids, sorted, to equal SearchLinear, with every reported distance
+// exact. The search is skipped when its thresholds would enumerate
+// more than maxFuzzBall ball values: wide parts at a large τ have balls
+// of up to 2⁶⁴ values.
+func FuzzAllocate(f *testing.F) {
+	f.Add(int64(1), uint16(64), uint16(64), uint16(3), uint16(5), uint8(0))
+	f.Add(int64(2), uint16(100), uint16(7), uint16(300), uint16(20), uint8(1))
+	f.Add(int64(3), uint16(256), uint16(5), uint16(1), uint16(8), uint8(2))
+	f.Add(int64(4), uint16(128), uint16(2), uint16(5), uint16(3), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, d, m, n, tau uint16, mode uint8) {
+		dim := 1 + int(d)%256
+		lo := (dim + 63) / 64
+		parts := lo + int(m)%(dim-lo+1)
+		size := 1 + int(n)%300
+		tu := int(tau) % (dim + 1)
+		rng := rand.New(rand.NewSource(seed))
+		vecs := clusteredVectors(rng, size, dim)
+		db, err := NewDB(vecs, parts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: over-cap hist[%d] = %d, want %d", trial, k, got[k], want[k])
+		q := bitvec.Random(rng, dim)
+		if rng.Intn(2) == 0 {
+			q = vecs[rng.Intn(size)]
+		}
+		for _, tc := range allocateModes(tu, parts) {
+			if got, want := allocateFor(t, db, q, tc.total, tc.mode), refAllocate(db, q, tc.total, tc.mode); !slices.Equal(got, want) {
+				t.Fatalf("d=%d m=%d n=%d τ=%d %s: allocate = %v, scan = %v", dim, parts, size, tu, tc.name, got, want)
 			}
 		}
-		if _, ok := db.histCache[0].Load(qv); ok {
-			t.Fatal("over-cap histogram was cached")
+		tc := allocateModes(tu, parts)[int(mode)%3]
+		opt := RingOptions(1 + int(mode)/3%6)
+		opt.Alloc, opt.NoIntegerReduction = tc.mode, tc.noReduction
+		ball := 0.0
+		for i, ti := range allocateFor(t, db, q, tc.total, tc.mode) {
+			for k := 0; k <= min(ti, db.part.Width(i)); k++ {
+				ball += binom(db.part.Width(i), k)
+			}
 		}
-	}
+		if ball > maxFuzzBall {
+			return
+		}
+		ids, dists, _, err := db.SearchDist(q, tu, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if h := bitvec.Hamming(db.Vector(id), q); dists[i] != h {
+				t.Fatalf("d=%d m=%d n=%d τ=%d: id %d reported at distance %d, is %d", dim, parts, size, tu, id, dists[i], h)
+			}
+		}
+		slices.Sort(ids)
+		if want := db.SearchLinear(q, tu); !slices.Equal(ids, want) {
+			t.Fatalf("d=%d m=%d n=%d τ=%d %+v: SearchDist ids %v, SearchLinear %v", dim, parts, size, tu, opt, ids, want)
+		}
+	})
 }

@@ -397,3 +397,44 @@ func TestConcurrentVectorViews(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPreparedQueryConcurrent: a prepared Query is read-only, so
+// searches of it at different thresholds from many goroutines at once
+// must each answer exactly as SearchDist does (run under -race).
+func TestPreparedQueryConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	vecs := clusteredVectors(rng, 200, 100)
+	db, err := NewDB(vecs, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := vecs[3]
+	pq, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ids, dists []int
+			for tau := g; tau <= 24; tau += 4 {
+				var st Stats
+				var err error
+				ids, dists, err = pq.SearchDistAppend(tau, RingOptions(3), ids[:0], dists[:0], &st)
+				wantIDs, wantDists, wst, werr := db.SearchDist(q, tau, RingOptions(3))
+				if err != nil || werr != nil {
+					t.Errorf("τ=%d: %v, %v", tau, err, werr)
+					return
+				}
+				if !slices.Equal(ids, wantIDs) || !slices.Equal(dists, wantDists) ||
+					st.Candidates != wst.Candidates || st.Probes != wst.Probes || st.BoxChecks != wst.BoxChecks {
+					t.Errorf("τ=%d: prepared search %v %v %+v, SearchDist %v %v %+v", tau, ids, dists, st, wantIDs, wantDists, wst)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -27,7 +27,13 @@
 // replaces (useDirect), and the chain check skips the first box of
 // every chain — a candidate found under ball value u has
 // b_i = popcount(u ⊕ q_i) ≤ t_i by construction. Search, SearchDist and
-// SearchRangeAppend are wrappers over one [lo, hi)-restricted loop.
+// SearchRangeAppend are wrappers over one [lo, hi)-restricted loop that
+// reads a prepared Query: the query's part values and the cost model's
+// sample histograms, which depend on the query alone and not on τ. The
+// wrappers prepare into pooled scratch; a caller that searches one
+// query at several thresholds (the engine's top-k ladder) prepares it
+// once with Prepare and runs each threshold through
+// Query.SearchDistAppend.
 package hamming
 
 import (
@@ -35,7 +41,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 )
@@ -116,20 +121,11 @@ type DB struct {
 	sample []int32
 	// sampleVals[i]/sampleCnts[i] hold the deduplicated part-i values
 	// of the sample with their multiplicities, extracted at build time,
-	// so the cost model histograms cost one xor+popcount per distinct
-	// value instead of a part-distance scan over every sample vector.
+	// so a query's cost-model histograms cost one xor+popcount per
+	// distinct value instead of a part-distance scan over every sample
+	// vector.
 	sampleVals [][]uint64
 	sampleCnts [][]int32
-	// histCache[i] memoizes the part-i sample distance histogram keyed
-	// by the query's part value: repeated queries (and every probe of a
-	// batch or join) skip the sample scan entirely. Entries across all
-	// parts are capped at roughly histCacheCap (the check-then-store is
-	// unsynchronized, so concurrent misses may overshoot by up to the
-	// number of in-flight searches); past the cap, histograms are
-	// recomputed into per-search scratch, so memory stays bounded under
-	// arbitrary query streams.
-	histCache   []sync.Map
-	histEntries atomic.Int64
 	// scratch pools per-search working memory (searchScratch) so the
 	// hot path stays allocation-free across calls.
 	scratch sync.Pool
@@ -169,38 +165,78 @@ func (b *boxDesc) extract(words []uint64) uint64 {
 	return x & b.mask
 }
 
-// histCacheCap bounds the total number of cached per-part histograms.
-// At the cap the cache holds histCacheCap·(maxWidth+1) int32s — a few
-// megabytes for realistic partitionings.
-const histCacheCap = 1 << 14
-
 // probeChunk is how many ball values the filter enumerates, resolves
 // and scans at a time: enough independent lookups in flight to overlap
 // their misses, and a bound on scratch however large the ball.
 const probeChunk = 256
 
+// Query is a query vector prepared for searches of one DB at any
+// threshold: its words, its m part values and the m sample distance
+// histograms the cost model allocates thresholds from. Prepare builds
+// one; it is read-only afterwards, so one Query may serve concurrent
+// searches of its DB.
+type Query struct {
+	db    *DB
+	words []uint64
+	parts []uint64
+	// hist holds the m histograms back to back: part i's, of length
+	// Width(i)+1, starts at Bounds[i]+i (see DB.hist).
+	hist []int32
+}
+
+// Prepare checks q's dimension against the DB and returns q prepared
+// for searching it. The Query copies q's words.
+func (db *DB) Prepare(q bitvec.Vector) (*Query, error) {
+	pq := &Query{parts: make([]uint64, db.M()), hist: make([]int32, db.part.D+db.M())}
+	if err := db.prepare(pq, q); err != nil {
+		return nil, err
+	}
+	pq.words = slices.Clone(pq.words)
+	return pq, nil
+}
+
+// prepare fills pq, whose parts and hist are already sized for the DB,
+// for query q; pq.words aliases q's words.
+func (db *DB) prepare(pq *Query, q bitvec.Vector) error {
+	if q.Dim() != db.Dim() {
+		return fmt.Errorf("hamming: query dimension %d, want %d", q.Dim(), db.Dim())
+	}
+	pq.db, pq.words = db, q.Words()
+	for i := range pq.parts {
+		pq.parts[i] = db.box[i].extract(pq.words)
+		db.partHist(i, pq.parts[i], db.hist(pq, i))
+	}
+	return nil
+}
+
+// hist returns the view of part i's histogram inside pq's slab.
+func (db *DB) hist(pq *Query, i int) []int32 {
+	lo := db.part.Bounds[i] + i
+	return pq.hist[lo : lo+db.part.Width(i)+1]
+}
+
 // searchScratch is the per-search working memory a DB hands out from
 // its pool: the accepted-id bitmap (cleared via the marked list on
-// release, so clearing costs O(candidates), not O(n)), the threshold
-// allocator's arrays, the probe loop's chunk buffers, and the reusable
-// result buffers (the Search wrappers copy them out before returning).
+// release, so clearing costs O(candidates), not O(n)), the query the
+// Search wrappers prepare into, the threshold allocator's arrays, the
+// probe loop's chunk buffers, and the reusable result buffers (the
+// Search wrappers copy them out before returning).
 type searchScratch struct {
 	accepted []bool
 	marked   []int32
-	qParts   []uint64
+	q        Query
 	t        []int
+	// cost[i] is the cost model's estimate for part i's next threshold
+	// increment.
+	cost []float64
 	// tpre holds the doubled-ring prefix sums of the thresholds for the
 	// integer chain check; len 2m+1. quota[lp] is the bound on the box
 	// sum of the length-lp chain prefix from the part being probed.
 	tpre  []int
 	quota []int
-	// hists holds the per-part histogram views the allocator reads;
-	// histBuf is the fallback storage used when the cache is full.
-	hists   [][]int32
-	histBuf [][]int32
-	ball    ballEnum
-	vals    [probeChunk]uint64
-	spans   [probeChunk]uint64
+	ball  ballEnum
+	vals  [probeChunk]uint64
+	spans [probeChunk]uint64
 	// results holds the verified ids in probe order and dists the
 	// Hamming distance of each.
 	results []int32
@@ -218,6 +254,7 @@ func (db *DB) putScratch(s *searchScratch) {
 	s.marked = s.marked[:0]
 	s.results = s.results[:0]
 	s.dists = s.dists[:0]
+	s.q.words = nil
 	db.scratch.Put(s)
 }
 
@@ -302,23 +339,15 @@ func build(arena []uint64, d, m int) *DB {
 		db.sampleCnts[i] = cnts
 	}
 
-	db.histCache = make([]sync.Map, m)
 	db.scratch.New = func() any {
-		s := &searchScratch{
+		return &searchScratch{
 			accepted: make([]bool, db.n),
-			qParts:   make([]uint64, m),
+			q:        Query{parts: make([]uint64, m), hist: make([]int32, db.part.D+m)},
 			t:        make([]int, m),
+			cost:     make([]float64, m),
 			tpre:     make([]int, 2*m+1),
 			quota:    make([]int, m+1),
-			hists:    make([][]int32, m),
-			histBuf:  make([][]int32, m),
 		}
-		slab := make([]int32, db.part.D+m)
-		for i := range s.histBuf {
-			w := db.part.Width(i) + 1
-			s.histBuf[i], slab = slab[:w:w], slab[w:]
-		}
-		return s
 	}
 	return db
 }
@@ -341,41 +370,37 @@ func (db *DB) words(id int) []uint64 {
 // view of the DB's storage.
 func (db *DB) Vector(id int) bitvec.Vector { return bitvec.FromWords(db.part.D, db.words(id)) }
 
-// partHist returns the part-i sample distance histogram for a query
-// whose part-i value is qv: hist[k] = number of sample vectors whose
-// part i is at distance k. The result is a pure function of (index,
-// qv), served from the histogram cache when possible; on a miss it is
-// computed from the deduplicated sample values and cached until
-// histCacheCap entries exist, after which buf (scratch) is filled
-// instead.
-func (db *DB) partHist(i int, qv uint64, buf []int32) []int32 {
-	if h, ok := db.histCache[i].Load(qv); ok {
-		return h.([]int32)
+// partHist fills h, of length Width(i)+1, with the part-i sample
+// distance histogram of a query whose part-i value is qv: h[k] is the
+// number of sample vectors whose part i is at distance k. It reads the
+// deduplicated sample values and their multiplicities, four values per
+// step into four lanes summed at the end, so consecutive increments do
+// not wait on one another.
+func (db *DB) partHist(i int, qv uint64, h []int32) {
+	var lanes [4][65]int32
+	vals, cnts := db.sampleVals[i], db.sampleCnts[i]
+	cnts = cnts[:len(vals)]
+	j := 0
+	for ; j+4 <= len(vals); j += 4 {
+		lanes[0][bits.OnesCount64(vals[j]^qv)] += cnts[j]
+		lanes[1][bits.OnesCount64(vals[j+1]^qv)] += cnts[j+1]
+		lanes[2][bits.OnesCount64(vals[j+2]^qv)] += cnts[j+2]
+		lanes[3][bits.OnesCount64(vals[j+3]^qv)] += cnts[j+3]
 	}
-	h := buf
-	cache := db.histEntries.Load() < histCacheCap
-	if cache {
-		h = make([]int32, db.part.Width(i)+1)
-	} else {
-		clear(h)
+	for ; j < len(vals); j++ {
+		lanes[0][bits.OnesCount64(vals[j]^qv)] += cnts[j]
 	}
-	for j, v := range db.sampleVals[i] {
-		h[bits.OnesCount64(v^qv)] += db.sampleCnts[i][j]
+	for k := range h {
+		h[k] = lanes[0][k] + lanes[1][k] + lanes[2][k] + lanes[3][k]
 	}
-	if cache {
-		if actual, loaded := db.histCache[i].LoadOrStore(qv, h); loaded {
-			return actual.([]int32)
-		}
-		db.histEntries.Add(1)
-	}
-	return h
 }
 
 // allocate chooses integer thresholds t_0..t_{m-1} summing to total,
-// written into s.t, for a query with the given part values. Negative
-// thresholds disable a part (its box can never be viable), which is
-// how budgets below zero per part are expressed.
-func (db *DB) allocate(qParts []uint64, total int, mode Allocation, s *searchScratch) []int {
+// written into s.t, for the prepared query pq. The cost model reads
+// pq's sample histograms; uniform allocation reads nothing of pq.
+// Negative thresholds disable a part (its box can never be viable),
+// which is how budgets below zero per part are expressed.
+func (db *DB) allocate(pq *Query, total int, mode Allocation, s *searchScratch) []int {
 	m := db.part.M()
 	t := s.t
 	if mode == AllocUniform {
@@ -395,21 +420,17 @@ func (db *DB) allocate(qParts []uint64, total int, mode Allocation, s *searchScr
 	}
 	// Cost model: start every part at −1 (disabled) and hand out
 	// total+m increments, each to the part whose next increment is
-	// estimated to be cheapest. The estimate is the number of sample
-	// vectors at part distance exactly t+1 (scaled to the database)
-	// plus the marginal ball-enumeration cost.
+	// estimated to be cheapest, the lowest part on ties. The estimate
+	// is the number of sample vectors at part distance exactly t+1
+	// (scaled to the database) plus the marginal ball-enumeration cost.
+	// Only the chosen part's estimate changes, so it alone is
+	// recomputed after each increment.
 	for i := range t {
 		t[i] = -1
 	}
 	increments := total + m
 	if increments <= 0 {
 		return t
-	}
-	// hists[i][k] = number of sample vectors whose part i is at
-	// distance k from the query part, from the histogram cache.
-	hists := s.hists
-	for i := 0; i < m; i++ {
-		hists[i] = db.partHist(i, qParts[i], s.histBuf[i])
 	}
 	scale := float64(db.n) / float64(len(db.sample))
 	const enumWeight = 0.5 // relative cost of probing one ball value
@@ -419,19 +440,23 @@ func (db *DB) allocate(qParts []uint64, total int, mode Allocation, s *searchScr
 		if next > w {
 			return float64(1 << 62) // cannot widen further
 		}
-		cands := float64(hists[i][next]) * scale
+		cands := float64(db.hist(pq, i)[next]) * scale
 		balls := binom(w, next) * enumWeight
 		return cands + balls
 	}
+	cost := s.cost
+	for i := range cost {
+		cost[i] = marginal(i)
+	}
 	for step := 0; step < increments; step++ {
-		best, bestCost := -1, 0.0
-		for i := 0; i < m; i++ {
-			c := marginal(i)
-			if best == -1 || c < bestCost {
-				best, bestCost = i, c
+		best := 0
+		for i := 1; i < m; i++ {
+			if cost[i] < cost[best] {
+				best = i
 			}
 		}
 		t[best]++
+		cost[best] = marginal(best)
 	}
 	return t
 }
@@ -520,7 +545,10 @@ func (db *DB) searchAll(q bitvec.Vector, tau int, opt Options, wantDist bool) ([
 	var st Stats
 	s := db.getScratch()
 	defer db.putScratch(s)
-	if err := db.filter(s, q, tau, opt, 0, db.n, &st); err != nil {
+	if err := db.prepare(&s.q, q); err != nil {
+		return nil, nil, st, err
+	}
+	if err := db.filter(s, &s.q, tau, opt, 0, db.n, &st); err != nil {
 		return nil, nil, st, err
 	}
 	// s.t aliases pooled scratch; Stats must not retain it past the call.
@@ -541,6 +569,26 @@ func (db *DB) searchAll(q bitvec.Vector, tau int, opt Options, wantDist bool) ([
 	return ids, dists, st, nil
 }
 
+// SearchDistAppend runs SearchDist's search at threshold tau for the
+// prepared query, appending the result ids and their distances, pair
+// for pair in unspecified order, to ids and dists, and accumulating
+// statistics into st. Thresholds is left alone, so a caller that
+// reuses ids, dists and st across thresholds — the engine's top-k
+// ladder — searches with no steady-state allocation.
+func (pq *Query) SearchDistAppend(tau int, opt Options, ids, dists []int, st *Stats) ([]int, []int, error) {
+	db := pq.db
+	s := db.getScratch()
+	defer db.putScratch(s)
+	if err := db.filter(s, pq, tau, opt, 0, db.n, st); err != nil {
+		return ids, dists, err
+	}
+	for i, id := range s.results {
+		ids = append(ids, int(id))
+		dists = append(dists, s.dists[i])
+	}
+	return ids, dists, nil
+}
+
 // SearchRangeAppend runs the tau search restricted to ids in [lo, hi),
 // appending the verified ids in ascending order to dst and accumulating
 // statistics into st. It is the join engine's per-tile probe and, over
@@ -550,7 +598,10 @@ func (db *DB) searchAll(q bitvec.Vector, tau int, opt Options, wantDist bool) ([
 func (db *DB) SearchRangeAppend(q bitvec.Vector, tau int, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
 	s := db.getScratch()
 	defer db.putScratch(s)
-	if err := db.filter(s, q, tau, opt, lo, hi, st); err != nil {
+	if err := db.prepare(&s.q, q); err != nil {
+		return dst, err
+	}
+	if err := db.filter(s, &s.q, tau, opt, lo, hi, st); err != nil {
 		return dst, err
 	}
 	slices.Sort(s.results)
@@ -561,16 +612,14 @@ func (db *DB) SearchRangeAppend(q bitvec.Vector, tau int, opt Options, lo, hi in
 	return dst, nil
 }
 
-// filter is the one search loop: it probes the index for q at
-// threshold tau, restricted to ids in [lo, hi) (clamped to the corpus),
-// leaves the verified ids and their distances in s.results/s.dists in
-// probe order, and adds the work done to st. Posting lists are
-// ascending-id by construction, so the restriction costs two binary
-// searches per non-empty list, skipped when the window is the corpus.
-func (db *DB) filter(s *searchScratch, q bitvec.Vector, tau int, opt Options, lo, hi int, st *Stats) error {
-	if q.Dim() != db.Dim() {
-		return fmt.Errorf("hamming: query dimension %d, want %d", q.Dim(), db.Dim())
-	}
+// filter is the one search loop: it probes the index for the prepared
+// query pq at threshold tau, restricted to ids in [lo, hi) (clamped to
+// the corpus), leaves the verified ids and their distances in
+// s.results/s.dists in probe order, and adds the work done to st.
+// Posting lists are ascending-id by construction, so the restriction
+// costs two binary searches per non-empty list, skipped when the window
+// is the corpus.
+func (db *DB) filter(s *searchScratch, pq *Query, tau int, opt Options, lo, hi int, st *Stats) error {
 	if tau < 0 {
 		return fmt.Errorf("hamming: negative threshold %d", tau)
 	}
@@ -587,12 +636,8 @@ func (db *DB) filter(s *searchScratch, q bitvec.Vector, tau int, opt Options, lo
 	if opt.NoIntegerReduction {
 		total, slack = tau, 0
 	}
-	qw, box := q.Words(), db.box
-	qParts := s.qParts
-	for i := range qParts {
-		qParts[i] = box[i].extract(qw)
-	}
-	t := db.allocate(qParts, total, opt.Alloc, s)
+	qw, qParts, box := pq.words, pq.parts, db.box
+	t := db.allocate(pq, total, opt.Alloc, s)
 
 	// Prefix sums of the thresholds over the doubled ring: the quota of
 	// the length-lp prefix of the chain starting at part i is

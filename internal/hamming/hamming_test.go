@@ -291,6 +291,16 @@ func TestErrors(t *testing.T) {
 	if _, _, err := db.Search(bitvec.Random(rng, 64), -1, GPHOptions()); err == nil {
 		t.Error("negative τ should fail")
 	}
+	if _, err := db.Prepare(bitvec.Random(rng, 32)); err == nil {
+		t.Error("Prepare with a dimension mismatch should fail")
+	}
+	pq, err := db.Prepare(bitvec.Random(rng, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pq.SearchDistAppend(-1, GPHOptions(), nil, nil, &Stats{}); err == nil {
+		t.Error("negative τ on a prepared query should fail")
+	}
 }
 
 func TestOptionHelpers(t *testing.T) {

@@ -2,16 +2,17 @@
 """ab.py — paired runs of the repo benchmark: a git revision against the
 working tree.
 
-    scripts/ci/ab.py <rev> <pairs> [workload...]
+    scripts/ci/ab.py [-seed N] <rev> <pairs> [workload...]
 
 builds ./benchmark twice, once from <rev> (extracted with git archive into
 a temporary directory) and once from the working tree, with -trimpath so
 that equal sources build byte-identical binaries (it says so when they
 are), then runs each workload <pairs> times on each side:
 
-    <binary> -workload <w> -seed 42 -seconds <run_seconds> -trace 0
+    <binary> -workload <w> -seed <N> -seconds <run_seconds> -trace 0
 
-with run_seconds from BENCHMARK.json. The two sides alternate, and each
+with run_seconds from BENCHMARK.json and N from -seed (default 42), so a
+gain read at one seed can be confirmed at another. The two sides alternate, and each
 pair swaps which side runs first, so a drift of the machine over time
 falls on both. With no workloads named it runs all that BENCHMARK.json
 declares.
@@ -40,7 +41,7 @@ import sys
 import tarfile
 import tempfile
 
-SEED = 42
+DEFAULT_SEED = 42
 # Resamples per bootstrap interval.
 BOOTSTRAP = 2000
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -72,10 +73,10 @@ def extract(rev, dest):
             t.extractall(dest)
 
 
-def run(binary, cwd, workload, seconds):
+def run(binary, cwd, workload, seed, seconds):
     """Runs one workload; returns its metric values, or None with the reason logged."""
     proc = subprocess.run(
-        [binary, "-workload", workload, "-seed", str(SEED), "-seconds", str(seconds), "-trace", "0"],
+        [binary, "-workload", workload, "-seed", str(seed), "-seconds", str(seconds), "-trace", "0"],
         cwd=cwd, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -152,8 +153,14 @@ def main(args):
     # SIGTERM unwinds like Ctrl-C: the running benchmark is killed and
     # the temporary directory removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    usage = "usage: ab.py [-seed N] <rev> <pairs> [workload...]"
+    seed = DEFAULT_SEED
+    if args[:1] == ["-seed"]:
+        if len(args) < 2 or not args[1].isdigit():
+            sys.exit(usage)
+        seed, args = int(args[1]), args[2:]
     if len(args) < 2 or not args[1].isdigit() or int(args[1]) < 1:
-        sys.exit("usage: ab.py <rev> <pairs> [workload...]")
+        sys.exit(usage)
     rev, pairs, chosen = args[0], int(args[1]), args[2:]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -167,7 +174,7 @@ def main(args):
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         src = os.path.join(tmp, "parent")
-        log(f"building {rev} ({commit}) and the working tree")
+        log(f"building {rev} ({commit}) and the working tree; runs at seed {seed}")
         extract(commit, src)
         sides = {"parent": (os.path.join(tmp, "bench-parent"), src),
                  "change": (os.path.join(tmp, "bench-change"), ROOT)}
@@ -184,7 +191,7 @@ def main(args):
                 got = {}
                 for side in order:
                     log(f"{w} pair {i + 1}/{pairs}: {side}")
-                    got[side] = run(*sides[side], w, spec["run_seconds"])
+                    got[side] = run(*sides[side], w, seed, spec["run_seconds"])
                 if got["parent"] is None or got["change"] is None:
                     ok = False
                     continue
