@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -278,4 +279,69 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestNewDBPartIDOverflow: a corpus of more than MaxInt32 parts is
+// refused before any graph is read (the graphs here are nil), so the
+// refusal bounds the part arrays' allocation.
+func TestNewDBPartIDOverflow(t *testing.T) {
+	graphs := make([]*Graph, 2_100_000) // × (MaxTau+1) parts > MaxInt32
+	if _, err := NewDB(graphs, MaxTau); err == nil {
+		t.Fatal("NewDB accepted 2.1 M graphs at τ = MaxTau")
+	}
+}
+
+// FuzzSearchRange: on a small DB decoded from the input, Search and
+// SearchRangeAppend over a window answer exactly what SearchLinear
+// does, for Pars and for Ring(l).
+func FuzzSearchRange(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 2, 1, 3, 4, 0, 1, 2, 3, 2, 1, 0, 4, 3, 3, 2, 2, 1, 1, 0, 5, 4, 3, 2, 1, 0, 1, 2, 3, 7, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		graphs := make([]*Graph, 1+int(next())%10)
+		tau := int(next()) % 3
+		opt := ParsOptions()
+		if l := int(next()) % (tau + 2); l > 0 {
+			opt = RingOptions(l)
+		}
+		lo, hi := int(next())%(len(graphs)+1), int(next())%(len(graphs)+1)
+		for i := range graphs {
+			graphs[i] = screenGraph(next, 5, 3, 6)
+		}
+		q := screenGraph(next, 6, 5, 8)
+		db, err := NewDB(graphs, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := db.SearchLinear(q)
+		got, _, err := db.Search(q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("τ %d %+v: Search %v, SearchLinear %v", tau, opt, got, want)
+		}
+		var st Stats
+		win, err := db.SearchRangeAppend(q, opt, lo, hi, nil, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantWin []int64
+		for _, id := range want {
+			if id >= lo && id < hi {
+				wantWin = append(wantWin, int64(id))
+			}
+		}
+		if !slices.Equal(win, wantWin) {
+			t.Fatalf("τ %d %+v window [%d, %d): %v, want %v", tau, opt, lo, hi, win, wantWin)
+		}
+	})
 }
