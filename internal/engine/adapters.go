@@ -461,7 +461,7 @@ func (b *graphBackend) options(opt Options) graph.Options {
 func (b *graphBackend) searchRange(q Query, opt Options, lo, hi int, dst []int64) ([]int64, Stats, error) {
 	var st graph.Stats
 	dst, err := b.db.SearchRangeAppend(q.g, b.options(opt), lo, hi, dst, &st)
-	return dst, Stats{Candidates: st.Candidates, Results: st.Results, Probes: st.Probes, BoxChecks: st.BoxChecks}, err
+	return dst, Stats{Candidates: st.Candidates, Results: st.Results, BoxChecks: st.BoxChecks}, err
 }
 
 // ladder is a single rung at the built τ, as for strings: a Pars index
@@ -473,7 +473,6 @@ func (b *graphBackend) ladder(q Query, opt Options) ([]float64, rungFunc, error)
 			return err
 		}
 		st.Candidates += bst.Candidates
-		st.Probes += bst.Probes
 		st.BoxChecks += bst.BoxChecks
 		pushDists(h, ids, dists)
 		return nil

@@ -867,7 +867,8 @@ func newModel(c *exactCase, ix engine.Index) model {
 		opts := func(l int, skip bool) graph.Options {
 			return graph.Options{ChainLength: chain(l), SkipVerify: skip}
 		}
-		gw := func(st graph.Stats) work { return work{st.Candidates, st.Results, st.Probes, st.BoxChecks} }
+		// A graph search scans its window and reads no postings.
+		gw := func(st graph.Stats) work { return work{st.Candidates, st.Results, 0, st.BoxChecks} }
 		md.linear = func(q engine.Query, _ *float64) []int64 { return pairs.SortedIDs64(db.SearchLinear(q.Graph())) }
 		md.join = func() []engine.Pair { return enginePairs(db.JoinLinear()) }
 		md.dist = func(i int, q engine.Query, _ *float64) (float64, bool) {

@@ -32,11 +32,13 @@
 // Ring admits more candidates than an exact box would, never fewer.
 // Stats.BoxChecks counts every box evaluation.
 //
-// Before any chain, a search screens each whole graph once, the first
-// time one of its parts comes up as a head, with the cheapest
-// admissible GED bound first: the size bound |nx − nq| + |ex − eq|,
-// read from a flat per-graph (vertex, edge) count array, then the label
-// bound (LabelLowerBound) from the graph's stored runs. A graph either
+// A search scans the ids of its window in ascending order, so results
+// come out sorted. Before any chain it screens each whole graph once,
+// with the cheapest admissible GED bound first: the size bound
+// |nx − nq| + |ex − eq|, read from a flat per-graph (vertex, edge)
+// count array, then the label bound (LabelLowerBound) from the graph's
+// stored runs, which skips the edge runs once its vertex term alone
+// exceeds τ. A graph either
 // bound puts above τ is skipped with all its parts, so box checks run
 // only for screened-in graphs, and a candidate (Stats.Candidates) is a
 // graph that passes the screen and then a chain, and so reaches exact
@@ -46,18 +48,10 @@
 // (dataset.Protein) the label bound is weak, the screen drops fewer
 // graphs and the chains do more of the filtering.
 //
-// Heads come from an inverted index, not a scan of every part. NewDB
-// puts each part on exactly one list, keyed by its rarest non-Wildcard
-// vertex label (the one the fewest parts carry); parts with no such
-// label (all Wildcards, or the empty parts of a graph with fewer than
-// τ+1 vertices) go on one list that every search probes. A head's
-// bound is 0 only if each of its labels occurs in q, so the lists of
-// q's labels plus that list hold every part that can head a chain, and
-// the candidates stay exact. A search marks those parts in a bitset
-// over its id window (a binary search cuts each ascending list to the
-// window), then walks the marks in ascending order, so results come
-// out sorted and a graph stops being tried once it is a candidate.
-// Stats.Probes counts the postings read.
+// A graph that passes the screen tries its parts 0 … τ as chain heads,
+// in order, and stops at the first chain that passes. A head box must
+// read 0, so a part with more vertices or edges of some label than q
+// fails at its head box's label bound.
 //
 // Everything a search reads that does not depend on the query is
 // prepared in NewDB. The parts are held flat, one Graph per part id,
@@ -71,9 +65,9 @@
 // Two substitutions versus Pars: parts are vertex-induced subgraphs
 // (no half-edges), under which every edit operation still touches at
 // most one part, so the pigeonhole and pigeonring filters remain
-// complete; and parts are found through the rarest-label lists above
-// instead of Pars's partition trie, then tested one by one, which
-// changes shared work but not the candidate set.
+// complete; and each screened-in graph's parts are tried in order
+// instead of being found through Pars's partition trie, which changes
+// shared work but not the candidate set.
 package graph
 
 import (

@@ -53,16 +53,6 @@ func growInt32s(b []int32, n int) []int32 {
 	return b[:n]
 }
 
-// growUint64sClear returns b with length n and every element zero.
-func growUint64sClear(b []uint64, n int) []uint64 {
-	if cap(b) < n {
-		return make([]uint64, n)
-	}
-	b = b[:n]
-	clear(b)
-	return b
-}
-
 // growBoolsClear returns b with length n and every element false.
 func growBoolsClear(b []bool, n int) []bool {
 	if cap(b) < n {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,17 +32,25 @@ func boundGraph(next func() byte, maxN, vlabels, elabels int) *Graph {
 
 // checkStoredBound requires the label bound a search computes for each
 // graph of db to equal LabelLowerBound over freshly built multisets,
-// and the size bound the screen tries first never to exceed it.
+// the size bound the screen tries first never to exceed it, and the
+// bound under every cap c up to the exact value to exceed c exactly
+// when the exact bound does.
 func checkStoredBound(t *testing.T, db *DB, q *Graph) {
 	t.Helper()
 	qv, qe := db.sigs.countQuery(q, nil, nil)
 	ql := Labels(q)
 	for id, x := range db.graphs {
 		want := LabelLowerBound(Labels(x), ql, x.n, q.n, x.e, q.e)
-		got := db.sigs.gedBound(id, x.n, x.e, q.n, q.e, qv, qe)
+		got := db.sigs.gedBound(id, x.n, x.e, q.n, q.e, qv, qe, math.MaxInt)
 		if got != want {
 			t.Fatalf("graph %d: stored bound %d, LabelLowerBound %d\nx %v %v\nquery %v %v",
 				id, got, want, x.vlab, x.Edges(), q.vlab, q.Edges())
+		}
+		for c := 0; c <= got; c++ {
+			if capped := db.sigs.gedBound(id, x.n, x.e, q.n, q.e, qv, qe, c); (capped > c) != (got > c) {
+				t.Fatalf("graph %d: bound %d under cap %d, exact %d\nx %v %v\nquery %v %v",
+					id, capped, c, got, x.vlab, x.Edges(), q.vlab, q.Edges())
+			}
 		}
 		if sb := db.sizeBound(id, q); sb > got {
 			t.Fatalf("graph %d: size bound %d exceeds the label bound %d\nx %v %v\nquery %v %v",

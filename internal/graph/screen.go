@@ -210,15 +210,22 @@ func (s *partSigs) bound(p, pn, qn int, qv, qe []int32) int {
 // and qe: max(nx, nq) − |V_x ∩ V_q| + max(ex, eq) − |E_x ∩ E_q|, each
 // intersection summed over the graph's runs as Σ min(run, q's count).
 // The runs hold every label of the graph, Wildcard included, so the
-// sums are the multiset intersections exactly.
-func (s *partSigs) gedBound(id, nx, ex, nq, eq int, qv, qe []int32) int {
+// sums are the multiset intersections exactly. Once the vertex term
+// alone exceeds limit the edge term, never negative, cannot bring the
+// bound back to limit, so that term is returned without reading the
+// edge runs: a result above limit reads only "more than limit".
+func (s *partSigs) gedBound(id, nx, ex, nq, eq int, qv, qe []int32, limit int) int {
 	k := s.nparts + id
 	vi, ei := 0, 0
 	for _, r := range s.runs[s.off[2*k]:s.off[2*k+1]] {
 		vi += int(min(r.n, qv[r.id]))
 	}
+	b := max(nx, nq) - vi
+	if b > limit {
+		return b
+	}
 	for _, r := range s.runs[s.off[2*k+1]:s.off[2*k+2]] {
 		ei += int(min(r.n, qe[r.id]))
 	}
-	return max(nx, nq) - vi + max(ex, eq) - ei
+	return b + max(ex, eq) - ei
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -35,13 +34,10 @@ type Stats struct {
 	Candidates int
 	// Results is the number of graphs with ged(x, q) ≤ τ.
 	Results int
-	// Probes counts the head-index postings read: one per part the
-	// lists of q's labels and the always-probed list hold in range.
-	Probes int
 	// BoxChecks counts box evaluations: one label-screen bound each,
 	// plus a sub-isomorphism test for a budget-0 box the bound
-	// leaves at 0. Only parts the head index marks are tried as heads,
-	// and only those of graphs that pass the whole-graph screen.
+	// leaves at 0. Only graphs that pass the whole-graph screen have
+	// their parts tried as heads, in order, until one chain passes.
 	BoxChecks int
 }
 
@@ -104,7 +100,6 @@ type DB struct {
 	sizes []int32
 	parts []Graph
 	sigs  partSigs
-	heads headIndex
 	// scratch pools per-search kernel state and result buffers so a
 	// search stays allocation-free across calls.
 	scratch sync.Pool
@@ -123,9 +118,6 @@ type searchScratch struct {
 	ks    *kernelScratch
 	qv    []int32 // query vertex-label counts by dictionary id, then Wildcards
 	qe    []int32 // query edge-label counts, indexed by dictionary id
-	// marks holds one bit per part of the searched id window, set for
-	// the parts the head index lists under q's labels.
-	marks []uint64
 }
 
 func (db *DB) putScratch(s *searchScratch) {
@@ -141,7 +133,8 @@ const MaxTau = 1024
 
 // NewDB partitions every graph with BFSPartitioner. τ must lie in
 // [0, MaxTau], no graph may have more than MaxVertices vertices, and
-// the len(graphs)·(τ+1) parts must fit the head index's int32 part ids.
+// there may be at most MaxInt32 parts, len(graphs)·(τ+1): the refusal
+// bounds the part arrays before any graph is read.
 func NewDB(graphs []*Graph, tau int) (*DB, error) {
 	return newDBWithPartitioner(graphs, tau, BFSPartitioner)
 }
@@ -198,7 +191,6 @@ func newDBWithPartitioner(graphs []*Graph, tau int, part partitioner) (*DB, erro
 		}
 	}
 	db.sigs = buildPartSigs(graphs, db.parts)
-	db.heads = buildHeadIndex(&db.sigs, len(graphs)*m)
 	db.scratch.New = func() any {
 		return &searchScratch{ks: new(kernelScratch)}
 	}
@@ -261,8 +253,7 @@ func (db *DB) SearchDist(q *Graph, opt Options) ([]int, []int, Stats, error) {
 // SearchRangeAppend runs the τ search restricted to ids in [lo, hi),
 // appending the qualifying ids in ascending order to dst and
 // accumulating statistics into st. It is the join engine's per-tile
-// probe: the head index's lists are ascending, so each is cut to the
-// window by one binary search.
+// probe: the search loop runs over the ids of the window alone.
 func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, st *Stats) ([]int64, error) {
 	if lo < 0 {
 		lo = 0
@@ -274,7 +265,7 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 		return dst, nil
 	}
 	s, rst := db.search(q, opt, lo, hi, false)
-	// Heads are walked in ascending order, so results come out
+	// Ids are scanned in ascending order, so results come out
 	// ascending; widen before the scratch (and its result buffer) goes
 	// back to the pool.
 	dst = slices.Grow(dst, len(s.results))
@@ -285,62 +276,36 @@ func (db *DB) SearchRangeAppend(q *Graph, opt Options, lo, hi int, dst []int64, 
 	db.putScratch(s)
 	st.Candidates += rst.Candidates
 	st.Results += rst.Results
-	st.Probes += rst.Probes
 	st.BoxChecks += rst.BoxChecks
 	return dst, nil
 }
 
 // search answers ids in [lo, hi) (the full corpus for the public
-// Search wrappers, one tile's range on the join path). It marks the
-// parts the head index lists under q's labels, then walks them in
-// ascending order. The first marked part of a graph screens the whole
-// graph; a graph that fails is skipped with all its parts. Past the
-// screen, a marked part whose box is 0 heads a chain, and the first
-// chain that passes makes its graph a candidate.
+// Search wrappers, one tile's range on the join path) in ascending
+// order. Each graph is screened whole first; a graph that passes tries
+// its parts 0 … m−1 as chain heads, and the first chain that passes
+// makes it a candidate, which exact GED verifies.
 func (db *DB) search(q *Graph, opt Options, lo, hi int, wantDist bool) (*searchScratch, Stats) {
 	var st Stats
 	tau := db.tau
-	m := tau + 1
-	l := opt.ChainLength
-	if l < 1 {
-		l = 1
-	}
-	if l > m {
-		l = m
-	}
+	l := min(max(opt.ChainLength, 1), tau+1)
 
 	s := db.scratch.Get().(*searchScratch)
 	s.qv, s.qe = db.sigs.countQuery(q, s.qv, s.qe)
-	plo := lo * m
-	s.marks = growUint64sClear(s.marks, ((hi-lo)*m+63)/64)
-	st.Probes = db.heads.mark(s.qv, plo, hi*m, s.marks)
 	results := s.results
 	dists := s.dists
-	// cur is the graph of the latest marked part; its remaining heads
-	// are tried only while live, which the screen sets and a passing
-	// chain clears.
-	cur, live := -1, false
-	for w, word := range s.marks {
-		for word != 0 {
-			p := plo + w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			id, i := p/m, p%m
-			if id != cur {
-				cur, live = id, db.screened(s, id, q)
-			}
-			if !live || !db.chain(s, id, i, l, q, &st) {
-				continue
-			}
-			live = false
-			st.Candidates++
-			if opt.SkipVerify {
-				continue
-			}
-			if d := s.ks.gedExact(db.graphs[id], q, tau); d >= 0 {
-				results = append(results, id)
-				if wantDist {
-					dists = append(dists, d)
-				}
+	for id := lo; id < hi; id++ {
+		if !db.screened(s, id, q) || !db.anyChain(s, id, l, q, &st) {
+			continue
+		}
+		st.Candidates++
+		if opt.SkipVerify {
+			continue
+		}
+		if d := s.ks.gedExact(db.graphs[id], q, tau); d >= 0 {
+			results = append(results, id)
+			if wantDist {
+				dists = append(dists, d)
 			}
 		}
 	}
@@ -367,7 +332,18 @@ func (db *DB) screened(s *searchScratch, id int, q *Graph) bool {
 		return false
 	}
 	nx, ex := int(db.sizes[2*id]), int(db.sizes[2*id+1])
-	return db.sigs.gedBound(id, nx, ex, q.n, q.e, s.qv, s.qe) <= db.tau
+	return db.sigs.gedBound(id, nx, ex, q.n, q.e, s.qv, s.qe, db.tau) <= db.tau
+}
+
+// anyChain reports whether some part of graph id heads a passing chain
+// of l boxes, trying the heads in part order.
+func (db *DB) anyChain(s *searchScratch, id, l int, q *Graph, st *Stats) bool {
+	for i := 0; i <= db.tau; i++ {
+		if db.chain(s, id, i, l, q, st) {
+			return true
+		}
+	}
+	return false
 }
 
 // chain reports whether the chain of l boxes that graph id heads at

@@ -200,19 +200,15 @@ func TestPaperExample12Scenario(t *testing.T) {
 
 // chainCandidates counts the graphs of db with a passing chain of
 // length l against q — the filter a search applies past its
-// whole-graph screen. It tries every part as a head: a head's box must
-// be 0, so the head index marks every part that can head a chain.
+// whole-graph screen.
 func chainCandidates(db *DB, q *Graph, l int) int {
 	s := &searchScratch{ks: new(kernelScratch)}
 	s.qv, s.qe = db.sigs.countQuery(q, nil, nil)
 	var st Stats
 	n := 0
 	for id := range db.graphs {
-		for i := 0; i <= db.tau; i++ {
-			if db.chain(s, id, i, l, q, &st) {
-				n++
-				break
-			}
+		if db.anyChain(s, id, l, q, &st) {
+			n++
 		}
 	}
 	return n
@@ -282,8 +278,8 @@ func equalInts(a, b []int) bool {
 }
 
 // TestNewDBPartIDOverflow: a corpus of more than MaxInt32 parts is
-// refused before any graph is read (the graphs here are nil), so the
-// refusal bounds the part arrays' allocation.
+// refused before any graph is read (the graphs here are nil). No part
+// id is an int32, so the refusal bounds the part arrays' allocation.
 func TestNewDBPartIDOverflow(t *testing.T) {
 	graphs := make([]*Graph, 2_100_000) // × (MaxTau+1) parts > MaxInt32
 	if _, err := NewDB(graphs, MaxTau); err == nil {

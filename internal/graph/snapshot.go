@@ -9,7 +9,7 @@ import (
 
 // AppendSnapshot adds the DB's sections to b under the given name
 // prefix: τ and the graphs. The parts, the label runs of parts and
-// graphs, and the head index are derived data that OpenSnapshotAt
+// graphs, and the size array are derived data that OpenSnapshotAt
 // rebuilds, so a file cannot carry a partition or a signature that
 // disagrees with its graphs.
 func (db *DB) AppendSnapshot(b *snapshot.Builder, prefix string) error {
